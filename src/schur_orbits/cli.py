@@ -4,9 +4,10 @@ and a digest-keyed result cache.
 Every subcommand emits one JSON report (stdout or --out).  Exit codes:
 0 success, 1 domain error (malformed input, invalid tuple, ...), 2
 budget exhaustion or an inconclusive stable-range verdict.  Reports are
-byte-identical across thread counts and cache cold/warm runs; the cache
-stores the serialized report keyed by a content digest of the job
-(group table digest, classes, parameters, move-set tag, code version).
+byte-identical across runs, --threads values (accepted and ignored) and
+cache cold/warm runs; the cache stores the serialized report keyed by a
+content digest of the job (group table digest, classes, parameters,
+move-set tag, code version).
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ from .homology import (
     pi1_bgc_order,
     sch_unbranched,
 )
-from .moves import MOVE_SET_TAG, MoveError, move_catalog, orbits
+from .moves import MOVE_SET_TAG, MoveError
 from .stabilization import (
     StabilizationError,
     dilate,
     handle_stabilize,
+    level_orbits,
     puncture_stabilize,
     stable_orbits,
 )
@@ -193,18 +195,6 @@ def _render(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _level_reps(G, g, v, threads, budget):
-    """Orbit table and tuple count for one (g, v) level."""
-    if v.cardinality == 0:
-        from .fastorbits import closed_orbit_scan
-
-        table, n = closed_orbit_scan(G, g, move_catalog(G, g, 0))
-        return table, n
-    tuples = enumerate_tuples(G, g, v, surjective=True, budget=budget)
-    table = orbits(tuples, move_catalog(G, g, v.cardinality), threads=threads)
-    return table, len(tuples)
-
-
 # Each command: params(G, args) -> cache-key dict (cheap, normalizes all
 # inputs), run(G, args) -> report dict.
 
@@ -254,7 +244,7 @@ def _params_orbits(G, args):
 def _cmd_orbits(G, args):
     v = parse_branch(G, args.branch)
     vec, in_n = hom_branch_type(G, v.class_ids(), v)
-    table, n = _level_reps(G, args.genus, v, args.threads, args.budget)
+    _, table, n = level_orbits(G, args.genus, v, args.budget)
     return {
         "genus": args.genus,
         "branch": _branch_key(v),
@@ -366,8 +356,7 @@ def _cmd_stable_range(G, args):
     cids = _stable_range_classes(G, args)
     v = parse_branch(G, args.branch)
     r = stable_orbits(G, cids, v_seed=v, g_seed=args.genus_seed,
-                      max_rounds=args.max_rounds, enum_budget=args.budget,
-                      threads=args.threads)
+                      max_rounds=args.max_rounds, enum_budget=args.budget)
     return r.to_json()
 
 
@@ -381,7 +370,7 @@ def _params_torsor_check(G, args):
 def _cmd_torsor_check(G, args):
     cids = _stable_range_classes(G, args)
     v = parse_branch(G, args.branch)
-    table, n = _level_reps(G, args.genus, v, args.threads, args.budget)
+    _, table, n = level_orbits(G, args.genus, v, args.budget)
     if table.num_orbits == 0:
         raise CliError("level has no surjective tuples to check")
     report = torsor_check(table.representatives, class_ids=cids,
@@ -423,7 +412,8 @@ def _build_parser():
         sp.add_argument("--cache-dir", help="cache directory "
                         "(default: $SCHUR_ORBITS_CACHE or ~/.cache/schur-orbits)")
         sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--threads", type=int,
+                        help="accepted for compatibility and ignored")
         if tuples >= 1:
             sp.add_argument("--tuple", required=True,
                             help="tuple JSON (inline or a file path)")

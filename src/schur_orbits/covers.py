@@ -25,7 +25,6 @@ __all__ = [
     "is_surjective",
     "enumerate_tuples",
     "connect_sum",
-    "classes_from_elements",
     "tuple_to_json",
     "tuple_from_json",
 ]
@@ -112,12 +111,6 @@ class BranchData:
         sd, od = self.as_dict(), other.as_dict()
         keys = set(sd) | set(od)
         return all(sd.get(k, 0) < od.get(k, 0) for k in keys)
-
-
-def classes_from_elements(G, elems):
-    """Close an element set to full conjugacy classes; returns sorted
-    class ids."""
-    return tuple(sorted({G.class_of[x] for x in elems}))
 
 
 def make_tuple(G, g, handles, punctures, allowed_classes=None):

@@ -20,7 +20,6 @@ __all__ = [
     "FiniteGroup",
     "ConjClass",
     "build_group",
-    "conjugacy_classes",
     "centralizer",
     "inn_order_on_class",
     "abelianization",
@@ -53,6 +52,9 @@ class FiniteGroup:
     class_reps: tuple
     generators: tuple  # element indices of the defining generators
     generator_spec: str = field(compare=False)
+    # tables other modules derive from this group, under their own keys
+    cache: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def m(self, x, y):
         return self.mul[x][y]
@@ -88,7 +90,7 @@ class FiniteGroup:
         return tuple(x for x in range(self.order) if self.class_of[x] == cid)
 
     def is_abelian(self):
-        return all(s == 1 for s in map(len, map(self.class_members, range(len(self.class_reps)))))
+        return len(self.class_reps) == self.order
 
     @property
     def digest(self):
@@ -285,10 +287,6 @@ def minimal_generating_sequence(G):
         gens.append(best[0])
         have = set(best[2])
     return tuple(gens)
-
-
-def conjugacy_classes(G):
-    return G.classes()
 
 
 def centralizer(G, x):

@@ -2,21 +2,32 @@
 
 Every move in the default catalog carries a standard geometric
 realization (half-twist of adjacent branch points, Dehn twists along
-handle curves, handle interchange, boundary block twist, basepoint
-point-push); each preserves the surface relation and the branch data and
-is invertible within the catalog.
+handle curves, handle interchange, chain twist, boundary block twist,
+basepoint point-push); each preserves the surface relation and the
+branch data and is invertible within the catalog.
+
+Each move kind is defined once, as a row of _MOVE_WORDS: straight-line
+words over the letters of the site it acts on.  move_plan binds a row
+to letter slots; apply_move runs the plan as Python code generated once
+per (move, group, genus, punctures), and fastorbits runs the same plan
+on numpy columns.  A new move is a new row there (plus a site in
+_site_slots if it acts on a new kind of site) and an entry in
+move_catalog.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .covers import BranchedTuple, branch_data
+import numpy as np
+
+from .covers import BranchedTuple
 
 __all__ = [
     "Move",
     "move_catalog",
+    "MovePlan",
+    "move_plan",
     "apply_move",
     "canonicalize",
     "orbits",
@@ -26,27 +37,50 @@ __all__ = [
 
 MOVE_SET_TAG = "default-catalog-v1"
 
-# Chain twist on adjacent handles (a1, b1, a2, b2): the free-group
-# automorphism below fixes the block relator [a1,b1][a2,b2] letter for
-# letter, so it splices into the full surface relation at any genus; an
-# automorphism fixing the boundary word of a compact surface group is
-# induced by a homeomorphism fixing the boundary, which makes this a
-# genuine mapping class of the two-handle subsurface.  On homology it
-# sends b1 -> b1 + a1 - a2 and b2 -> b2 + a2 - a1, the transvection
-# along the curve running through both handles.  Letters: 1 = a1,
-# 2 = b1, 3 = a2, 4 = b2; negative = inverse.
-_CHAIN_TWIST_WORDS = (
-    (1, 3, 1, -3, -1),                # a1
-    (1, 3, -1, -3, 2, 1, 1, -3, -1),  # b1
-    (1, 3, -1),                       # a2
-    (4, 3, -1),                       # b2
-)
-_CHAIN_TWIST_INV_WORDS = (
-    (-3, 1, 3),
-    (-3, -1, 3, 1, 2, -1, 3),
-    (-3, -1, 3, 1, 3),
-    (4, -3, -3, 1, 3),
-)
+# One row per move kind: (site, words, signs).  The site names the
+# letters a move with index i acts on: "punctures" w1, w2 = punctures i,
+# i+1; "handle" a, b = handle i; "handles" a1, b1, a2, b2 = handles i,
+# i+1; "boundary" a, b = the last handle and w1 = the first puncture;
+# "each letter" s = every letter in turn.  words assigns, in order, new
+# values to the site letters and to temporaries (any other name), as
+# words over the letters before the move and the temporaries above; y'
+# is the inverse of y, and x is the move's element (the point-push).  A
+# puncture keeps its sign unless signs names the puncture it takes the
+# sign from.
+#
+# The chain twist on adjacent handles (a1, b1, a2, b2) fixes the block
+# relator [a1,b1][a2,b2] letter for letter, so it splices into the full
+# surface relation at any genus; an automorphism fixing the boundary
+# word of a compact surface group is induced by a homeomorphism fixing
+# the boundary, which makes this a genuine mapping class of the
+# two-handle subsurface.  On homology it sends b1 -> b1 + a1 - a2 and
+# b2 -> b2 + a2 - a1, the transvection along the curve running through
+# both handles.
+_MOVE_WORDS = {
+    "Braid": ("punctures", {"w1": "w1 w2 w1'", "w2": "w1"},
+              {"w1": "w2", "w2": "w1"}),
+    "BraidInv": ("punctures", {"w1": "w2", "w2": "w2' w1 w2"},
+                 {"w1": "w2", "w2": "w1"}),
+    "TwistA": ("handle", {"b": "b a"}, {}),
+    "TwistAInv": ("handle", {"b": "b a'"}, {}),
+    "TwistB": ("handle", {"a": "a b"}, {}),
+    "TwistBInv": ("handle", {"a": "a b'"}, {}),
+    "HandleSwap": ("handles", {"u": "a1 b1 a1' b1'", "a1": "u a2 u'",
+                               "b1": "u b2 u'", "a2": "a1", "b2": "b1"}, {}),
+    "ChainTwist": ("handles", {"a1": "a1 a2 a1 a2' a1'",
+                               "b1": "a1 a2 a1' a2' b1 a1 a1 a2' a1'",
+                               "a2": "a1 a2 a1'",
+                               "b2": "b2 a2 a1'"}, {}),
+    "ChainTwistInv": ("handles", {"a1": "a2' a1 a2",
+                                  "b1": "a2' a1' a2 a1 b1 a1' a2",
+                                  "a2": "a2' a1' a2 a1 a2",
+                                  "b2": "b2 a2' a2' a1 a2"}, {}),
+    "HandleBlockTwist": ("handle", {"u": "a b a' b'", "a": "u a u'",
+                                    "b": "u b u'"}, {}),
+    "BoundaryBlockTwist": ("boundary", {"v": "a b a' b' w1", "a": "v a v'",
+                                        "b": "v b v'", "w1": "v w1 v'"}, {}),
+    "GlobalConj": ("each letter", {"s": "x s x'"}, {}),
+}
 
 
 class MoveError(ValueError):
@@ -60,16 +94,8 @@ class Move:
     element: int = 0
     note: str = ""
 
-    def label(self):
-        if self.kind == "GlobalConj":
-            return f"GlobalConj({self.element})"
-        if self.kind in ("Braid", "BraidInv", "TwistA", "TwistAInv", "TwistB",
-                         "TwistBInv", "HandleSwap", "HandleBlockTwist"):
-            return f"{self.kind}({self.index})"
-        return self.kind
 
-
-def move_catalog(G, g, n, experimental=False):
+def move_catalog(G, g, n):
     """Default generating moves for the pointed mapping class action on
     genus-g, n-puncture tuples."""
     cat = []
@@ -97,106 +123,174 @@ def move_catalog(G, g, n, experimental=False):
     return cat
 
 
-def apply_move(m, t):
-    G = t.group
-    g, n = t.genus, t.n
-    k = m.kind
-    if k in ("Braid", "BraidInv"):
-        j = m.index
-        if not 0 <= j < n - 1:
-            raise MoveError(f"braid index {j} out of range for n={n}")
-        p = list(t.punctures)
-        (w1, o1), (w2, o2) = p[j], p[j + 1]
-        if k == "Braid":
-            p[j] = (G.word([w1, w2, G.inv[w1]]), o2)
-            p[j + 1] = (w1, o1)
-        else:
-            p[j] = (w2, o2)
-            p[j + 1] = (G.word([G.inv[w2], w1, w2]), o1)
-        return BranchedTuple(G, g, t.handles, tuple(p))
-    if k in ("TwistA", "TwistAInv", "TwistB", "TwistBInv"):
-        i = m.index
+def _site_slots(site, i, g, n):
+    """Letter name -> slot maps for one site of a genus-g, n-puncture
+    tuple.  Slots 2k, 2k+1 hold handle k; slot 2g + j holds puncture j."""
+    if site == "punctures":
+        if not 0 <= i < n - 1:
+            raise MoveError(f"braid index {i} out of range for n={n}")
+        return [{"w1": 2 * g + i, "w2": 2 * g + i + 1}]
+    if site == "handle":
         if not 0 <= i < g:
             raise MoveError(f"handle index {i} out of range for g={g}")
-        h = list(t.handles)
-        a, b = h[i]
-        if k == "TwistA":
-            h[i] = (a, G.mul[b][a])
-        elif k == "TwistAInv":
-            h[i] = (a, G.mul[b][G.inv[a]])
-        elif k == "TwistB":
-            h[i] = (G.mul[a][b], b)
-        else:
-            h[i] = (G.mul[a][G.inv[b]], b)
-        return BranchedTuple(G, g, tuple(h), t.punctures)
-    if k == "HandleSwap":
-        i = m.index
+        return [{"a": 2 * i, "b": 2 * i + 1}]
+    if site == "handles":
         if not 0 <= i < g - 1:
-            raise MoveError(f"handle swap index {i} out of range for g={g}")
-        h = list(t.handles)
-        a1, b1 = h[i]
-        a2, b2 = h[i + 1]
-        u = G.commutator(a1, b1)
-        ui = G.inv[u]
-        h[i] = (G.word([u, a2, ui]), G.word([u, b2, ui]))
-        h[i + 1] = (a1, b1)
-        return BranchedTuple(G, g, tuple(h), t.punctures)
-    if k in ("ChainTwist", "ChainTwistInv"):
-        i = m.index
-        if not 0 <= i < g - 1:
-            raise MoveError(f"chain twist index {i} out of range for g={g}")
-        h = list(t.handles)
-        a1, b1 = h[i]
-        a2, b2 = h[i + 1]
-        env = {1: a1, 2: b1, 3: a2, 4: b2}
-        if k == "ChainTwist":
-            words = _CHAIN_TWIST_WORDS
-        else:
-            words = _CHAIN_TWIST_INV_WORDS
-        vals = [
-            G.word([env[x] if x > 0 else G.inv[env[-x]] for x in w])
-            for w in words
-        ]
-        h[i] = (vals[0], vals[1])
-        h[i + 1] = (vals[2], vals[3])
-        return BranchedTuple(G, g, tuple(h), t.punctures)
-    if k == "HandleBlockTwist":
-        i = m.index
-        if not 0 <= i < g:
-            raise MoveError(f"handle index {i} out of range for g={g}")
-        h = list(t.handles)
-        a, b = h[i]
-        u = G.commutator(a, b)
-        ui = G.inv[u]
-        h[i] = (G.word([u, a, ui]), G.word([u, b, ui]))
-        return BranchedTuple(G, g, tuple(h), t.punctures)
-    if k == "BoundaryBlockTwist":
+            raise MoveError(f"handle pair index {i} out of range for g={g}")
+        return [{"a1": 2 * i, "b1": 2 * i + 1, "a2": 2 * i + 2, "b2": 2 * i + 3}]
+    if site == "boundary":
         if g < 1 or n < 1:
             raise MoveError("needs a handle and a puncture")
-        h = list(t.handles)
-        p = list(t.punctures)
-        a, b = h[g - 1]
-        w1, o1 = p[0]
-        v = G.mul[G.commutator(a, b)][w1]
-        vi = G.inv[v]
-        h[g - 1] = (G.word([v, a, vi]), G.word([v, b, vi]))
-        p[0] = (G.word([v, w1, vi]), o1)
-        return BranchedTuple(G, g, tuple(h), tuple(p))
-    if k == "GlobalConj":
-        x = m.element
-        xi = G.inv[x]
-        h = tuple((G.word([x, a, xi]), G.word([x, b, xi])) for a, b in t.handles)
-        p = tuple((G.word([x, w, xi]), o) for w, o in t.punctures)
-        return BranchedTuple(G, g, h, p)
-    raise MoveError(f"unknown move kind {k}")
+        return [{"a": 2 * g - 2, "b": 2 * g - 1, "w1": 2 * g}]
+    return [{"s": s} for s in range(2 * g + n)]
 
 
-def _conj_tuple(t, x):
-    G = t.group
-    xi = G.inv[x]
-    h = tuple((G.word([x, a, xi]), G.word([x, b, xi])) for a, b in t.handles)
-    p = tuple((G.word([x, w, xi]), o) for w, o in t.punctures)
-    return BranchedTuple(G, t.genus, h, p)
+@dataclass(frozen=True)
+class MovePlan:
+    """A move bound to the letter slots of one level.
+
+    Registers below `slots` hold the letters before the move; register
+    `slots` holds the point-push element.  Each step (reg, srcs, table,
+    word) sets a new register: table[srcs[0]] or table[srcs[0] * q +
+    srcs[1]] when the word reads at most two registers other than the
+    point-push element, else the word's product (word entries r >= 0
+    read register r, ~r its inverse).
+    """
+
+    slots: int
+    element: int
+    steps: tuple
+    writes: tuple  # (slot, register): the letter's new value
+    signs: tuple  # (puncture, source puncture) for every moved sign
+
+
+def _np_tables(G):
+    """Flattened multiplication table and inverses of G as numpy arrays."""
+    if "np" not in G.cache:
+        G.cache["np"] = (np.array(G.mul, dtype=np.int64).ravel(),
+                         np.array(G.inv, dtype=np.int64))
+    return G.cache["np"]
+
+
+def word_values(word, env, q, mulf, inv):
+    """Product of a word over registers, with numpy arrays or ints as
+    register values; mulf is the flattened multiplication table."""
+    p = None
+    for r in word:
+        v = env[r] if r >= 0 else inv[env[~r]]
+        p = v if p is None else mulf[p * q + v]
+    return p
+
+
+def move_plan(G, m, g, n):
+    """Compile move m for genus-g, n-puncture tuples over G."""
+    if m.kind not in _MOVE_WORDS:
+        raise MoveError(f"unknown move kind {m.kind}")
+    site, words, signs = _MOVE_WORDS[m.kind]
+    q, L = G.order, 2 * g + n
+    mulf, inv = _np_tables(G)
+    nxt = L + 1
+    steps, writes, moved = [], [], []
+    for names in _site_slots(site, m.index, g, n):
+        regs = dict(names, x=L)
+        for name, text in words.items():
+            word = tuple(~regs[tok[:-1]] if tok.endswith("'") else regs[tok]
+                         for tok in text.split())
+            if len(word) == 1 and word[0] >= 0:
+                reg = word[0]  # a plain copy
+            else:
+                reg, nxt = nxt, nxt + 1
+                srcs = sorted({r if r >= 0 else ~r for r in word} - {L})
+                table = None
+                if len(srcs) <= 2:
+                    grid = np.indices((q,) * len(srcs)).reshape(len(srcs), -1)
+                    env = dict(zip(srcs, grid))
+                    env[L] = m.element
+                    table = word_values(word, env, q, mulf, inv).tolist()
+                steps.append((reg, tuple(srcs), table, word))
+            if name in names:
+                writes.append((names[name], reg))
+            else:
+                regs[name] = reg
+        moved += [(names[d] - 2 * g, names[s] - 2 * g) for d, s in signs.items()]
+    return MovePlan(L, m.element, tuple(steps), tuple(writes), tuple(moved))
+
+
+def _python_move(G, plan, g):
+    """Straight-line Python for one plan: t -> moved BranchedTuple.  Only
+    the letters the plan reads are unpacked, and only the handles and
+    punctures it writes are rebuilt."""
+    L, q, n = plan.slots, G.order, plan.slots - 2 * g
+    new, sign_of = dict(plan.writes), dict(plan.signs)
+    ns = {"mul": G.mul, "inv": G.inv, "BT": BranchedTuple, "G": G}
+
+    def name(r):
+        return str(plan.element) if r == L else f"r{r}"
+
+    def handle(k):
+        a, b = 2 * k, 2 * k + 1
+        if a in new or b in new:
+            return f"({name(new.get(a, a))}, {name(new.get(b, b))}), "
+        return f"h[{k}], "
+
+    def puncture(j):
+        s = 2 * g + j
+        if s in new or j in sign_of:
+            return f"({name(new.get(s, s))}, o{sign_of.get(j, j)}), "
+        return f"p[{j}], "
+
+    lines = ["def move(t):", "    h = t.handles", "    p = t.punctures"]
+    touched = set(new) | set(new.values()) | {
+        r if r >= 0 else ~r for step in plan.steps for r in step[3]}
+    for k in range(g):
+        if {2 * k, 2 * k + 1} & touched:
+            lines.append(f"    r{2 * k}, r{2 * k + 1} = h[{k}]")
+    for j in range(n):
+        if 2 * g + j in touched or j in sign_of or j in sign_of.values():
+            lines.append(f"    r{2 * g + j}, o{j} = p[{j}]")
+    for k, (reg, srcs, table, word) in enumerate(plan.steps):
+        if table is not None:
+            ns[f"T{k}"] = table
+            idx = name(srcs[0]) if len(srcs) == 1 else \
+                f"{name(srcs[0])} * {q} + {name(srcs[1])}"
+            lines.append(f"    r{reg} = T{k}[{idx}]")
+        else:
+            e = None
+            for r in word:
+                v = name(r) if r >= 0 else f"inv[{name(~r)}]"
+                e = v if e is None else f"mul[{e}][{v}]"
+            lines.append(f"    r{reg} = {e}")
+    hx, px = "h", "p"
+    if any(s < 2 * g for s in new):
+        hx = "(" + "".join(map(handle, range(g))) + ")"
+    if any(s >= 2 * g for s in new) or sign_of:
+        px = "(" + "".join(map(puncture, range(n))) + ")"
+    lines.append(f"    return BT(G, {g}, {hx}, {px})")
+    exec("\n".join(lines), ns)
+    return ns["move"]
+
+
+def _compiled(G, m, g, n):
+    """apply_move's function for move m on genus-g, n-puncture tuples,
+    generated on first use and kept in the group's cache."""
+    key = (m.kind, m.index, m.element, g, n)
+    f = G.cache.get(key)
+    if f is None:
+        f = G.cache[key] = _python_move(G, move_plan(G, m, g, n), g)
+    return f
+
+
+def apply_move(m, t):
+    return _compiled(t.group, m, t.genus, len(t.punctures))(t)
+
+
+def _conjugators(G, g, n):
+    """Compiled GlobalConj moves by every non-identity element."""
+    key = ("conjugators", g, n)
+    if key not in G.cache:
+        G.cache[key] = [_compiled(G, Move("GlobalConj", element=x), g, n)
+                        for x in range(1, G.order)]
+    return G.cache[key]
 
 
 def canonicalize(t):
@@ -206,8 +300,8 @@ def canonicalize(t):
         return t
     best = t
     bkey = t.key()
-    for x in range(1, G.order):
-        s = _conj_tuple(t, x)
+    for conj in _conjugators(G, t.genus, len(t.punctures)):
+        s = conj(t)
         k = s.key()
         if k < bkey:
             best, bkey = s, k
@@ -264,15 +358,12 @@ def _explore(seed, catalog):
     return seen, rep
 
 
-def orbits(tuples, catalog, threads=1, require_closed=True):
+def orbits(tuples, catalog, require_closed=True):
     """Partition a move-closed tuple set into orbits.
 
     tuples may repeat; orbit sizes count input multiplicity.  The result
-    is independent of thread count and input order.
+    is independent of input order.
     """
-    tuples = list(tuples)
-    if not tuples:
-        return OrbitTable(MOVE_SET_TAG, (), (), {})
     counts = {}
     canon = {}
     for t in tuples:
@@ -280,36 +371,21 @@ def orbits(tuples, catalog, threads=1, require_closed=True):
         k = c.key()
         canon.setdefault(k, c)
         counts[k] = counts.get(k, 0) + 1
-    pending = dict(sorted(canon.items()))
     orbit_members = []  # list of (rep, sorted member keys)
-
-    while pending:
-        seed_keys = sorted(pending.keys())
-        if threads > 1:
-            batch = seed_keys[: threads * 2]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                found = list(ex.map(lambda k: _explore(pending[k], catalog), batch))
-        else:
-            batch = seed_keys[:1]
-            found = [_explore(pending[batch[0]], catalog)]
-        # deterministic merge: accept orbits by minimal representative;
-        # two seeds in one orbit explore identical sets, keep the first
-        claimed = set()
-        for seen, rep in sorted(found, key=lambda sr: sr[1].key()):
-            member_keys = set(seen.keys())
-            if member_keys & claimed:
-                continue
-            if require_closed:
-                missing = [k for k in member_keys if k not in counts]
-                if missing:
-                    raise MoveError(
-                        "input set is not closed under the catalog "
-                        f"(reached {len(missing)} tuples outside it)"
-                    )
-            orbit_members.append((rep, sorted(member_keys)))
-            claimed |= member_keys
-            for k in member_keys:
-                pending.pop(k, None)
+    claimed = set()
+    for k in sorted(canon):
+        if k in claimed:
+            continue
+        seen, rep = _explore(canon[k], catalog)
+        if require_closed:
+            missing = [m for m in seen if m not in counts]
+            if missing:
+                raise MoveError(
+                    "input set is not closed under the catalog "
+                    f"(reached {len(missing)} tuples outside it)"
+                )
+        orbit_members.append((rep, sorted(seen)))
+        claimed.update(seen)
     orbit_members.sort(key=lambda rm: rm[0].key())
     reps = tuple(r for r, _ in orbit_members)
     sizes = tuple(

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .covers import BranchData, BranchedTuple, branch_data, enumerate_tuples
+from .fastorbits import VEC_STATE_CAP, closed_orbit_scan
 from .groups import closure
 from .homology import m_g_c
-from .moves import MOVE_SET_TAG, canonicalize, move_catalog, orbits
+from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog, orbits
 
 __all__ = [
     "puncture_stabilize",
@@ -23,6 +24,7 @@ __all__ = [
     "u_threshold",
     "certificate",
     "StabilizationCertificate",
+    "level_orbits",
     "stable_orbits",
     "StableRangeReport",
     "surger_handles",
@@ -162,8 +164,6 @@ def _level_feasible(G, g, v, enum_budget):
 
     n = v.cardinality
     if n == 0:
-        from .fastorbits import VEC_STATE_CAP
-
         return G.order ** (2 * g) <= VEC_STATE_CAP
     patterns = factorial(n)
     sizes = []
@@ -176,22 +176,19 @@ def _level_feasible(G, g, v, enum_budget):
     return est <= enum_budget
 
 
-def _level_orbits(G, g, v, threads, enum_budget):
-    """(tuple list or None, orbit table, number of tuples) for one level.
+def level_orbits(G, g, v, enum_budget):
+    """(tuple list or None, orbit table, number of tuples) for the
+    surjective tuples of one (g, v) level.
 
     Closed levels go through the vectorized scanner; punctured levels
     stay small and use the generic hash BFS.
     """
     n = v.cardinality
     if n == 0:
-        from .fastorbits import closed_orbit_scan
-
-        cat = move_catalog(G, g, 0)
-        table, n_tuples = closed_orbit_scan(G, g, cat)
+        table, n_tuples = closed_orbit_scan(G, g, move_catalog(G, g, 0))
         return None, table, n_tuples
     tuples = enumerate_tuples(G, g, v, surjective=True, budget=enum_budget)
-    cat = move_catalog(G, g, n)
-    table = orbits(tuples, cat, threads=threads)
+    table = orbits(tuples, move_catalog(G, g, n))
     return tuples, table, len(tuples)
 
 
@@ -219,7 +216,7 @@ def _round_map(G, class_ids, skip_handle):
 
 
 def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
-                  enum_budget=2_000_000, threads=1):
+                  enum_budget=2_000_000):
     """Probe the stable range at (g, v) levels grown by stabilization
     rounds until the orbit count plateaus over two full rounds, then
     cross-check against |M(G)_C|."""
@@ -275,7 +272,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
                                   "v": [[list(k), m] for k, m in v.counts],
                                   "skipped": "level over budget"})
             return report
-        tuples, table, n_tuples = _level_orbits(G, g, v, threads, enum_budget)
+        tuples, table, n_tuples = level_orbits(G, g, v, enum_budget)
         cert = certificate(G, cids, g, v)
         entry = {
             "g": g,
@@ -291,8 +288,6 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         }
         if prev is not None:
             f = _round_map(G, cids, skip_handle)
-            from .moves import induced_orbit_map
-
             members = (_members_by_orbit(prev[1], prev[0])
                        if prev[0] is not None else None)
             flags = induced_orbit_map(f, prev[1], table,

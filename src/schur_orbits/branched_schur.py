@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import BranchedTuple, branch_data, is_surjective
+from .covers import BranchedTuple, BudgetError, branch_data, is_surjective
 from .homology import h2_group, m_g_c, unbranched_cycle
 from .moves import MOVE_SET_TAG, apply_move, move_catalog
 from .stabilization import puncture_stabilize
@@ -33,7 +33,7 @@ class DoublingError(ValueError):
     pass
 
 
-class NormalizationBudgetError(RuntimeError):
+class NormalizationBudgetError(BudgetError):
     pass
 
 

@@ -7,7 +7,8 @@ budget exhaustion or an inconclusive stable-range verdict.  Reports are
 byte-identical across runs, --threads values (accepted and ignored) and
 cache cold/warm runs; the cache stores the serialized report keyed by a
 content digest of the job (group table digest, classes, parameters,
-move-set tag, code version).
+move-set tag, code version).  An entry that does not decode is a miss:
+the report is recomputed and the entry rewritten.
 """
 
 from __future__ import annotations
@@ -17,17 +18,14 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
-from .branched_schur import (
-    DoublingError,
-    NormalizationBudgetError,
-    schur_diff,
-    torsor_check,
-)
+from .branched_schur import DoublingError, schur_diff, torsor_check
 from .covers import (
     BranchData,
+    BudgetError,
     TupleError,
     branch_data,
     enumerate_tuples,
@@ -488,6 +486,32 @@ def _exit_code(command, report):
     return 0
 
 
+def _read_cache(path):
+    """(report, text) of a cache entry, or None when there is no entry or
+    it does not decode to a report (a truncated write, say): a miss."""
+    try:
+        text = path.read_text()
+        report = json.loads(text)
+    except (OSError, ValueError):
+        return None
+    return (report, text) if isinstance(report, dict) else None
+
+
+def _write_cache(path, text):
+    """Write an entry through a temp file of its own in the cache
+    directory, so concurrent writers never interleave."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(args, text):
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
@@ -521,29 +545,22 @@ def main(argv=None):
         digest = hashlib.sha256(blob.encode()).hexdigest()
         cpath = _cache_dir(args) / f"{digest}.json"
         use_cache = not getattr(args, "no_cache", False)
-        if use_cache and cpath.exists():
-            text = cpath.read_text()
-            report = json.loads(text)
+        cached = _read_cache(cpath) if use_cache else None
+        if cached:
+            report, text = cached
         else:
             report = run_fn(G, args)
             text = _render(report)
             if use_cache:
-                cpath.parent.mkdir(parents=True, exist_ok=True)
-                tmp = cpath.with_suffix(".tmp")
-                tmp.write_text(text)
-                tmp.replace(cpath)
+                _write_cache(cpath, text)
         _write_csv(args, report)
         _emit(args, text)
         return _exit_code(args.command, report)
-    except NormalizationBudgetError as e:
+    except BudgetError as e:
         _emit(args, _render({"error": {"kind": "budget", "message": str(e)}}))
         return 2
-    except (TupleError, MoveError) as e:
-        kind = "budget" if ("budget" in str(e) or "cap" in str(e)) else "domain"
-        _emit(args, _render({"error": {"kind": kind, "message": str(e)}}))
-        return 2 if kind == "budget" else 1
     except (CliError, GroupBuildError, HomologyError, StabilizationError,
-            DoublingError, ValueError, KeyError) as e:
+            DoublingError, TupleError, MoveError, ValueError, KeyError) as e:
         _emit(args, _render({"error": {"kind": "domain", "message": str(e)}}))
         return 1
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .groups import FiniteGroup, generates
 
 __all__ = [
+    "BudgetError",
     "BranchedTuple",
     "BranchData",
     "make_tuple",
@@ -32,6 +33,11 @@ __all__ = [
 
 class TupleError(ValueError):
     pass
+
+
+class BudgetError(RuntimeError):
+    """A search or level outgrew its budget; the CLI reports it as exit
+    2, kind "budget"."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ def enumerate_tuples(G, g, v, surjective=True, budget=None):
         nonlocal examined
         examined += 1
         if budget is not None and examined > budget:
-            raise TupleError(f"enumeration budget {budget} exhausted")
+            raise BudgetError(f"enumeration budget {budget} exhausted")
 
     handle_iter = lambda: _handle_prefixes(G, g)
     if n >= 1:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from schur_orbits import cli
 from schur_orbits.cli import main
+from schur_orbits.moves import MoveError
 
 from conftest import GROUP_SPECS
 
@@ -158,6 +160,41 @@ def test_budget_exit_code(files, capsys):
                              "--budget", "3"])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "budget"
+
+
+def test_closed_level_cap_exit_code(files, capsys):
+    code, out = run(capsys, ["orbits", "--group", files["s3"],
+                             "--genus", "11", "--no-cache"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "budget",
+        "message": f"closed level of {6 ** 22} states exceeds cap {1 << 28}"}
+
+
+def test_exit_code_comes_from_the_error_type(files, capsys, monkeypatch):
+    # a domain error that merely mentions a cap is not a budget error
+    def fail(*args):
+        raise MoveError("move exceeds cap on a budget")
+
+    monkeypatch.setattr(cli, "level_orbits", fail)
+    code, out = run(capsys, ["orbits", "--group", files["s3"],
+                             "--genus", "1", "--no-cache"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+def test_corrupt_cache_entry_is_recomputed(files, capsys):
+    cache = files["tmp"] / "cache"
+    argv = ["orbits", "--group", files["s3"], "--genus", "0",
+            "--branch", "4 transpositions"]
+    _, cold = run(capsys, argv)
+    (entry,) = cache.glob("*.json")
+    entry.write_text(cold[: len(cold) // 2])
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == cold
+    assert entry.read_text() == cold
+    assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
 def test_out_file(files, capsys, tmp_path):

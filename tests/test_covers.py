@@ -4,6 +4,7 @@ import pytest
 
 from schur_orbits.covers import (
     BranchData,
+    BudgetError,
     TupleError,
     branch_data,
     connect_sum,
@@ -116,7 +117,7 @@ def test_enumeration_deterministic(s3):
 def test_enumeration_budget(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 6})
-    with pytest.raises(TupleError):
+    with pytest.raises(BudgetError):
         enumerate_tuples(s3, 0, v, budget=5)
 
 

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_orbits.covers import BranchData, BranchedTuple, enumerate_tuples
+from schur_orbits import fastorbits
+from schur_orbits.covers import (
+    BranchData,
+    BranchedTuple,
+    BudgetError,
+    enumerate_tuples,
+)
 from schur_orbits.fastorbits import _applier, closed_orbit_scan
+from schur_orbits.groups import build_group
 from schur_orbits.moves import apply_move, move_catalog, move_plan, orbits
 
-from conftest import get_group
+from conftest import cyclic, get_group
 
 
 @st.composite
@@ -39,16 +46,81 @@ def test_numpy_moves_match_apply_move(case):
             assert [int(c[row]) for c in out] == want, m
 
 
-@pytest.mark.parametrize("name", ["k4", "s3", "d4", "q8"])
+def _generic_ids(G, g, cat, level):
+    """The hash-BFS orbit table of a closed level, and its orbit id for
+    every code of the level's q^{2g} code space (-1 off the level)."""
+    slow = orbits(level, cat)
+    q = G.order
+    ids = np.full(q ** (2 * g), -1, dtype=np.int32)
+    for t in level:
+        code = 0
+        for a, b in t.handles:
+            code = (code * q + a) * q + b
+        ids[code] = slow.orbit_id(t)
+    return slow, ids
+
+
+@pytest.mark.parametrize("name", ["k4", "s3", "d4", "q8", "a4"])
 def test_closed_scan_matches_hash_bfs(name):
     G = get_group(name)
     cat = move_catalog(G, 2, 0)
     fast, n_tuples = closed_orbit_scan(G, 2, cat)
     level = enumerate_tuples(G, 2, BranchData.from_dict({}))
-    slow = orbits(level, cat)
+    slow, ids = _generic_ids(G, 2, cat, level)
     assert n_tuples == len(level)
     assert fast.to_json() == slow.to_json()
     assert all(fast.orbit_id(t) == slow.orbit_id(t) for t in level)
+    np.testing.assert_array_equal(fast.ids, ids)
+
+
+def test_closed_scan_relabelled_generators():
+    # A4 from another generating pair: a different element numbering,
+    # so different codes, level order and representatives
+    G = build_group({"permutations": [[2, 3, 0, 1], [0, 3, 1, 2]]})
+    assert G.order == 12 and G.mul != get_group("a4").mul
+    cat = move_catalog(G, 2, 0)
+    fast, n_tuples = closed_orbit_scan(G, 2, cat)
+    level = enumerate_tuples(G, 2, BranchData.from_dict({}))
+    slow, ids = _generic_ids(G, 2, cat, level)
+    assert n_tuples == len(level)
+    assert fast.to_json() == slow.to_json()
+    np.testing.assert_array_equal(fast.ids, ids)
+
+
+@pytest.mark.parametrize("name,g,chunk", [("a4", 2, 1000), ("s3", 3, 4097),
+                                          ("z70", 1, 999)])
+def test_filter_chunking_does_not_change_the_table(name, g, chunk,
+                                                   monkeypatch):
+    G = cyclic(70) if name == "z70" else get_group(name)
+    assert G.order ** (2 * g) % chunk
+    cat = move_catalog(G, g, 0)
+    monkeypatch.setattr(fastorbits, "FILTER_CHUNK", G.order ** (2 * g))
+    whole, n_whole = closed_orbit_scan(G, g, cat)
+    monkeypatch.setattr(fastorbits, "FILTER_CHUNK", chunk)
+    chunked, n_chunked = closed_orbit_scan(G, g, cat)
+    assert n_chunked == n_whole
+    assert chunked.to_json() == whole.to_json()
+    assert chunked.sizes == whole.sizes
+    np.testing.assert_array_equal(chunked.ids, whole.ids)
+
+
+def test_closed_scan_group_over_64_elements():
+    # element indices >= 64 used to fall out of a one-word letter mask,
+    # so surjective tuples were dropped and the scan failed its
+    # move-closure check
+    G = cyclic(70)
+    cat = move_catalog(G, 1, 0)
+    fast, n_tuples = closed_orbit_scan(G, 1, cat)
+    level = enumerate_tuples(G, 1, BranchData.from_dict({}))
+    slow, ids = _generic_ids(G, 1, cat, level)
+    assert n_tuples == len(level) == 3456
+    assert fast.to_json() == slow.to_json()
+    np.testing.assert_array_equal(fast.ids, ids)
+
+
+def test_closed_level_cap_is_a_budget_error(s3):
+    with pytest.raises(BudgetError, match="exceeds cap 1000"):
+        closed_orbit_scan(s3, 2, move_catalog(s3, 2, 0), cap=1000)
 
 
 def test_closed_orbit_id_rejects_other_levels(k4):

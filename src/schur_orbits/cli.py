@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -498,17 +497,15 @@ def _read_cache(path):
 
 
 def _write_cache(path, text):
-    """Write an entry through a temp file of its own in the cache
-    directory, so concurrent writers never interleave."""
+    """Write an entry through a temp file named after this process, so
+    concurrent writers never interleave; both files follow the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".",
-                               suffix=".tmp")
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
+        tmp.write_text(text)
+        tmp.replace(path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: reports, determinism, caching, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -195,6 +196,16 @@ def test_corrupt_cache_entry_is_recomputed(files, capsys):
     assert out == cold
     assert entry.read_text() == cold
     assert sorted(p.name for p in cache.iterdir()) == [entry.name]
+
+
+def test_cache_entry_follows_umask(files, capsys):
+    old = os.umask(0o022)
+    try:
+        run(capsys, ["group-info", "--group", files["s3"]])
+    finally:
+        os.umask(old)
+    (entry,) = (files["tmp"] / "cache").glob("*.json")
+    assert entry.stat().st_mode & 0o777 == 0o644
 
 
 def test_out_file(files, capsys, tmp_path):

@@ -7,13 +7,15 @@ budget exhaustion or an inconclusive stable-range verdict.  Reports are
 byte-identical across runs, --threads values (accepted and ignored) and
 cache cold/warm runs; the cache stores the serialized report keyed by a
 content digest of the job (group table digest, classes, parameters,
-move-set tag, code version).  An entry that does not decode is a miss:
-the report is recomputed and the entry rewritten.
+move-set tag, and a digest of the package's source files, so a report
+computed by other code is never served).  An entry that does not decode
+is a miss: the report is recomputed and the entry rewritten.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -186,6 +188,15 @@ def _cache_dir(args):
     if env:
         return Path(env)
     return Path.home() / ".cache" / "schur-orbits"
+
+
+@functools.cache
+def _source_digest():
+    """sha256 of the package's *.py files, sorted by file name."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def _render(report):
@@ -532,7 +543,7 @@ def main(argv=None):
         param_fn, run_fn = _COMMANDS[args.command]
         params = param_fn(G, args)
         payload = {
-            "code_version": __version__,
+            "code_version": _source_digest(),
             "move_set": MOVE_SET_TAG,
             "group": G.digest,
             "command": args.command,

@@ -5,12 +5,14 @@ many for the hash-based breadth-first search once 2g gets large.  This
 engine encodes a whole level as integer codes, filters the code space
 FILTER_CHUNK codes at a time down to the sorted level, applies every
 catalog move as numpy gathers compiled from the same move plans as
-moves.apply_move, and sweeps orbits with a boolean visited array.
-Memory is 5 B per code (visited 1 B, orbit id 4 B) plus 8 B per level
-tuple, besides chunk- and frontier-sized temporaries.  On a 2-CPU Intel
-Xeon VM the A4 genus-3 level (742,560 tuples among 12^6 codes) closes in
-1.0-1.3 s over five runs.  Only closed tuples are handled; punctured
-levels stay small in practice and use the generic engine.
+moves.apply_move, and sweeps orbits with a boolean visited array,
+decoding each frontier FILTER_CHUNK codes at a time.  Memory is 5 B per
+code (visited 1 B, orbit id 4 B) plus 8 B per level tuple and per code
+of the current and the next frontier, besides chunk-sized temporaries.
+On a 2-CPU Intel Xeon VM the A4 genus-3 level (742,560 tuples among 12^6
+codes) closes in 1.0-1.3 s over five runs.  Only closed tuples are
+handled; punctured levels stay small in practice and use the generic
+engine.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .moves import (
 __all__ = ["closed_orbit_scan", "FastOrbitTable", "VEC_STATE_CAP"]
 
 VEC_STATE_CAP = 1 << 28
-FILTER_CHUNK = 1 << 18  # codes decoded at a time by the level filter
+FILTER_CHUNK = 1 << 18  # codes decoded at a time by the filter and sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,19 +201,20 @@ def closed_orbit_scan(G, g, catalog, surjective=True, cap=VEC_STATE_CAP):
         frontier = np.array([seed], dtype=np.int64)
         size = 1
         while frontier.size:
-            fcols = _decode(frontier, q, L)
             new_parts = []
-            for f in appliers:
-                enc = _encode(f(fcols), q)
-                enc = enc[~visited[enc]]
-                if enc.size:
-                    visited[enc] = True
-                    orbit_id[enc] = oid
-                    new_parts.append(enc)
+            for start in range(0, frontier.size, FILTER_CHUNK):
+                fcols = _decode(frontier[start:start + FILTER_CHUNK], q, L)
+                for f in appliers:
+                    enc = _encode(f(fcols), q)
+                    enc = enc[~visited[enc]]
+                    if enc.size:
+                        visited[enc] = True
+                        orbit_id[enc] = oid
+                        new_parts.append(enc)
             # No code repeats, so nothing needs deduplicating: each move
             # acts on the level as a bijection, so it maps the distinct
-            # codes of a frontier to distinct codes, and each part skips
-            # the codes that the parts before it marked visited.
+            # codes of a frontier piece to distinct codes, and each part
+            # skips the codes that the parts before it marked visited.
             frontier = (np.concatenate(new_parts) if new_parts
                         else np.array([], dtype=np.int64))
             size += int(frontier.size)

@@ -1,18 +1,14 @@
 """Exact integer matrix algebra: Smith normal form, kernels, cokernels.
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
-arbitrary precision.  The one performance-sensitive structure, the
-incremental row lattice used to accumulate huge boundary images, runs on
-numpy int64 with explicit magnitude guards and promotes itself to
-python-int (object dtype) arrays before any overflow can occur.
+arbitrary precision.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
 
 __all__ = [
     "smith_normal_form",
@@ -25,9 +21,6 @@ __all__ = [
     "mat_mul",
     "identity_matrix",
 ]
-
-# int64 entries beyond this trigger promotion to python ints.
-_INT64_SAFE = 1 << 31
 
 
 def identity_matrix(n):
@@ -347,126 +340,73 @@ def subgroup_quotient(A, gens):
 
 
 class IntegerLattice:
-    """Sublattice of Z^n maintained as a row basis in column-echelon form.
-
-    Rows are numpy arrays; int64 while entries stay small, promoted to
-    object dtype (python ints) if anything approaches the overflow guard.
-    """
+    """Sublattice of Z^n maintained as a row basis in echelon form: rows
+    of Python ints sorted by pivot column, each pivot positive."""
 
     def __init__(self, n):
         self.n = n
         self.rows = []  # echelon rows, sorted by pivot column
         self.pivots = []  # pivot column per row
-        self._object = False
-
-    def _promote(self):
-        if not self._object:
-            self.rows = [row.astype(object) for row in self.rows]
-            self._object = True
-
-    def _guard(self, *arrays):
-        if self._object:
-            return
-        for a in arrays:
-            if a.size and int(np.abs(a).max()) > _INT64_SAFE:
-                self._promote()
-                return
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _prepare(self, vec):
-        if self._object:
-            return np.array([int(x) for x in vec], dtype=object)
-        a = np.asarray(list(map(int, vec)))
-        if a.size and int(np.abs(a).max()) > _INT64_SAFE:
-            self._promote()
-            return a.astype(object)
-        return a.astype(np.int64)
-
-    def _first_nonzero(self, vec):
-        nz = np.nonzero(vec)[0]
-        return int(nz[0]) if nz.size else -1
+    def _pivot_row(self, v):
+        """(leading column of v or -1, index of the row with that pivot
+        or None)."""
+        j = next((k for k, x in enumerate(v) if x), -1)
+        idx = bisect_left(self.pivots, j)
+        hit = j >= 0 and idx < len(self.pivots) and self.pivots[idx] == j
+        return j, (idx if hit else None)
 
     def _reduce_above(self, idx):
         """Reduce entries of other rows over the pivot of row idx."""
-        p = int(self.rows[idx][self.pivots[idx]])
-        j = self.pivots[idx]
-        for k in range(len(self.rows)):
-            if k == idx:
-                continue
-            e = int(self.rows[k][j])
-            if e:
-                q = e // p
-                if q:
-                    self.rows[k] = self.rows[k] - q * self.rows[idx]
-                    self._guard(self.rows[k])
+        row, j = self.rows[idx], self.pivots[idx]
+        for k, other in enumerate(self.rows):
+            q = other[j] // row[j]
+            if k != idx and q:
+                self.rows[k] = [a - q * b for a, b in zip(other, row)]
 
     def add(self, vec):
         """Add a vector to the lattice; returns True if the lattice grew
         or a pivot changed."""
-        v = self._prepare(vec)
-        if self._object and v.dtype != object:
-            v = v.astype(object)
+        v = [int(x) for x in vec]
         changed = False
         while True:
-            j = self._first_nonzero(v)
+            j, idx = self._pivot_row(v)
             if j < 0:
                 return changed
-            import bisect
-
-            idx = bisect.bisect_left(self.pivots, j)
-            if idx < len(self.pivots) and self.pivots[idx] == j:
-                row = self.rows[idx]
-                p = int(row[j])
-                a = int(v[j])
-                if a % p == 0:
-                    v = v - (a // p) * row
-                    self._guard(v)
-                else:
-                    g, x, y = _xgcd(p, a)
-                    if self._object or max(abs(p), abs(a)) <= _INT64_SAFE:
-                        new_row = x * row + y * v
-                        v = (p // g) * v - (a // g) * row
-                    else:
-                        self._promote()
-                        row = self.rows[idx]
-                        v = v.astype(object)
-                        new_row = x * row + y * v
-                        v = (p // g) * v - (a // g) * row
-                    if int(new_row[j]) < 0:
-                        new_row = -new_row
-                    self.rows[idx] = new_row
-                    self._guard(new_row, v)
-                    self._reduce_above(idx)
-                    changed = True
-            else:
-                if int(v[j]) < 0:
-                    v = -v
-                self.rows.insert(idx, v)
+            if idx is None:
+                idx = bisect_left(self.pivots, j)
+                self.rows.insert(idx, v if v[j] > 0 else [-x for x in v])
                 self.pivots.insert(idx, j)
                 self._reduce_above(idx)
                 return True
+            row = self.rows[idx]
+            p, a = row[j], v[j]
+            if a % p == 0:
+                v = [x - (a // p) * r for x, r in zip(v, row)]
+                continue
+            g, x, y = _xgcd(p, a)
+            new_row = [x * r + y * t for r, t in zip(row, v)]
+            v = [(p // g) * t - (a // g) * r for r, t in zip(row, v)]
+            if new_row[j] < 0:
+                new_row = [-t for t in new_row]
+            self.rows[idx] = new_row
+            self._reduce_above(idx)
+            changed = True
 
     def contains(self, vec):
-        v = self._prepare(vec)
-        if self._object and v.dtype != object:
-            v = v.astype(object)
+        v = [int(x) for x in vec]
         while True:
-            j = self._first_nonzero(v)
+            j, idx = self._pivot_row(v)
             if j < 0:
                 return True
-            import bisect
-
-            idx = bisect.bisect_left(self.pivots, j)
-            if idx >= len(self.pivots) or self.pivots[idx] != j:
+            if idx is None or v[j] % self.rows[idx][j]:
                 return False
-            p = int(self.rows[idx][j])
-            a = int(v[j])
-            if a % p:
-                return False
-            v = v - (a // p) * self.rows[idx]
+            q = v[j] // self.rows[idx][j]
+            v = [x - q * r for x, r in zip(v, self.rows[idx])]
 
     def basis(self):
-        return [[int(x) for x in row] for row in self.rows]
+        return [list(row) for row in self.rows]

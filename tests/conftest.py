@@ -35,6 +35,22 @@ def quaternion_table():
     return {"cayley_table": table}
 
 
+def generalized_quaternion_table(n):
+    """Q_{4n} = <a, b | a^{2n} = 1, b^2 = a^n, b a b^-1 = a^-1>, element
+    a^i b^j at index i + 2n j."""
+    k = 2 * n
+
+    def mul(i, j, u, v):  # a^i b^j . a^u b^v, using b^j a^u = a^{+-u} b^j
+        i = (i + (-u if j else u)) % k
+        if j and v:
+            return (i + n) % k
+        return i + k * (j or v)
+
+    elems = [(i, j) for j in (0, 1) for i in range(k)]
+    return {"cayley_table": [[mul(i, j, u, v) for u, v in elems]
+                             for i, j in elems]}
+
+
 GROUP_SPECS = {
     "z2": {"permutations": [[1, 0]]},
     "z3": {"permutations": [[1, 2, 0]]},
@@ -48,6 +64,16 @@ GROUP_SPECS = {
     "a4": {"permutations": [[1, 2, 0, 3], [0, 2, 3, 1]]},
     "s4": {"permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]},
     "z2z4": {"permutations": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]},
+    "z3z3": {"permutations": [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]},
+    "z4z4": {"permutations": [[1, 2, 3, 0, 4, 5, 6, 7],
+                              [0, 1, 2, 3, 5, 6, 7, 4]]},
+    "z2^4": {"permutations": [[1, 0, 2, 3, 4, 5, 6, 7],
+                              [0, 1, 3, 2, 4, 5, 6, 7],
+                              [0, 1, 2, 3, 5, 4, 6, 7],
+                              [0, 1, 2, 3, 4, 5, 7, 6]]},
+    "d8": {"permutations": [[1, 2, 3, 4, 5, 6, 7, 0],  # dihedral, order 16
+                            [0, 7, 6, 5, 4, 3, 2, 1]]},
+    "q16": generalized_quaternion_table(4),
 }
 
 _CACHE = {}

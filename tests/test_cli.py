@@ -223,3 +223,19 @@ def test_csv_grid(files, capsys, tmp_path):
     lines = dest.read_text().strip().splitlines()
     assert lines[0] == "level,g,tuples,orbits"
     assert len(lines) >= 4
+
+
+def test_cache_key_follows_the_package_sources(files, capsys, monkeypatch):
+    cache = files["tmp"] / "cache"
+    argv = ["h2", "--group", files["s3"]]
+    run(capsys, argv)
+    (entry,) = cache.glob("*.json")
+    entry.write_text(json.dumps({"H2": ["stale"]}) + "\n")
+    # unchanged sources: the entry is a hit
+    _, out = run(capsys, argv)
+    assert json.loads(out)["H2"] == ["stale"]
+    # other sources: a miss, recomputed and stored under a new key
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    _, out = run(capsys, argv)
+    assert json.loads(out)["H2"] == []
+    assert len(list(cache.glob("*.json"))) == 2

@@ -87,8 +87,9 @@ def test_closed_scan_relabelled_generators():
     np.testing.assert_array_equal(fast.ids, ids)
 
 
+# chunk 7 also splits the sweep's frontiers into pieces
 @pytest.mark.parametrize("name,g,chunk", [("a4", 2, 1000), ("s3", 3, 4097),
-                                          ("z70", 1, 999)])
+                                          ("z70", 1, 999), ("d4", 2, 7)])
 def test_filter_chunking_does_not_change_the_table(name, g, chunk,
                                                    monkeypatch):
     G = cyclic(70) if name == "z70" else get_group(name)

@@ -1,13 +1,17 @@
 """Bar-complex homology: H2, C-tori, M(G)_C, N, and unbranched classes."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from schur_orbits.covers import BranchData, BranchData as BD, enumerate_tuples
 from schur_orbits.groups import abelianization
 from schur_orbits.homology import (
     HomologyError,
+    _absorb,
+    _echelon_cokernel,
     boundary_matrix,
     c_tori_subgroup,
     h1_bgc,
@@ -30,6 +34,8 @@ H2_EXPECTED = {
     "s3": (), "q8": (),
     "k4": (2,), "d4": (2,), "a4": (2,), "s4": (2,),
     "z2z4": (2,),  # Kunneth: H2(Z/2 x Z/4) = Z/gcd(2,4)
+    # classical multipliers (Karpilovsky, The Schur Multiplier, 1987)
+    "z3z3": (3,), "z4z4": (4,), "z2^4": (2,) * 6, "d8": (2,), "q16": (),
 }
 
 
@@ -49,7 +55,8 @@ def test_d2_d3_composite_zero(name):
     assert all(all(x == 0 for x in row) for row in prod)
 
 
-@pytest.mark.parametrize("name", ["z2", "z3", "z4", "z5", "z6", "s3", "k4"])
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "z5", "z6", "s3", "k4",
+                                  "z3z3"])
 def test_h2_dual_route(name):
     # independent dense route: SNF kernel basis of d2, express d3 in it,
     # take the plain cokernel
@@ -74,6 +81,28 @@ def test_h2_dual_route(name):
     assert A.rank == 0
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_mod_n_echelon_matches_exact_cokernel(seed):
+    # Z^K / (columns of A + N.Z^K), once from A mod N through the echelon
+    # and once exactly; few columns leave some pivots empty
+    rng = random.Random(500 + seed)
+    N = rng.choice([2, 4, 6, 8, 9, 12])
+    K = rng.randint(1, 5)
+    cols = [[rng.randint(-20, 20) for _ in range(K)]
+            for _ in range(rng.randint(0, K + 1))]
+    H, piv = np.zeros((K, K), dtype=np.int64), [N] * K
+    for col in cols:
+        _absorb(H, piv, np.array(col, dtype=np.int64) % N, N)
+    got = _echelon_cokernel(H, piv, N)
+    full = cols + [[N if i == k else 0 for i in range(K)] for k in range(K)]
+    want = cokernel([list(row) for row in zip(*full)], ambient_dim=K)
+    assert got.invariant_factors == want.invariant_factors
+    vecs = [[rng.randint(-9, 9) for _ in range(K)] for _ in range(12)]
+    for u, v in itertools.combinations(vecs, 2):
+        assert ((got.to_coords(u) == got.to_coords(v))
+                == (want.to_coords(u) == want.to_coords(v)))
+
+
 @pytest.mark.parametrize("name", ["z4", "z6", "s3", "k4", "q8", "d4", "a4"])
 def test_torus_cycles_are_cycles(name):
     G = get_group(name)
@@ -89,6 +118,17 @@ def test_torus_cycles_are_cycles(name):
     if with_pair:
         with pytest.raises(HomologyError):
             torus_cycle(G, *with_pair[0])
+
+
+def test_cycle_class_rejects_non_cycles(k4):
+    H2 = h2_group(k4)
+    a, b = 1, 2
+    with pytest.raises(HomologyError, match="not a d2-cycle"):
+        H2.cycle_class({(a, b): 1})
+    # [a|b] - [b|a] is a cycle of the commuting pair, [a|b] + [b|a] is not
+    with pytest.raises(HomologyError, match="not a d2-cycle"):
+        H2.cycle_class({(a, b): 1, (b, a): 1})
+    assert H2.cycle_class({(a, b): 1, (b, a): -1}) in ((0,), (1,))
 
 
 @pytest.mark.parametrize("name", sorted(H2_EXPECTED))
@@ -194,7 +234,7 @@ def test_h2_bgc_shape(s3, k4):
     assert B2.n_rank == 0
 
 
-@pytest.mark.parametrize("name", ["s3", "k4", "q8", "a4"])
+@pytest.mark.parametrize("name", ["s3", "k4", "q8", "a4", "z4z4"])
 def test_sch_genus1_matches_torus_class(name):
     G = get_group(name)
     H2 = h2_group(G)
@@ -210,7 +250,7 @@ def test_sch_genus1_matches_torus_class(name):
                 assert got == H2.presentation.zero()
 
 
-@pytest.mark.parametrize("name", ["s3", "k4", "q8"])
+@pytest.mark.parametrize("name", ["s3", "k4", "q8", "z3z3"])
 def test_sch_connect_sum_additive(name):
     G = get_group(name)
     H2 = h2_group(G)

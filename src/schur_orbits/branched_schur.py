@@ -11,10 +11,11 @@ C-tori, so the class is well defined exactly in M(G)_C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .covers import BranchedTuple, BudgetError, branch_data, is_surjective
 from .homology import h2_group, m_g_c, unbranched_cycle
-from .moves import MOVE_SET_TAG, apply_move, move_catalog
+from .moves import MOVE_SET_TAG, move_catalog, move_closure
 from .stabilization import puncture_stabilize
 
 __all__ = [
@@ -39,8 +40,9 @@ class NormalizationBudgetError(BudgetError):
 
 def normalize_letters(t, target, budget=200_000):
     """Search t's move orbit for a tuple whose puncture list equals the
-    target exactly.  Deterministic BFS; raises NormalizationBudgetError
-    when the state budget runs out."""
+    target exactly, in move_closure order.  The budget is the number of
+    states after t that are tested; raises NormalizationBudgetError when
+    none of them, or none of the whole orbit if it is smaller, matches."""
     target = tuple((int(w), int(o)) for w, o in target)
     if t.punctures == target:
         return t
@@ -51,26 +53,10 @@ def normalize_letters(t, target, budget=200_000):
     have = sorted(t.branch_class(j) for j in range(t.n))
     if want != have:
         raise DoublingError("target has different branch data")
-    cat = move_catalog(G, t.genus, t.n)
-    seen = {t.key()}
-    frontier = [t]
-    while frontier and len(seen) <= budget:
-        nxt = []
-        for s in sorted(frontier):
-            for m in cat:
-                u = apply_move(m, s)
-                k = u.key()
-                if k in seen:
-                    continue
-                if u.punctures == target:
-                    return u
-                seen.add(k)
-                nxt.append(u)
-                if len(seen) > budget:
-                    break
-            if len(seen) > budget:
-                break
-        frontier = nxt
+    closure = move_closure(t, move_catalog(G, t.genus, t.n))
+    for u in islice(closure, 1, max(budget, 0) + 1):
+        if u.punctures == target:
+            return u
     raise NormalizationBudgetError(
         f"no tuple with the target letters found within {budget} states"
     )

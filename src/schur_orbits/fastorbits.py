@@ -28,7 +28,6 @@ from .moves import (
     MoveError,
     OrbitTable,
     _np_tables,
-    canonicalize,
     move_plan,
     word_values,
 )
@@ -227,7 +226,8 @@ def closed_orbit_scan(G, g, catalog, surjective=True, cap=VEC_STATE_CAP):
         raise MoveError("closed level is not move-closed (catalog/filter bug)")
     # Each seed is the least level code outside the earlier orbits, and
     # its orbit stays in the level, so the seed is the orbit's least code
-    # and the orbits are already in representative order.
+    # and the orbits are already in representative order.  The orbit is
+    # closed under conjugation, so the seed is its own canonical form.
     reps = []
     for seed in seeds:
         digits = []
@@ -237,7 +237,7 @@ def closed_orbit_scan(G, g, catalog, surjective=True, cap=VEC_STATE_CAP):
             rest //= q
         digits.reverse()
         handles = tuple((digits[2 * k], digits[2 * k + 1]) for k in range(g))
-        reps.append(canonicalize(BranchedTuple(G, g, handles, ())))
+        reps.append(BranchedTuple(G, g, handles, ()))
     table = FastOrbitTable(MOVE_SET_TAG, tuple(reps), tuple(sizes), {}, G, g,
                            orbit_id)
     return table, n_tuples

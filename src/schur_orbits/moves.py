@@ -30,6 +30,7 @@ __all__ = [
     "move_plan",
     "apply_move",
     "canonicalize",
+    "move_closure",
     "orbits",
     "OrbitTable",
     "induced_orbit_map",
@@ -97,7 +98,11 @@ class Move:
 
 def move_catalog(G, g, n):
     """Default generating moves for the pointed mapping class action on
-    genus-g, n-puncture tuples."""
+    genus-g, n-puncture tuples.
+
+    The point-pushes are GlobalConj by each generator of G and its
+    inverse, so the catalog conjugates by all of Inn(G), whatever the
+    subgroup that a tuple's letters generate."""
     cat = []
     for j in range(n - 1):
         cat.append(Move("Braid", j, note="half-twist of branch points j, j+1"))
@@ -311,19 +316,19 @@ def canonicalize(t):
 @dataclass(frozen=True)
 class OrbitTable:
     move_set: str
-    representatives: tuple  # canonical-form BranchedTuples, sorted
+    representatives: tuple  # the least tuple of each orbit, sorted
     sizes: tuple  # orbit sizes (by input multiplicity), parallel to reps
-    orbit_of: dict  # canonical key -> orbit index
+    orbit_of: dict  # tuple key -> orbit index
 
     @property
     def num_orbits(self):
         return len(self.representatives)
 
     def orbit_id(self, t):
-        k = canonicalize(t).key()
-        if k not in self.orbit_of:
+        i = self.orbit_of.get(t.key())
+        if i is None:
             raise KeyError("tuple not in this orbit table")
-        return self.orbit_of[k]
+        return i
 
     def to_json(self):
         from .covers import tuple_to_json
@@ -337,65 +342,55 @@ class OrbitTable:
         }
 
 
-def _explore(seed, catalog):
-    """Canonical keys of the move-closure of one canonical seed; returns
-    (member key set, minimal representative)."""
-    seen = {}
-    start = canonicalize(seed)
-    seen[start.key()] = start
-    frontier = [start]
+def move_closure(t, catalog):
+    """The catalog orbit of t, each tuple once, breadth first: t, then
+    each depth in the order in which the sorted previous depth reaches
+    it, move by move."""
+    seen = {t.key()}
+    frontier = [t]
+    yield t
     while frontier:
         nxt = []
-        for t in frontier:
+        for s in sorted(frontier):
             for m in catalog:
-                s = canonicalize(apply_move(m, t))
-                k = s.key()
+                u = apply_move(m, s)
+                k = u.key()
                 if k not in seen:
-                    seen[k] = s
-                    nxt.append(s)
+                    seen.add(k)
+                    nxt.append(u)
+                    yield u
         frontier = nxt
-    rep = min(seen.values())
-    return seen, rep
 
 
-def orbits(tuples, catalog, require_closed=True):
-    """Partition a move-closed tuple set into orbits.
+def orbits(tuples, catalog):
+    """Partition a move-closed tuple list into catalog orbits.
 
-    tuples may repeat; orbit sizes count input multiplicity.  The result
-    is independent of input order.
+    tuples may repeat; orbit sizes count input multiplicity.  Each
+    orbit's representative is its least tuple, and the orbits come in
+    representative order, so the result is independent of input order.
+    The catalog's point-pushes conjugate by G.generators, so every orbit
+    is closed under Inn(G) for any input, surjective or not, and its
+    least tuple is also the least of its conjugates (canonicalize).
     """
-    counts = {}
-    canon = {}
-    for t in tuples:
-        c = canonicalize(t)
-        k = c.key()
-        canon.setdefault(k, c)
-        counts[k] = counts.get(k, 0) + 1
-    orbit_members = []  # list of (rep, sorted member keys)
-    claimed = set()
-    for k in sorted(canon):
-        if k in claimed:
+    # built from the input's keys, so that the assignments below keep
+    # these key objects and not those of the moved tuples
+    orbit_of = dict.fromkeys(t.key() for t in tuples)
+    reps = []
+    for t in sorted(tuples, key=BranchedTuple.key):
+        if orbit_of[t.key()] is not None:
             continue
-        seen, rep = _explore(canon[k], catalog)
-        if require_closed:
-            missing = [m for m in seen if m not in counts]
-            if missing:
-                raise MoveError(
-                    "input set is not closed under the catalog "
-                    f"(reached {len(missing)} tuples outside it)"
-                )
-        orbit_members.append((rep, sorted(seen)))
-        claimed.update(seen)
-    orbit_members.sort(key=lambda rm: rm[0].key())
-    reps = tuple(r for r, _ in orbit_members)
-    sizes = tuple(
-        sum(counts.get(k, 0) for k in mem) for _, mem in orbit_members
-    )
-    orbit_of = {}
-    for i, (_, mem) in enumerate(orbit_members):
-        for k in mem:
+        i = len(reps)
+        reps.append(t)
+        for s in move_closure(t, catalog):
+            k = s.key()
+            if k not in orbit_of:
+                raise MoveError("input set is not closed under the catalog "
+                                "(reached a tuple outside it)")
             orbit_of[k] = i
-    return OrbitTable(MOVE_SET_TAG, reps, sizes, orbit_of)
+    sizes = [0] * len(reps)
+    for t in tuples:
+        sizes[orbit_of[t.key()]] += 1
+    return OrbitTable(MOVE_SET_TAG, tuple(reps), tuple(sizes), orbit_of)
 
 
 def induced_orbit_map(f, src, dst, exhaustive_members=None):
@@ -404,7 +399,7 @@ def induced_orbit_map(f, src, dst, exhaustive_members=None):
     Well-definedness is asserted: every member of a source orbit must
     land in a single target orbit.  exhaustive_members optionally maps
     source orbit id -> iterable of member tuples to check; by default
-    only representatives are used plus their one-move neighbours.
+    only each representative is mapped, which checks nothing.
     """
     mapping = {}
     for i, rep in enumerate(src.representatives):

@@ -4,6 +4,7 @@ import pytest
 
 from schur_orbits.branched_schur import (
     DoublingError,
+    NormalizationBudgetError,
     double,
     normalize_letters,
     schur_diff,
@@ -184,3 +185,22 @@ def test_torsor_detects_wrong_rep_set(k4):
     members = [t for t in level if tab.orbit_id(t) == 0][:2]
     rep = torsor_check(members, class_ids=())
     assert not rep["passed"]
+
+
+@pytest.mark.parametrize("g,n,j,least,handles,punctures", [
+    (0, 6, 100, 231, (), ((1, 1), (1, 1), (1, 1), (1, 1), (3, 1), (3, 1))),
+    (1, 4, 388, 114, ((5, 5),), ((1, 1), (1, 1), (3, 1), (3, 1))),
+])
+def test_normalize_letters_budget_counts_states(s3, g, n, j, least, handles,
+                                                punctures):
+    # the search visits states in a fixed breadth-first order, and the
+    # budget counts the states after the start: `least` is the smallest
+    # budget that reaches the first tuple with the target letters
+    tc = transposition_class(s3)
+    v = BranchData.from_dict({(tc, 1): n})
+    level = enumerate_tuples(s3, g, v, surjective=True)
+    t, t2 = level[0], level[j]
+    s = normalize_letters(t2, t.punctures, budget=least)
+    assert (s.handles, s.punctures) == (handles, punctures)
+    with pytest.raises(NormalizationBudgetError):
+        normalize_letters(t2, t.punctures, budget=least - 1)

@@ -210,3 +210,54 @@ def test_sch_invariant_under_moves(name):
             assert sch_unbranched(G, s.handles) == base
             count += 1
     assert count >= 100
+
+
+def _union_find_orbits(level, cat):
+    """Reference orbits of a level: union-find over its apply_move edges,
+    with no search order and no canonical forms.  Returns (least tuple,
+    size, members) per orbit, sorted."""
+    index = {t.key(): i for i, t in enumerate(level)}
+    parent = list(range(len(level)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, t in enumerate(level):
+        for m in cat:
+            a, b = find(i), find(index[apply_move(m, t).key()])
+            parent[max(a, b)] = min(a, b)
+    classes = {}
+    for i, t in enumerate(level):
+        classes.setdefault(find(i), []).append(t)
+    return sorted((min(c), len(c), c) for c in classes.values())
+
+
+# branch data as ((sign, count), ...) of the class of element 1: a
+# transposition in s3 and s4, a 3-cycle "c" in a4; one s3 transposition
+# alone has no tuples, so that level is the empty input
+@pytest.mark.parametrize("name,g,branch", [
+    ("s3", 1, ((1, 6),)),
+    ("a4", 0, ((1, 3), (-1, 3))),
+    ("s4", 0, ((1, 6),)),
+    ("s3", 0, ((1, 1),)),
+])
+def test_orbits_match_union_find(name, g, branch):
+    G = get_group(name)
+    v = BranchData.from_dict({(G.class_of[1], o): k for o, k in branch})
+    level = enumerate_tuples(G, g, v)
+    cat = move_catalog(G, g, v.cardinality)
+    tab = orbits(level, cat)
+    ref = _union_find_orbits(level, cat)
+    assert tab.representatives == tuple(r for r, _, _ in ref)
+    assert tab.sizes == tuple(k for _, k, _ in ref)
+    conj = [Move("GlobalConj", element=x) for x in range(1, G.order)]
+    for i, (_, _, members) in enumerate(ref):
+        for t in members:
+            assert tab.orbit_id(t) == i
+            for m in conj:
+                assert tab.orbit_id(apply_move(m, t)) == i
+    if not level:
+        assert tab.to_json()["orbits"] == [] and tab.orbit_of == {}

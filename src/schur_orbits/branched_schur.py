@@ -1,11 +1,24 @@
-"""Relative branched Schur invariants in M(G)_C.
+"""Branched Schur invariants in M(G)_C, by lifting.
 
-The difference class of two covers with the same branch data is computed
-by normalizing the second tuple's puncture letters to match the first
-(a move search), gluing the two covers along their branch disks into a
-closed unbranched double, and reducing the double's Schur class modulo
-C-tori.  Different gluing choices for the connecting tubes differ by
-C-tori, so the class is well defined exactly in M(G)_C.
+The bar-complex H2 classifier gives a normalized 2-cocycle
+f(x, y) = proj_C([x|y]) with values in M(G)_C = H2(G) / <C-tori>: the
+classifier is linear on 2-chains and sends im d3 to 0.  f defines the
+central extension E = M(G)_C x G with product
+(a, x)(b, y) = (a + b + f(x, y), xy).  Each class representative r of
+C lifts to (0, r) and each conjugate x r x^{-1} to the conjugate of that
+lift; two conjugators differ by an element z of the centralizer of r,
+and the lifts then differ by the torus class of (r, z), which is 0 in
+M(G)_C.  The lifting invariant of a tuple is
+
+    Lambda(t) = [a~_1, b~_1] ... [a~_g, b~_g] l(c_1)^{o_1} ... l(c_n)^{o_n},
+
+c_j the branch element of puncture j; its G-part is the surface relation,
+so Lambda(t) lies in M(G)_C.  Commutators of lifts do not depend on the
+lifts chosen and the branch lift is conjugation-equivariant, so Lambda
+is constant on move orbits (Serre, C. R. Acad. Sci. Paris 311, 1990;
+Fried and Voelklein, Math. Ann. 290, 1991).  The difference class of
+two covers with the same branch data is Lambda(t) - Lambda(t2), the
+class of the closed double of t and the orientation reversal of t2.
 """
 
 from __future__ import annotations
@@ -13,17 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .covers import BranchedTuple, BudgetError, branch_data, is_surjective
-from .homology import h2_group, m_g_c, unbranched_cycle
+import numpy as np
+
+from .covers import BudgetError, branch_data, is_surjective
+from .homology import h2_group, m_g_c
 from .moves import MOVE_SET_TAG, move_catalog, move_closure
-from .stabilization import puncture_stabilize
 
 __all__ = [
-    "normalize_letters",
-    "double",
+    "lifting_invariant",
     "schur_diff",
     "DiffClass",
     "torsor_check",
+    "normalize_letters",
     "NormalizationBudgetError",
 ]
 
@@ -31,7 +45,8 @@ ORIENTATION_CONVENTION = "mirror-reverse-swap-v1"
 
 
 class DoublingError(ValueError):
-    pass
+    """Tuples that have no difference class: different levels, a
+    non-surjective tuple, or a branch class outside C."""
 
 
 class NormalizationBudgetError(BudgetError):
@@ -42,7 +57,10 @@ def normalize_letters(t, target, budget=200_000):
     """Search t's move orbit for a tuple whose puncture list equals the
     target exactly, in move_closure order.  The budget is the number of
     states after t that are tested; raises NormalizationBudgetError when
-    none of them, or none of the whole orbit if it is smaller, matches."""
+    none of them, or none of the whole orbit if it is smaller, matches.
+
+    The invariants above do not search; the doubling oracle in the tests
+    does, and perfbench's trace patches this function by name."""
     target = tuple((int(w), int(o)) for w, o in target)
     if t.punctures == target:
         return t
@@ -60,42 +78,6 @@ def normalize_letters(t, target, budget=200_000):
     raise NormalizationBudgetError(
         f"no tuple with the target letters found within {budget} states"
     )
-
-
-def _mirror_handles(handles):
-    """Orientation reversal: reverse handle order, swap each pair."""
-    return tuple((b, a) for a, b in reversed(handles))
-
-
-def double(t, t2):
-    """Closed unbranched tuple obtained by gluing t to the orientation
-    reversal of t2 along their branch disks.
-
-    Requires identical puncture letter/sign lists.  The n - 1 connecting
-    tubes become handles (B_j, 1) carrying the based boundary words
-    B_j = [a_1,b_1]...[a_g,b_g] w_1 ... w_j and trivial tube monodromy;
-    any other tube monodromy choice shifts the class by a C-torus only.
-    """
-    G = t.group
-    if t2.group != G:
-        raise DoublingError("group mismatch")
-    if t.genus != t2.genus or t.punctures != t2.punctures:
-        raise DoublingError("doubling needs identical genus and puncture lists")
-    n = t.n
-    if n == 0 and t.genus == 0:
-        raise DoublingError("nothing to double: closed genus-0 tuple")
-    tubes = []
-    p = 0
-    for a, b in t.handles:
-        p = G.mul[p][G.commutator(a, b)]
-    for j in range(n - 1):
-        p = G.mul[p][t.punctures[j][0]]
-        tubes.append((p, 0))
-    handles = t.handles + tuple(tubes) + _mirror_handles(t2.handles)
-    out = BranchedTuple(G, len(handles), handles, ())
-    if out.relation_product() != 0:
-        raise DoublingError("doubled tuple violates the relation (bug)")
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,61 +99,135 @@ class DiffClass:
         }
 
 
-def schur_diff(t, t2, class_ids=None, budget=200_000, max_retries=2):
-    """Difference of branched Schur invariants of two covers with the
-    same (genus, branch data), as an element of M(G)_C.
+class _Extension:
+    """The central extension E = M(G)_C x G of the cocycle f, with the
+    lifts of the elements of C."""
 
-    When the letter normalization search fails at the current level,
-    both tuples are stabilized identically by one puncture round per
-    class and the search retries.
-    """
-    G = t.group
-    if t2.group != G:
+    def __init__(self, G, class_ids):
+        H2 = h2_group(G)
+        M, _ = m_g_c(G, class_ids)
+        self.group, self.M, self.classes = G, M, sorted(set(class_ids))
+        # rows reduced mod their slot's modulus (each divides |G|), so the
+        # int64 products below stay far from overflow
+        T_h2 = _reduced_transform(H2.presentation)
+        T_m = _reduced_transform(M)
+        h2 = T_h2 @ H2._coords % _moduli(H2.presentation)
+        f = T_m @ h2 % _moduli(M)
+        m = G.order - 1
+        table = np.zeros((G.order, G.order, len(M.moduli)), dtype=np.int64)
+        table[1:, 1:] = f.T.reshape(m, m, len(M.moduli))
+        self._f = [[tuple(v) for v in row] for row in table.tolist()]
+        self._zero = M.zero()
+        self._lift = {}
+        for cid in self.classes:
+            r = (self._zero, G.class_reps[cid])
+            for x in range(G.order):
+                xt = (self._zero, x)
+                a, y = self.mul(self.mul(xt, r), self.inv(xt))
+                if self._lift.setdefault(y, a) != a:
+                    raise RuntimeError(
+                        f"lift of element {y} depends on the conjugator (bug)")
+
+    def mul(self, p, q):
+        (a, x), (b, y) = p, q
+        f = self._f[x][y]
+        return (tuple((u + v + w) % d for u, v, w, d
+                      in zip(a, b, f, self.M.moduli)),
+                self.group.mul[x][y])
+
+    def inv(self, p):
+        a, x = p
+        f = self._f[x][self.group.inv[x]]
+        return (tuple(-(u + w) % d for u, w, d in zip(a, f, self.M.moduli)),
+                self.group.inv[x])
+
+    def invariant(self, t):
+        """Lambda(t) as coordinates in M(G)_C."""
+        G = self.group
+        acc = (self._zero, 0)
+        for a, b in t.handles:
+            A, B = (self._zero, a), (self._zero, b)
+            acc = self.mul(acc, self.mul(self.mul(A, B),
+                                         self.mul(self.inv(A), self.inv(B))))
+        for j, (w, o) in enumerate(t.punctures):
+            c = w if o == 1 else G.inv[w]
+            if c not in self._lift:
+                raise DoublingError(
+                    f"branch class {G.class_of[c]} of puncture {j} is not "
+                    f"in C = {self.classes}")
+            lc = (self._lift[c], c)
+            acc = self.mul(acc, lc if o == 1 else self.inv(lc))
+        a, x = acc
+        if x != 0:
+            raise DoublingError("tuple violates the surface relation")
+        return a
+
+
+def _moduli(P):
+    return np.array(P.moduli, dtype=np.int64)[:, None]
+
+
+def _reduced_transform(P):
+    return np.array([[x % d for x in row]
+                     for d, row in zip(P.moduli, P.transform)],
+                    dtype=np.int64).reshape(len(P.moduli), P.ambient_dim)
+
+
+_EXTENSION_CACHE = {}
+
+
+def _extension(G, class_ids):
+    key = (G.digest, tuple(sorted(set(class_ids))))
+    if key not in _EXTENSION_CACHE:
+        _EXTENSION_CACHE[key] = _Extension(G, class_ids)
+    return _EXTENSION_CACHE[key]
+
+
+def lifting_invariant(t, class_ids):
+    """Lambda(t) in M(G)_C, C the union of the classes class_ids; raises
+    DoublingError when a puncture's branch class lies outside C."""
+    return _extension(t.group, class_ids).invariant(t)
+
+
+def _check_same_level(t, t2):
+    if t2.group != t.group:
         raise DoublingError("group mismatch")
     if t.genus != t2.genus:
         raise DoublingError("genus mismatch")
-    bd, bd2 = branch_data(t), branch_data(t2)
-    if bd != bd2:
+    if branch_data(t) != branch_data(t2):
         raise DoublingError("branch data mismatch")
     if not (is_surjective(t) and is_surjective(t2)):
         raise DoublingError("difference classes are defined for surjective tuples")
+
+
+def schur_diff(t, t2, class_ids=None):
+    """Difference Lambda(t) - Lambda(t2) of the branched Schur invariants
+    of two covers with the same (genus, branch data), in M(G)_C.  C
+    defaults to the classes of the branch data."""
+    _check_same_level(t, t2)
     if class_ids is None:
-        class_ids = bd.class_ids()
-    M, proj = m_g_c(G, class_ids)
-    H2 = h2_group(G)
-    for attempt in range(max_retries + 1):
-        try:
-            s2 = normalize_letters(t2, t.punctures, budget=budget)
-            d = double(t, s2)
-            h2_coords = H2.cycle_class(unbranched_cycle(G, d.handles))
-            return DiffClass(coords=proj(h2_coords),
-                             invariant_factors=M.invariant_factors)
-        except NormalizationBudgetError:
-            if attempt == max_retries:
-                raise
-            for cid in sorted(set(class_ids)):
-                t = puncture_stabilize(t, cid)
-                t2 = puncture_stabilize(t2, cid)
-    raise NormalizationBudgetError("unreachable")
+        class_ids = branch_data(t).class_ids()
+    ext = _extension(t.group, class_ids)
+    return DiffClass(coords=ext.M.sub(ext.invariant(t), ext.invariant(t2)),
+                     invariant_factors=ext.M.invariant_factors)
 
 
-def torsor_check(reps, class_ids=None, budget=200_000):
+def torsor_check(reps, class_ids=None):
     """Verify the torsor structure on a stabilized level: pairwise
     differences satisfy the cocycle identity, vanish exactly on the
     diagonal, and enumerate M(G)_C exactly once from any basepoint."""
     reps = list(reps)
     if not reps:
         raise DoublingError("no representatives given")
-    G = reps[0].group
+    for t in reps:
+        _check_same_level(reps[0], t)
     if class_ids is None:
         class_ids = branch_data(reps[0]).class_ids()
-    M, _ = m_g_c(G, class_ids)
+    ext = _extension(reps[0].group, class_ids)
+    M = ext.M
+    lam = [ext.invariant(t) for t in reps]
+    D = [[M.sub(a, b) for b in lam] for a in lam]
     k = len(reps)
-    D = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            D[i][j] = schur_diff(reps[i], reps[j], class_ids=class_ids,
-                                 budget=budget).coords
     failures = []
     for i in range(k):
         for j in range(k):

@@ -1,9 +1,11 @@
 """Command-line front end: group files, class selectors, JSON reports,
 and a digest-keyed result cache.
 
-Every subcommand emits one JSON report (stdout or --out).  Exit codes:
-0 success, 1 domain error (malformed input, invalid tuple, ...), 2
-budget exhaustion or an inconclusive stable-range verdict.  Reports are
+Every subcommand emits one JSON report (stdout or --out).  Exit codes
+come from exception types: 0 success, 1 domain error (malformed input,
+invalid tuple, a branch class outside C, ...), 2 budget exhaustion
+(BudgetError) or an inconclusive stable-range verdict, 3 an internal
+error (any other exception: its traceback goes to stderr).  Reports are
 byte-identical across runs, --threads values (accepted and ignored) and
 cache cold/warm runs; the cache stores the serialized report keyed by a
 content digest of the job (group table digest, classes, parameters,
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -73,6 +76,8 @@ def _load_group(path):
         raise CliError(f"group file not found: {path}")
     except json.JSONDecodeError as e:
         raise CliError(f"group file is not valid JSON: {e}")
+    if not isinstance(spec, dict):
+        raise CliError("group file must hold a JSON object")
     return build_group(spec)
 
 
@@ -165,8 +170,15 @@ def parse_branch(G, s):
     return BranchData.from_dict({k: v for k, v in counts.items() if v})
 
 
+def _is_pair_list(x):
+    return isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2
+        and all(isinstance(v, int) for v in p) for p in x)
+
+
 def _load_tuple(G, arg):
-    """Tuple argument: a path to a JSON file or an inline JSON object."""
+    """Tuple argument: a path to a JSON file or an inline JSON object
+    {"g": genus, "handles": [[a, b], ...], "punctures": [[w, sign], ...]}."""
     text = arg
     if os.path.exists(arg):
         text = Path(arg).read_text()
@@ -174,6 +186,15 @@ def _load_tuple(G, arg):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"tuple is not valid JSON: {e}")
+    if not isinstance(obj, dict) or not isinstance(obj.get("g"), int):
+        raise CliError('tuple must be a JSON object with an integer "g"')
+    handles, punctures = obj.get("handles", []), obj.get("punctures", [])
+    if not (_is_pair_list(handles) and _is_pair_list(punctures)):
+        raise CliError('tuple "handles" and "punctures" must be lists of '
+                       'integer pairs')
+    letters = [x for h in handles for x in h] + [w for w, _ in punctures]
+    if any(not 0 <= x < G.order for x in letters):
+        raise CliError(f"tuple letter out of range 0..{G.order - 1}")
     return tuple_from_json(G, obj)
 
 
@@ -313,15 +334,14 @@ def _params_diff(G, args):
     cids = parse_classes(G, args.classes) if args.classes is not None else None
     return {"tuple": tuple_to_json(_load_tuple(G, args.tuple)),
             "tuple2": tuple_to_json(_load_tuple(G, args.tuple2)),
-            "classes": list(cids) if cids is not None else None,
-            "budget": args.budget}
+            "classes": list(cids) if cids is not None else None}
 
 
 def _cmd_diff(G, args):
     t = _load_tuple(G, args.tuple)
     t2 = _load_tuple(G, args.tuple2)
     cids = parse_classes(G, args.classes) if args.classes is not None else None
-    return schur_diff(t, t2, class_ids=cids, budget=args.budget).to_json()
+    return schur_diff(t, t2, class_ids=cids).to_json()
 
 
 def _params_dilate(G, args):
@@ -372,7 +392,7 @@ def _params_torsor_check(G, args):
     return {"classes": list(_stable_range_classes(G, args)),
             "genus": args.genus,
             "branch": _branch_key(parse_branch(G, args.branch)),
-            "budget": args.budget, "diff_budget": args.diff_budget}
+            "budget": args.budget}
 
 
 def _cmd_torsor_check(G, args):
@@ -381,8 +401,7 @@ def _cmd_torsor_check(G, args):
     _, table, n = level_orbits(G, args.genus, v, args.budget)
     if table.num_orbits == 0:
         raise CliError("level has no surjective tuples to check")
-    report = torsor_check(table.representatives, class_ids=cids,
-                          budget=args.diff_budget)
+    report = torsor_check(table.representatives, class_ids=cids)
     report["genus"] = args.genus
     report["branch"] = _branch_key(v)
     report["tuples"] = n
@@ -464,7 +483,8 @@ def _build_parser():
 
     sp = sub.add_parser("diff")
     common(sp, tuples=2, classes=True)
-    sp.add_argument("--budget", type=int, default=200_000)
+    sp.add_argument("--budget", type=int,
+                    help="accepted for compatibility and ignored")
 
     sp = sub.add_parser("dilate")
     common(sp, tuples=1)
@@ -486,7 +506,8 @@ def _build_parser():
     common(sp, classes=True, branch=True, genus=True)
     sp.add_argument("--no-branching", action="store_true")
     sp.add_argument("--budget", type=int, default=2_000_000)
-    sp.add_argument("--diff-budget", type=int, default=200_000)
+    sp.add_argument("--diff-budget", type=int,
+                    help="accepted for compatibility and ignored")
     return p
 
 
@@ -539,6 +560,8 @@ def _write_csv(args, report):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if any((getattr(args, k, None) or 0) < 0 for k in ("genus", "genus_seed")):
+            raise CliError("genus must be nonnegative")
         G = _load_group(args.group)
         param_fn, run_fn = _COMMANDS[args.command]
         params = param_fn(G, args)
@@ -568,9 +591,14 @@ def main(argv=None):
         _emit(args, _render({"error": {"kind": "budget", "message": str(e)}}))
         return 2
     except (CliError, GroupBuildError, HomologyError, StabilizationError,
-            DoublingError, TupleError, MoveError, ValueError, KeyError) as e:
+            DoublingError, TupleError, MoveError) as e:
         _emit(args, _render({"error": {"kind": "domain", "message": str(e)}}))
         return 1
+    except Exception as e:
+        traceback.print_exc()
+        _emit(args, _render({"error": {"kind": "internal",
+                                       "message": f"{type(e).__name__}: {e}"}}))
+        return 3
 
 
 if __name__ == "__main__":

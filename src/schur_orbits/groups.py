@@ -200,6 +200,10 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
             raise GroupBuildError("empty table")
         if order > max_order:
             raise GroupBuildError(f"group order {order} exceeds cap {max_order}")
+        if any(len(r) != order or any(x not in range(order) for x in r)
+               for r in table):
+            raise GroupBuildError("cayley table is not a square table of "
+                                  "element indices")
         # locate the identity, then renumber so it sits at index 0
         ident = None
         for e in range(order):

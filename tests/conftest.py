@@ -1,5 +1,6 @@
 import pytest
 
+from schur_orbits.covers import BranchData, enumerate_tuples
 from schur_orbits.groups import build_group
 
 
@@ -83,6 +84,21 @@ def get_group(name):
     if name not in _CACHE:
         _CACHE[name] = build_group(GROUP_SPECS[name])
     return _CACHE[name]
+
+
+_LEVELS = {}
+
+
+def get_level(name, g, spec=()):
+    """Surjective tuples of a level of a named group; spec lists
+    (element, sign, count): count punctures of that sign in the class of
+    the element."""
+    key = (name, g, spec)
+    if key not in _LEVELS:
+        G = get_group(name)
+        v = BranchData.from_dict({(G.class_of[x], o): k for x, o, k in spec})
+        _LEVELS[key] = enumerate_tuples(G, g, v, surjective=True)
+    return _LEVELS[key]
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,23 @@
-"""Relative branched Schur invariants: doubling, diff classes, torsor."""
+"""Branched Schur invariants: the lifting invariant, diff classes, torsor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schur_orbits.branched_schur import (
     DoublingError,
     NormalizationBudgetError,
-    double,
+    lifting_invariant,
     normalize_letters,
     schur_diff,
     torsor_check,
 )
-from schur_orbits.covers import BranchData, enumerate_tuples
+from schur_orbits.covers import BranchData, branch_data, enumerate_tuples
 from schur_orbits.homology import m_g_c
 from schur_orbits.moves import Move, apply_move, move_catalog, orbits
 from schur_orbits.stabilization import dilate, handle_stabilize, puncture_stabilize
 
-from conftest import get_group, transposition_class
+from conftest import get_group, get_level, transposition_class
 
 
 def s3_level(s3, n=4):
@@ -100,17 +102,6 @@ def test_separation_k4(k4):
     d = schur_diff(r0, r1, class_ids=())
     assert not d.is_zero()
     assert d.invariant_factors == (2,)
-
-
-def test_double_structure(k4):
-    level = k4_level(k4)
-    t, t2 = level[0], level[1]
-    d = double(t, t2)
-    assert d.n == 0
-    assert d.genus == 2 * t.genus + max(0, t.n - 1)
-    assert d.relation_product() == 0
-    with pytest.raises(DoublingError):
-        double(t, handle_stabilize(t2))
 
 
 def test_double_well_defined_mod_c_tori(s3):
@@ -204,3 +195,51 @@ def test_normalize_letters_budget_counts_states(s3, g, n, j, least, handles,
     assert (s.handles, s.punctures) == (handles, punctures)
     with pytest.raises(NormalizationBudgetError):
         normalize_letters(t2, t.punctures, budget=least - 1)
+
+
+# (group, genus, branch spec) of small levels; element 1 is a
+# transposition of s3 and a 3-cycle of a4, element 2 a reflection of d4,
+# elements 2 and 4 are i and j of q8
+INVARIANCE_LEVELS = [
+    ("s3", 0, ((1, 1, 4),)), ("s3", 1, ((1, 1, 2),)), ("s3", 2, ()),
+    ("a4", 0, ((1, 1, 6),)), ("a4", 0, ((1, 1, 3), (1, -1, 3))),
+    ("a4", 1, ((1, 1, 3),)), ("a4", 2, ()),
+    ("d4", 1, ((2, 1, 2),)), ("d4", 2, ()),
+    ("q8", 0, ((2, 1, 2), (4, 1, 2))), ("q8", 2, ()),
+    ("k4", 0, ((1, 1, 2), (2, 1, 2))), ("k4", 2, ()),
+    ("z3z3", 0, ((1, 1, 3), (2, 1, 3))), ("z3z3", 1, ()), ("z3z3", 2, ()),
+]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(INVARIANCE_LEVELS), st.data())
+def test_lifting_invariant_is_a_move_and_stabilization_invariant(level, data):
+    name, g, spec = level
+    G = get_group(name)
+    t = data.draw(st.sampled_from(get_level(name, g, spec)))
+    cids = branch_data(t).class_ids()
+    lam = lifting_invariant(t, cids)
+    for m in move_catalog(G, t.genus, t.n):
+        assert lifting_invariant(apply_move(m, t), cids) == lam
+    assert lifting_invariant(handle_stabilize(t), cids) == lam
+    for cid in cids:
+        x = data.draw(st.sampled_from(G.class_members(cid)))
+        assert lifting_invariant(puncture_stabilize(t, cid, x), cids) == lam
+
+
+@pytest.mark.parametrize("spec", [((1, 1, 6),), ((1, 1, 3), (1, -1, 3))])
+def test_torsor_check_a4_three_cycles(a4, spec):
+    # no move matches letters across the two orbits of these levels, so
+    # the invariant must not depend on a letter search
+    tab = orbits(get_level("a4", 0, spec), move_catalog(a4, 0, 6))
+    rep = torsor_check(tab.representatives, class_ids=(a4.class_of[1],))
+    assert rep["passed"], rep["failures"]
+    assert rep["orbits"] == rep["m_order"] == 2
+
+
+def test_branch_class_outside_c_is_an_error(s3):
+    level, tc = s3_level(s3)
+    with pytest.raises(DoublingError, match="not in C"):
+        lifting_invariant(level[0], ())
+    with pytest.raises(DoublingError, match="not in C"):
+        schur_diff(level[0], level[1], class_ids=())

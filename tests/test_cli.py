@@ -7,16 +7,17 @@ import pytest
 
 from schur_orbits import cli
 from schur_orbits.cli import main
+from schur_orbits.covers import tuple_to_json
 from schur_orbits.moves import MoveError
 
-from conftest import GROUP_SPECS
+from conftest import GROUP_SPECS, get_level
 
 
 @pytest.fixture()
 def files(tmp_path, monkeypatch):
     monkeypatch.setenv("SCHUR_ORBITS_CACHE", str(tmp_path / "cache"))
     paths = {}
-    for name in ("s3", "k4", "z2z4"):
+    for name in ("s3", "k4", "z2z4", "a4"):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(GROUP_SPECS[name]))
         paths[name] = str(p)
@@ -180,6 +181,72 @@ def test_exit_code_comes_from_the_error_type(files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "level_orbits", fail)
     code, out = run(capsys, ["orbits", "--group", files["s3"],
                              "--genus", "1", "--no-cache"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+def test_unexpected_errors_exit_3_with_a_traceback(files, capsys, monkeypatch):
+    def fail(*args):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli, "level_orbits", fail)
+    code = main(["orbits", "--group", files["s3"], "--genus", "1",
+                 "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"] == {
+        "kind": "internal", "message": "ValueError: not a domain error"}
+    assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize("tup", [
+    {"handles": [], "punctures": []},
+    {"g": 1, "handles": [[1]], "punctures": []},
+    {"g": 1, "handles": [[1, 99]], "punctures": []},
+    {"g": 0, "handles": [], "punctures": [[-1, 1], [1, 1]]},
+    [0, []],
+])
+def test_malformed_tuple_is_a_domain_error(files, capsys, tup):
+    code, out = run(capsys, ["sch", "--group", files["k4"],
+                             "--tuple", json.dumps(tup)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--genus", "-1"],
+    ["enumerate", "--genus", "-2"],
+    ["stable-range", "--genus-seed", "-1"],
+])
+def test_negative_genus_is_a_domain_error(files, capsys, argv):
+    code, out = run(capsys, argv + ["--group", files["s3"], "--no-cache"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+def test_malformed_cayley_table_is_a_domain_error(files, capsys):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(json.dumps({"cayley_table": [[0, 1], [1, 5]]}))
+    code, out = run(capsys, ["h2", "--group", str(bad)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+def test_torsor_check_a4_three_cycles_cli(files, capsys):
+    code, out = run(capsys, ["torsor-check", "--group", files["a4"],
+                             "--classes", "1", "--genus", "0",
+                             "--branch", "6 1", "--diff-budget", "5"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["passed"] and rep["orbits"] == rep["m_order"] == 2
+
+
+def test_diff_with_a_branch_class_outside_c(files, capsys):
+    level = get_level("s3", 0, ((1, 1, 4),))
+    code, out = run(capsys, ["diff", "--group", files["s3"],
+                             "--tuple", json.dumps(tuple_to_json(level[0])),
+                             "--tuple2", json.dumps(tuple_to_json(level[1])),
+                             "--classes", "none"])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "domain"
 

@@ -273,7 +273,7 @@ def _params_orbits(G, args):
 def _cmd_orbits(G, args):
     v = parse_branch(G, args.branch)
     vec, in_n = hom_branch_type(G, v.class_ids(), v)
-    _, table, n = level_orbits(G, args.genus, v, args.budget)
+    table, n = level_orbits(G, args.genus, v, args.budget)
     return {
         "genus": args.genus,
         "branch": _branch_key(v),
@@ -398,7 +398,7 @@ def _params_torsor_check(G, args):
 def _cmd_torsor_check(G, args):
     cids = _stable_range_classes(G, args)
     v = parse_branch(G, args.branch)
-    _, table, n = level_orbits(G, args.genus, v, args.budget)
+    table, n = level_orbits(G, args.genus, v, args.budget)
     if table.num_orbits == 0:
         raise CliError("level has no surjective tuples to check")
     report = torsor_check(table.representatives, class_ids=cids)
@@ -530,7 +530,9 @@ def _read_cache(path):
 
 def _write_cache(path, text):
     """Write an entry through a temp file named after this process, so
-    concurrent writers never interleave; both files follow the umask."""
+    concurrent writers never interleave; both files follow the umask.
+    Then remove the temp files that writers killed mid-write left
+    behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
     try:
@@ -539,6 +541,26 @@ def _write_cache(path, text):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _sweep_stale_temps(path.parent)
+
+
+def _sweep_stale_temps(directory):
+    """Remove <digest>.<pid>.tmp files whose writer process is gone.  A
+    file whose pid is alive (this process included) or unreadable as a
+    pid is left alone."""
+    for tmp in directory.glob("*.tmp"):
+        try:
+            pid = int(tmp.name.split(".")[-2])
+        except (IndexError, ValueError):
+            continue
+        if pid <= 0:
+            continue  # os.kill would signal a process group
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            tmp.unlink(missing_ok=True)
+        except (OSError, OverflowError):
+            pass  # alive under another user, or not a valid pid
 
 
 def _emit(args, text):
@@ -562,6 +584,9 @@ def main(argv=None):
     try:
         if any((getattr(args, k, None) or 0) < 0 for k in ("genus", "genus_seed")):
             raise CliError("genus must be nonnegative")
+        for k in ("max_rounds", "limit", "budget"):
+            if (getattr(args, k, None) or 0) < 0:
+                raise CliError(f"--{k.replace('_', '-')} must be nonnegative")
         G = _load_group(args.group)
         param_fn, run_fn = _COMMANDS[args.command]
         params = param_fn(G, args)

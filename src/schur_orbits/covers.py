@@ -14,6 +14,7 @@ w_j^{o_j}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .groups import FiniteGroup, generates
 
@@ -24,6 +25,7 @@ __all__ = [
     "make_tuple",
     "branch_data",
     "is_surjective",
+    "candidate_count",
     "enumerate_tuples",
     "connect_sum",
     "tuple_to_json",
@@ -210,77 +212,59 @@ def _letters_for(G, class_id, sign):
     return sorted(G.inv[x] for x in range(1, G.order) if G.class_of[x] == class_id)
 
 
+def candidate_count(G, g, v):
+    """Candidate words that enumerating the genus-g level with branch
+    data v (n >= 1 punctures) examines: over the distinct orders of the
+    slot kinds, q^{2g} times the pool sizes of all slots but the last,
+    whose letter is solved from the relation.  Summed in closed form,
+    kind by kind as the last slot, without walking the orders."""
+    kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
+    n = sum(k for _, k in kinds)
+    total = 0
+    for last in range(len(kinds)):
+        orders, words = factorial(n - 1), 1
+        for i, (size, k) in enumerate(kinds):
+            k -= i == last
+            orders //= factorial(k)
+            words *= size ** k
+        total += orders * words
+    return G.order ** (2 * g) * total
+
+
 def enumerate_tuples(G, g, v, surjective=True, budget=None):
     """All BranchedTuples of genus g with branch data v, deterministic
     lexicographic order.
 
-    The last puncture letter (or, when n = 0, the last handle pair) is
-    solved from the relation rather than searched.  budget caps the
-    number of candidate words examined.
+    With n >= 1 punctures this decodes the level that
+    fastorbits.punctured_level builds as int64 codes; budget caps
+    candidate_count and raises BudgetError before anything is built.
+    With n = 0 the last handle pair is solved from the relation through
+    the commutator preimages, and budget caps the handle prefixes
+    examined.
     """
-    slots = []
-    for (cid, sign), k in v.counts:
-        slots.extend([(cid, sign)] * k)
-    n = len(slots)
-    results = []
-    examined = 0
+    if v.cardinality:
+        from .fastorbits import punctured_level  # fastorbits imports this module
 
-    def check_budget():
-        nonlocal examined
-        examined += 1
+        codes, level = punctured_level(G, g, v, surjective, budget)
+        return codes.tuples(level)
+    results = []
+    if g == 0:
+        if not surjective or G.order == 1:
+            results.append(BranchedTuple(G, 0, (), ()))
+        return results
+    preim = _commutator_preimages(G)
+    for examined, (handles, hprod) in enumerate(_handle_prefixes(G, g - 1), 1):
         if budget is not None and examined > budget:
             raise BudgetError(f"enumeration budget {budget} exhausted")
-
-    handle_iter = lambda: _handle_prefixes(G, g)
-    if n >= 1:
-        for pattern in _multiset_permutations(slots):
-            letter_pools = [_letters_for(G, cid, sign) for cid, sign in pattern[:-1]]
-            last_cid, last_sign = pattern[-1]
-            last_pool = set(_letters_for(G, last_cid, last_sign))
-            for handles, hprod in handle_iter():
-                for free in _product_lex(letter_pools):
-                    check_budget()
-                    p = hprod
-                    for w in free:
-                        p = G.mul[p][w]
-                    w_last = G.inv[p]
-                    if w_last == 0 or w_last not in last_pool:
-                        continue
-                    punct = tuple(
-                        (w, s) for w, (c, s) in zip(free + (w_last,), pattern)
-                    )
-                    t = BranchedTuple(G, g, handles, punct)
-                    if surjective and not is_surjective(t):
-                        continue
-                    results.append(t)
-    else:
-        if g == 0:
-            t = BranchedTuple(G, 0, (), ())
-            if not surjective or G.order == 1:
-                results.append(t)
-        else:
-            preim = _commutator_preimages(G)
-            for handles, hprod in _handle_prefixes(G, g - 1):
-                check_budget()
-                # last handle must contribute the inverse of the prefix
-                need = G.inv[hprod]
-                for a, b in preim.get(need, ()):
-                    t = BranchedTuple(G, g, handles + ((a, b),), ())
-                    if surjective and not is_surjective(t):
-                        continue
-                    results.append(t)
+        # last handle must contribute the inverse of the prefix
+        need = G.inv[hprod]
+        for a, b in preim.get(need, ()):
+            t = BranchedTuple(G, g, handles + ((a, b),), ())
+            if surjective and not is_surjective(t):
+                continue
+            results.append(t)
     results.sort()
     return results
-
-
-def _product_lex(pools):
-    if not pools:
-        yield ()
-        return
-    head, rest = pools[0], pools[1:]
-    for x in head:
-        for tail in _product_lex(rest):
-            yield (x,) + tail
 
 
 def _handle_prefixes(G, g):

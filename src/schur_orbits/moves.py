@@ -371,6 +371,8 @@ def orbits(tuples, catalog):
     The catalog's point-pushes conjugate by G.generators, so every orbit
     is closed under Inn(G) for any input, surjective or not, and its
     least tuple is also the least of its conjugates (canonicalize).
+    The package runs every level through fastorbits; this hash-based
+    engine is the tests' reference for it.
     """
     # built from the input's keys, so that the assignments below keep
     # these key objects and not those of the moved tuples

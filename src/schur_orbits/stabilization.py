@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covers import BranchData, BranchedTuple, branch_data, enumerate_tuples
-from .fastorbits import VEC_STATE_CAP, closed_orbit_scan
+from .covers import BranchData, BranchedTuple, branch_data, candidate_count
+from .fastorbits import VEC_STATE_CAP, closed_orbit_scan, punctured_orbit_scan
 from .groups import closure
 from .homology import m_g_c
-from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog, orbits
+from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog
 
 __all__ = [
     "puncture_stabilize",
@@ -159,44 +159,28 @@ class StableRangeReport:
 
 
 def _level_feasible(G, g, v, enum_budget):
-    """Conservative estimate of the level's search size vs the budget."""
-    from math import factorial
-
-    n = v.cardinality
-    if n == 0:
+    """Does the level fit: a closed level's code space within
+    VEC_STATE_CAP, a punctured level's candidate count within the
+    enumeration budget (the count whose excess makes level_orbits raise
+    the enumeration budget error)?"""
+    if v.cardinality == 0:
         return G.order ** (2 * g) <= VEC_STATE_CAP
-    patterns = factorial(n)
-    sizes = []
-    for (cid, _), k in v.counts:
-        patterns //= factorial(k)
-        sizes.extend([len(G.class_members(cid))] * k)
-    est = patterns * G.order ** (2 * g)
-    for s in sizes[:-1]:
-        est *= s
-    return est <= enum_budget
+    return candidate_count(G, g, v) <= enum_budget
 
 
 def level_orbits(G, g, v, enum_budget):
-    """(tuple list or None, orbit table, number of tuples) for the
-    surjective tuples of one (g, v) level.
+    """(orbit table, number of tuples) for the surjective tuples of one
+    (g, v) level.
 
-    Closed levels go through the vectorized scanner; punctured levels
-    stay small and use the generic hash BFS.
+    Both kinds of level run through the vectorized scan of fastorbits:
+    closed levels over their whole code space, punctured levels over
+    their sorted codes, with enum_budget capping the candidate count.
+    No tuple object is built but the representatives.
     """
     n = v.cardinality
     if n == 0:
-        table, n_tuples = closed_orbit_scan(G, g, move_catalog(G, g, 0))
-        return None, table, n_tuples
-    tuples = enumerate_tuples(G, g, v, surjective=True, budget=enum_budget)
-    table = orbits(tuples, move_catalog(G, g, n))
-    return tuples, table, len(tuples)
-
-
-def _members_by_orbit(table, tuples):
-    out = {i: [] for i in range(table.num_orbits)}
-    for t in tuples:
-        out[table.orbit_id(t)].append(t)
-    return out
+        return closed_orbit_scan(G, g, move_catalog(G, g, 0))
+    return punctured_orbit_scan(G, g, v, move_catalog(G, g, n), enum_budget)
 
 
 def _round_map(G, class_ids, skip_handle):
@@ -255,7 +239,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
 
     g, v = g_seed, v_seed
     counts = []
-    prev = None  # (tuples or None, table) at the previous level
+    prev = None  # the orbit table of the previous level
     certs = []
     for _ in range(max_rounds + 1):
         if not _level_feasible(G, g, v, enum_budget):
@@ -272,7 +256,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
                                   "v": [[list(k), m] for k, m in v.counts],
                                   "skipped": "level over budget"})
             return report
-        tuples, table, n_tuples = level_orbits(G, g, v, enum_budget)
+        table, n_tuples = level_orbits(G, g, v, enum_budget)
         cert = certificate(G, cids, g, v)
         entry = {
             "g": g,
@@ -288,9 +272,10 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         }
         if prev is not None:
             f = _round_map(G, cids, skip_handle)
-            members = (_members_by_orbit(prev[1], prev[0])
-                       if prev[0] is not None else None)
-            flags = induced_orbit_map(f, prev[1], table,
+            # every member of a punctured level is mapped; a closed
+            # level is too large, so only its representatives are
+            members = prev.members() if prev.level is not None else None
+            flags = induced_orbit_map(f, prev, table,
                                       exhaustive_members=members)
             entry["induced_map"] = {
                 "surjective": flags["surjective"],
@@ -302,7 +287,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
             settle(counts[-1], certs[-3:])
             return report
-        prev = (tuples, table)
+        prev = table
         # grow the level for the next round
         f = _round_map(G, cids, skip_handle)
         if table.representatives:

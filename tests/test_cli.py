@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -306,3 +308,36 @@ def test_cache_key_follows_the_package_sources(files, capsys, monkeypatch):
     _, out = run(capsys, argv)
     assert json.loads(out)["H2"] == []
     assert len(list(cache.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stable-range", "--classes", "transpositions", "--max-rounds", "-1"],
+    ["enumerate", "--genus", "0", "--branch", "4 transpositions",
+     "--limit", "-1"],
+    ["orbits", "--genus", "0", "--branch", "4 transpositions",
+     "--budget", "-1"],
+])
+def test_negative_counts_are_domain_errors(files, capsys, argv):
+    code, out = run(capsys, argv + ["--group", files["s3"], "--no-cache"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"]["kind"] == "domain"
+    assert "must be nonnegative" in rep["error"]["message"]
+
+
+def test_cache_write_removes_dead_writers_temp_files(files, capsys):
+    cache = files["tmp"] / "cache"
+    cache.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)
+    dead = cache / f"{'0' * 64}.{child.pid}.tmp"
+    live = cache / f"{'1' * 64}.{os.getppid()}.tmp"
+    own = cache / f"{'2' * 64}.{os.getpid()}.tmp"
+    other = cache / "notes.tmp"
+    for p in (dead, live, own, other):
+        p.write_text("{")
+    code, _ = run(capsys, ["group-info", "--group", files["s3"]])
+    assert code == 0
+    assert not dead.exists()
+    assert live.exists() and own.exists() and other.exists()
+    assert len(list(cache.glob("*.json"))) == 1

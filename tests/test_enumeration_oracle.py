@@ -1,0 +1,102 @@
+"""The vectorized punctured enumeration against the Python walk it
+replaced (enumeration_oracle) and against exact level sizes counted
+without enumeration (level_count_oracle)."""
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from schur_orbits.covers import BranchData, BudgetError, candidate_count, enumerate_tuples
+from schur_orbits.fastorbits import closed_orbit_scan, punctured_level
+from schur_orbits.moves import move_catalog
+
+from conftest import get_group
+from enumeration_oracle import oracle_enumerate
+from level_count_oracle import level_count, subgroups
+
+
+def _level(name, g, spec):
+    """(group, branch data) from (element, sign, count) terms."""
+    G = get_group(name)
+    d = {}
+    for x, o, k in spec:
+        d[(G.class_of[x], o)] = d.get((G.class_of[x], o), 0) + k
+    return G, BranchData.from_dict(d)
+
+
+LEVELS = [
+    ("s3", 0, ((1, 1, 4),)),
+    ("s3", 1, ((1, 1, 2),)),
+    ("s3", 0, ((1, 1, 2), (2, 1, 2))),
+    ("s3", 0, ((2, 1, 2), (2, -1, 2))),
+    ("a4", 0, ((1, 1, 3), (1, -1, 2))),
+    ("d4", 1, ((1, 1, 1), (2, -1, 1))),
+    ("q8", 0, ((2, 1, 2), (4, -1, 2))),
+    ("k4", 1, ((1, 1, 2),)),
+    ("s4", 0, ((1, 1, 4),)),
+]
+
+
+@pytest.mark.parametrize("surjective", [True, False])
+@pytest.mark.parametrize("name,g,spec", LEVELS)
+def test_vectorized_enumeration_equals_the_walk(name, g, spec, surjective):
+    G, v = _level(name, g, spec)
+    got = enumerate_tuples(G, g, v, surjective=surjective)
+    assert got == oracle_enumerate(G, g, v, surjective=surjective)
+
+
+@pytest.mark.parametrize("name,g,spec", LEVELS)
+def test_budget_error_exactly_when_the_walk_raises(name, g, spec):
+    G, v = _level(name, g, spec)
+    count = candidate_count(G, g, v)
+    assert enumerate_tuples(G, g, v, budget=count) == \
+        oracle_enumerate(G, g, v, budget=count)
+    for enum in (enumerate_tuples, oracle_enumerate):
+        with pytest.raises(BudgetError, match=f"budget {count - 1} exhausted"):
+            enum(G, g, v, budget=count - 1)
+
+
+def test_empty_pool_levels_are_empty(s3):
+    # the identity class has no puncture letters
+    v = BranchData.from_dict({(s3.class_of[0], 1): 1, (s3.class_of[1], 1): 2})
+    assert enumerate_tuples(s3, 0, v, surjective=False) == []
+    assert oracle_enumerate(s3, 0, v, surjective=False) == []
+
+
+def test_subgroup_lattice_sizes():
+    # S3: 1, three of order 2, A3, S3; S4 has 30 subgroups
+    assert [len(H) for H in subgroups(get_group("s3"))] == [1, 2, 2, 2, 3, 6]
+    assert len(subgroups(get_group("s4"))) == 30
+
+
+@st.composite
+def small_levels(draw):
+    """(group, genus, branch data) with at most 5 punctures, or closed
+    at genus 1-2, small enough to count by brute force."""
+    G = get_group(draw(st.sampled_from(["s3", "k4", "d4", "q8", "a4", "s4"])))
+    g = draw(st.integers(0, 2))
+    classes = [c for c, r in enumerate(G.class_reps) if r != 0]
+    terms = draw(st.lists(st.tuples(st.sampled_from(classes),
+                                    st.sampled_from([1, -1]),
+                                    st.integers(1, 3)), max_size=3))
+    d = {}
+    for cid, o, k in terms:
+        d[(cid, o)] = d.get((cid, o), 0) + k
+    v = BranchData.from_dict(d)
+    if v.cardinality == 0:
+        assume(1 <= g and G.order ** (2 * g) <= 20_000)
+    else:
+        assume(v.cardinality <= 5 and candidate_count(G, g, v) <= 20_000)
+    return G, g, v
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_levels(), st.booleans())
+def test_level_sizes_match_the_count_oracle(case, surjective):
+    G, g, v = case
+    if v.cardinality:
+        size = punctured_level(G, g, v, surjective)[1].size
+    else:
+        size = closed_orbit_scan(G, g, move_catalog(G, g, 0), surjective)[1]
+    assert size == level_count(G, g, v, surjective)

@@ -1,9 +1,10 @@
-"""The vectorized closed-level engine against the scalar move evaluator
-and the hash-BFS orbit engine."""
+"""The vectorized level engine, closed and punctured, against the
+scalar move evaluator, the hash-BFS orbit engine and the Python
+enumeration walk."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from schur_orbits import fastorbits
@@ -11,39 +12,58 @@ from schur_orbits.covers import (
     BranchData,
     BranchedTuple,
     BudgetError,
+    candidate_count,
     enumerate_tuples,
 )
-from schur_orbits.fastorbits import _applier, closed_orbit_scan
+from schur_orbits.fastorbits import (
+    _applier,
+    closed_orbit_scan,
+    punctured_level,
+    punctured_orbit_scan,
+)
 from schur_orbits.groups import build_group
 from schur_orbits.moves import apply_move, move_catalog, move_plan, orbits
 
-from conftest import cyclic, get_group
+from conftest import cyclic, get_group, transposition_class
+from enumeration_oracle import oracle_enumerate
 
 
 @st.composite
-def closed_letter_tuples(draw):
-    """(group, genus, 1-8 handle letter lists); the letters need not
-    satisfy the surface relation, since both evaluators act letterwise."""
+def letter_tuples(draw):
+    """(group, genus, punctures, 1-8 states of letters and signs).  Closed
+    states have g = 1..3; punctured ones g = 0..2 and n = 1..5 with
+    random signs.  The letters need not satisfy the surface relation,
+    since both evaluators act letterwise."""
     G = get_group(draw(st.sampled_from(["s3", "d4", "q8", "a4", "s4"])))
-    g = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5))
+    g = draw(st.integers(1, 3) if n == 0 else st.integers(0, 2))
     letter = st.integers(0, G.order - 1)
-    states = draw(st.lists(st.lists(letter, min_size=2 * g, max_size=2 * g),
-                           min_size=1, max_size=8))
-    return G, g, states
+    sign = st.sampled_from([1, -1])
+    states = draw(st.lists(
+        st.tuples(st.lists(letter, min_size=2 * g + n, max_size=2 * g + n),
+                  st.lists(sign, min_size=n, max_size=n)),
+        min_size=1, max_size=8))
+    return G, g, n, states
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(closed_letter_tuples())
+@settings(max_examples=120, deadline=None, database=None)
+@given(letter_tuples())
 def test_numpy_moves_match_apply_move(case):
-    G, g, states = case
-    cols = [np.array([s[i] for s in states], dtype=np.int64)
-            for i in range(2 * g)]
-    for m in move_catalog(G, g, 0):
-        out = _applier(G, move_plan(G, m, g, 0))(cols)
-        for row, s in enumerate(states):
-            t = BranchedTuple(G, g, tuple(zip(s[::2], s[1::2])), ())
-            want = apply_move(m, t).letters()
-            assert [int(c[row]) for c in out] == want, m
+    G, g, n, states = case
+    L = 2 * g
+    cols = [np.array([s[i] for s, _ in states], dtype=np.int64)
+            for i in range(L + n)]
+    signs = [np.array([o[j] for _, o in states], dtype=np.int64)
+             for j in range(n)]
+    for m in move_catalog(G, g, n):
+        out, out_signs = _applier(G, move_plan(G, m, g, n))(cols, signs)
+        for row, (s, o) in enumerate(states):
+            t = BranchedTuple(G, g, tuple(zip(s[:L:2], s[1:L:2])),
+                              tuple(zip(s[L:], o)))
+            moved = apply_move(m, t)
+            assert [int(c[row]) for c in out] == moved.letters(), m
+            assert [int(c[row]) for c in out_signs] == \
+                [o for _, o in moved.punctures], m
 
 
 def _generic_ids(G, g, cat, level):
@@ -130,3 +150,115 @@ def test_closed_orbit_id_rejects_other_levels(k4):
         table.orbit_id(BranchedTuple(k4, 1, ((1, 2),), ()))
     with pytest.raises(KeyError):
         table.orbit_id(BranchedTuple(k4, 2, ((1, 2), (0, 0)), ((1, 1), (1, 1))))
+
+
+@st.composite
+def punctured_levels(draw):
+    """(group, genus, branch data): 1-5 punctures in 1-3 (class, sign)
+    kinds, at most 3,000 candidates."""
+    G = get_group(draw(st.sampled_from(["s3", "k4", "d4", "q8", "a4", "s4"])))
+    g = draw(st.integers(0, 1))
+    classes = [c for c, r in enumerate(G.class_reps) if r != 0]
+    terms = draw(st.lists(st.tuples(st.sampled_from(classes),
+                                    st.sampled_from([1, -1]),
+                                    st.integers(1, 3)),
+                          min_size=1, max_size=3))
+    d = {}
+    for cid, o, k in terms:
+        d[(cid, o)] = d.get((cid, o), 0) + k
+    v = BranchData.from_dict(d)
+    assume(v.cardinality <= 5 and candidate_count(G, g, v) <= 3000)
+    return G, g, v
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(punctured_levels())
+def test_punctured_scan_matches_hash_bfs(case):
+    G, g, v = case
+    cat = move_catalog(G, g, v.cardinality)
+    fast, n_tuples = punctured_orbit_scan(G, g, v, cat)
+    level = oracle_enumerate(G, g, v)
+    slow = orbits(level, cat)
+    assert n_tuples == len(level)
+    assert fast.to_json() == slow.to_json()
+    assert fast.sizes == slow.sizes
+    assert all(fast.orbit_id(t) == slow.orbit_id(t) for t in level)
+    members = fast.members()
+    assert sorted(t for ts in members.values() for t in ts) == level
+    assert all(fast.orbit_id(t) == i for i, ts in members.items() for t in ts)
+
+
+def test_punctured_scan_signed_level(a4):
+    # A4 "3 c, 3 c -": two slot kinds of one class, opposite signs
+    c = a4.class_of[1]
+    v = BranchData.from_dict({(c, 1): 2, (c, -1): 2})
+    cat = move_catalog(a4, 0, 4)
+    fast, n_tuples = punctured_orbit_scan(a4, 0, v, cat)
+    slow = orbits(oracle_enumerate(a4, 0, v), cat)
+    assert n_tuples == sum(slow.sizes) > 0
+    assert fast.to_json() == slow.to_json()
+
+
+def test_punctured_chunking_does_not_change_the_table(s3, monkeypatch):
+    tc = transposition_class(s3)
+    v = BranchData.from_dict({(tc, 1): 4, (tc, -1): 2})
+    cat = move_catalog(s3, 0, 6)
+    whole, n_whole = punctured_orbit_scan(s3, 0, v, cat)
+    monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
+    chunked, n_chunked = punctured_orbit_scan(s3, 0, v, cat)
+    assert n_chunked == n_whole
+    assert chunked.to_json() == whole.to_json()
+    np.testing.assert_array_equal(chunked.ids, whole.ids)
+    np.testing.assert_array_equal(chunked.level, whole.level)
+
+
+def test_s4_eight_transpositions_is_one_orbit(s4):
+    # 131,040 tuples in one orbit: the hash engine took ~15 s on it
+    tc = transposition_class(s4)
+    v = BranchData.from_dict({(tc, 1): 8})
+    table, n_tuples = punctured_orbit_scan(s4, 0, v, move_catalog(s4, 0, 8))
+    assert n_tuples == 131040
+    assert table.num_orbits == 1 and table.sizes == (131040,)
+
+
+def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):
+    G = cyclic(3)
+    # 63 central punctures: only 63 candidates, but 2^63 codes
+    v = BranchData.from_dict({(G.class_of[1], 1): 62, (G.class_of[2], 1): 1})
+    assert candidate_count(G, 0, v) == 63
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the overflow check")
+
+    monkeypatch.setattr(fastorbits.np, "arange", no_alloc)
+    with pytest.raises(BudgetError, match="code space .* overflows int64"):
+        punctured_level(G, 0, v)
+    with pytest.raises(BudgetError, match="code space"):
+        enumerate_tuples(G, 0, v)
+
+
+def test_punctured_orbit_id_rejects_other_tuples(s3):
+    tc = transposition_class(s3)
+    v = BranchData.from_dict({(tc, 1): 4})
+    table, _ = punctured_orbit_scan(s3, 0, v, move_catalog(s3, 0, 4))
+    rep = table.representatives[0]
+    w, o = rep.punctures[0]
+    with pytest.raises(KeyError):  # another shape
+        table.orbit_id(BranchedTuple(s3, 0, (), rep.punctures[:2]))
+    with pytest.raises(KeyError):  # a pair outside the alphabet
+        table.orbit_id(BranchedTuple(s3, 0, (), ((w, -o),) + rep.punctures[1:]))
+    with pytest.raises(KeyError):  # in the alphabet, off the level
+        table.orbit_id(BranchedTuple(s3, 0, (), ((w, o),) * 4))
+
+
+def test_move_off_the_level_is_a_move_error(s3):
+    # one code of a level is not move-closed; every off-level code would
+    # otherwise land on its one (visited) position and pass the counts
+    tc = transposition_class(s3)
+    v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 2})
+    codes, level = punctured_level(s3, 0, v)
+    appliers = [_applier(s3, move_plan(s3, m, 0, 4))
+                for m in move_catalog(s3, 0, 4)]
+    with pytest.raises(fastorbits.MoveError, match="not move-closed"):
+        fastorbits._sweep(codes, level[:1], appliers, dense=False)

@@ -196,15 +196,6 @@ def _multiset_permutations(items):
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def _commutator_preimages(G):
-    """Map element -> list of (a, b) with [a,b] = that element."""
-    table = {}
-    for a in range(G.order):
-        for b in range(G.order):
-            table.setdefault(G.commutator(a, b), []).append((a, b))
-    return table
-
-
 def _letters_for(G, class_id, sign):
     """Puncture letters w with w^sign in the class, sorted."""
     if sign == 1:
@@ -213,12 +204,17 @@ def _letters_for(G, class_id, sign):
 
 
 def candidate_count(G, g, v):
-    """Candidate words that enumerating the genus-g level with branch
-    data v (n >= 1 punctures) examines: over the distinct orders of the
-    slot kinds, q^{2g} times the pool sizes of all slots but the last,
-    whose letter is solved from the relation.  Summed in closed form,
-    kind by kind as the last slot, without walking the orders."""
+    """The size the enumeration budget measures for the genus-g level
+    with branch data v.  With n >= 1 punctures: the candidate words over
+    the distinct orders of the slot kinds, q^{2g} times the pool sizes
+    of all slots but the last, whose letter is solved from the relation;
+    summed in closed form, kind by kind as the last slot, without walking
+    the orders.  With none: the q^{2(g-1)} handle prefixes whose last
+    handle pair the relation determines up to its commutator preimages
+    (0 at g = 0)."""
     kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
+    if not kinds:
+        return G.order ** (2 * g - 2) if g else 0
     n = sum(k for _, k in kinds)
     total = 0
     for last in range(len(kinds)):
@@ -233,50 +229,15 @@ def candidate_count(G, g, v):
 
 def enumerate_tuples(G, g, v, surjective=True, budget=None):
     """All BranchedTuples of genus g with branch data v, deterministic
-    lexicographic order.
-
-    With n >= 1 punctures this decodes the level that
-    fastorbits.punctured_level builds as int64 codes; budget caps
-    candidate_count and raises BudgetError before anything is built.
-    With n = 0 the last handle pair is solved from the relation through
-    the commutator preimages, and budget caps the handle prefixes
-    examined.
+    lexicographic order: the level that fastorbits.build_level builds as
+    int64 codes, closed (no punctures) or punctured, decoded.  budget
+    caps candidate_count and raises BudgetError before anything is
+    built.
     """
-    if v.cardinality:
-        from .fastorbits import punctured_level  # fastorbits imports this module
+    from .fastorbits import build_level  # fastorbits imports this module
 
-        codes, level = punctured_level(G, g, v, surjective, budget)
-        return codes.tuples(level)
-    results = []
-    if g == 0:
-        if not surjective or G.order == 1:
-            results.append(BranchedTuple(G, 0, (), ()))
-        return results
-    preim = _commutator_preimages(G)
-    for examined, (handles, hprod) in enumerate(_handle_prefixes(G, g - 1), 1):
-        if budget is not None and examined > budget:
-            raise BudgetError(f"enumeration budget {budget} exhausted")
-        # last handle must contribute the inverse of the prefix
-        need = G.inv[hprod]
-        for a, b in preim.get(need, ()):
-            t = BranchedTuple(G, g, handles + ((a, b),), ())
-            if surjective and not is_surjective(t):
-                continue
-            results.append(t)
-    results.sort()
-    return results
-
-
-def _handle_prefixes(G, g):
-    """All 2g-letter handle assignments with their commutator-word
-    product, lexicographic."""
-    if g == 0:
-        yield (), 0
-        return
-    for handles, hprod in _handle_prefixes(G, g - 1):
-        for a in range(G.order):
-            for b in range(G.order):
-                yield handles + ((a, b),), G.mul[hprod][G.commutator(a, b)]
+    codes, level = build_level(G, g, v, surjective, budget)
+    return codes.tuples(level)
 
 
 def tuple_to_json(t):

@@ -3,27 +3,32 @@
 A level is a sorted int64 array of tuple codes (_Codes): 2g handle
 digits of radix q = |G|, then one digit per puncture, the rank of its
 (letter, sign) pair in the level's sorted alphabet, so that code order
-is BranchedTuple.key order.  A closed level is filtered from its whole
-q^{2g} code space; a punctured level is built slot order by slot order
-from a mixed radix over the handle letters and every slot pool but the
-last, the last letter being solved from the relation.  Both filter
-FILTER_CHUNK candidates at a time.  Every catalog move runs as numpy
-gathers compiled from the same move plans as moves.apply_move, puncture
-signs included, and one frontier sweep (_sweep) partitions the level
-into orbits, decoding each frontier FILTER_CHUNK codes at a time.
+is BranchedTuple.key order.  One builder (build_level) makes every
+level, a closed level being the one with no punctures.  Each distinct
+order of the puncture kinds is one block of candidates, a mixed radix
+over the handle letters and every slot pool but the last, the last
+letter being solved from the relation; a closed level has one block,
+its whole q^{2g} code space, where the relation itself must hold.
+Candidates are filtered FILTER_CHUNK at a time.  Every catalog move
+runs as numpy gathers compiled from the same move plans as
+moves.apply_move, puncture signs included, and one frontier sweep
+(_sweep) partitions the level into orbits, decoding each frontier
+FILTER_CHUNK codes at a time; orbit_scan is builder, moves and sweep
+for every level.
 
 A closed level indexes its visited flags and orbit ids by code: 5 B per
 code of the q^{2g} code space, plus 8 B per level tuple and per code of
-the current and the next frontier, besides chunk-sized temporaries.  A
-punctured level indexes them by level position, found with
-np.searchsorted, which also checks that every move stays in the level:
-21 B per tuple plus the frontiers.  On a 2-CPU Intel Xeon VM (Python
-3.11, numpy 2.4) the A4 genus-3 level (742,560 tuples among 12^6 codes)
-closes in 1.0-1.3 s (~1.5 us/tuple).  Punctured levels, built and
-closed, median of 5 in-process runs: S4 g=0 "8 transpositions"
-(131,040 tuples) 0.84 s, 6.4 us/tuple, more than half of it in
-np.searchsorted; A4 g=0 "3 c, 3 c -" (20,400) 0.12 s, 6.0 us/tuple;
-S3 g=1 "6 transpositions" (8,736 in 6 orbits) 0.15 s, 17 us/tuple.
+the current and the next frontier, besides chunk-sized temporaries; its
+code space is capped at VEC_STATE_CAP.  A punctured level indexes them
+by level position, found with np.searchsorted, which also checks that
+every move stays in the level: 21 B per tuple plus the frontiers.  On a
+2-CPU Intel Xeon VM (Python 3.11, numpy 2.4) the A4 genus-3 level
+(742,560 tuples among 12^6 codes) closes in 1.0-1.3 s (~1.5 us/tuple).
+Punctured levels, built and closed, median of 5 in-process runs: S4 g=0
+"8 transpositions" (131,040 tuples) 0.84 s, 6.4 us/tuple, more than
+half of it in np.searchsorted; A4 g=0 "3 c, 3 c -" (20,400) 0.12 s,
+6.0 us/tuple; S3 g=1 "6 transpositions" (8,736 in 6 orbits) 0.15 s,
+17 us/tuple.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from math import prod
 import numpy as np
 
 from .covers import (
+    BranchData,
     BranchedTuple,
     BudgetError,
     _letters_for,
@@ -50,8 +56,8 @@ from .moves import (
     word_values,
 )
 
-__all__ = ["closed_orbit_scan", "punctured_orbit_scan", "punctured_level",
-           "FastOrbitTable", "VEC_STATE_CAP"]
+__all__ = ["orbit_scan", "closed_orbit_scan", "build_level", "FastOrbitTable",
+           "VEC_STATE_CAP"]
 
 VEC_STATE_CAP = 1 << 28
 FILTER_CHUNK = 1 << 18  # codes decoded at a time by the filter and sweep
@@ -74,7 +80,7 @@ class _Codes:
     |G|, then one digit per puncture, the rank of its pair in the sorted
     alphabet.  Code order is BranchedTuple.key order."""
 
-    def __init__(self, G, g, n=0, alphabet=()):
+    def __init__(self, G, g, n, alphabet):
         self.group, self.genus, self.n = G, g, n
         self.alphabet = tuple(sorted(alphabet))
         q, r = G.order, len(self.alphabet)
@@ -97,27 +103,32 @@ class _Codes:
         return (digits[:L] + [self.letter[k] for k in ranks],
                 [self.sign[k] for k in ranks])
 
-    def encode(self, cols, signs):
-        """Codes of letter and sign columns; MoveError when a puncture's
+    def encode(self, cols, signs, size):
+        """Codes of size states given as letter and sign columns (none
+        at all on the genus-0 closed level); MoveError when a puncture's
         (letter, sign) pair lies outside the alphabet."""
         q, L = self.group.order, 2 * self.genus
-        code = None
+        code = np.zeros(size, dtype=np.int64)
         for c in cols[:L]:
-            code = c if code is None else code * q + c
+            code *= q
+            code += c
         for w, o in zip(cols[L:], signs):
             k = self.rank[(o > 0) * q + w]
             if (k < 0).any():
                 raise MoveError("a move left the level's (letter, sign) "
                                 "alphabet (catalog bug)")
-            code = k if code is None else code * len(self.alphabet) + k
+            code *= len(self.alphabet)
+            code += k
         return code
 
     def code_of(self, t):
-        """The code of one tuple; KeyError when it has another shape or a
-        puncture outside the alphabet."""
-        if t.genus != self.genus or len(t.punctures) != self.n:
-            raise KeyError("tuple not in this orbit table")
+        """The code of one tuple; KeyError when it has another shape, a
+        letter outside 0..|G|-1 or a puncture outside the alphabet."""
         q = self.group.order
+        if (t.genus != self.genus or len(t.punctures) != self.n
+                or not all(0 <= x < q for x in t.letters())
+                or not all(o in (1, -1) for _, o in t.punctures)):
+            raise KeyError("tuple not in this orbit table")
         code = 0
         for a, b in t.handles:
             code = (code * q + a) * q + b
@@ -130,10 +141,12 @@ class _Codes:
 
     def tuples(self, codes):
         """The BranchedTuples of codes, in order."""
-        cols, signs = self.decode(np.asarray(codes, dtype=np.int64))
+        codes = np.asarray(codes, dtype=np.int64)
+        cols, signs = self.decode(codes)
         G, g, L = self.group, self.genus, 2 * self.genus
         out = []
-        for row in zip(*[c.tolist() for c in cols + signs]):
+        # the codes themselves count the rows when there are no columns
+        for _, *row in zip(codes.tolist(), *[c.tolist() for c in cols + signs]):
             handles = tuple(zip(row[0:L:2], row[1:L:2]))
             punctures = tuple(zip(row[L:L + self.n], row[L + self.n:]))
             out.append(BranchedTuple(G, g, handles, punctures))
@@ -201,14 +214,15 @@ def _applier(G, plan):
     return f
 
 
-def _surjective_mask(G, cols, memo):
-    """Boolean mask: do the letters of each state generate G?  Each
-    state's letter set is a bit mask of one uint64 word per 64 elements;
-    memo maps a mask's bytes to its answer and is shared across calls."""
+def _surjective_mask(G, cols, size, memo):
+    """Boolean mask: do the letters of each of size states generate G?
+    Each state's letter set is a bit mask of one uint64 word per 64
+    elements; memo maps a mask's bytes to its answer and is shared across
+    calls."""
     q = G.order
     words = -(-q // 64)
-    masks = np.zeros((cols[0].size, words), dtype=np.uint64)
-    rows = np.arange(cols[0].size)
+    masks = np.zeros((size, words), dtype=np.uint64)
+    rows = np.arange(size)
     for c in cols:
         masks[rows, c >> 6] |= np.uint64(1) << (c & 63).astype(np.uint64)
     # one word sorts much faster as an integer than as raw bytes: with
@@ -234,37 +248,19 @@ def _relator(L):
     return [r for i in range(0, L, 2) for r in (i, i + 1, ~i, ~(i + 1))]
 
 
-def _closed_level(G, g, surjective):
-    """Sorted codes of the closed genus-g tuples (surjective ones only if
-    asked), filtered FILTER_CHUNK codes at a time."""
-    q = G.order
-    L = 2 * g
-    total = q ** L
-    mulf, inv = _np_tables(G)
-    relator = _relator(L)
-    memo = {}
-    parts = []
-    for start in range(0, total, FILTER_CHUNK):
-        codes = np.arange(start, min(start + FILTER_CHUNK, total),
-                          dtype=np.int64)
-        cols = _digits(codes, [q] * L)
-        keep = word_values(relator, dict(enumerate(cols)), q, mulf, inv) == 0
-        if surjective:
-            keep[keep] = _surjective_mask(G, [c[keep] for c in cols], memo)
-        parts.append(codes[keep])
-    return np.concatenate(parts)
-
-
-def punctured_level(G, g, v, surjective=True, budget=None):
-    """(_Codes, sorted codes) of the genus-g tuples with branch data v,
-    n >= 1 punctures (surjective ones only if asked).
+def build_level(G, g, v, surjective=True, budget=None):
+    """(_Codes, sorted codes) of the genus-g tuples with branch data v
+    (surjective ones only if asked); with no punctures, the closed level.
 
     Each distinct order of the slot kinds is one block of candidates, a
     mixed radix over the handle letters and the pools of all slots but
     the last; the last letter is solved from the relation and kept when
-    it lies in its pool.  Candidates are filtered FILTER_CHUNK at a
-    time.  BudgetError, before anything is allocated, when the
-    candidate count exceeds budget or the code space overflows int64.
+    it lies in its pool.  A closed level has one block, the empty order,
+    over its 2g handle digits: there is no letter to solve, so the
+    relation must hold, and the candidates come in code order.
+    Candidates are filtered FILTER_CHUNK at a time.  BudgetError, before
+    anything is allocated, when covers.candidate_count exceeds budget or
+    the code space overflows int64.
     """
     if budget is not None and candidate_count(G, g, v) > budget:
         raise BudgetError(f"enumeration budget {budget} exhausted")
@@ -280,27 +276,37 @@ def punctured_level(G, g, v, surjective=True, budget=None):
     parts = []
     for order in _multiset_permutations(slots):
         radices = [q] * L + [pools[kind].size for kind in order[:-1]]
-        in_last = np.zeros(q, dtype=bool)
-        in_last[pools[order[-1]]] = True
+        # the relation solves the last letter as p^{-1}, so p must be the
+        # inverse of a letter of the last slot's pool; with no slots the
+        # relation itself must hold, p = 1
+        fits = np.zeros(q, dtype=bool)
+        fits[inv[pools[order[-1]]] if order else 0] = True
         signs = [sign for _, sign in order]
         total = prod(radices)
         for start in range(0, total, FILTER_CHUNK):
             idx = np.arange(start, min(start + FILTER_CHUNK, total),
                             dtype=np.int64)
-            digits = _digits(idx, radices)
-            cols = digits[:L] + [pools[kind][d]
-                                 for kind, d in zip(order, digits[L:])]
+            cols = _digits(idx, radices)
+            cols[L:] = [pools[kind][d] for kind, d in zip(order, cols[L:])]
             p = (word_values(word, dict(enumerate(cols)), q, mulf, inv)
                  if word else np.zeros_like(idx))
-            last = inv[p]
-            keep = in_last[last]
-            cols = [c[keep] for c in cols] + [last[keep]]
-            if surjective and cols[0].size:
-                ok = _surjective_mask(G, cols, memo)
-                cols = [c[ok] for c in cols]
-            parts.append(codes.encode(
-                cols, [np.full(cols[0].size, s) for s in signs]))
-    level = np.sort(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+            keep = fits[p]
+            if order:
+                cols.append(inv[p])  # the solved last letter
+            # free the chunk-sized product before the surjectivity filter:
+            # kept, it raised the A4 genus-3 build's peak RSS by 3 MiB
+            del p
+            if surjective and keep.any():
+                keep[keep] = _surjective_mask(G, [c[keep] for c in cols],
+                                              int(np.count_nonzero(keep)), memo)
+            size = int(np.count_nonzero(keep))
+            # a closed level's candidate index is its code
+            parts.append(codes.encode([c[keep] for c in cols],
+                                      [np.full(size, s) for s in signs], size)
+                         if order else idx[keep])
+    level = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+    if slots:
+        level.sort()
     return codes, level
 
 
@@ -360,7 +366,7 @@ def _sweep(codes, level, appliers, dense):
                 piece = frontier[start:start + FILTER_CHUNK]
                 cols, signs = codes.decode(piece if dense else level[piece])
                 for f in appliers:
-                    enc = codes.encode(*f(cols, signs))
+                    enc = codes.encode(*f(cols, signs), piece.size)
                     if not dense:
                         enc = _positions(level, enc)
                     enc = enc[~visited[enc]]
@@ -389,42 +395,35 @@ def _sweep(codes, level, appliers, dense):
     return seeds, sizes, ids
 
 
-def closed_orbit_scan(G, g, catalog, surjective=True, cap=VEC_STATE_CAP):
-    """Partition the whole closed genus-g level into catalog orbits.
+def orbit_scan(G, g, v, catalog, budget=None):
+    """Partition the surjective genus-g level with branch data v into
+    catalog orbits.
+
+    A closed level (v without punctures) keeps its visited flags and
+    orbit ids over its whole code space, so that space is capped at
+    VEC_STATE_CAP and budget is not used; budget caps a punctured level's
+    candidate count as in covers.enumerate_tuples.  Either raises
+    BudgetError before anything is allocated.
 
     Returns (FastOrbitTable, number of tuples in the level).
     """
-    q = G.order
-    total = q ** (2 * g)
-    if total > cap:
-        raise BudgetError(f"closed level of {total} states exceeds cap {cap}")
-    codes = _Codes(G, g)
-    if g == 0:
-        t = BranchedTuple(G, 0, (), ())
-        n_tuples = 1 if (not surjective or q == 1) else 0
-        reps = (t,) if n_tuples else ()
-        ids = np.zeros(1, dtype=np.int32) if n_tuples else -np.ones(1, np.int32)
-        return FastOrbitTable(MOVE_SET_TAG, reps, (1,) * n_tuples, {}, codes,
-                              ids), n_tuples
-
-    level = _closed_level(G, g, surjective)
-    appliers = [_applier(G, move_plan(G, m, g, 0)) for m in catalog]
-    seeds, sizes, ids = _sweep(codes, level, appliers, dense=True)
-    table = FastOrbitTable(MOVE_SET_TAG, tuple(codes.tuples(seeds)),
-                           tuple(sizes), {}, codes, ids)
-    return table, int(level.size)
-
-
-def punctured_orbit_scan(G, g, v, catalog, budget=None):
-    """Partition the surjective genus-g level with branch data v (n >= 1
-    punctures) into catalog orbits; budget caps the candidate count as
-    in covers.enumerate_tuples.
-
-    Returns (FastOrbitTable, number of tuples in the level).
-    """
-    codes, level = punctured_level(G, g, v, True, budget)
+    closed = not v.cardinality
+    if closed:
+        total = G.order ** (2 * g)
+        if total > VEC_STATE_CAP:
+            raise BudgetError(
+                f"closed level of {total} states exceeds cap {VEC_STATE_CAP}")
+    codes, level = build_level(G, g, v, True, None if closed else budget)
     appliers = [_applier(G, move_plan(G, m, g, codes.n)) for m in catalog]
-    seeds, sizes, ids = _sweep(codes, level, appliers, dense=False)
+    seeds, sizes, ids = _sweep(codes, level, appliers, dense=closed)
     table = FastOrbitTable(MOVE_SET_TAG, tuple(codes.tuples(seeds)),
-                           tuple(sizes), {}, codes, ids, level)
+                           tuple(sizes), {}, codes, ids,
+                           None if closed else level)
     return table, int(level.size)
+
+
+def closed_orbit_scan(G, g, catalog):
+    """orbit_scan of the closed genus-g level: (FastOrbitTable, number of
+    tuples in the level).  A name of its own because
+    perfbench/trace_job.py times closed scans through it."""
+    return orbit_scan(G, g, BranchData(()), catalog)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covers import BranchData, BranchedTuple, branch_data, candidate_count
-from .fastorbits import VEC_STATE_CAP, closed_orbit_scan, punctured_orbit_scan
+from .covers import BranchData, BranchedTuple, BudgetError, branch_data
+from .fastorbits import closed_orbit_scan, orbit_scan
 from .groups import closure
 from .homology import m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog
@@ -158,29 +158,22 @@ class StableRangeReport:
         }
 
 
-def _level_feasible(G, g, v, enum_budget):
-    """Does the level fit: a closed level's code space within
-    VEC_STATE_CAP, a punctured level's candidate count within the
-    enumeration budget (the count whose excess makes level_orbits raise
-    the enumeration budget error)?"""
-    if v.cardinality == 0:
-        return G.order ** (2 * g) <= VEC_STATE_CAP
-    return candidate_count(G, g, v) <= enum_budget
-
-
 def level_orbits(G, g, v, enum_budget):
     """(orbit table, number of tuples) for the surjective tuples of one
     (g, v) level.
 
-    Both kinds of level run through the vectorized scan of fastorbits:
-    closed levels over their whole code space, punctured levels over
-    their sorted codes, with enum_budget capping the candidate count.
+    Every level runs through fastorbits.orbit_scan, closed levels by way
+    of closed_orbit_scan, the name perfbench/trace_job.py times.  A
+    closed level's code space is capped at fastorbits.VEC_STATE_CAP, a
+    punctured level's candidate count at enum_budget; either raises
+    BudgetError before anything is allocated.
     No tuple object is built but the representatives.
     """
     n = v.cardinality
+    catalog = move_catalog(G, g, n)
     if n == 0:
-        return closed_orbit_scan(G, g, move_catalog(G, g, 0))
-    return punctured_orbit_scan(G, g, v, move_catalog(G, g, n), enum_budget)
+        return closed_orbit_scan(G, g, catalog)
+    return orbit_scan(G, g, v, catalog, enum_budget)
 
 
 def _round_map(G, class_ids, skip_handle):
@@ -242,21 +235,17 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
     prev = None  # the orbit table of the previous level
     certs = []
     for _ in range(max_rounds + 1):
-        if not _level_feasible(G, g, v, enum_budget):
+        try:
+            table, n_tuples = level_orbits(G, g, v, enum_budget)
+        except BudgetError:
+            report.levels.append({"g": g,
+                                  "v": [[list(k), m] for k, m in v.counts],
+                                  "skipped": "level over budget"})
             if len(counts) >= 2 and counts[-1] == counts[-2]:
                 # plateau held for one full round; the confirming round
                 # does not fit the budget, so settle on what we have
                 settle(counts[-1], certs[-2:])
-                report.levels.append({"g": g,
-                                      "v": [[list(k), m] for k, m in v.counts],
-                                      "skipped": "level over budget"})
-                return report
-            report.verdict = "inconclusive"
-            report.levels.append({"g": g,
-                                  "v": [[list(k), m] for k, m in v.counts],
-                                  "skipped": "level over budget"})
             return report
-        table, n_tuples = level_orbits(G, g, v, enum_budget)
         cert = certificate(G, cids, g, v)
         entry = {
             "g": g,

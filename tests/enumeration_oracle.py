@@ -1,17 +1,37 @@
-"""Reference enumeration of punctured levels: the Python walk that
-covers.enumerate_tuples ran for n >= 1 punctures before levels were
-built as int64 codes.  It builds one BranchedTuple per kept candidate
-and checks the budget candidate by candidate, so it is slow but plainly
-right; the tests compare the vectorized level with it."""
+"""Reference enumeration of levels: the Python walks that
+covers.enumerate_tuples ran before levels were built as int64 codes.
+They build one BranchedTuple per kept candidate and check the budget
+candidate by candidate, so they are slow but plainly right; the tests
+compare the vectorized level with them."""
 
 from schur_orbits.covers import (
     BranchedTuple,
     BudgetError,
-    _handle_prefixes,
     _letters_for,
     _multiset_permutations,
     is_surjective,
 )
+
+
+def _commutator_preimages(G):
+    """Map element -> list of (a, b) with [a,b] = that element."""
+    table = {}
+    for a in range(G.order):
+        for b in range(G.order):
+            table.setdefault(G.commutator(a, b), []).append((a, b))
+    return table
+
+
+def _handle_prefixes(G, g):
+    """All 2g-letter handle assignments with their commutator-word
+    product, lexicographic."""
+    if g == 0:
+        yield (), 0
+        return
+    for handles, hprod in _handle_prefixes(G, g - 1):
+        for a in range(G.order):
+            for b in range(G.order):
+                yield handles + ((a, b),), G.mul[hprod][G.commutator(a, b)]
 
 
 def _product_lex(pools):
@@ -24,14 +44,38 @@ def _product_lex(pools):
             yield (x,) + tail
 
 
+def _closed_walk(G, g, surjective, budget):
+    """The closed level: the last handle pair is solved from the relation
+    through the commutator preimages, and budget caps the handle
+    prefixes examined."""
+    if g == 0:
+        t = BranchedTuple(G, 0, (), ())
+        return [t] if not surjective or G.order == 1 else []
+    results = []
+    preim = _commutator_preimages(G)
+    for examined, (handles, hprod) in enumerate(_handle_prefixes(G, g - 1), 1):
+        if budget is not None and examined > budget:
+            raise BudgetError(f"enumeration budget {budget} exhausted")
+        # last handle must contribute the inverse of the prefix
+        for a, b in preim.get(G.inv[hprod], ()):
+            t = BranchedTuple(G, g, handles + ((a, b),), ())
+            if surjective and not is_surjective(t):
+                continue
+            results.append(t)
+    results.sort()
+    return results
+
+
 def oracle_enumerate(G, g, v, surjective=True, budget=None):
-    """All BranchedTuples of genus g with branch data v (n >= 1), in key
-    order; the last puncture letter is solved from the relation, and
-    budget caps the candidate words examined."""
+    """All BranchedTuples of genus g with branch data v, in key order.
+    With n >= 1 punctures the last puncture letter is solved from the
+    relation, and budget caps the candidate words examined; with none,
+    see _closed_walk."""
     slots = []
     for (cid, sign), k in v.counts:
         slots.extend([(cid, sign)] * k)
-    assert slots, "the oracle covers punctured levels only"
+    if not slots:
+        return _closed_walk(G, g, surjective, budget)
     results = []
     examined = 0
     for pattern in _multiset_permutations(slots):

@@ -17,9 +17,9 @@ from schur_orbits.covers import (
 )
 from schur_orbits.fastorbits import (
     _applier,
+    build_level,
     closed_orbit_scan,
-    punctured_level,
-    punctured_orbit_scan,
+    orbit_scan,
 )
 from schur_orbits.groups import build_group
 from schur_orbits.moves import apply_move, move_catalog, move_plan, orbits
@@ -85,7 +85,7 @@ def test_closed_scan_matches_hash_bfs(name):
     G = get_group(name)
     cat = move_catalog(G, 2, 0)
     fast, n_tuples = closed_orbit_scan(G, 2, cat)
-    level = enumerate_tuples(G, 2, BranchData.from_dict({}))
+    level = oracle_enumerate(G, 2, BranchData.from_dict({}))
     slow, ids = _generic_ids(G, 2, cat, level)
     assert n_tuples == len(level)
     assert fast.to_json() == slow.to_json()
@@ -100,7 +100,7 @@ def test_closed_scan_relabelled_generators():
     assert G.order == 12 and G.mul != get_group("a4").mul
     cat = move_catalog(G, 2, 0)
     fast, n_tuples = closed_orbit_scan(G, 2, cat)
-    level = enumerate_tuples(G, 2, BranchData.from_dict({}))
+    level = oracle_enumerate(G, 2, BranchData.from_dict({}))
     slow, ids = _generic_ids(G, 2, cat, level)
     assert n_tuples == len(level)
     assert fast.to_json() == slow.to_json()
@@ -132,16 +132,45 @@ def test_closed_scan_group_over_64_elements():
     G = cyclic(70)
     cat = move_catalog(G, 1, 0)
     fast, n_tuples = closed_orbit_scan(G, 1, cat)
-    level = enumerate_tuples(G, 1, BranchData.from_dict({}))
+    level = oracle_enumerate(G, 1, BranchData.from_dict({}))
     slow, ids = _generic_ids(G, 1, cat, level)
     assert n_tuples == len(level) == 3456
     assert fast.to_json() == slow.to_json()
     np.testing.assert_array_equal(fast.ids, ids)
 
 
-def test_closed_level_cap_is_a_budget_error(s3):
+def test_closed_level_cap_is_a_budget_error(s3, monkeypatch):
+    monkeypatch.setattr(fastorbits, "VEC_STATE_CAP", 1000)
     with pytest.raises(BudgetError, match="exceeds cap 1000"):
-        closed_orbit_scan(s3, 2, move_catalog(s3, 2, 0), cap=1000)
+        closed_orbit_scan(s3, 2, move_catalog(s3, 2, 0))
+
+
+@pytest.mark.parametrize("name,n_tuples", [("s3", 0), ("z1", 1)])
+def test_genus_zero_closed_level(name, n_tuples):
+    # the empty tuple, surjective only onto the trivial group
+    G = cyclic(1) if name == "z1" else get_group(name)
+    table, n = closed_orbit_scan(G, 0, move_catalog(G, 0, 0))
+    assert n == n_tuples
+    assert table.representatives == (BranchedTuple(G, 0, (), ()),) * n_tuples
+    assert table.sizes == (1,) * n_tuples
+    np.testing.assert_array_equal(table.ids, [0 if n_tuples else -1])
+
+
+def test_orbit_id_rejects_letters_outside_the_group(k4, s3):
+    # 0 * 4 + 6 = 1 * 4 + 2: an unchecked handle letter 6 would alias
+    # the code of ((1, 2), (0, 0))
+    closed, _ = closed_orbit_scan(k4, 2, move_catalog(k4, 2, 0))
+    assert closed.orbit_id(BranchedTuple(k4, 2, ((1, 2), (0, 0)), ())) == 0
+    for handles in (((0, 6), (0, 0)), ((-1, 2), (0, 0))):
+        with pytest.raises(KeyError):
+            closed.orbit_id(BranchedTuple(k4, 2, handles, ()))
+    tc = transposition_class(s3)
+    v = BranchData.from_dict({(tc, 1): 4})
+    punctured, _ = orbit_scan(s3, 0, v, move_catalog(s3, 0, 4))
+    rep = punctured.representatives[0]
+    for bad in ((7, 1), (6, -1), (12, 1), (-5, 1), (rep.punctures[0][0], 2)):
+        with pytest.raises(KeyError):
+            punctured.orbit_id(BranchedTuple(s3, 0, (), (bad,) + rep.punctures[1:]))
 
 
 def test_closed_orbit_id_rejects_other_levels(k4):
@@ -177,7 +206,7 @@ def punctured_levels(draw):
 def test_punctured_scan_matches_hash_bfs(case):
     G, g, v = case
     cat = move_catalog(G, g, v.cardinality)
-    fast, n_tuples = punctured_orbit_scan(G, g, v, cat)
+    fast, n_tuples = orbit_scan(G, g, v, cat)
     level = oracle_enumerate(G, g, v)
     slow = orbits(level, cat)
     assert n_tuples == len(level)
@@ -194,7 +223,7 @@ def test_punctured_scan_signed_level(a4):
     c = a4.class_of[1]
     v = BranchData.from_dict({(c, 1): 2, (c, -1): 2})
     cat = move_catalog(a4, 0, 4)
-    fast, n_tuples = punctured_orbit_scan(a4, 0, v, cat)
+    fast, n_tuples = orbit_scan(a4, 0, v, cat)
     slow = orbits(oracle_enumerate(a4, 0, v), cat)
     assert n_tuples == sum(slow.sizes) > 0
     assert fast.to_json() == slow.to_json()
@@ -204,9 +233,9 @@ def test_punctured_chunking_does_not_change_the_table(s3, monkeypatch):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4, (tc, -1): 2})
     cat = move_catalog(s3, 0, 6)
-    whole, n_whole = punctured_orbit_scan(s3, 0, v, cat)
+    whole, n_whole = orbit_scan(s3, 0, v, cat)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
-    chunked, n_chunked = punctured_orbit_scan(s3, 0, v, cat)
+    chunked, n_chunked = orbit_scan(s3, 0, v, cat)
     assert n_chunked == n_whole
     assert chunked.to_json() == whole.to_json()
     np.testing.assert_array_equal(chunked.ids, whole.ids)
@@ -217,7 +246,7 @@ def test_s4_eight_transpositions_is_one_orbit(s4):
     # 131,040 tuples in one orbit: the hash engine took ~15 s on it
     tc = transposition_class(s4)
     v = BranchData.from_dict({(tc, 1): 8})
-    table, n_tuples = punctured_orbit_scan(s4, 0, v, move_catalog(s4, 0, 8))
+    table, n_tuples = orbit_scan(s4, 0, v, move_catalog(s4, 0, 8))
     assert n_tuples == 131040
     assert table.num_orbits == 1 and table.sizes == (131040,)
 
@@ -233,7 +262,7 @@ def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):
 
     monkeypatch.setattr(fastorbits.np, "arange", no_alloc)
     with pytest.raises(BudgetError, match="code space .* overflows int64"):
-        punctured_level(G, 0, v)
+        build_level(G, 0, v)
     with pytest.raises(BudgetError, match="code space"):
         enumerate_tuples(G, 0, v)
 
@@ -241,7 +270,7 @@ def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):
 def test_punctured_orbit_id_rejects_other_tuples(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4})
-    table, _ = punctured_orbit_scan(s3, 0, v, move_catalog(s3, 0, 4))
+    table, _ = orbit_scan(s3, 0, v, move_catalog(s3, 0, 4))
     rep = table.representatives[0]
     w, o = rep.punctures[0]
     with pytest.raises(KeyError):  # another shape
@@ -257,7 +286,7 @@ def test_move_off_the_level_is_a_move_error(s3):
     # otherwise land on its one (visited) position and pass the counts
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 2})
-    codes, level = punctured_level(s3, 0, v)
+    codes, level = build_level(s3, 0, v)
     appliers = [_applier(s3, move_plan(s3, m, 0, 4))
                 for m in move_catalog(s3, 0, 4)]
     with pytest.raises(fastorbits.MoveError, match="not move-closed"):

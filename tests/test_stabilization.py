@@ -2,6 +2,7 @@
 
 import pytest
 
+from schur_orbits import fastorbits
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
 from schur_orbits.moves import induced_orbit_map, move_catalog, orbits
 from schur_orbits.stabilization import (
@@ -164,6 +165,57 @@ def test_stable_orbits_k4_unbranched_track(k4):
 def test_stable_orbits_inconclusive_when_capped(k4):
     r = stable_orbits(k4, (), max_rounds=1)
     assert r.verdict == "inconclusive"
+
+
+def _entry(g, v, tuples, orbits, puncture, induced=None):
+    """One computed level of a stable-range report."""
+    entry = {"g": g, "v": v, "tuples": tuples, "orbits": orbits,
+             "certificate": {"handle": False, "puncture": puncture,
+                             "dilation": True}}
+    if induced is not None:
+        entry["induced_map"] = {"surjective": induced[0],
+                                "injective": induced[1]}
+    return entry
+
+
+S3_LEVELS = [_entry(0, [[[1, 1], 4]], 24, 1, {"1": False}),
+             _entry(0, [[[1, 1], 6]], 240, 1, {"1": False}, (True, True))]
+K4_LEVELS = [_entry(1, [], 6, 1, {}),
+             _entry(2, [], 210, 2, {}, (False, True)),
+             _entry(3, [], 3906, 2, {}, (True, True))]
+
+
+@pytest.mark.parametrize("budget,computed,verdict,count", [
+    # n transpositions have 3^(n-1) candidates: 27, 243, 2187 at n = 4, 6, 8
+    (243, 2, "empirical-match", 1),
+    (27, 1, "inconclusive", None),
+])
+def test_stable_orbits_skips_a_punctured_level_over_budget(
+        s3, budget, computed, verdict, count):
+    tc = transposition_class(s3)
+    r = stable_orbits(s3, (tc,), v_seed=BranchData.from_dict({(tc, 1): 4}),
+                      g_seed=0, enum_budget=budget)
+    skipped = {"g": 0, "v": [[[1, 1], 2 * computed + 4]],
+               "skipped": "level over budget"}
+    assert r.to_json() == {
+        "group": s3.digest, "classes": [1], "move_set": "default-catalog-v1",
+        "levels": S3_LEVELS[:computed] + [skipped], "stable_count": count,
+        "m_order": 1, "m_invariant_factors": [], "verdict": verdict}
+
+
+@pytest.mark.parametrize("cap,computed,verdict,count", [
+    (4 ** 6, 3, "empirical-match", 2),
+    (4 ** 4, 2, "inconclusive", None),
+])
+def test_stable_orbits_skips_a_closed_level_over_the_cap(
+        k4, monkeypatch, cap, computed, verdict, count):
+    monkeypatch.setattr(fastorbits, "VEC_STATE_CAP", cap)
+    r = stable_orbits(k4, ())
+    skipped = {"g": computed + 1, "v": [], "skipped": "level over budget"}
+    assert r.to_json() == {
+        "group": k4.digest, "classes": [], "move_set": "default-catalog-v1",
+        "levels": K4_LEVELS[:computed] + [skipped], "stable_count": count,
+        "m_order": 2, "m_invariant_factors": [2], "verdict": verdict}
 
 
 def test_stable_orbits_rejects_bad_seed(s3, k4):

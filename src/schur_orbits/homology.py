@@ -7,12 +7,14 @@ coordinates |G|.Z^K lies inside im d3 and the image lattice can be
 accumulated modulo |G| with every entry below |G| (the modular Hermite
 form of Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  Kernel
 coordinates, and the H2 presentation over them, are therefore kept
-mod |G|; only the Smith form of d2 runs in exact Python integers.  On
-top of that sit the branch-class reductions: the subgroup of torus
-classes with meridian in a chosen union of conjugacy classes C, the
-reduced multiplier M(G)_C, the branch-type lattice N, and the homology
-of the C-branched classifying space reported as the (non-natural)
-direct sum M(G)_C + N.
+mod |G|: the Smith form of d2 reduces d2 itself in exact Python
+integers but keeps its V^{-1} mod |G| in numpy, and the image lattice
+absorbs the d3 images of the generator columns and of a lexicographic
+prefix of the columns only (see h2_group).  On top of that sit the
+branch-class reductions: the subgroup of torus classes with meridian in
+a chosen union of conjugacy classes C, the reduced multiplier M(G)_C,
+the branch-type lattice N, and the homology of the C-branched
+classifying space reported as the (non-natural) direct sum M(G)_C + N.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ __all__ = [
 BAR_SIZE_CAP = 32  # group order cap for bar-complex computations
 
 # d3 columns imaged at a time.  Peak RSS of h2_group on a 2-CPU Xeon VM:
-# S4 48 MiB at 256, 66 MiB at 1024; (Z/2)^5 75 MiB at 256, 690 MiB with
-# all columns at once.
-_D3_CHUNK = 256
+# S4 51 MiB at 128, 56 MiB at 256, 60 MiB at 1024, 189 MiB with all
+# columns at once; (Z/2)^5 65, 72, 106 and 690 MiB.
+_D3_CHUNK = 128
 
 
 class HomologyError(ValueError):
@@ -167,23 +169,41 @@ def _absorb(H, piv, v, N):
     a divisor of N; an empty row has pivot N (the row N.e_j, which is
     0 mod N).  The lattice spanned by H and N.Z^K only grows.  Entries
     stay below N <= BAR_SIZE_CAP and multipliers below N, so no product
-    or K-term sum here comes near the int64 range."""
-    nz = v.nonzero()[0]
-    while nz.size:
-        j = nz[0]
+    or K-term sum here comes near the int64 range.  Returns True if the
+    lattice grew.
+
+    A new row r with pivot g leaves (N/g).r in the span of the rows
+    below it, since the v reduced on carries that multiple.  So H is a
+    Howell form (J. A. Howell, Linear Multilinear Algebra 19, 1986):
+    piv[j] generates the ideal of j-th entries of the lattice vectors
+    that vanish left of j, the pivots depend on the lattice alone, and a
+    vector already in the lattice reduces to 0 without changing H."""
+    grew = False
+    v = v.copy()
+    j = -1
+    while True:
+        nz = np.flatnonzero(v[j + 1:])
+        if not nz.size:
+            return grew
+        j += 1 + int(nz[0])
         p, a = piv[j], int(v[j])
+        w, h = v[j:], H[j, j:]  # both vanish left of j
         if a % p == 0:
-            v = (v - (a // p) * H[j]) % N
+            w -= (a // p) * h
+            w %= N
         else:
             g, x, y = _xgcd(p, a)
-            new_row = (x * H[j] + y * v) % N
-            v = ((p // g) * v - (a // g) * H[j]) % N
-            H[j], piv[j] = new_row, g
+            r = (x * h + y * w) % N
+            w *= p // g
+            w -= (a // g) * h
+            w %= N
+            H[j, j:], piv[j] = r, g
+            grew = True
             # reducing the rows above the new pivot keeps later reductions
-            # short: without it h2_group takes 8.6 s on S4, not 2.3 s
+            # short: without it h2_group takes 4.8 s on (Z/2)^5, not 1.4 s
             above = np.flatnonzero(H[:j, j] >= g)
-            H[above] = (H[above] - (H[above, j] // g)[:, None] * H[j]) % N
-        nz = v.nonzero()[0]
+            q = (H[above, j] // g)[:, None]
+            H[above, j:] = (H[above, j:] - q * r) % N
 
 
 def _echelon_cokernel(H, piv, N):
@@ -212,7 +232,28 @@ _H2_CACHE = {}
 
 
 def h2_group(G):
-    """H2(G) from the normalized bar complex, with a cycle classifier."""
+    """H2(G) from the normalized bar complex, with a cycle classifier.
+
+    Lemma: with S the generators of G other than the identity,
+    im d3 = span{d3[x|y|s] : x, y != 1, s in S}.  Proof: d3 . d4 = 0
+    applied to [x|y|z|w] gives
+    d3[x|y|zw] = d3[y|z|w] - d3[xy|z|w] + d3[x|yz|w] + d3[x|y|z].
+    Take w in S.  The first three terms are generator columns (or 0, a
+    symbol with an identity entry), and the last has a last entry of
+    shorter word length over S.  Induct on that length, ending at
+    [x|y|s] or at [x|y|1] = 0; in a finite group S generates G as a
+    monoid, so every z has a word over S.
+
+    So the (|G|-1)^2 |S| generator columns span the image lattice and
+    give its pivots.  The echelon that is presented absorbs the columns
+    in lexicographic order and stops once it has those pivots.  Its
+    lattice then equals the whole image lattice (it lies inside it, and
+    the pivots of a Howell form fix the index), so no later column
+    would change it: it is the echelon of all (|G|-1)^3 columns, and the
+    H2 coordinates are those of that echelon whatever generators G was
+    given.  If the columns run out first, the generator columns missed
+    part of im d3, and that is an error.  The d2 . d3 check runs over
+    all columns."""
     key = G.digest
     if key in _H2_CACHE:
         return _H2_CACHE[key]
@@ -220,21 +261,36 @@ def h2_group(G):
         raise HomologyError(f"group order {G.order} over bar-complex cap")
     N, m = G.order, G.order - 1
     D2 = boundary_matrix(G, 2)
-    res = snf_with_inverse(D2)
-    K = m * m - res.rank
-    D2 = np.array(D2, dtype=np.int64).reshape(m, m * m)
-    W = np.array([[x % N for x in row] for row in res.Vinv[res.rank:]],
-                 dtype=np.int64).reshape(K, m * m)
-    H = np.zeros((K, K), dtype=np.int64)
-    piv = [N] * K
+    res = snf_with_inverse(D2, modulus=N)
+    W = res.Vinv[res.rank:]  # kernel coordinates mod N
     idx, coeff = _d3_sparse(G)
-    for s in range(0, len(idx), _D3_CHUNK):
-        ci, cc = idx[s:s + _D3_CHUNK], coeff[s:s + _D3_CHUNK]
-        if sum(D2[:, ci[:, k]] * cc[:, k] for k in range(4)).any():
-            raise HomologyError("d2 . d3 != 0 (bar complex bug)")
-        images = sum(W[:, ci[:, k]] * cc[:, k] for k in range(4)) % N
-        for v in images.T[images.any(axis=0)]:
-            _absorb(H, piv, v, N)
+    # int8 suffices: d2 entries lie in [-1, 2], so each sum is at most 8
+    D2T = np.array(D2, dtype=np.int8).T.copy()
+    c8 = coeff.astype(np.int8)
+    if sum(D2T[idx[:, k]] * c8[:, k:k + 1] for k in range(4)).any():
+        raise HomologyError("d2 . d3 != 0 (bar complex bug)")
+
+    def echelon(cols, pivots=None):
+        """Echelon of the images of the d3 columns cols, absorbed in
+        order, stopping once its pivots equal the given ones."""
+        H = np.zeros((len(W), len(W)), dtype=np.int64)
+        piv = [N] * len(W)
+        for s in range(0, len(cols), _D3_CHUNK):
+            if piv == pivots:
+                break
+            chunk = cols[s:s + _D3_CHUNK]
+            ci, cc = idx[chunk], coeff[chunk]
+            images = sum(W[:, ci[:, k]] * cc[:, k] for k in range(4)) % N
+            for v in images.T[images.any(axis=0)]:
+                if _absorb(H, piv, v, N) and piv == pivots:
+                    break
+        return H, piv
+
+    S = np.array(sorted({s for s in G.generators if s}), dtype=np.int64)
+    pivots = echelon((np.arange(m * m)[:, None] * m + S - 1).ravel())[1]
+    H, piv = echelon(np.arange(m ** 3), pivots)
+    if piv != pivots:
+        raise HomologyError("generator columns miss part of im d3")
     out = H2Group(G, _echelon_cokernel(H, piv, N), W)
     _H2_CACHE[key] = out
     return out

@@ -1,7 +1,8 @@
 """Exact integer matrix algebra: Smith normal form, kernels, cokernels.
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
-arbitrary precision.
+arbitrary precision.  The one exception is a Smith form's V^{-1} asked
+for modulo N, which is an int64 numpy array with entries below N.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 __all__ = [
     "smith_normal_form",
@@ -47,64 +50,93 @@ def _xgcd(a, b):
 
 @dataclass
 class _SNF:
-    U: list
+    U: list | None
     D: list
-    V: list
-    Vinv: list
+    V: list | None
+    Vinv: list | np.ndarray | None
     diag: list
     rank: int
 
 
-def _snf_engine(M, want_vinv=False):
+def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
     """Diagonalize M by unimodular row/column operations.
 
     Returns U, D, V with U*M*V = D, D diagonal with d_i | d_{i+1} and
     d_i >= 0.  Pivots are chosen as the nonzero entry of minimal absolute
     value (ties: lowest row, then column), which keeps intermediate entry
     growth tame and makes the output deterministic.
+
+    U, V and V^{-1} are tracked only when asked for and are None
+    otherwise.  Given a modulus N, V^{-1} is kept reduced mod N as an
+    int64 array and updated by vectorized row operations.  Reduction mod
+    N commutes with row operations and the pivots depend on M alone, so
+    that array is the exact V^{-1} reduced mod N.
     """
     A = [[int(x) for x in row] for row in M]
     r = len(A)
     c = len(A[0]) if r else 0
     if any(len(row) != c for row in A):
         raise ValueError("ragged matrix")
-    U = identity_matrix(r)
-    V = identity_matrix(c)
-    Vinv = identity_matrix(c) if want_vinv else None
+    U = identity_matrix(r) if want_u else None
+    V = identity_matrix(c) if want_v else None
+    if not want_vinv:
+        Vinv = None
+    elif modulus is None:
+        Vinv = identity_matrix(c)
+    else:
+        Vinv = np.eye(c, dtype=np.int64)
 
     def row_add(i, j, q):  # row_i += q * row_j
         Ai, Aj = A[i], A[j]
         for k in range(c):
             Ai[k] += q * Aj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(r):
-            Ui[k] += q * Uj[k]
+        if U is not None:
+            Ui, Uj = U[i], U[j]
+            for k in range(r):
+                Ui[k] += q * Uj[k]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        if U is not None:
+            U[i] = [-x for x in U[i]]
 
-    def col_add(j, i, q):  # col_j += q * col_i
-        for row in A:
-            row[j] += q * row[i]
-        for row in V:
-            row[j] += q * row[i]
-        if Vinv is not None:  # inverse op: Vinv row_i -= q * Vinv row_j
-            Vi, Vj = Vinv[i], Vinv[j]
-            for k in range(c):
-                Vi[k] -= q * Vj[k]
+    def col_adds(ops, i):  # col_j += q * col_i for each (j, q) in ops
+        for row in A + (V or []):
+            x = row[i]
+            if x:
+                for j, q in ops:
+                    row[j] += q * x
+        if Vinv is None or not ops:
+            return
+        # inverse ops, which commute: Vinv row_i -= q * Vinv row_j
+        if modulus is None:
+            Vi = Vinv[i]
+            for j, q in ops:
+                Vj = Vinv[j]
+                for k in range(c):
+                    Vi[k] -= q * Vj[k]
+        else:
+            js = [j for j, _ in ops]
+            qs = np.array([q % modulus for _, q in ops], dtype=np.int64)
+            Vinv[i] = (Vinv[i] - qs @ Vinv[js]) % modulus
 
     def col_swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        if Vinv is not None:
+        if V is not None:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+        if Vinv is None:
+            return
+        if modulus is None:
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        else:
+            Vinv[[i, j]] = Vinv[[j, i]]
 
     def find_pivot(t):
         best = None
@@ -147,16 +179,22 @@ def _snf_engine(M, want_vinv=False):
                         if A[t][t] < 0:
                             row_neg(t)
                         d = A[t][t]
+            # the operations clearing row t change only columns j > t and
+            # commute, so they are made together, before any swap moves
+            # column t
+            ops = []
             for j in range(t + 1, c):
                 if A[t][j]:
-                    q = A[t][j] // d
-                    col_add(j, t, -q)
-                    if A[t][j]:
+                    ops.append((j, -(A[t][j] // d)))
+                    if A[t][j] % d:
+                        col_adds(ops, t)
+                        ops = []
                         col_swap(j, t)
                         dirty = True
                         if A[t][t] < 0:
                             row_neg(t)
                         d = A[t][t]
+            col_adds(ops, t)
             if dirty:
                 continue
             # pivot must divide the remaining submatrix
@@ -180,13 +218,18 @@ def _snf_engine(M, want_vinv=False):
 
 def smith_normal_form(M):
     """Return (U, D, V) with U*M*V = D in Smith normal form."""
-    res = _snf_engine(M)
+    res = _snf_engine(M, want_u=True, want_v=True)
     return res.U, res.D, res.V
 
 
-def snf_with_inverse(M):
-    """Like smith_normal_form but also tracks V^{-1} (as an _SNF record)."""
-    return _snf_engine(M, want_vinv=True)
+def snf_with_inverse(M, modulus=None):
+    """Like smith_normal_form but also tracks V^{-1} (as an _SNF record).
+
+    Given a modulus N, only V^{-1} is tracked, as an int64 array reduced
+    mod N; U and V are None."""
+    if modulus is None:
+        return _snf_engine(M, want_u=True, want_v=True, want_vinv=True)
+    return _snf_engine(M, want_vinv=True, modulus=modulus)
 
 
 def kernel_lattice(M):
@@ -199,7 +242,7 @@ def kernel_lattice(M):
     c = len(M[0]) if r else 0
     if c == 0:
         return []
-    res = _snf_engine(M)
+    res = _snf_engine(M, want_v=True)
     basis = []
     for j in range(res.rank, c):
         basis.append([res.V[i][j] for i in range(c)])
@@ -297,7 +340,7 @@ def cokernel(M, ambient_dim=None):
         r = ambient_dim or 0
         M = [[] for _ in range(r)]
     c = len(M[0]) if M and M[0] is not None else 0
-    res = _snf_engine(M) if c else None
+    res = _snf_engine(M, want_u=True) if c else None
     moduli = []
     rows = []
     for i in range(r):

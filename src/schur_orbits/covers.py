@@ -209,9 +209,10 @@ def candidate_count(G, g, v):
     the distinct orders of the slot kinds, q^{2g} times the pool sizes
     of all slots but the last, whose letter is solved from the relation;
     summed in closed form, kind by kind as the last slot, without walking
-    the orders.  With none: the q^{2(g-1)} handle prefixes whose last
-    handle pair the relation determines up to its commutator preimages
-    (0 at g = 0)."""
+    the orders.  With none: the q^{2(g-1)} handle prefixes that
+    fastorbits.build_level walks, each followed by the commutator
+    preimages of its product's inverse as the last handle (0 at g = 0,
+    whose only candidate is the empty tuple)."""
     kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
     if not kinds:
         return G.order ** (2 * g - 2) if g else 0

@@ -7,14 +7,17 @@ is BranchedTuple.key order.  One builder (build_level) makes every
 level, a closed level being the one with no punctures.  Each distinct
 order of the puncture kinds is one block of candidates, a mixed radix
 over the handle letters and every slot pool but the last, the last
-letter being solved from the relation; a closed level has one block,
-its whole q^{2g} code space, where the relation itself must hold.
-Candidates are filtered FILTER_CHUNK at a time.  Every catalog move
-runs as numpy gathers compiled from the same move plans as
-moves.apply_move, puncture signs included, and one frontier sweep
-(_sweep) partitions the level into orbits, decoding each frontier
-FILTER_CHUNK codes at a time; orbit_scan is builder, moves and sweep
-for every level.
+letter being solved from the relation.  A closed level of genus g >= 1
+is solved for its last handle the same way: each of its q^{2(g-1)}
+handle prefixes is followed by the commutator fibre over the inverse of
+the prefix's commutator product.  Candidates are filtered, and closed
+levels expanded, about FILTER_CHUNK codes at a time.  The catalog's
+forward moves (_forward_moves: its inverse and repeated moves add
+nothing to a closure) run as numpy gathers compiled from the same move
+plans as moves.apply_move, puncture signs included, each re-encoding
+only the slots it writes; one frontier sweep (_sweep) partitions the
+level into orbits, decoding each frontier FILTER_CHUNK codes at a time.
+orbit_scan is builder, moves and sweep for every level.
 
 A closed level indexes its visited flags and orbit ids by code: 5 B per
 code of the q^{2g} code space, plus 8 B per level tuple and per code of
@@ -22,13 +25,15 @@ the current and the next frontier, besides chunk-sized temporaries; its
 code space is capped at VEC_STATE_CAP.  A punctured level indexes them
 by level position, found with np.searchsorted, which also checks that
 every move stays in the level: 21 B per tuple plus the frontiers.  On a
-2-CPU Intel Xeon VM (Python 3.11, numpy 2.4) the A4 genus-3 level
-(742,560 tuples among 12^6 codes) closes in 1.0-1.3 s (~1.5 us/tuple).
+2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 7 in-process
+runs, the A4 genus-3 level (742,560 tuples among 12^6 codes) builds in
+0.036 s and closes in 0.35 s, 0.39 s in all (0.5 us/tuple); filtering
+all 12^6 codes and applying all 25 catalog moves took 0.54 + 0.56 s.
 Punctured levels, built and closed, median of 5 in-process runs: S4 g=0
-"8 transpositions" (131,040 tuples) 0.84 s, 6.4 us/tuple, more than
-half of it in np.searchsorted; A4 g=0 "3 c, 3 c -" (20,400) 0.12 s,
-6.0 us/tuple; S3 g=1 "6 transpositions" (8,736 in 6 orbits) 0.15 s,
-17 us/tuple.
+"8 transpositions" (131,040 tuples) 0.39 s, 3.0 us/tuple, more than
+half of it in np.searchsorted; A4 g=0 "3 c, 3 c -" (20,400) 0.053 s,
+2.6 us/tuple; S3 g=1 "6 transpositions" (8,736 in 6 orbits) 0.040 s,
+4.6 us/tuple.
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ class _Codes:
             raise BudgetError(f"code space of {q}^{2 * g} handle codes times "
                               f"{r}^{n} puncture codes overflows int64")
         self.radices = [q] * (2 * g) + [r] * n
+        # the place value of each slot's digit
+        self.weights = [prod(self.radices[k + 1:])
+                        for k in range(len(self.radices))]
         self.letter = np.array([w for w, _ in self.alphabet], dtype=np.int64)
         self.sign = np.array([o for _, o in self.alphabet], dtype=np.int64)
         # rank of (w, o) at (o > 0) * q + w; -1 outside the alphabet
@@ -96,12 +104,21 @@ class _Codes:
         self.rank[(self.sign > 0) * q + self.letter] = np.arange(r)
 
     def decode(self, codes):
-        """(letter columns, sign columns) of codes."""
+        """(digit columns, letter columns, sign columns) of codes."""
         L = 2 * self.genus
         digits = _digits(codes, self.radices)
         ranks = digits[L:]
-        return (digits[:L] + [self.letter[k] for k in ranks],
+        return (digits, digits[:L] + [self.letter[k] for k in ranks],
                 [self.sign[k] for k in ranks])
+
+    def _ranks(self, w, o):
+        """Alphabet ranks of the (letter, sign) pairs of a puncture
+        column; MoveError when one lies outside the alphabet."""
+        k = self.rank[(o > 0) * self.group.order + w]
+        if (k < 0).any():
+            raise MoveError("a move left the level's (letter, sign) "
+                            "alphabet (catalog bug)")
+        return k
 
     def encode(self, cols, signs, size):
         """Codes of size states given as letter and sign columns (none
@@ -113,12 +130,21 @@ class _Codes:
             code *= q
             code += c
         for w, o in zip(cols[L:], signs):
-            k = self.rank[(o > 0) * q + w]
-            if (k < 0).any():
-                raise MoveError("a move left the level's (letter, sign) "
-                                "alphabet (catalog bug)")
             code *= len(self.alphabet)
-            code += k
+            code += self._ranks(w, o)
+        return code
+
+    def recode(self, code, digits, cols, signs, slots):
+        """Codes of states given as letter and sign columns that agree,
+        outside slots, with the states of code, whose digit columns are
+        digits: code plus (new - old digit) * place value over slots.
+        Only the punctures in slots are ranked; MoveError when one of
+        them lies outside the alphabet."""
+        L = 2 * self.genus
+        code = code.copy()
+        for s in slots:
+            new = cols[s] if s < L else self._ranks(cols[s], signs[s - L])
+            code += (new - digits[s]) * self.weights[s]
         return code
 
     def code_of(self, t):
@@ -142,7 +168,7 @@ class _Codes:
     def tuples(self, codes):
         """The BranchedTuples of codes, in order."""
         codes = np.asarray(codes, dtype=np.int64)
-        cols, signs = self.decode(codes)
+        _, cols, signs = self.decode(codes)
         G, g, L = self.group, self.genus, 2 * self.genus
         out = []
         # the codes themselves count the rows when there are no columns
@@ -248,6 +274,63 @@ def _relator(L):
     return [r for i in range(0, L, 2) for r in (i, i + 1, ~i, ~(i + 1))]
 
 
+def _closed_level(G, g, surjective):
+    """Sorted codes of the genus-g closed level, g >= 1: every handle
+    prefix p (the first g - 1 handles) followed by each pair of the
+    commutator fibre over the inverse of p's commutator product."""
+    q = G.order
+    mulf, inv = _np_tables(G)
+    # the pair codes a * q + b grouped by their commutator [a, b] = c,
+    # pairs[offsets[c]:offsets[c + 1]], ascending within each group
+    # because the sort is stable
+    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    comm = word_values(_relator(2), {0: a, 1: b}, q, mulf, inv)
+    pairs = np.argsort(comm, kind="stable")
+    offsets = np.zeros(q + 1, dtype=np.int64)
+    np.cumsum(np.bincount(comm, minlength=q), out=offsets[1:])
+    # commutator product of every prefix in code order, handle by handle
+    hprod = np.zeros(1, dtype=np.int64)
+    for _ in range(g - 1):
+        hprod = mulf[(hprod * q)[:, None] + comm].ravel()
+    first = offsets[inv[hprod]]  # where each prefix's fibre starts
+    counts = offsets[inv[hprod] + 1] - first
+    del hprod
+    ends = np.cumsum(counts)
+    starts = ends - counts  # each prefix's first row among all rows
+    # prefix blocks of about FILTER_CHUNK codes each (more only when one
+    # fibre is larger), cut where the running row count passes a
+    # multiple of FILTER_CHUNK; the identity prefix has a row, so no
+    # block is empty
+    cuts = np.searchsorted(ends, np.arange(FILTER_CHUNK, int(ends[-1]),
+                                           FILTER_CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [counts.size]))).tolist()
+    memo = {}
+    parts = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cnt = counts[lo:hi]
+        base = int(starts[lo])
+        # row k of the block is entry k - (the block's rows before its
+        # prefix) of its prefix's fibre, so the codes come out ascending
+        at = np.repeat(first[lo:hi] - (starts[lo:hi] - base), cnt)
+        at += np.arange(int(ends[hi - 1]) - base)
+        prefix = np.arange(lo, hi, dtype=np.int64)
+        code = np.repeat(prefix * (q * q), cnt)
+        code += pairs[at]
+        if surjective:
+            # a prefix whose letters generate G makes all of its rows
+            # surjective; only the other rows need their last handle
+            keep = np.repeat(_surjective_mask(
+                G, _digits(prefix, [q] * (2 * g - 2)), hi - lo, memo), cnt)
+            rest = ~keep
+            if rest.any():
+                keep[rest] = _surjective_mask(
+                    G, _digits(code[rest], [q] * (2 * g)),
+                    int(np.count_nonzero(rest)), memo)
+            code = code[keep]
+        parts.append(code)
+    return np.concatenate(parts)
+
+
 def build_level(G, g, v, surjective=True, budget=None):
     """(_Codes, sorted codes) of the genus-g tuples with branch data v
     (surjective ones only if asked); with no punctures, the closed level.
@@ -255,15 +338,21 @@ def build_level(G, g, v, surjective=True, budget=None):
     Each distinct order of the slot kinds is one block of candidates, a
     mixed radix over the handle letters and the pools of all slots but
     the last; the last letter is solved from the relation and kept when
-    it lies in its pool.  A closed level has one block, the empty order,
-    over its 2g handle digits: there is no letter to solve, so the
-    relation must hold, and the candidates come in code order.
-    Candidates are filtered FILTER_CHUNK at a time.  BudgetError, before
-    anything is allocated, when covers.candidate_count exceeds budget or
-    the code space overflows int64.
+    it lies in its pool.  Candidates are filtered FILTER_CHUNK at a time.
+    A closed level of genus g >= 1 is solved for its last handle: each of
+    the q^{2(g-1)} handle prefixes is followed by the commutator fibre
+    over the inverse of its commutator product, prefix blocks of about
+    FILTER_CHUNK codes at a time, and the codes come out sorted.  The
+    genus-0 closed level is one block, the empty order, whose only
+    candidate is the empty tuple.  BudgetError, before anything is
+    allocated, when covers.candidate_count exceeds budget or the code
+    space overflows int64.
     """
     if budget is not None and candidate_count(G, g, v) > budget:
         raise BudgetError(f"enumeration budget {budget} exhausted")
+    if g and not v.cardinality:
+        codes = _Codes(G, g, 0, ())  # checks the code space first
+        return codes, _closed_level(G, g, surjective)
     pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
              for kind, _ in v.counts}
     slots = [kind for kind, k in v.counts for _ in range(k)]
@@ -277,8 +366,8 @@ def build_level(G, g, v, surjective=True, budget=None):
     for order in _multiset_permutations(slots):
         radices = [q] * L + [pools[kind].size for kind in order[:-1]]
         # the relation solves the last letter as p^{-1}, so p must be the
-        # inverse of a letter of the last slot's pool; with no slots the
-        # relation itself must hold, p = 1
+        # inverse of a letter of the last slot's pool; with no slots (the
+        # empty tuple) the relation itself must hold, p = 1
         fits = np.zeros(q, dtype=bool)
         fits[inv[pools[order[-1]]] if order else 0] = True
         signs = [sign for _, sign in order]
@@ -300,13 +389,10 @@ def build_level(G, g, v, surjective=True, budget=None):
                 keep[keep] = _surjective_mask(G, [c[keep] for c in cols],
                                               int(np.count_nonzero(keep)), memo)
             size = int(np.count_nonzero(keep))
-            # a closed level's candidate index is its code
             parts.append(codes.encode([c[keep] for c in cols],
-                                      [np.full(size, s) for s in signs], size)
-                         if order else idx[keep])
+                                      [np.full(size, s) for s in signs], size))
     level = np.concatenate(parts) if parts else np.zeros(0, np.int64)
-    if slots:
-        level.sort()
+    level.sort()
     return codes, level
 
 
@@ -333,15 +419,23 @@ def _positions(level, codes):
     return pos
 
 
-def _sweep(codes, level, appliers, dense):
-    """Partition a sorted, move-closed level into orbits.
+def _sweep(codes, level, plans, dense):
+    """Partition a sorted, move-closed level into orbits under the moves
+    of plans.
 
     Each orbit is seeded at the least level code outside the orbits
     before it and grown breadth first, every move applied to whole
-    frontier pieces.  With dense, visited flags and orbit ids are
-    indexed by code over the whole code space; otherwise by level
-    position.  Returns (seed codes, orbit sizes, orbit ids).
+    frontier pieces and re-encoded in the slots it writes only.  With
+    dense, visited flags and orbit ids are indexed by code over the
+    whole code space; otherwise by level position.  Returns (seed codes,
+    orbit sizes, orbit ids).
     """
+    L = 2 * codes.genus
+    # each move with the slots whose letter or sign it writes
+    moves = [(_applier(codes.group, plan),
+              sorted({s for s, _ in plan.writes}
+                     | {L + j for j, _ in plan.signs}))
+             for plan in plans]
     n_tuples = int(level.size)
     if dense:
         visited = np.zeros(codes.size, dtype=bool)
@@ -364,9 +458,10 @@ def _sweep(codes, level, appliers, dense):
             new_parts = []
             for start in range(0, frontier.size, FILTER_CHUNK):
                 piece = frontier[start:start + FILTER_CHUNK]
-                cols, signs = codes.decode(piece if dense else level[piece])
-                for f in appliers:
-                    enc = codes.encode(*f(cols, signs), piece.size)
+                code = piece if dense else level[piece]
+                digits, cols, signs = codes.decode(code)
+                for f, slots in moves:
+                    enc = codes.recode(code, digits, *f(cols, signs), slots)
                     if not dense:
                         enc = _positions(level, enc)
                     enc = enc[~visited[enc]]
@@ -378,6 +473,10 @@ def _sweep(codes, level, appliers, dense):
             # acts on the level as a bijection, so it maps the distinct
             # codes of a frontier piece to distinct codes, and each part
             # skips the codes that the parts before it marked visited.
+            # The old frontier goes (piece and code may be views of it)
+            # before the new one is joined from its parts, so that the
+            # three are never held at once.
+            del frontier, piece, code
             frontier = (np.concatenate(new_parts) if new_parts
                         else np.array([], dtype=np.int64))
             size += int(frontier.size)
@@ -395,9 +494,34 @@ def _sweep(codes, level, appliers, dense):
     return seeds, sizes, ids
 
 
+def _forward_moves(G, catalog):
+    """The moves of catalog without those that only undo or repeat
+    another: an *Inv kind whose forward kind with the same index is in
+    the catalog, and a GlobalConj by an element that an earlier
+    GlobalConj's element equals or inverts (an involution generator
+    appears twice).
+
+    The orbits stay the same.  Every move permutes the finite level (the
+    sweep's closure check enforces that), so its inverse is one of its
+    powers, and the forward closure of a tuple is its whole orbit."""
+    kinds = {(m.kind, m.index) for m in catalog}
+    conj = set()
+    out = []
+    for m in catalog:
+        if m.kind.endswith("Inv") and (m.kind[:-3], m.index) in kinds:
+            continue
+        if m.kind == "GlobalConj":
+            if m.element in conj:
+                continue
+            conj |= {m.element, G.inv[m.element]}
+        out.append(m)
+    return out
+
+
 def orbit_scan(G, g, v, catalog, budget=None):
     """Partition the surjective genus-g level with branch data v into
-    catalog orbits.
+    catalog orbits, applying only the catalog's forward moves
+    (_forward_moves).
 
     A closed level (v without punctures) keeps its visited flags and
     orbit ids over its whole code space, so that space is capped at
@@ -414,8 +538,8 @@ def orbit_scan(G, g, v, catalog, budget=None):
             raise BudgetError(
                 f"closed level of {total} states exceeds cap {VEC_STATE_CAP}")
     codes, level = build_level(G, g, v, True, None if closed else budget)
-    appliers = [_applier(G, move_plan(G, m, g, codes.n)) for m in catalog]
-    seeds, sizes, ids = _sweep(codes, level, appliers, dense=closed)
+    plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)]
+    seeds, sizes, ids = _sweep(codes, level, plans, dense=closed)
     table = FastOrbitTable(MOVE_SET_TAG, tuple(codes.tuples(seeds)),
                            tuple(sizes), {}, codes, ids,
                            None if closed else level)

@@ -37,6 +37,8 @@ LEVELS = [
     ("z70", 1, ()),
     ("s3", 0, ()),  # the empty tuple, surjective only onto the trivial group
     ("z1", 0, ()),
+    ("k4", 3, ()),
+    ("s3", 3, ()),
 ]
 
 
@@ -48,8 +50,9 @@ def test_vectorized_enumeration_equals_the_walk(name, g, spec, surjective):
     assert got == oracle_enumerate(G, g, v, surjective=surjective)
 
 
-# a closed level's budget counts the q^{2(g-1)} handle prefixes of its
-# walk; the genus-0 closed level examines none, so no budget is exceeded
+# a closed level's budget counts the q^{2(g-1)} handle prefixes that the
+# builder and the walk both solve for the last handle; the genus-0
+# closed level examines none, so no budget is exceeded
 @pytest.mark.parametrize("name,g,spec", [lv for lv in LEVELS if lv[1] or lv[2]])
 def test_budget_error_exactly_when_the_walk_raises(name, g, spec):
     G, v = _level(name, g, spec)

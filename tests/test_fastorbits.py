@@ -4,7 +4,7 @@ enumeration walk."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from schur_orbits import fastorbits
@@ -17,12 +17,20 @@ from schur_orbits.covers import (
 )
 from schur_orbits.fastorbits import (
     _applier,
+    _forward_moves,
+    _sweep,
     build_level,
     closed_orbit_scan,
     orbit_scan,
 )
 from schur_orbits.groups import build_group
-from schur_orbits.moves import apply_move, move_catalog, move_plan, orbits
+from schur_orbits.moves import (
+    MovePlan,
+    apply_move,
+    move_catalog,
+    move_plan,
+    orbits,
+)
 
 from conftest import cyclic, get_group, transposition_class
 from enumeration_oracle import oracle_enumerate
@@ -107,13 +115,16 @@ def test_closed_scan_relabelled_generators():
     np.testing.assert_array_equal(fast.ids, ids)
 
 
-# chunk 7 also splits the sweep's frontiers into pieces
+# chunks 7 and 1 also split the sweep's frontiers into pieces; at
+# genus 3 the closed builder's prefix blocks straddle chunk boundaries,
+# and chunk 1 gives every prefix a block of its own, larger than a chunk
 @pytest.mark.parametrize("name,g,chunk", [("a4", 2, 1000), ("s3", 3, 4097),
-                                          ("z70", 1, 999), ("d4", 2, 7)])
+                                          ("z70", 1, 999), ("d4", 2, 7),
+                                          ("d4", 3, 1000), ("k4", 3, 1)])
 def test_filter_chunking_does_not_change_the_table(name, g, chunk,
                                                    monkeypatch):
     G = cyclic(70) if name == "z70" else get_group(name)
-    assert G.order ** (2 * g) % chunk
+    assert chunk == 1 or G.order ** (2 * g) % chunk
     cat = move_catalog(G, g, 0)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", G.order ** (2 * g))
     whole, n_whole = closed_orbit_scan(G, g, cat)
@@ -287,7 +298,66 @@ def test_move_off_the_level_is_a_move_error(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 2})
     codes, level = build_level(s3, 0, v)
-    appliers = [_applier(s3, move_plan(s3, m, 0, 4))
-                for m in move_catalog(s3, 0, 4)]
+    plans = [move_plan(s3, m, 0, 4) for m in move_catalog(s3, 0, 4)]
     with pytest.raises(fastorbits.MoveError, match="not move-closed"):
-        fastorbits._sweep(codes, level[:1], appliers, dense=False)
+        _sweep(codes, level[:1], plans, dense=False)
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+def test_move_off_the_alphabet_is_a_move_error(s3, slot):
+    # a plan that writes the identity into one puncture slot, the first
+    # or the last: the sweep re-ranks only that slot, and must still
+    # find the pair outside the level's alphabet
+    tc = transposition_class(s3)
+    v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 2})
+    codes, level = build_level(s3, 0, v)
+    bad = MovePlan(4, 0, ((5, (slot,), [0] * s3.order, (slot,)),),
+                   ((slot, 5),), ())
+    with pytest.raises(fastorbits.MoveError, match="alphabet"):
+        _sweep(codes, level, [bad], dense=False)
+
+
+@st.composite
+def sweep_levels(draw):
+    """(group, genus, branch data) of a small closed (genus 1-2) or
+    punctured level; s3, k4 and d4 have an involution generator, whose
+    GlobalConj the catalog lists twice."""
+    G = get_group(draw(st.sampled_from(["s3", "k4", "d4", "q8", "a4"])))
+    if draw(st.booleans()):
+        g = draw(st.integers(1, 2))
+        assume(G.order ** (2 * g) <= 5000)
+        return G, g, BranchData(())
+    return draw(punctured_levels())
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(sweep_levels())
+@example((get_group("s3"), 2, BranchData(())))
+def test_forward_moves_give_the_catalog_orbits(case):
+    G, g, v = case
+    codes, level = build_level(G, g, v)
+    assume(level.size)
+    cat = move_catalog(G, g, codes.n)
+    forward = _forward_moves(G, cat)
+    assert len(forward) < len(cat)
+    closed = not v.cardinality
+    results = [_sweep(codes, level, [move_plan(G, m, g, codes.n) for m in ms],
+                      dense=closed)
+               for ms in (cat, forward)]
+    (seeds, sizes, ids), (fseeds, fsizes, fids) = results
+    assert (fseeds, fsizes) == (seeds, sizes)
+    np.testing.assert_array_equal(fids, ids)
+
+
+@pytest.mark.parametrize("name,g", [("k4", 3), ("s3", 3), ("a4", 2)])
+def test_closed_budget_counts_the_handle_prefixes(name, g):
+    # the builder walks the q^{2(g-1)} prefixes of the last handle
+    G = get_group(name)
+    v = BranchData(())
+    budget = candidate_count(G, g, v)
+    assert budget == G.order ** (2 * g - 2)
+    _, level = build_level(G, g, v, budget=budget)
+    assert level.size == closed_orbit_scan(G, g, move_catalog(G, g, 0))[1]
+    with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted"):
+        build_level(G, g, v, budget=budget - 1)

@@ -209,10 +209,10 @@ def candidate_count(G, g, v):
     the distinct orders of the slot kinds, q^{2g} times the pool sizes
     of all slots but the last, whose letter is solved from the relation;
     summed in closed form, kind by kind as the last slot, without walking
-    the orders.  With none: the q^{2(g-1)} handle prefixes that
-    fastorbits.build_level walks, each followed by the commutator
-    preimages of its product's inverse as the last handle (0 at g = 0,
-    whose only candidate is the empty tuple)."""
+    the orders.  With none: the q^{2(g-1)} letter prefixes of the last
+    handle (0 at g = 0, whose only candidate is the empty tuple).
+    fastorbits.build_level walks fewer prefixes, of handle-orbit labels;
+    the measure is kept so that budgets stop the same levels."""
     kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
     if not kinds:
         return G.order ** (2 * g - 2) if g else 0
@@ -230,15 +230,17 @@ def candidate_count(G, g, v):
 
 def enumerate_tuples(G, g, v, surjective=True, budget=None):
     """All BranchedTuples of genus g with branch data v, deterministic
-    lexicographic order: the level that fastorbits.build_level builds as
-    int64 codes, closed (no punctures) or punctured, decoded.  budget
-    caps candidate_count and raises BudgetError before anything is
-    built.
+    lexicographic order: fastorbits.build_level's nodes, closed or
+    punctured, expanded into one tuple-code array, sorted in place and
+    decoded.  budget caps candidate_count and raises BudgetError before
+    anything is built.
     """
     from .fastorbits import build_level  # fastorbits imports this module
 
     codes, level = build_level(G, g, v, surjective, budget)
-    return codes.tuples(level)
+    tuples = codes.expand(level)
+    tuples.sort()
+    return codes.tuples(tuples)
 
 
 def tuple_to_json(t):

@@ -1,45 +1,35 @@
 """Vectorized orbit scan for whole tuple levels, closed and punctured.
 
-A level is a sorted int64 array of tuple codes (_Codes): 2g handle
-digits of radix q = |G|, then one digit per puncture, the rank of its
-(letter, sign) pair in the level's sorted alphabet, so that code order
-is BranchedTuple.key order.  One builder (build_level) makes every
-level, a closed level being the one with no punctures.  Each distinct
-order of the puncture kinds is one block of candidates, a mixed radix
-over the handle letters and every slot pool but the last, the last
-letter being solved from the relation.  A closed level of genus g >= 1
-is solved for its last handle the same way: each of its q^{2(g-1)}
-handle prefixes is followed by the commutator fibre over the inverse of
-the prefix's commutator product.  Candidates are filtered, and closed
-levels expanded, about FILTER_CHUNK codes at a time.  The catalog's
-forward moves (_forward_moves: its inverse and repeated moves add
-nothing to a closure) run as numpy gathers compiled from the same move
-plans as moves.apply_move, puncture signs included, each re-encoding
-only the slots it writes; one frontier sweep (_sweep) partitions the
-level into orbits, decoding each frontier FILTER_CHUNK codes at a time.
-orbit_scan is builder, moves and sweep for every level.
+Every handle move of the catalog (TwistA, TwistB, HandleBlockTwist and
+their *Inv kinds) acts on its own pair (a_i, b_i) alone, fixes [a_i, b_i]
+letter for letter and keeps <a_i, b_i>.  So a level is a disjoint union
+of nodes: products of per-handle orbits on the q^2 pairs
+(_handle_orbits, once per group, numbered by least pair) times one
+puncture word.  A node code (_Codes) has a label digit per handle and a
+digit per puncture; node order is the order of the nodes' least tuples,
+and a genus-0 level's nodes are its tuples.  One builder (build_level)
+makes every level's sorted node codes, and one frontier sweep (_sweep)
+partitions them into orbits under the moves that span handles or
+punctures.  Each of those moves is a transition table on the digits of
+each of its sites (_transitions), built by running the move plan of
+moves.apply_move over the site's tuples, for the digit values that occur
+in the level.  ChainTwist is a relation on nodes (up to 22 targets per
+label pair on A4, 53 on S4), so its frontier is deduplicated.  Orbit and
+level sizes are sums of node weights, the products of orbit sizes.
 
-A closed level indexes its visited flags and orbit ids by code: 5 B per
-code of the q^{2g} code space, plus 8 B per level tuple and per code of
-the current and the next frontier, besides chunk-sized temporaries; its
-code space is capped at VEC_STATE_CAP.  A punctured level indexes them
-by level position, found with np.searchsorted, which also checks that
-every move stays in the level: 21 B per tuple plus the frontiers.  On a
-2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 7 in-process
-runs, the A4 genus-3 level (742,560 tuples among 12^6 codes) builds in
-0.036 s and closes in 0.35 s, 0.39 s in all (0.5 us/tuple); filtering
-all 12^6 codes and applying all 25 catalog moves took 0.54 + 0.56 s.
-Punctured levels, built and closed, median of 5 in-process runs: S4 g=0
-"8 transpositions" (131,040 tuples) 0.39 s, 3.0 us/tuple, more than
-half of it in np.searchsorted; A4 g=0 "3 c, 3 c -" (20,400) 0.053 s,
-2.6 us/tuple; S3 g=1 "6 transpositions" (8,736 in 6 orbits) 0.040 s,
-4.6 us/tuple.
+On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 5
+in-process orbit_scan runs: A4 g=3 (742,560 tuples in 948 nodes)
+0.019 s, D4 g=4 (8.2M tuples) 0.033 s, S3 g=5 (20.1M) 0.032 s, S4 g=3
+(15.4M in 12,344 nodes) 0.32 s, most of it in surjectivity closures.
+Genus 0 sweeps tuples: S4 "8 transpositions" (131,040) 0.39 s,
+2.9 us/tuple, half of it in np.searchsorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,7 +43,9 @@ from .covers import (
 )
 from .groups import closure
 from .moves import (
+    _MOVE_WORDS,
     MOVE_SET_TAG,
+    Move,
     MoveError,
     OrbitTable,
     _np_tables,
@@ -64,8 +56,16 @@ from .moves import (
 __all__ = ["orbit_scan", "closed_orbit_scan", "build_level", "FastOrbitTable",
            "VEC_STATE_CAP"]
 
+# Pre-checks kept from the letter-code engines only so that the same
+# levels raise BudgetError (lifting them would change reports): a closed
+# level's q^{2g} code space cap, and covers.candidate_count's budget
 VEC_STATE_CAP = 1 << 28
-FILTER_CHUNK = 1 << 18  # codes decoded at a time by the filter and sweep
+FILTER_CHUNK = 1 << 18  # prefixes, frontier nodes or tuples at a time
+
+# the move kinds that act within one handle (an *Inv kind has the orbits
+# of its forward kind); their orbits on pairs are the label digits
+_HANDLE_KINDS = tuple(kind for kind, (site, _, _) in _MOVE_WORDS.items()
+                      if site == "handle" and not kind.endswith("Inv"))
 
 
 def _digits(codes, radices):
@@ -79,37 +79,95 @@ def _digits(codes, radices):
     return cols
 
 
+def _ragged(starts, counts):
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for every
+    i, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+
+
+def _distinct(a):
+    """The sorted distinct values of a: np.unique without the numpy.ma
+    import it makes on first use (45 ms on a 2-CPU Xeon VM)."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _blocks(weight):
+    """Bounds of consecutive blocks of about FILTER_CHUNK total weight
+    (more only when one item outweighs it)."""
+    cuts = np.searchsorted(np.cumsum(weight), np.arange(
+        FILTER_CHUNK, weight.sum(), FILTER_CHUNK), side="right")
+    return _distinct(np.concatenate(([0], cuts, [weight.size]))).tolist()
+
+
+def _handle_orbits(G):
+    """The orbits of the handle moves on the q^2 pairs (a, b), coded
+    a * q + b and labelled in the order of their least pairs, computed
+    once per group: label (pair code -> label), least (label -> least
+    pair), size, comm (label -> [a, b] of each of its pairs), and
+    members, the pair codes by label, ascending, from start[label]."""
+    if "handle orbits" not in G.cache:
+        q = G.order
+        mulf, inv = _np_tables(G)
+        pairs = np.arange(q * q, dtype=np.int64)
+        ab = list(np.divmod(pairs, q))
+        perms = []
+        for kind in _HANDLE_KINDS:
+            out, _ = _applier(G, move_plan(G, Move(kind), 1, 0))(ab)
+            perms.append(out[0] * q + out[1])
+        # each pair's label falls to the least pair code joined to it,
+        # along every move both ways and by pointer jumping
+        lab, old = pairs, None
+        while old is None or (lab != old).any():
+            old = lab
+            for p in perms:
+                lab = np.minimum(lab, lab[p])
+                lab[p] = np.minimum(lab[p], lab)
+            lab = lab[lab]
+        least, label = np.unique(lab, return_inverse=True)
+        size = np.bincount(label)
+        a, b = np.divmod(least, q)
+        G.cache["handle orbits"] = SimpleNamespace(
+            label=label, least=least, size=size,
+            comm=word_values(_relator(2), {0: a, 1: b}, q, mulf, inv),
+            start=np.cumsum(size) - size,
+            members=np.argsort(label, kind="stable"))
+    return G.cache["handle orbits"]
+
+
 class _Codes:
-    """int64 codes of the genus-g, n-puncture tuples whose punctures take
-    (letter, sign) pairs from alphabet: 2g handle digits of radix q =
-    |G|, then one digit per puncture, the rank of its pair in the sorted
-    alphabet.  Code order is BranchedTuple.key order."""
+    """Codes of the genus-g, n-puncture tuples whose punctures take
+    (letter, sign) pairs from alphabet, and of their nodes.
+
+    A tuple code has 2g handle digits of radix q = |G|, then one digit
+    per puncture, the rank of its pair in the sorted alphabet, so that
+    tuple-code order is BranchedTuple.key order.  A node code has one
+    label digit per handle (radix K, the number of handle orbits), then
+    the same puncture digits; the node holds the tuples whose handle
+    pairs lie in those orbits.  Labels are numbered by least pair, so
+    node order is the order of the nodes' least tuples."""
 
     def __init__(self, G, g, n, alphabet):
         self.group, self.genus, self.n = G, g, n
         self.alphabet = tuple(sorted(alphabet))
         q, r = G.order, len(self.alphabet)
-        self.size = q ** (2 * g) * r ** n
-        if self.size >= 1 << 63:
+        if q ** (2 * g) * r ** n >= 1 << 63:
             raise BudgetError(f"code space of {q}^{2 * g} handle codes times "
                               f"{r}^{n} puncture codes overflows int64")
-        self.radices = [q] * (2 * g) + [r] * n
-        # the place value of each slot's digit
-        self.weights = [prod(self.radices[k + 1:])
-                        for k in range(len(self.radices))]
+        self.orbits = _handle_orbits(G)
+        self.radices = [self.orbits.size.size] * g + [r] * n
+        # the place value of each node digit; tail, that of the last label
+        self.place = [prod(self.radices[k + 1:])
+                      for k in range(len(self.radices))]
+        self.tail = r ** n
         self.letter = np.array([w for w, _ in self.alphabet], dtype=np.int64)
         self.sign = np.array([o for _, o in self.alphabet], dtype=np.int64)
         # rank of (w, o) at (o > 0) * q + w; -1 outside the alphabet
         self.rank = np.full(2 * q, -1, dtype=np.int64)
         self.rank[(self.sign > 0) * q + self.letter] = np.arange(r)
-
-    def decode(self, codes):
-        """(digit columns, letter columns, sign columns) of codes."""
-        L = 2 * self.genus
-        digits = _digits(codes, self.radices)
-        ranks = digits[L:]
-        return (digits, digits[:L] + [self.letter[k] for k in ranks],
-                [self.sign[k] for k in ranks])
 
     def _ranks(self, w, o):
         """Alphabet ranks of the (letter, sign) pairs of a puncture
@@ -120,36 +178,46 @@ class _Codes:
                             "alphabet (catalog bug)")
         return k
 
-    def encode(self, cols, signs, size):
-        """Codes of size states given as letter and sign columns (none
-        at all on the genus-0 closed level); MoveError when a puncture's
-        (letter, sign) pair lies outside the alphabet."""
-        q, L = self.group.order, 2 * self.genus
-        code = np.zeros(size, dtype=np.int64)
-        for c in cols[:L]:
-            code *= q
-            code += c
-        for w, o in zip(cols[L:], signs):
-            code *= len(self.alphabet)
-            code += self._ranks(w, o)
-        return code
+    def weight(self, nodes):
+        """The number of tuples of each node: its handle orbit sizes
+        multiplied."""
+        w = np.ones(nodes.size, dtype=np.int64)
+        for label in _digits(nodes // self.tail, self.radices[:self.genus]):
+            w *= self.orbits.size[label]
+        return w
 
-    def recode(self, code, digits, cols, signs, slots):
-        """Codes of states given as letter and sign columns that agree,
-        outside slots, with the states of code, whose digit columns are
-        digits: code plus (new - old digit) * place value over slots.
-        Only the punctures in slots are ranked; MoveError when one of
-        them lies outside the alphabet."""
-        L = 2 * self.genus
-        code = code.copy()
-        for s in slots:
-            new = cols[s] if s < L else self._ranks(cols[s], signs[s - L])
-            code += (new - digits[s]) * self.weights[s]
-        return code
+    def tuple_codes(self, nodes, least=False):
+        """Tuple codes of the tuples of nodes, node by node and ascending
+        within each; with least, only each node's least tuple."""
+        H, q = self.orbits, self.group.order
+        rows = np.arange(nodes.size)
+        code = np.zeros(nodes.size, dtype=np.int64)
+        for label in _digits(nodes // self.tail, self.radices[:self.genus]):
+            label = label[rows]
+            if least:
+                pair = H.least[label]
+            else:
+                cnt = H.size[label]
+                pair = H.members[_ragged(H.start[label], cnt)]
+                rows, code = rows.repeat(cnt), code.repeat(cnt)
+            code = code * (q * q) + pair
+        return code * self.tail + nodes[rows] % self.tail
+
+    def expand(self, nodes):
+        """tuple_codes of nodes in one array, sized from the node weights
+        and filled about FILTER_CHUNK tuples at a time."""
+        weight = self.weight(nodes)
+        ends = np.cumsum(weight)
+        out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        bounds = _blocks(weight)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[ends[lo] - weight[lo]:ends[hi - 1]] = \
+                self.tuple_codes(nodes[lo:hi])
+        return out
 
     def code_of(self, t):
-        """The code of one tuple; KeyError when it has another shape, a
-        letter outside 0..|G|-1 or a puncture outside the alphabet."""
+        """The node code of one tuple; KeyError when it has another shape,
+        a letter outside 0..|G|-1 or a puncture outside the alphabet."""
         q = self.group.order
         if (t.genus != self.genus or len(t.punctures) != self.n
                 or not all(0 <= x < q for x in t.letters())
@@ -157,7 +225,7 @@ class _Codes:
             raise KeyError("tuple not in this orbit table")
         code = 0
         for a, b in t.handles:
-            code = (code * q + a) * q + b
+            code = code * self.orbits.size.size + int(self.orbits.label[a * q + b])
         for w, o in t.punctures:
             k = int(self.rank[(o > 0) * q + w])
             if k < 0:
@@ -166,13 +234,16 @@ class _Codes:
         return code
 
     def tuples(self, codes):
-        """The BranchedTuples of codes, in order."""
+        """The BranchedTuples of tuple codes, in order."""
         codes = np.asarray(codes, dtype=np.int64)
-        _, cols, signs = self.decode(codes)
         G, g, L = self.group, self.genus, 2 * self.genus
+        digits = _digits(codes, [G.order] * L + [len(self.alphabet)] * self.n)
+        ranks = digits[L:]
+        cols = (digits[:L] + [self.letter[k] for k in ranks]
+                + [self.sign[k] for k in ranks])
         out = []
         # the codes themselves count the rows when there are no columns
-        for _, *row in zip(codes.tolist(), *[c.tolist() for c in cols + signs]):
+        for _, *row in zip(codes.tolist(), *[c.tolist() for c in cols]):
             handles = tuple(zip(row[0:L:2], row[1:L:2]))
             punctures = tuple(zip(row[L:L + self.n], row[L + self.n:]))
             out.append(BranchedTuple(G, g, handles, punctures))
@@ -181,31 +252,27 @@ class _Codes:
 
 @dataclass(frozen=True, eq=False)
 class FastOrbitTable(OrbitTable):
-    """OrbitTable of a level held as codes; orbit_of stays empty.  A
-    closed level's orbit ids are indexed by code (-1 off the level) and
-    level is None; a punctured level's ids are parallel to level, its
-    sorted codes."""
+    """OrbitTable of a level held as nodes (_Codes); orbit_of stays
+    empty.  level holds the sorted node codes, ids the orbit of each."""
 
     codes: _Codes
     ids: np.ndarray
-    level: np.ndarray | None = None
+    level: np.ndarray
 
     def orbit_id(self, t):
         code = self.codes.code_of(t)
-        if self.level is not None:
-            pos = int(np.searchsorted(self.level, code))
-            if pos == self.level.size or self.level[pos] != code:
-                raise KeyError("tuple not in this orbit table")
-            code = pos
-        i = int(self.ids[code])
-        if i < 0:
+        pos = int(np.searchsorted(self.level, code))
+        if pos == self.level.size or self.level[pos] != code:
             raise KeyError("tuple not in this orbit table")
-        return i
+        return int(self.ids[pos])
 
     def members(self):
-        """Orbit id -> the orbit's tuples in key order (punctured levels)."""
+        """Orbit id -> the orbit's tuples in key order."""
+        codes = self.codes.expand(self.level)
+        ids = self.ids.repeat(self.codes.weight(self.level))
+        order = np.argsort(codes, kind="stable")
         out = {i: [] for i in range(self.num_orbits)}
-        for t, i in zip(self.codes.tuples(self.level), self.ids.tolist()):
+        for t, i in zip(self.codes.tuples(codes[order]), ids[order].tolist()):
             out[i].append(t)
         return out
 
@@ -274,140 +341,79 @@ def _relator(L):
     return [r for i in range(0, L, 2) for r in (i, i + 1, ~i, ~(i + 1))]
 
 
-def _closed_level(G, g, surjective):
-    """Sorted codes of the genus-g closed level, g >= 1: every handle
-    prefix p (the first g - 1 handles) followed by each pair of the
-    commutator fibre over the inverse of p's commutator product."""
-    q = G.order
-    mulf, inv = _np_tables(G)
-    # the pair codes a * q + b grouped by their commutator [a, b] = c,
-    # pairs[offsets[c]:offsets[c + 1]], ascending within each group
-    # because the sort is stable
-    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
-    comm = word_values(_relator(2), {0: a, 1: b}, q, mulf, inv)
-    pairs = np.argsort(comm, kind="stable")
-    offsets = np.zeros(q + 1, dtype=np.int64)
-    np.cumsum(np.bincount(comm, minlength=q), out=offsets[1:])
-    # commutator product of every prefix in code order, handle by handle
-    hprod = np.zeros(1, dtype=np.int64)
-    for _ in range(g - 1):
-        hprod = mulf[(hprod * q)[:, None] + comm].ravel()
-    first = offsets[inv[hprod]]  # where each prefix's fibre starts
-    counts = offsets[inv[hprod] + 1] - first
-    del hprod
-    ends = np.cumsum(counts)
-    starts = ends - counts  # each prefix's first row among all rows
-    # prefix blocks of about FILTER_CHUNK codes each (more only when one
-    # fibre is larger), cut where the running row count passes a
-    # multiple of FILTER_CHUNK; the identity prefix has a row, so no
-    # block is empty
-    cuts = np.searchsorted(ends, np.arange(FILTER_CHUNK, int(ends[-1]),
-                                           FILTER_CHUNK), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [counts.size]))).tolist()
-    memo = {}
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        cnt = counts[lo:hi]
-        base = int(starts[lo])
-        # row k of the block is entry k - (the block's rows before its
-        # prefix) of its prefix's fibre, so the codes come out ascending
-        at = np.repeat(first[lo:hi] - (starts[lo:hi] - base), cnt)
-        at += np.arange(int(ends[hi - 1]) - base)
-        prefix = np.arange(lo, hi, dtype=np.int64)
-        code = np.repeat(prefix * (q * q), cnt)
-        code += pairs[at]
-        if surjective:
-            # a prefix whose letters generate G makes all of its rows
-            # surjective; only the other rows need their last handle
-            keep = np.repeat(_surjective_mask(
-                G, _digits(prefix, [q] * (2 * g - 2)), hi - lo, memo), cnt)
-            rest = ~keep
-            if rest.any():
-                keep[rest] = _surjective_mask(
-                    G, _digits(code[rest], [q] * (2 * g)),
-                    int(np.count_nonzero(rest)), memo)
-            code = code[keep]
-        parts.append(code)
-    return np.concatenate(parts)
-
-
 def build_level(G, g, v, surjective=True, budget=None):
-    """(_Codes, sorted codes) of the genus-g tuples with branch data v
-    (surjective ones only if asked); with no punctures, the closed level.
+    """(_Codes, sorted node codes) of the genus-g level with branch data v
+    (surjective tuples only if asked); with no punctures, the closed
+    level.
 
-    Each distinct order of the slot kinds is one block of candidates, a
-    mixed radix over the handle letters and the pools of all slots but
-    the last; the last letter is solved from the relation and kept when
-    it lies in its pool.  Candidates are filtered FILTER_CHUNK at a time.
-    A closed level of genus g >= 1 is solved for its last handle: each of
-    the q^{2(g-1)} handle prefixes is followed by the commutator fibre
-    over the inverse of its commutator product, prefix blocks of about
-    FILTER_CHUNK codes at a time, and the codes come out sorted.  The
-    genus-0 closed level is one block, the empty order, whose only
-    candidate is the empty tuple.  BudgetError, before anything is
-    allocated, when covers.candidate_count exceeds budget or the code
-    space overflows int64.
+    Each distinct order of the puncture kinds is one block: a mixed radix
+    over every digit but the last, FILTER_CHUNK prefixes at a time, each
+    followed by the entries of the last pool (labels on a closed level,
+    letters otherwise) whose commutator or letter is the inverse of the
+    prefix's product.  The empty tuple has no digits and product 1.
+    Surjectivity is tested on each node's least tuple, since <a, b> is
+    the same on a handle orbit.  BudgetError, before anything is
+    allocated, when covers.candidate_count exceeds budget or the tuple
+    code space overflows int64.
     """
     if budget is not None and candidate_count(G, g, v) > budget:
         raise BudgetError(f"enumeration budget {budget} exhausted")
-    if g and not v.cardinality:
-        codes = _Codes(G, g, 0, ())  # checks the code space first
-        return codes, _closed_level(G, g, surjective)
     pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
              for kind, _ in v.counts}
     slots = [kind for kind, k in v.counts for _ in range(k)]
     codes = _Codes(G, g, len(slots), [(w, sign) for (_, sign), pool in
                                       pools.items() for w in pool.tolist()])
-    q, L = G.order, 2 * g
+    q, H = G.order, codes.orbits
     mulf, inv = _np_tables(G)
-    word = _relator(L) + list(range(L, L + len(slots) - 1))
+    # a digit's pool entries as (node digit, group value, letter columns)
+    handle = (np.arange(H.size.size), H.comm, np.divmod(H.least, q))
     memo = {}
     parts = []
     for order in _multiset_permutations(slots):
-        radices = [q] * L + [pools[kind].size for kind in order[:-1]]
-        # the relation solves the last letter as p^{-1}, so p must be the
-        # inverse of a letter of the last slot's pool; with no slots (the
-        # empty tuple) the relation itself must hold, p = 1
-        fits = np.zeros(q, dtype=bool)
-        fits[inv[pools[order[-1]]] if order else 0] = True
-        signs = [sign for _, sign in order]
+        digits = [handle] * g + [(codes.rank[(sign > 0) * q + pools[c, sign]],
+                                  pools[c, sign], (pools[c, sign],))
+                                 for c, sign in order]
+        *head, (_, value, _) = digits or [(None, np.zeros(1, np.int64), None)]
+        # the last pool's entries grouped by value, ascending within each
+        by = np.argsort(value, kind="stable")
+        offsets = np.zeros(q + 1, dtype=np.int64)
+        np.cumsum(np.bincount(value, minlength=q), out=offsets[1:])
+        radices = [d.size for d, _, _ in head]
         total = prod(radices)
         for start in range(0, total, FILTER_CHUNK):
             idx = np.arange(start, min(start + FILTER_CHUNK, total),
                             dtype=np.int64)
             cols = _digits(idx, radices)
-            cols[L:] = [pools[kind][d] for kind, d in zip(order, cols[L:])]
-            p = (word_values(word, dict(enumerate(cols)), q, mulf, inv)
-                 if word else np.zeros_like(idx))
-            keep = fits[p]
-            if order:
-                cols.append(inv[p])  # the solved last letter
-            # free the chunk-sized product before the surjectivity filter:
-            # kept, it raised the A4 genus-3 build's peak RSS by 3 MiB
-            del p
-            if surjective and keep.any():
-                keep[keep] = _surjective_mask(G, [c[keep] for c in cols],
-                                              int(np.count_nonzero(keep)), memo)
-            size = int(np.count_nonzero(keep))
-            parts.append(codes.encode([c[keep] for c in cols],
-                                      [np.full(size, s) for s in signs], size))
-    level = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+            p = np.zeros_like(idx)
+            for (_, val, _), c in zip(head, cols):
+                p = mulf[p * q + val[c]]
+            need = inv[p]
+            cnt = offsets[need + 1] - offsets[need]
+            cols = ([c.repeat(cnt) for c in cols]
+                    + [by[_ragged(offsets[need], cnt)]])
+            if surjective:
+                keep = _surjective_mask(G, [x[c] for (_, _, xs), c in
+                                            zip(digits, cols) for x in xs],
+                                        cols[-1].size, memo)
+                cols = [c[keep] for c in cols]
+            code = np.zeros(cols[-1].size, dtype=np.int64)
+            for (d, _, _), c, w in zip(digits, cols, codes.place):
+                code += d[c] * w
+            parts.append(code)
+    level = np.concatenate(parts)
     level.sort()
     return codes, level
 
 
-def _next_unvisited(seats, visited, pos):
-    """Index of the first level position at or after pos whose seat is
-    not yet visited (seats.size if none), searched in blocks that double
-    in size."""
+def _next_unvisited(ids, pos):
+    """The first node position at or after pos without an orbit id
+    (ids.size if none), searched in blocks that double in size."""
     step = 64
-    while pos < seats.size:
-        block = visited[seats[pos:pos + step]]
-        if not block.all():
-            return pos + int(block.argmin())
-        pos += block.size
-        step *= 2
-    return pos
+    while pos < ids.size and (ids[pos:pos + step] >= 0).all():
+        pos, step = pos + step, step * 2
+    if pos >= ids.size:
+        return ids.size
+    return pos + int((ids[pos:pos + step] < 0).argmax())
 
 
 def _positions(level, codes):
@@ -419,78 +425,146 @@ def _positions(level, codes):
     return pos
 
 
-def _sweep(codes, level, plans, dense):
-    """Partition a sorted, move-closed level into orbits under the moves
-    of plans.
+def _sites(plan, g):
+    """The node digit ranges (lo, hi) on which plan's move acts
+    independently: each written letter or sign with the digits it is
+    computed from, merged where they overlap."""
+    def digit(slot):
+        return slot // 2 if slot < 2 * g else slot - g
 
-    Each orbit is seeded at the least level code outside the orbits
-    before it and grown breadth first, every move applied to whole
-    frontier pieces and re-encoded in the slots it writes only.  With
-    dense, visited flags and orbit ids are indexed by code over the
-    whole code space; otherwise by level position.  Returns (seed codes,
-    orbit sizes, orbit ids).
+    reads = {plan.slots: set()}  # register -> the digits it is read from
+    for reg, _, _, word in plan.steps:
+        reads[reg] = set().union(*(
+            reads[r] if r >= plan.slots else {digit(r)}
+            for r in (r if r >= 0 else ~r for r in word)))
+    spans = [{digit(slot)} | reads.get(reg, {digit(reg)})
+             for slot, reg in plan.writes]
+    spans += [{g + j, g + src} for j, src in plan.signs]
+    sites = []
+    for lo, hi in sorted((min(d), max(d)) for d in spans):
+        if sites and lo <= sites[-1][1]:
+            lo, hi = sites[-1][0], max(hi, sites.pop()[1])
+        sites.append((lo, hi))
+    return sites
+
+
+def _transitions(codes, plan, lo, hi, level):
+    """The transition table of plan's move on node digits lo..hi, read as
+    one mixed-radix key, for the keys that occur in level: the plan runs
+    over every tuple of each key (its handle orbits' pairs, its
+    punctures' letters and signs), keys blocked by that count.
+
+    Returns (place, space, start, delta, multi): a node whose key is
+    k = code // place % space moves to code + delta[j] for j in
+    start[k]:start[k + 1]; multi when some key has several targets.
     """
-    L = 2 * codes.genus
-    # each move with the slots whose letter or sign it writes
-    moves = [(_applier(codes.group, plan),
-              sorted({s for s, _ in plan.writes}
-                     | {L + j for j, _ in plan.signs}))
-             for plan in plans]
-    n_tuples = int(level.size)
-    if dense:
-        visited = np.zeros(codes.size, dtype=bool)
-        seats = level  # where each level position's flag sits
-    else:
-        visited = np.zeros(n_tuples, dtype=bool)
-        seats = np.arange(n_tuples)
-    ids = np.full(visited.size, -1, dtype=np.int32)
-    seeds = []
-    sizes = []
-    pos = _next_unvisited(seats, visited, 0)
-    while pos < n_tuples:
-        seed = int(seats[pos])
+    G, g, H = codes.group, codes.genus, codes.orbits
+    q = G.order
+    radices = codes.radices[lo:hi + 1]
+    place, space = codes.place[hi], prod(radices)
+    seen = np.zeros(space, dtype=bool)
+    for start in range(0, level.size, FILTER_CHUNK):
+        seen[level[start:start + FILTER_CHUNK] // place % space] = True
+    keys = np.flatnonzero(seen)
+    f = _applier(G, plan)
+    digits = _digits(keys, radices)
+    # label 0 holds only pair code 0, the identities, which every move
+    # fixes, so the zero digits of keys * place count once
+    bounds = _blocks(codes.weight(keys * place))
+    parts = []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        rows = np.arange(b0, b1)
+        cols, signs = {}, {}
+        for d, digit in zip(range(lo, hi + 1), digits):
+            if d < g:
+                label = digit[rows]
+                cnt = H.size[label]
+                pair = H.members[_ragged(H.start[label], cnt)]
+                rows = rows.repeat(cnt)
+                cols = {s: c.repeat(cnt) for s, c in cols.items()}
+                cols[2 * d], cols[2 * d + 1] = np.divmod(pair, q)
+            else:  # punctures follow every handle, so nothing repeats after
+                cols[d + g] = codes.letter[digit[rows]]
+                signs[d - g] = codes.sign[digit[rows]]
+        # letters outside the site are read by no letter inside it
+        zero = np.zeros(rows.size, dtype=np.int64)
+        out, out_signs = f([cols.get(s, zero) for s in range(plan.slots)],
+                           [signs.get(j, zero + 1) for j in range(codes.n)])
+        target = np.zeros(rows.size, dtype=np.int64)
+        for d, radix in zip(range(lo, hi + 1), radices):
+            target *= radix
+            target += (H.label[out[2 * d] * q + out[2 * d + 1]] if d < g
+                       else codes._ranks(out[d + g], out_signs[d - g]))
+        parts.append(_distinct(rows * space + target))
+    pairs = np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
+    src = keys[pairs // space]
+    start = np.zeros(space + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=space), out=start[1:])
+    return (place, space, start, (pairs % space - src) * place,
+            bool((np.diff(start) > 1).any()))
+
+
+def _sweep(codes, level, plans):
+    """Partition a sorted, move-closed node level into orbits under the
+    moves of plans, with the handle moves that connect each node.
+
+    Each orbit is seeded at the least node outside the orbits before it
+    and grown breadth first: every move's transition tables map whole
+    frontier pieces of node codes to the node codes their tuples reach,
+    whose level positions np.searchsorted finds.  A move with more than
+    one target per key can reach a node twice, so its output is
+    deduplicated; every other move permutes the nodes.  Returns (seed
+    node codes, orbit sizes in tuples, orbit id of every node).
+    """
+    tables = [[_transitions(codes, plan, lo, hi, level)
+               for lo, hi in _sites(plan, codes.genus)] for plan in plans]
+    n_nodes = int(level.size)
+    ids = np.full(n_nodes, -1, dtype=np.int32)
+    seeds, sizes, reached = [], [], 0
+    pos = _next_unvisited(ids, 0)
+    while pos < n_nodes:
         oid = len(seeds)
-        visited[seed] = True
-        ids[seed] = oid
-        frontier = np.array([seed], dtype=np.int64)
-        size = 1
+        ids[pos] = oid
+        frontier = np.array([pos], dtype=np.int64)
+        size = 0
         while frontier.size:
+            reached += frontier.size
+            size += int(codes.weight(level[frontier]).sum())
             new_parts = []
             for start in range(0, frontier.size, FILTER_CHUNK):
-                piece = frontier[start:start + FILTER_CHUNK]
-                code = piece if dense else level[piece]
-                digits, cols, signs = codes.decode(code)
-                for f, slots in moves:
-                    enc = codes.recode(code, digits, *f(cols, signs), slots)
-                    if not dense:
-                        enc = _positions(level, enc)
-                    enc = enc[~visited[enc]]
+                code = level[frontier[start:start + FILTER_CHUNK]]
+                for sites in tables:
+                    enc = code
+                    for place, space, begin, delta, multi in sites:
+                        key = enc // place % space
+                        at = begin[key]
+                        if multi:
+                            cnt = begin[key + 1] - at
+                            enc = enc.repeat(cnt) + delta[_ragged(at, cnt)]
+                        else:
+                            enc = enc + delta[at]
+                    enc = _positions(level, enc)
+                    enc = enc[ids[enc] < 0]
+                    if any(site[-1] for site in sites):
+                        enc = _distinct(enc)
                     if enc.size:
-                        visited[enc] = True
                         ids[enc] = oid
                         new_parts.append(enc)
-            # No code repeats, so nothing needs deduplicating: each move
-            # acts on the level as a bijection, so it maps the distinct
-            # codes of a frontier piece to distinct codes, and each part
-            # skips the codes that the parts before it marked visited.
-            # The old frontier goes (piece and code may be views of it)
-            # before the new one is joined from its parts, so that the
-            # three are never held at once.
-            del frontier, piece, code
+            # the old frontier goes before the new one is joined
+            del frontier
             frontier = (np.concatenate(new_parts) if new_parts
                         else np.array([], dtype=np.int64))
-            size += int(frontier.size)
         seeds.append(int(level[pos]))
         sizes.append(size)
-        pos = _next_unvisited(seats, visited, pos + 1)
-    # the level must be move-closed (everything visited is in the level),
-    # and no code may be counted twice (every move is a bijection)
-    if not int(visited.sum()) == sum(sizes) == n_tuples:
+        pos = _next_unvisited(ids, pos + 1)
+    # a move that permutes the nodes reaches no node twice, so every node
+    # is counted once unless the level or the catalog is wrong
+    if reached != n_nodes:
         raise MoveError("level is not move-closed (catalog/filter bug)")
-    # Each seed is the least level code outside the earlier orbits, and
-    # its orbit stays in the level, so the seed is the orbit's least code
-    # and the orbits are already in representative order.  The orbit is
-    # closed under conjugation, so the seed is its own canonical form.
+    # Each seed is the least node outside the earlier orbits, so its
+    # least tuple is its orbit's, the orbits come in representative
+    # order, and (orbits are closed under conjugation) each
+    # representative is its own canonical form.
     return seeds, sizes, ids
 
 
@@ -520,30 +594,33 @@ def _forward_moves(G, catalog):
 
 def orbit_scan(G, g, v, catalog, budget=None):
     """Partition the surjective genus-g level with branch data v into
-    catalog orbits, applying only the catalog's forward moves
-    (_forward_moves).
+    catalog orbits: build_level's nodes, swept with the catalog's forward
+    moves (_forward_moves) but its handle moves, which must twist every
+    handle (MoveError otherwise).
 
-    A closed level (v without punctures) keeps its visited flags and
-    orbit ids over its whole code space, so that space is capped at
+    BudgetError, before anything is allocated, on the levels that raised
+    it before nodes: a closed level's q^{2g} code space is capped at
     VEC_STATE_CAP and budget is not used; budget caps a punctured level's
-    candidate count as in covers.enumerate_tuples.  Either raises
-    BudgetError before anything is allocated.
+    candidate count as in covers.enumerate_tuples.
 
     Returns (FastOrbitTable, number of tuples in the level).
     """
-    closed = not v.cardinality
-    if closed:
-        total = G.order ** (2 * g)
-        if total > VEC_STATE_CAP:
-            raise BudgetError(
-                f"closed level of {total} states exceeds cap {VEC_STATE_CAP}")
+    closed, total = not v.cardinality, G.order ** (2 * g)
+    if closed and total > VEC_STATE_CAP:
+        raise BudgetError(
+            f"closed level of {total} states exceeds cap {VEC_STATE_CAP}")
+    if not ({(m.kind.removesuffix("Inv"), m.index) for m in catalog}
+            >= {(kind, i) for kind in _HANDLE_KINDS for i in range(g)}):
+        raise MoveError("the catalog lacks a handle move on some handle")
     codes, level = build_level(G, g, v, True, None if closed else budget)
-    plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)]
-    seeds, sizes, ids = _sweep(codes, level, plans, dense=closed)
-    table = FastOrbitTable(MOVE_SET_TAG, tuple(codes.tuples(seeds)),
-                           tuple(sizes), {}, codes, ids,
-                           None if closed else level)
-    return table, int(level.size)
+    plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
+             if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]
+    seeds, sizes, ids = _sweep(codes, level, plans)
+    reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64),
+                                          least=True))
+    table = FastOrbitTable(MOVE_SET_TAG, tuple(reps), tuple(sizes), {},
+                           codes, ids, level)
+    return table, sum(sizes)
 
 
 def closed_orbit_scan(G, g, catalog):

@@ -104,9 +104,9 @@ def move_catalog(G, g, n):
     inverse, so the catalog conjugates by all of Inn(G), whatever the
     subgroup that a tuple's letters generate.  Braids and twists come
     with their *Inv kinds as well.  The orbit scan
-    (fastorbits.orbit_scan) applies only the forward moves, since on a
-    finite level a move's inverse is one of its powers; move_closure
-    applies them all."""
+    (fastorbits.orbit_scan) sweeps only the forward moves that span
+    handles or punctures, over products of handle-move orbits;
+    move_closure applies them all."""
     cat = []
     for j in range(n - 1):
         cat.append(Move("Braid", j, note="half-twist of branch points j, j+1"))

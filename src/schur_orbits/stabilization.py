@@ -263,7 +263,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
             f = _round_map(G, cids, skip_handle)
             # every member of a punctured level is mapped; a closed
             # level is too large, so only its representatives are
-            members = prev.members() if prev.level is not None else None
+            members = prev.members() if prev.codes.n else None
             flags = induced_orbit_map(f, prev, table,
                                       exhaustive_members=members)
             entry["induced_map"] = {

@@ -103,5 +103,6 @@ def small_levels(draw):
 @given(small_levels(), st.booleans())
 def test_level_sizes_match_the_count_oracle(case, surjective):
     G, g, v = case
-    size = build_level(G, g, v, surjective)[1].size
+    codes, level = build_level(G, g, v, surjective)
+    size = int(codes.weight(level).sum())
     assert size == level_count(G, g, v, surjective)

@@ -17,14 +17,18 @@ from schur_orbits.covers import (
 )
 from schur_orbits.fastorbits import (
     _applier,
+    _Codes,
     _forward_moves,
+    _handle_orbits,
     _sweep,
+    _transitions,
     build_level,
     closed_orbit_scan,
     orbit_scan,
 )
-from schur_orbits.groups import build_group
+from schur_orbits.groups import build_group, closure
 from schur_orbits.moves import (
+    Move,
     MovePlan,
     apply_move,
     move_catalog,
@@ -74,18 +78,27 @@ def test_numpy_moves_match_apply_move(case):
                 [o for _, o in moved.punctures], m
 
 
-def _generic_ids(G, g, cat, level):
-    """The hash-BFS orbit table of a closed level, and its orbit id for
-    every code of the level's q^{2g} code space (-1 off the level)."""
-    slow = orbits(level, cat)
+def _code_space(G, g):
+    """Every closed genus-g tuple of letters, on the level or not: one
+    per code of the q^{2g} code space, in code order."""
     q = G.order
-    ids = np.full(q ** (2 * g), -1, dtype=np.int32)
-    for t in level:
-        code = 0
-        for a, b in t.handles:
-            code = (code * q + a) * q + b
-        ids[code] = slow.orbit_id(t)
-    return slow, ids
+    for code in range(q ** (2 * g)):
+        letters = [code // q ** k % q for k in reversed(range(2 * g))]
+        yield BranchedTuple(G, g, tuple(zip(letters[0::2], letters[1::2])), ())
+
+
+def _assert_same_ids(fast, ref, G, g):
+    """fast gives every code of the closed genus-g code space the orbit
+    id that ref gives it, and raises KeyError on every code that ref
+    does not hold (off the level)."""
+    for t in _code_space(G, g):
+        try:
+            want = ref.orbit_id(t)
+        except KeyError:
+            with pytest.raises(KeyError):
+                fast.orbit_id(t)
+        else:
+            assert fast.orbit_id(t) == want
 
 
 @pytest.mark.parametrize("name", ["k4", "s3", "d4", "q8", "a4"])
@@ -94,11 +107,11 @@ def test_closed_scan_matches_hash_bfs(name):
     cat = move_catalog(G, 2, 0)
     fast, n_tuples = closed_orbit_scan(G, 2, cat)
     level = oracle_enumerate(G, 2, BranchData.from_dict({}))
-    slow, ids = _generic_ids(G, 2, cat, level)
+    slow = orbits(level, cat)
     assert n_tuples == len(level)
     assert fast.to_json() == slow.to_json()
     assert all(fast.orbit_id(t) == slow.orbit_id(t) for t in level)
-    np.testing.assert_array_equal(fast.ids, ids)
+    _assert_same_ids(fast, slow, G, 2)
 
 
 def test_closed_scan_relabelled_generators():
@@ -109,15 +122,15 @@ def test_closed_scan_relabelled_generators():
     cat = move_catalog(G, 2, 0)
     fast, n_tuples = closed_orbit_scan(G, 2, cat)
     level = oracle_enumerate(G, 2, BranchData.from_dict({}))
-    slow, ids = _generic_ids(G, 2, cat, level)
+    slow = orbits(level, cat)
     assert n_tuples == len(level)
     assert fast.to_json() == slow.to_json()
-    np.testing.assert_array_equal(fast.ids, ids)
+    _assert_same_ids(fast, slow, G, 2)
 
 
-# chunks 7 and 1 also split the sweep's frontiers into pieces; at
-# genus 3 the closed builder's prefix blocks straddle chunk boundaries,
-# and chunk 1 gives every prefix a block of its own, larger than a chunk
+# the chunk splits the transition tables' key blocks and the expansion
+# of the level into tuples; chunks 1 and 7 also split the builder's
+# label prefixes and the sweep's frontiers
 @pytest.mark.parametrize("name,g,chunk", [("a4", 2, 1000), ("s3", 3, 4097),
                                           ("z70", 1, 999), ("d4", 2, 7),
                                           ("d4", 3, 1000), ("k4", 3, 1)])
@@ -133,7 +146,13 @@ def test_filter_chunking_does_not_change_the_table(name, g, chunk,
     assert n_chunked == n_whole
     assert chunked.to_json() == whole.to_json()
     assert chunked.sizes == whole.sizes
-    np.testing.assert_array_equal(chunked.ids, whole.ids)
+    level = enumerate_tuples(G, g, BranchData(()))
+    assert len(level) == n_whole
+    assert all(chunked.orbit_id(t) == whole.orbit_id(t) for t in level)
+    off = BranchedTuple(G, g, ((0, 0),) * g, ())  # generates only 1
+    for table in (whole, chunked):
+        with pytest.raises(KeyError):
+            table.orbit_id(off)
 
 
 def test_closed_scan_group_over_64_elements():
@@ -144,10 +163,10 @@ def test_closed_scan_group_over_64_elements():
     cat = move_catalog(G, 1, 0)
     fast, n_tuples = closed_orbit_scan(G, 1, cat)
     level = oracle_enumerate(G, 1, BranchData.from_dict({}))
-    slow, ids = _generic_ids(G, 1, cat, level)
+    slow = orbits(level, cat)
     assert n_tuples == len(level) == 3456
     assert fast.to_json() == slow.to_json()
-    np.testing.assert_array_equal(fast.ids, ids)
+    _assert_same_ids(fast, slow, G, 1)
 
 
 def test_closed_level_cap_is_a_budget_error(s3, monkeypatch):
@@ -164,7 +183,12 @@ def test_genus_zero_closed_level(name, n_tuples):
     assert n == n_tuples
     assert table.representatives == (BranchedTuple(G, 0, (), ()),) * n_tuples
     assert table.sizes == (1,) * n_tuples
-    np.testing.assert_array_equal(table.ids, [0 if n_tuples else -1])
+    empty = BranchedTuple(G, 0, (), ())  # the one code of the code space
+    if n_tuples:
+        assert table.orbit_id(empty) == 0
+    else:
+        with pytest.raises(KeyError):
+            table.orbit_id(empty)
 
 
 def test_orbit_id_rejects_letters_outside_the_group(k4, s3):
@@ -300,7 +324,7 @@ def test_move_off_the_level_is_a_move_error(s3):
     codes, level = build_level(s3, 0, v)
     plans = [move_plan(s3, m, 0, 4) for m in move_catalog(s3, 0, 4)]
     with pytest.raises(fastorbits.MoveError, match="not move-closed"):
-        _sweep(codes, level[:1], plans, dense=False)
+        _sweep(codes, level[:1], plans)
 
 
 @pytest.mark.parametrize("slot", [0, 3])
@@ -314,7 +338,7 @@ def test_move_off_the_alphabet_is_a_move_error(s3, slot):
     bad = MovePlan(4, 0, ((5, (slot,), [0] * s3.order, (slot,)),),
                    ((slot, 5),), ())
     with pytest.raises(fastorbits.MoveError, match="alphabet"):
-        _sweep(codes, level, [bad], dense=False)
+        _sweep(codes, level, [bad])
 
 
 @st.composite
@@ -341,9 +365,7 @@ def test_forward_moves_give_the_catalog_orbits(case):
     cat = move_catalog(G, g, codes.n)
     forward = _forward_moves(G, cat)
     assert len(forward) < len(cat)
-    closed = not v.cardinality
-    results = [_sweep(codes, level, [move_plan(G, m, g, codes.n) for m in ms],
-                      dense=closed)
+    results = [_sweep(codes, level, [move_plan(G, m, g, codes.n) for m in ms])
                for ms in (cat, forward)]
     (seeds, sizes, ids), (fseeds, fsizes, fids) = results
     assert (fseeds, fsizes) == (seeds, sizes)
@@ -357,7 +379,130 @@ def test_closed_budget_counts_the_handle_prefixes(name, g):
     v = BranchData(())
     budget = candidate_count(G, g, v)
     assert budget == G.order ** (2 * g - 2)
-    _, level = build_level(G, g, v, budget=budget)
-    assert level.size == closed_orbit_scan(G, g, move_catalog(G, g, 0))[1]
+    codes, level = build_level(G, g, v, budget=budget)
+    assert codes.weight(level).sum() == \
+        closed_orbit_scan(G, g, move_catalog(G, g, 0))[1]
     with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted"):
         build_level(G, g, v, budget=budget - 1)
+
+
+@st.composite
+def oracle_levels(draw):
+    """(group, genus, branch data) of a small level: closed at genus 0-3
+    with at most 50,000 codes, or genus 1 with 1-3 punctures."""
+    G = get_group(draw(st.sampled_from(["k4", "s3", "d4", "q8", "a4"])))
+    if draw(st.booleans()):
+        g = draw(st.integers(0, 3))
+        assume(G.order ** (2 * g) <= 50_000)
+        return G, g, BranchData(())
+    classes = [c for c, r in enumerate(G.class_reps) if r != 0]
+    kinds = draw(st.lists(st.tuples(st.sampled_from(classes),
+                                    st.sampled_from([1, -1])),
+                          min_size=1, max_size=3))
+    d = {}
+    for kind in kinds:
+        d[kind] = d.get(kind, 0) + 1
+    return G, 1, BranchData.from_dict(d)
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracle_levels())
+@example((get_group("s3"), 3, BranchData(())))
+@example((get_group("a4"), 1, BranchData.from_dict({(1, 1): 1, (2, -1): 2})))
+def test_class_engine_matches_hash_bfs(case):
+    G, g, v = case
+    cat = move_catalog(G, g, v.cardinality)
+    fast, n_tuples = orbit_scan(G, g, v, cat)
+    level = oracle_enumerate(G, g, v)
+    slow = orbits(level, cat)
+    assert n_tuples == len(level)
+    assert fast.to_json() == slow.to_json()
+    assert all(fast.orbit_id(t) == slow.orbit_id(t) for t in level)
+    want = {i: [] for i in range(slow.num_orbits)}
+    for t in sorted(level):
+        want[slow.orbit_id(t)].append(t)
+    assert fast.members() == want
+
+
+def _handle_move_orbits(G):
+    """Reference labels of the q^2 pairs: breadth first along the genus-1
+    handle moves with apply_move, orbits numbered as met in code order."""
+    q = G.order
+    moves = [m for m in move_catalog(G, 1, 0) if m.kind != "GlobalConj"]
+    label = {}
+    for a in range(q):
+        for b in range(q):
+            if (a, b) in label:
+                continue
+            k = len(set(label.values()))
+            label[a, b] = k
+            frontier = [BranchedTuple(G, 1, ((a, b),), ())]
+            while frontier:
+                t = frontier.pop()
+                for m in moves:
+                    u = apply_move(m, t)
+                    if u.handles[0] not in label:
+                        label[u.handles[0]] = k
+                        frontier.append(u)
+    return [label[divmod(pair, q)] for pair in range(q * q)]
+
+
+@pytest.mark.parametrize("name", ["k4", "s3", "d4", "q8", "a4", "s4"])
+def test_handle_orbit_labels_are_numbered_by_least_pair(name):
+    G = get_group(name)
+    H = _handle_orbits(G)
+    assert H.label.tolist() == _handle_move_orbits(G)
+    assert (np.diff(H.least) > 0).all()
+    for k, (lo, size) in enumerate(zip(H.start, H.size)):
+        pairs = H.members[lo:lo + size]
+        assert pairs[0] == H.least[k] and (np.diff(pairs) > 0).all()
+        assert (H.label[pairs] == k).all()
+
+
+@pytest.mark.parametrize("name", ["k4", "s3", "d4", "q8", "a4", "s4"])
+def test_commutator_and_subgroup_are_constant_on_handle_orbits(name):
+    G = get_group(name)
+    q = G.order
+    H = _handle_orbits(G)
+    for pair, k in enumerate(H.label.tolist()):
+        a, b = divmod(pair, q)
+        la, lb = divmod(int(H.least[k]), q)
+        assert G.commutator(a, b) == H.comm[k]
+        assert closure(G, [a, b]) == closure(G, [la, lb])
+
+
+@pytest.mark.parametrize("name", ["s3", "a4"])
+def test_chain_twist_relation_is_the_brute_force_relation(name):
+    # ChainTwist sends the tuples of one label pair to several label
+    # pairs, so its table must come from every tuple, not the least one
+    G = get_group(name)
+    q = G.order
+    codes = _Codes(G, 2, 0, ())
+    H = codes.orbits
+    K = H.size.size
+    m = Move("ChainTwist", 0)
+    # every label pair as a node of the genus-2 code space
+    place, space, start, delta, multi = _transitions(
+        codes, move_plan(G, m, 2, 0), 0, 1, np.arange(K * K))
+    assert (place, space) == (1, K * K)
+    got = {(k, k + int(d)) for k in range(K * K)
+           for d in delta[start[k]:start[k + 1]]}
+    want = set()
+    for p1 in range(q * q):
+        for p2 in range(q * q):
+            t = BranchedTuple(G, 2, (divmod(p1, q), divmod(p2, q)), ())
+            (a1, b1), (a2, b2) = apply_move(m, t).handles
+            want.add((int(H.label[p1]) * K + int(H.label[p2]),
+                      int(H.label[a1 * q + b1]) * K + int(H.label[a2 * q + b2])))
+    assert got == want
+    assert multi and np.diff(start).max() > 1
+
+
+def test_catalog_without_a_handle_move_is_a_move_error(s3):
+    # a node stands for whole handle-move orbits, so the scan needs every
+    # handle kind on every handle
+    cat = [m for m in move_catalog(s3, 2, 0)
+           if (m.kind, m.index) not in {("TwistB", 1), ("TwistBInv", 1)}]
+    with pytest.raises(fastorbits.MoveError, match="handle move"):
+        closed_orbit_scan(s3, 2, cat)

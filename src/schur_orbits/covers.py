@@ -14,7 +14,6 @@ w_j^{o_j}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .groups import FiniteGroup, generates
 
@@ -25,7 +24,6 @@ __all__ = [
     "make_tuple",
     "branch_data",
     "is_surjective",
-    "candidate_count",
     "enumerate_tuples",
     "connect_sum",
     "tuple_to_json",
@@ -100,11 +98,6 @@ class BranchData:
 
     def get(self, class_id, sign):
         return dict(self.counts).get((class_id, sign), 0)
-
-    def add_delta(self, class_id, sign, k=1):
-        d = self.as_dict()
-        d[(class_id, sign)] = d.get((class_id, sign), 0) + k
-        return BranchData.from_dict(d)
 
     def class_ids(self):
         return sorted({cid for (cid, _), _ in self.counts})
@@ -203,42 +196,18 @@ def _letters_for(G, class_id, sign):
     return sorted(G.inv[x] for x in range(1, G.order) if G.class_of[x] == class_id)
 
 
-def candidate_count(G, g, v):
-    """The size the enumeration budget measures for the genus-g level
-    with branch data v.  With n >= 1 punctures: the candidate words over
-    the distinct orders of the slot kinds, q^{2g} times the pool sizes
-    of all slots but the last, whose letter is solved from the relation;
-    summed in closed form, kind by kind as the last slot, without walking
-    the orders.  With none: the q^{2(g-1)} letter prefixes of the last
-    handle (0 at g = 0, whose only candidate is the empty tuple).
-    fastorbits.build_level walks fewer prefixes, of handle-orbit labels;
-    the measure is kept so that budgets stop the same levels."""
-    kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
-    if not kinds:
-        return G.order ** (2 * g - 2) if g else 0
-    n = sum(k for _, k in kinds)
-    total = 0
-    for last in range(len(kinds)):
-        orders, words = factorial(n - 1), 1
-        for i, (size, k) in enumerate(kinds):
-            k -= i == last
-            orders //= factorial(k)
-            words *= size ** k
-        total += orders * words
-    return G.order ** (2 * g) * total
-
-
 def enumerate_tuples(G, g, v, surjective=True, budget=None):
     """All BranchedTuples of genus g with branch data v, deterministic
     lexicographic order: fastorbits.build_level's nodes, closed or
     punctured, expanded into one tuple-code array, sorted in place and
-    decoded.  budget caps candidate_count and raises BudgetError before
-    anything is built.
+    decoded.  BudgetError when the builder would walk more than budget
+    prefixes or the level has more than budget tuples, raised before the
+    level, or its tuples, are allocated.
     """
     from .fastorbits import build_level  # fastorbits imports this module
 
     codes, level = build_level(G, g, v, surjective, budget)
-    tuples = codes.expand(level)
+    tuples = codes.expand(level, budget)
     tuples.sort()
     return codes.tuples(tuples)
 

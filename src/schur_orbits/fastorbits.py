@@ -11,11 +11,13 @@ and a genus-0 level's nodes are its tuples.  One builder (build_level)
 makes every level's sorted node codes, and one frontier sweep (_sweep)
 partitions them into orbits under the moves that span handles or
 punctures.  Each of those moves is a transition table on the digits of
-each of its sites (_transitions), built by running the move plan of
-moves.apply_move over the site's tuples, for the digit values that occur
-in the level.  ChainTwist is a relation on nodes (up to 22 targets per
-label pair on A4, 53 on S4), so its frontier is deduplicated.  Orbit and
-level sizes are sums of node weights, the products of orbit sizes.
+each of its sites (_transitions), built by running its moves.move_plan
+through _applier on numpy columns of the site's tuples, for the digit
+values that occur in the level.  ChainTwist is a relation on nodes (up
+to 22 targets per label pair on A4, 53 on S4), so its frontier is
+deduplicated.  Orbit and level sizes are sums of node weights, the
+products of orbit sizes.  A budget bounds the prefixes build_level walks
+(_prefix_count) and the tuples _Codes.expand makes.
 
 On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 5
 in-process orbit_scan runs: A4 g=3 (742,560 tuples in 948 nodes)
@@ -28,7 +30,7 @@ Genus 0 sweeps tuples: S4 "8 transpositions" (131,040) 0.39 s,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import factorial, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +41,6 @@ from .covers import (
     BudgetError,
     _letters_for,
     _multiset_permutations,
-    candidate_count,
 )
 from .groups import closure
 from .moves import (
@@ -53,13 +54,8 @@ from .moves import (
     word_values,
 )
 
-__all__ = ["orbit_scan", "closed_orbit_scan", "build_level", "FastOrbitTable",
-           "VEC_STATE_CAP"]
+__all__ = ["orbit_scan", "closed_orbit_scan", "build_level", "FastOrbitTable"]
 
-# Pre-checks kept from the letter-code engines only so that the same
-# levels raise BudgetError (lifting them would change reports): a closed
-# level's q^{2g} code space cap, and covers.candidate_count's budget
-VEC_STATE_CAP = 1 << 28
 FILTER_CHUNK = 1 << 18  # prefixes, frontier nodes or tuples at a time
 
 # the move kinds that act within one handle (an *Inv kind has the orbits
@@ -203,12 +199,17 @@ class _Codes:
             code = code * (q * q) + pair
         return code * self.tail + nodes[rows] % self.tail
 
-    def expand(self, nodes):
+    def expand(self, nodes, budget=None):
         """tuple_codes of nodes in one array, sized from the node weights
-        and filled about FILTER_CHUNK tuples at a time."""
+        and filled about FILTER_CHUNK tuples at a time; BudgetError, before
+        it is allocated, when it would hold more than budget tuples."""
         weight = self.weight(nodes)
         ends = np.cumsum(weight)
-        out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        total = int(ends[-1]) if ends.size else 0
+        if budget is not None and total > budget:
+            raise BudgetError(f"enumeration budget {budget} exhausted: "
+                              f"the level has {total} tuples")
+        out = np.empty(total, dtype=np.int64)
         bounds = _blocks(weight)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             out[ends[lo] - weight[lo]:ends[hi - 1]] = \
@@ -266,9 +267,10 @@ class FastOrbitTable(OrbitTable):
             raise KeyError("tuple not in this orbit table")
         return int(self.ids[pos])
 
-    def members(self):
-        """Orbit id -> the orbit's tuples in key order."""
-        codes = self.codes.expand(self.level)
+    def members(self, budget=None):
+        """Orbit id -> the orbit's tuples in key order; BudgetError when
+        the level has more than budget tuples (_Codes.expand)."""
+        codes = self.codes.expand(self.level, budget)
         ids = self.ids.repeat(self.codes.weight(self.level))
         order = np.argsort(codes, kind="stable")
         out = {i: [] for i in range(self.num_orbits)}
@@ -341,6 +343,30 @@ def _relator(L):
     return [r for i in range(0, L, 2) for r in (i, i + 1, ~i, ~(i + 1))]
 
 
+def _prefix_count(G, g, v):
+    """The prefixes build_level walks for the genus-g level with branch
+    data v, the measure its budget caps.  With n >= 1 punctures: over the
+    distinct orders of the slot kinds, K^g label prefixes (K handle
+    orbits) times the pool sizes of every puncture but the last, whose
+    letter is solved from the relation; summed in closed form, kind by
+    kind as the last slot, without walking the orders.  With none, the
+    last handle is solved: K^{g-1} prefixes, and at g = 0 the empty one."""
+    K = _handle_orbits(G).size.size if g else 1
+    kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
+    if not kinds:
+        return K ** max(g - 1, 0)
+    n = sum(k for _, k in kinds)
+    total = 0
+    for last in range(len(kinds)):
+        orders, words = factorial(n - 1), 1
+        for i, (size, k) in enumerate(kinds):
+            k -= i == last
+            orders //= factorial(k)
+            words *= size ** k
+        total += orders * words
+    return K ** g * total
+
+
 def build_level(G, g, v, surjective=True, budget=None):
     """(_Codes, sorted node codes) of the genus-g level with branch data v
     (surjective tuples only if asked); with no punctures, the closed
@@ -352,11 +378,11 @@ def build_level(G, g, v, surjective=True, budget=None):
     letters otherwise) whose commutator or letter is the inverse of the
     prefix's product.  The empty tuple has no digits and product 1.
     Surjectivity is tested on each node's least tuple, since <a, b> is
-    the same on a handle orbit.  BudgetError, before anything is
-    allocated, when covers.candidate_count exceeds budget or the tuple
-    code space overflows int64.
+    the same on a handle orbit.  BudgetError, before the level is
+    allocated, when it walks more than budget prefixes (_prefix_count)
+    or its tuple code space overflows int64.
     """
-    if budget is not None and candidate_count(G, g, v) > budget:
+    if budget is not None and _prefix_count(G, g, v) > budget:
         raise BudgetError(f"enumeration budget {budget} exhausted")
     pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
              for kind, _ in v.counts}
@@ -598,21 +624,15 @@ def orbit_scan(G, g, v, catalog, budget=None):
     moves (_forward_moves) but its handle moves, which must twist every
     handle (MoveError otherwise).
 
-    BudgetError, before anything is allocated, on the levels that raised
-    it before nodes: a closed level's q^{2g} code space is capped at
-    VEC_STATE_CAP and budget is not used; budget caps a punctured level's
-    candidate count as in covers.enumerate_tuples.
+    BudgetError, before the level is allocated, when build_level would
+    walk more than budget prefixes, closed or punctured.
 
     Returns (FastOrbitTable, number of tuples in the level).
     """
-    closed, total = not v.cardinality, G.order ** (2 * g)
-    if closed and total > VEC_STATE_CAP:
-        raise BudgetError(
-            f"closed level of {total} states exceeds cap {VEC_STATE_CAP}")
     if not ({(m.kind.removesuffix("Inv"), m.index) for m in catalog}
             >= {(kind, i) for kind in _HANDLE_KINDS for i in range(g)}):
         raise MoveError("the catalog lacks a handle move on some handle")
-    codes, level = build_level(G, g, v, True, None if closed else budget)
+    codes, level = build_level(G, g, v, True, budget)
     plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
              if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]
     seeds, sizes, ids = _sweep(codes, level, plans)
@@ -623,8 +643,8 @@ def orbit_scan(G, g, v, catalog, budget=None):
     return table, sum(sizes)
 
 
-def closed_orbit_scan(G, g, catalog):
+def closed_orbit_scan(G, g, catalog, budget=None):
     """orbit_scan of the closed genus-g level: (FastOrbitTable, number of
     tuples in the level).  A name of its own because
     perfbench/trace_job.py times closed scans through it."""
-    return orbit_scan(G, g, BranchData(()), catalog)
+    return orbit_scan(G, g, BranchData(()), catalog, budget)

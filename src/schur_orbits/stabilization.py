@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covers import BranchData, BranchedTuple, BudgetError, branch_data
+from .covers import BranchData, BranchedTuple, BudgetError
 from .fastorbits import closed_orbit_scan, orbit_scan
 from .groups import closure
-from .homology import m_g_c
+from .homology import hom_branch_type, m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog
 
 __all__ = [
@@ -163,16 +163,15 @@ def level_orbits(G, g, v, enum_budget):
     (g, v) level.
 
     Every level runs through fastorbits.orbit_scan, closed levels by way
-    of closed_orbit_scan, the name perfbench/trace_job.py times.  A
-    closed level's code space is capped at fastorbits.VEC_STATE_CAP, a
-    punctured level's candidate count at enum_budget; either raises
-    BudgetError before anything is allocated.
+    of closed_orbit_scan, the name perfbench/trace_job.py times.
+    enum_budget caps the prefixes fastorbits.build_level walks; a level
+    over it raises BudgetError before it is allocated.
     No tuple object is built but the representatives.
     """
     n = v.cardinality
     catalog = move_catalog(G, g, n)
     if n == 0:
-        return closed_orbit_scan(G, g, catalog)
+        return closed_orbit_scan(G, g, catalog, enum_budget)
     return orbit_scan(G, g, v, catalog, enum_budget)
 
 
@@ -192,17 +191,35 @@ def _round_map(G, class_ids, skip_handle):
     return f
 
 
+def _next_level(G, class_ids, skip_handle, g, v):
+    """The (genus, branch data) that a _round_map round sends level (g, v)
+    to, from branch data alone: each (c, -1) slot dilates to ord(c) - 1
+    slots of (c, +1), each class c of C (distinct class ids) adds ord(c)
+    slots of (c, +1), and g grows by 1 unless skip_handle."""
+    d = {(cid, 1): G.element_order(G.class_reps[cid]) for cid in class_ids}
+    for (cid, sign), k in v.counts:
+        if sign < 0:
+            k *= G.element_order(G.class_reps[cid]) - 1
+        d[(cid, 1)] = d.get((cid, 1), 0) + k
+    return g + (not skip_handle), BranchData.from_dict(d)
+
+
 def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
                   enum_budget=2_000_000):
     """Probe the stable range at (g, v) levels grown by stabilization
-    rounds until the orbit count plateaus over two full rounds, then
-    cross-check against |M(G)_C|."""
+    rounds (_next_level) until the orbit count plateaus over two full
+    rounds, then cross-check against |M(G)_C|."""
     cids = tuple(sorted(set(class_ids)))
     if v_seed is None:
         v_seed = BranchData.from_dict({})
     seed_classes = {c for (c, _), _ in v_seed.counts}
     if not seed_classes <= set(cids):
         raise StabilizationError("seed branch data not supported on C")
+    # rounds add ord(c) c and dilation keeps the class in G_ab, so a seed
+    # outside N has no tuple on any level of its track
+    if not hom_branch_type(G, cids, v_seed)[1]:
+        raise StabilizationError("seed branch data lies outside N: "
+                                 "no level of its track has a tuple")
     if g_seed is None:
         g_seed = 0 if cids else 1
     c_elems = [x for x in range(G.order) if G.class_of[x] in set(cids)]
@@ -230,6 +247,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         else:
             report.verdict = "mismatch"
 
+    f = _round_map(G, cids, skip_handle)
     g, v = g_seed, v_seed
     counts = []
     prev = None  # the orbit table of the previous level
@@ -237,6 +255,10 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
     for _ in range(max_rounds + 1):
         try:
             table, n_tuples = level_orbits(G, g, v, enum_budget)
+            # every member of a punctured level is mapped; a closed
+            # level is too large, so only its representatives are
+            members = (prev.members(enum_budget)
+                       if prev is not None and prev.codes.n else None)
         except BudgetError:
             report.levels.append({"g": g,
                                   "v": [[list(k), m] for k, m in v.counts],
@@ -260,10 +282,6 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
             },
         }
         if prev is not None:
-            f = _round_map(G, cids, skip_handle)
-            # every member of a punctured level is mapped; a closed
-            # level is too large, so only its representatives are
-            members = prev.members() if prev.codes.n else None
             flags = induced_orbit_map(f, prev, table,
                                       exhaustive_members=members)
             entry["induced_map"] = {
@@ -277,17 +295,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
             settle(counts[-1], certs[-3:])
             return report
         prev = table
-        # grow the level for the next round
-        f = _round_map(G, cids, skip_handle)
-        if table.representatives:
-            probe = f(table.representatives[0])
-            g, v = probe.genus, branch_data(probe)
-        else:
-            for cid in cids:
-                c = G.class_reps[cid]
-                v = v.add_delta(cid, 1, G.element_order(c))
-            if not skip_handle:
-                g += 1
+        g, v = _next_level(G, cids, skip_handle, g, v)
     report.verdict = "inconclusive"
     return report
 

@@ -1,16 +1,19 @@
 """Reference enumeration of levels: the Python walks that
 covers.enumerate_tuples ran before levels were built as int64 codes.
-They build one BranchedTuple per kept candidate and check the budget
-candidate by candidate, so they are slow but plainly right; the tests
-compare the vectorized level with them."""
+They build one BranchedTuple per kept candidate, so they are slow but
+plainly right; the tests compare the vectorized level with them.
+walked_prefixes counts the prefixes fastorbits.build_level walks by
+walking the slot orders, for the budget tests."""
+
+from math import prod
 
 from schur_orbits.covers import (
     BranchedTuple,
-    BudgetError,
     _letters_for,
     _multiset_permutations,
     is_surjective,
 )
+from schur_orbits.fastorbits import _handle_orbits
 
 
 def _commutator_preimages(G):
@@ -44,18 +47,15 @@ def _product_lex(pools):
             yield (x,) + tail
 
 
-def _closed_walk(G, g, surjective, budget):
+def _closed_walk(G, g, surjective):
     """The closed level: the last handle pair is solved from the relation
-    through the commutator preimages, and budget caps the handle
-    prefixes examined."""
+    through the commutator preimages."""
     if g == 0:
         t = BranchedTuple(G, 0, (), ())
         return [t] if not surjective or G.order == 1 else []
     results = []
     preim = _commutator_preimages(G)
-    for examined, (handles, hprod) in enumerate(_handle_prefixes(G, g - 1), 1):
-        if budget is not None and examined > budget:
-            raise BudgetError(f"enumeration budget {budget} exhausted")
+    for handles, hprod in _handle_prefixes(G, g - 1):
         # last handle must contribute the inverse of the prefix
         for a, b in preim.get(G.inv[hprod], ()):
             t = BranchedTuple(G, g, handles + ((a, b),), ())
@@ -66,27 +66,22 @@ def _closed_walk(G, g, surjective, budget):
     return results
 
 
-def oracle_enumerate(G, g, v, surjective=True, budget=None):
+def oracle_enumerate(G, g, v, surjective=True):
     """All BranchedTuples of genus g with branch data v, in key order.
     With n >= 1 punctures the last puncture letter is solved from the
-    relation, and budget caps the candidate words examined; with none,
-    see _closed_walk."""
+    relation; with none, see _closed_walk."""
     slots = []
     for (cid, sign), k in v.counts:
         slots.extend([(cid, sign)] * k)
     if not slots:
-        return _closed_walk(G, g, surjective, budget)
+        return _closed_walk(G, g, surjective)
     results = []
-    examined = 0
     for pattern in _multiset_permutations(slots):
         letter_pools = [_letters_for(G, cid, sign) for cid, sign in pattern[:-1]]
         last_cid, last_sign = pattern[-1]
         last_pool = set(_letters_for(G, last_cid, last_sign))
         for handles, hprod in _handle_prefixes(G, g):
             for free in _product_lex(letter_pools):
-                examined += 1
-                if budget is not None and examined > budget:
-                    raise BudgetError(f"enumeration budget {budget} exhausted")
                 p = hprod
                 for w in free:
                     p = G.mul[p][w]
@@ -102,3 +97,16 @@ def oracle_enumerate(G, g, v, surjective=True, budget=None):
                 results.append(t)
     results.sort()
     return results
+
+
+def walked_prefixes(G, g, v):
+    """The prefixes build_level walks, order by order: K^g handle-orbit
+    labels times the pool of every slot but the last, which is solved;
+    a closed level solves its last handle instead (K^{g-1}, and the
+    empty prefix at g = 0)."""
+    K = _handle_orbits(G).size.size
+    slots = [kind for kind, k in v.counts for _ in range(k)]
+    if not slots:
+        return K ** (g - 1) if g else 1
+    return sum(K ** g * prod(len(_letters_for(G, *kind)) for kind in order[:-1])
+               for order in _multiset_permutations(slots))

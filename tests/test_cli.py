@@ -167,12 +167,24 @@ def test_budget_exit_code(files, capsys):
 
 
 def test_closed_level_cap_exit_code(files, capsys):
+    # S3 g=11 walks 7^10 handle-orbit label prefixes
     code, out = run(capsys, ["orbits", "--group", files["s3"],
                              "--genus", "11", "--no-cache"])
     assert code == 2
     assert json.loads(out)["error"] == {
         "kind": "budget",
-        "message": f"closed level of {6 ** 22} states exceeds cap {1 << 28}"}
+        "message": "enumeration budget 2000000 exhausted"}
+
+
+def test_closed_enumerate_over_budget_exit_code(files, capsys):
+    # S3 g=5 walks 7^4 prefixes, but would expand into 20,132,640 tuples
+    code, out = run(capsys, ["enumerate", "--group", files["s3"],
+                             "--genus", "5", "--no-cache"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "budget",
+        "message": "enumeration budget 2000000 exhausted: "
+                   "the level has 20132640 tuples"}
 
 
 def test_exit_code_comes_from_the_error_type(files, capsys, monkeypatch):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from schur_orbits.covers import BranchData, BudgetError, candidate_count, enumerate_tuples
+from schur_orbits.covers import BranchData, BudgetError, enumerate_tuples
 from schur_orbits.fastorbits import build_level
 
 from conftest import cyclic, get_group
-from enumeration_oracle import oracle_enumerate
+from enumeration_oracle import oracle_enumerate, walked_prefixes
 from level_count_oracle import level_count, subgroups
 
 
@@ -50,18 +50,22 @@ def test_vectorized_enumeration_equals_the_walk(name, g, spec, surjective):
     assert got == oracle_enumerate(G, g, v, surjective=surjective)
 
 
-# a closed level's budget counts the q^{2(g-1)} handle prefixes that the
-# builder and the walk both solve for the last handle; the genus-0
-# closed level examines none, so no budget is exceeded
+# the builder's budget counts the prefixes it walks (walked_prefixes, by
+# walking the slot orders), and enumeration's counts the tuples too: each
+# passes at its count and raises one below it (the genus-0 closed levels
+# are in test_fastorbits.test_closed_budget_counts_the_handle_prefixes)
 @pytest.mark.parametrize("name,g,spec", [lv for lv in LEVELS if lv[1] or lv[2]])
 def test_budget_error_exactly_when_the_walk_raises(name, g, spec):
     G, v = _level(name, g, spec)
-    count = candidate_count(G, g, v)
-    assert enumerate_tuples(G, g, v, budget=count) == \
-        oracle_enumerate(G, g, v, budget=count)
-    for enum in (enumerate_tuples, oracle_enumerate):
-        with pytest.raises(BudgetError, match=f"budget {count - 1} exhausted"):
-            enum(G, g, v, budget=count - 1)
+    prefixes = walked_prefixes(G, g, v)
+    build_level(G, g, v, budget=prefixes)
+    with pytest.raises(BudgetError, match=f"budget {prefixes - 1} exhausted$"):
+        build_level(G, g, v, budget=prefixes - 1)
+    level = oracle_enumerate(G, g, v)
+    count = max(prefixes, len(level))
+    assert enumerate_tuples(G, g, v, budget=count) == level
+    with pytest.raises(BudgetError, match=f"budget {count - 1} exhausted"):
+        enumerate_tuples(G, g, v, budget=count - 1)
 
 
 def test_empty_pool_levels_are_empty(s3):
@@ -94,7 +98,7 @@ def small_levels(draw):
     if v.cardinality == 0:
         assume(1 <= g and G.order ** (2 * g) <= 20_000)
     else:
-        assume(v.cardinality <= 5 and candidate_count(G, g, v) <= 20_000)
+        assume(v.cardinality <= 5 and walked_prefixes(G, g, v) <= 20_000)
     return G, g, v
 
 

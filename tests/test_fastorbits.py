@@ -7,12 +7,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from schur_orbits import fastorbits
+from schur_orbits import cli, fastorbits
 from schur_orbits.covers import (
     BranchData,
     BranchedTuple,
     BudgetError,
-    candidate_count,
     enumerate_tuples,
 )
 from schur_orbits.fastorbits import (
@@ -20,6 +19,7 @@ from schur_orbits.fastorbits import (
     _Codes,
     _forward_moves,
     _handle_orbits,
+    _prefix_count,
     _sweep,
     _transitions,
     build_level,
@@ -36,8 +36,8 @@ from schur_orbits.moves import (
     orbits,
 )
 
-from conftest import cyclic, get_group, transposition_class
-from enumeration_oracle import oracle_enumerate
+from conftest import GROUP_SPECS, cyclic, get_group, transposition_class
+from enumeration_oracle import oracle_enumerate, walked_prefixes
 
 
 @st.composite
@@ -169,10 +169,27 @@ def test_closed_scan_group_over_64_elements():
     _assert_same_ids(fast, slow, G, 1)
 
 
-def test_closed_level_cap_is_a_budget_error(s3, monkeypatch):
-    monkeypatch.setattr(fastorbits, "VEC_STATE_CAP", 1000)
-    with pytest.raises(BudgetError, match="exceeds cap 1000"):
-        closed_orbit_scan(s3, 2, move_catalog(s3, 2, 0))
+def test_closed_level_cap_is_a_budget_error(s3):
+    # S3 g=2 walks its 7 handle-orbit labels for the first handle
+    cat = move_catalog(s3, 2, 0)
+    assert closed_orbit_scan(s3, 2, cat, 7)[1] == 360
+    with pytest.raises(BudgetError, match="budget 6 exhausted"):
+        closed_orbit_scan(s3, 2, cat, 6)
+
+
+def test_closed_levels_under_the_old_cap_fit_the_default_budget():
+    # closed levels ran up to q^{2g} = 2^28 codes before the budget
+    # counted label prefixes; none of them is over the default budget
+    budget = cli._build_parser().parse_args(
+        ["orbits", "--group", "g.json", "--genus", "0"]).budget
+    counts = {}
+    for name in GROUP_SPECS:
+        G = get_group(name)
+        g = 0
+        while G.order ** (2 * g) <= 1 << 28:
+            counts[name, g] = _prefix_count(G, g, BranchData(()))
+            g += 1
+    assert max(counts.values()) == counts["k4", 7] == 5 ** 6 <= budget
 
 
 @pytest.mark.parametrize("name,n_tuples", [("s3", 0), ("z1", 1)])
@@ -231,7 +248,7 @@ def punctured_levels(draw):
     for cid, o, k in terms:
         d[(cid, o)] = d.get((cid, o), 0) + k
     v = BranchData.from_dict(d)
-    assume(v.cardinality <= 5 and candidate_count(G, g, v) <= 3000)
+    assume(v.cardinality <= 5 and walked_prefixes(G, g, v) <= 3000)
     return G, g, v
 
 
@@ -288,16 +305,18 @@ def test_s4_eight_transpositions_is_one_orbit(s4):
 
 def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):
     G = cyclic(3)
-    # 63 central punctures: only 63 candidates, but 2^63 codes
+    # 63 central punctures: only 63 prefixes, but 2^63 codes
     v = BranchData.from_dict({(G.class_of[1], 1): 62, (G.class_of[2], 1): 1})
-    assert candidate_count(G, 0, v) == 63
+    assert walked_prefixes(G, 0, v) == 63
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("allocated before the overflow check")
 
     monkeypatch.setattr(fastorbits.np, "arange", no_alloc)
+    with pytest.raises(BudgetError, match="budget 62 exhausted"):
+        build_level(G, 0, v, budget=62)
     with pytest.raises(BudgetError, match="code space .* overflows int64"):
-        build_level(G, 0, v)
+        build_level(G, 0, v, budget=63)
     with pytest.raises(BudgetError, match="code space"):
         enumerate_tuples(G, 0, v)
 
@@ -372,18 +391,22 @@ def test_forward_moves_give_the_catalog_orbits(case):
     np.testing.assert_array_equal(fids, ids)
 
 
-@pytest.mark.parametrize("name,g", [("k4", 3), ("s3", 3), ("a4", 2)])
+@pytest.mark.parametrize("name,g", [("k4", 3), ("s3", 3), ("a4", 2),
+                                    ("k4", 1), ("s3", 0)])
 def test_closed_budget_counts_the_handle_prefixes(name, g):
-    # the builder walks the q^{2(g-1)} prefixes of the last handle
+    # the builder walks the K^{g-1} label prefixes of the last handle (K
+    # handle orbits), and at genus 0 the empty prefix
     G = get_group(name)
     v = BranchData(())
-    budget = candidate_count(G, g, v)
-    assert budget == G.order ** (2 * g - 2)
+    budget = walked_prefixes(G, g, v)
+    assert budget == (_handle_orbits(G).size.size ** (g - 1) if g else 1)
     codes, level = build_level(G, g, v, budget=budget)
-    assert codes.weight(level).sum() == \
-        closed_orbit_scan(G, g, move_catalog(G, g, 0))[1]
-    with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted"):
+    cat = move_catalog(G, g, 0)
+    assert codes.weight(level).sum() == closed_orbit_scan(G, g, cat, budget)[1]
+    with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted$"):
         build_level(G, g, v, budget=budget - 1)
+    with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted$"):
+        closed_orbit_scan(G, g, cat, budget - 1)
 
 
 @st.composite

@@ -4,11 +4,19 @@ import random
 
 import pytest
 
-from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
+from schur_orbits.covers import (
+    BranchData,
+    BranchedTuple,
+    branch_data,
+    enumerate_tuples,
+    make_tuple,
+)
 from schur_orbits.homology import sch_unbranched
 from schur_orbits.moves import (
+    _MOVE_WORDS,
     Move,
     MoveError,
+    _site_slots,
     apply_move,
     canonicalize,
     move_catalog,
@@ -110,6 +118,50 @@ def test_every_move_permutes_the_level(name, g, n):
     for m in move_catalog(G, g, n):
         image = {apply_move(m, t).key() for t in level}
         assert image == keys, m.kind
+
+
+def _word_move(m, t):
+    """m applied to t by reading its _MOVE_WORDS row token by token with
+    G.mul and G.inv, the site names bound to slots by _site_slots."""
+    G, g = t.group, t.genus
+    site, words, signs = _MOVE_WORDS[m.kind]
+    old, old_signs = t.letters(), [o for _, o in t.punctures]
+    new, new_signs = list(old), list(old_signs)
+    for names in _site_slots(site, m.index, g, t.n):
+        env = {name: old[slot] for name, slot in names.items()}
+        env["x"] = m.element
+        for name, text in words.items():
+            p = 0
+            for tok in text.split():
+                p = G.mul[p][G.inv[env[tok[:-1]]] if tok.endswith("'")
+                             else env[tok]]
+            if name in names:
+                new[names[name]] = p  # later words still read the old letter
+            else:
+                env[name] = p
+        for dst, src in signs.items():
+            new_signs[names[dst] - 2 * g] = old_signs[names[src] - 2 * g]
+    return BranchedTuple(G, g, tuple(zip(new[0:2 * g:2], new[1:2 * g:2])),
+                         tuple(zip(new[2 * g:], new_signs)))
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "a4", "s4"])
+@pytest.mark.parametrize("g,n", [(3, 3), (2, 4), (1, 1)])
+def test_move_plan_agrees_with_the_move_words(name, g, n):
+    # letters and signs at random, relation or not: both act letterwise
+    G = get_group(name)
+    rng = random.Random(f"{name}:{g}:{n}")
+    cat = move_catalog(G, g, n)
+    if (g, n) == (3, 3):
+        assert {m.kind for m in cat} == set(_MOVE_WORDS)
+    for _ in range(20):
+        t = BranchedTuple(
+            G, g, tuple((rng.randrange(G.order), rng.randrange(G.order))
+                        for _ in range(g)),
+            tuple((rng.randrange(G.order), rng.choice((1, -1)))
+                  for _ in range(n)))
+        for m in cat:
+            assert apply_move(m, t) == _word_move(m, t), m
 
 
 def test_braid_moves_signs_with_letters(s3):

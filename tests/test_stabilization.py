@@ -2,7 +2,6 @@
 
 import pytest
 
-from schur_orbits import fastorbits
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
 from schur_orbits.moves import induced_orbit_map, move_catalog, orbits
 from schur_orbits.stabilization import (
@@ -203,14 +202,14 @@ def test_stable_orbits_skips_a_punctured_level_over_budget(
         "m_order": 1, "m_invariant_factors": [], "verdict": verdict}
 
 
-@pytest.mark.parametrize("cap,computed,verdict,count", [
-    (4 ** 6, 3, "empirical-match", 2),
-    (4 ** 4, 2, "inconclusive", None),
+@pytest.mark.parametrize("budget,computed,verdict,count", [
+    # closed K4 levels walk 5^(g-1) label prefixes: 5, 25, 125 at g = 2, 3, 4
+    (25, 3, "empirical-match", 2),
+    (5, 2, "inconclusive", None),
 ])
 def test_stable_orbits_skips_a_closed_level_over_the_cap(
-        k4, monkeypatch, cap, computed, verdict, count):
-    monkeypatch.setattr(fastorbits, "VEC_STATE_CAP", cap)
-    r = stable_orbits(k4, ())
+        k4, budget, computed, verdict, count):
+    r = stable_orbits(k4, (), enum_budget=budget)
     skipped = {"g": computed + 1, "v": [], "skipped": "level over budget"}
     assert r.to_json() == {
         "group": k4.digest, "classes": [], "move_set": "default-catalog-v1",
@@ -218,10 +217,48 @@ def test_stable_orbits_skips_a_closed_level_over_the_cap(
         "m_order": 2, "m_invariant_factors": [2], "verdict": verdict}
 
 
+@pytest.mark.parametrize("budget,computed", [(1920, 3), (1919, 2)])
+def test_stable_orbits_skips_a_level_whose_induced_map_is_over_budget(
+        q8, budget, computed):
+    # Q8 g = 1, 2, 3 with 1, 3, 5 punctures of the central class walk 6,
+    # 36, 216 prefixes, but the induced map into g = 3 expands the 1,920
+    # tuples of g = 2
+    c = q8.class_of[1]
+    r = stable_orbits(q8, (c,), v_seed=BranchData.from_dict({(c, 1): 1}),
+                      g_seed=1, enum_budget=budget)
+    assert [lv.get("tuples") for lv in r.levels] == [24, 1920, 129024][:computed] \
+        + [None] * (3 - computed)
+    assert r.levels[-1].get("skipped") == (None if computed == 3
+                                           else "level over budget")
+    assert (r.stable_count, r.verdict) == (1, "empirical-match")
+
+
+def test_stable_orbits_grows_an_empty_level_by_its_branch_data(s3):
+    # the seed (t, +1) (t, -1) has no surjective tuple; its round dilates
+    # (t, -1) to one (t, +1) and adds two, as on a level with tuples
+    tc = transposition_class(s3)
+    r = stable_orbits(s3, (tc,),
+                      v_seed=BranchData.from_dict({(tc, 1): 1, (tc, -1): 1}))
+    assert r.levels[0]["tuples"] == 0
+    assert r.levels[1] == _entry(0, [[[1, 1], 4]], 24, 1, {"1": False},
+                                 (False, True))
+    # a 3-cycle's (c, -1) dilates to two (c, +1); 3-cycles do not
+    # generate S3, so the round adds a handle
+    c = next(cid for cid, x in enumerate(s3.class_reps)
+             if s3.element_order(x) == 3)
+    r = stable_orbits(s3, (c,), max_rounds=1,
+                      v_seed=BranchData.from_dict({(c, 1): 1, (c, -1): 1}))
+    assert [(lv["g"], lv["v"], lv["tuples"]) for lv in r.levels] == [
+        (0, [[[c, -1], 1], [[c, 1], 1]], 0), (1, [[[c, 1], 6]], 576)]
+
+
 def test_stable_orbits_rejects_bad_seed(s3, k4):
     tc = transposition_class(s3)
     with pytest.raises(StabilizationError):
         stable_orbits(k4, (), v_seed=BranchData.from_dict({(1, 1): 2}))
+    # one transposition lies outside N, and no round changes its class
+    with pytest.raises(StabilizationError, match="outside N"):
+        stable_orbits(s3, (tc,), v_seed=BranchData.from_dict({(tc, -1): 1}))
 
 
 def test_surger_handles(k4):

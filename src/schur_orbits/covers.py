@@ -96,15 +96,8 @@ class BranchData:
     def cardinality(self):
         return sum(v for _, v in self.counts)
 
-    def get(self, class_id, sign):
-        return dict(self.counts).get((class_id, sign), 0)
-
     def class_ids(self):
         return sorted({cid for (cid, _), _ in self.counts})
-
-    def __le__(self, other):
-        od = other.as_dict()
-        return all(v <= od.get(k, 0) for k, v in self.counts)
 
     def strictly_less(self, other):
         """True when every component of other exceeds this one, on the

@@ -18,7 +18,6 @@ from .intlinalg import PresentedAbelianGroup, cokernel
 
 __all__ = [
     "FiniteGroup",
-    "ConjClass",
     "build_group",
     "centralizer",
     "inn_order_on_class",
@@ -36,14 +35,6 @@ class GroupBuildError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConjClass:
-    class_id: int
-    representative: int
-    members: tuple
-    size: int
-
-
-@dataclass(frozen=True)
 class FiniteGroup:
     order: int
     mul: tuple  # tuple of row tuples
@@ -55,9 +46,6 @@ class FiniteGroup:
     # tables other modules derive from this group, under their own keys
     cache: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
-
-    def m(self, x, y):
-        return self.mul[x][y]
 
     def conj(self, x, g):
         """g x g^{-1}"""
@@ -78,13 +66,6 @@ class FiniteGroup:
             p = self.mul[p][x]
             k += 1
         return k
-
-    def classes(self):
-        out = []
-        for cid, rep in enumerate(self.class_reps):
-            members = tuple(x for x in range(self.order) if self.class_of[x] == cid)
-            out.append(ConjClass(cid, rep, members, len(members)))
-        return out
 
     def class_members(self, cid):
         return tuple(x for x in range(self.order) if self.class_of[x] == cid)

@@ -9,8 +9,11 @@ form of Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  Kernel
 coordinates, and the H2 presentation over them, are therefore kept
 mod |G|: the Smith form of d2 reduces d2 itself in exact Python
 integers but keeps its V^{-1} mod |G| in numpy, and the image lattice
-absorbs the d3 images of the generator columns and of a lexicographic
-prefix of the columns only (see h2_group).  On top of that sit the
+absorbs the d3 images of the generator columns only, which span it (see
+h2_group).  The quotient is presented from the reduced Howell form of
+its relations (J. A. Howell, Linear Multilinear Algebra 19, 1986),
+which is unique for its lattice, so the H2 coordinates depend on that
+lattice alone.  On top of that sit the
 branch-class reductions: the subgroup of torus classes with meridian in
 a chosen union of conjugacy classes C, the reduced multiplier M(G)_C,
 the branch-type lattice N, and the homology of the C-branched
@@ -207,11 +210,17 @@ def _absorb(H, piv, v, N):
 
 
 def _echelon_cokernel(H, piv, N):
-    """Z^K / (rows of H + N.Z^K) with its transform rows mod N.
+    """Z^K / (rows of H + N.Z^K) with its transform rows mod their moduli.
 
     A unit-pivot row says e_j = -(H[j, j+1:] . e), so substituting those
-    right to left writes every e_j over the non-unit pivot columns S;
-    the non-unit rows, plus N.I, are the relations among those."""
+    right to left writes every e_j over the non-unit pivot columns S, up
+    to the lattice L_S of relations among those; the non-unit rows, plus
+    N.I, span L_S.  The relations are put into the reduced Howell form
+    of L_S (every entry above a pivot in [0, pivot)), which is unique for
+    its lattice.  A transform row maps L_S into d.Z for its modulus d, so
+    reducing it mod d removes the choice of substitution.  The
+    presentation thus depends on the lattice alone, not on the order in
+    which H absorbed it."""
     K = len(piv)
     S = [j for j in range(K) if piv[j] != 1]
     P = np.zeros((K, len(S)), dtype=np.int64)  # e_j over the columns S
@@ -219,12 +228,18 @@ def _echelon_cokernel(H, piv, N):
     for j in reversed(range(K)):
         if piv[j] == 1:
             P[j] = -(H[j, j + 1:] @ P[j + 1:]) % N
-    rels = [(H[j] @ P % N).tolist() for j in S if piv[j] < N]
+    R, rpiv = np.zeros((len(S), len(S)), dtype=np.int64), [N] * len(S)
+    for j in S:
+        _absorb(R, rpiv, H[j] @ P % N, N)
+    for j in range(len(S)):
+        for k in range(j + 1, len(S)):
+            R[j, k:] = (R[j, k:] - R[j, k] // rpiv[k] * R[k, k:]) % N
+    rels = [row for row, p in zip(R.tolist(), rpiv) if p < N]
     rels += (N * np.eye(len(S), dtype=np.int64)).tolist()
     pres = cokernel([list(col) for col in zip(*rels)], ambient_dim=len(S))
     transform = tuple(
-        tuple(int(t) for t in np.array([c % N for c in row]) @ P.T % N)
-        for row in pres.transform)
+        tuple(int(t) for t in np.array([c % d for c in row]) @ P.T % d)
+        for d, row in zip(pres.moduli, pres.transform))
     return PresentedAbelianGroup(K, pres.moduli, transform)
 
 
@@ -244,16 +259,11 @@ def h2_group(G):
     [x|y|s] or at [x|y|1] = 0; in a finite group S generates G as a
     monoid, so every z has a word over S.
 
-    So the (|G|-1)^2 |S| generator columns span the image lattice and
-    give its pivots.  The echelon that is presented absorbs the columns
-    in lexicographic order and stops once it has those pivots.  Its
-    lattice then equals the whole image lattice (it lies inside it, and
-    the pivots of a Howell form fix the index), so no later column
-    would change it: it is the echelon of all (|G|-1)^3 columns, and the
-    H2 coordinates are those of that echelon whatever generators G was
-    given.  If the columns run out first, the generator columns missed
-    part of im d3, and that is an error.  The d2 . d3 check runs over
-    all columns."""
+    So the (|G|-1)^2 |S| generator columns span the image lattice, and
+    only they are absorbed.  _echelon_cokernel presents the quotient
+    from the reduced Howell form of its relations, so the H2 coordinates
+    depend on the image lattice alone, whatever generators G was given.
+    The d2 . d3 check runs over all columns."""
     key = G.digest
     if key in _H2_CACHE:
         return _H2_CACHE[key]
@@ -270,27 +280,16 @@ def h2_group(G):
     if sum(D2T[idx[:, k]] * c8[:, k:k + 1] for k in range(4)).any():
         raise HomologyError("d2 . d3 != 0 (bar complex bug)")
 
-    def echelon(cols, pivots=None):
-        """Echelon of the images of the d3 columns cols, absorbed in
-        order, stopping once its pivots equal the given ones."""
-        H = np.zeros((len(W), len(W)), dtype=np.int64)
-        piv = [N] * len(W)
-        for s in range(0, len(cols), _D3_CHUNK):
-            if piv == pivots:
-                break
-            chunk = cols[s:s + _D3_CHUNK]
-            ci, cc = idx[chunk], coeff[chunk]
-            images = sum(W[:, ci[:, k]] * cc[:, k] for k in range(4)) % N
-            for v in images.T[images.any(axis=0)]:
-                if _absorb(H, piv, v, N) and piv == pivots:
-                    break
-        return H, piv
-
     S = np.array(sorted({s for s in G.generators if s}), dtype=np.int64)
-    pivots = echelon((np.arange(m * m)[:, None] * m + S - 1).ravel())[1]
-    H, piv = echelon(np.arange(m ** 3), pivots)
-    if piv != pivots:
-        raise HomologyError("generator columns miss part of im d3")
+    cols = (np.arange(m * m)[:, None] * m + S - 1).ravel()
+    H = np.zeros((len(W), len(W)), dtype=np.int64)
+    piv = [N] * len(W)
+    for s in range(0, len(cols), _D3_CHUNK):
+        chunk = cols[s:s + _D3_CHUNK]
+        ci, cc = idx[chunk], coeff[chunk]
+        images = sum(W[:, ci[:, k]] * cc[:, k] for k in range(4)) % N
+        for v in images.T[images.any(axis=0)]:
+            _absorb(H, piv, v, N)
     out = H2Group(G, _echelon_cokernel(H, piv, N), W)
     _H2_CACHE[key] = out
     return out
@@ -329,14 +328,10 @@ def m_g_c(G, class_ids):
     return subgroup_quotient(H2.presentation, gens)
 
 
-def _c_class_ids(G, class_ids):
-    return sorted(set(class_ids))
-
-
 def n_lattice(G, class_ids):
     """Basis (list of rows) of the kernel N of Z^{C//G} -> G_ab sending a
     class to the abelianized image of its representative."""
-    cids = _c_class_ids(G, class_ids)
+    cids = sorted(set(class_ids))
     k = len(cids)
     if k == 0:
         return []
@@ -364,15 +359,6 @@ class BgcH2:
     n_rank: int
     n_basis: tuple
     splitting: str = "non-canonical"
-
-    @property
-    def torsion_order(self):
-        return self.m_part.order()
-
-    def describe(self):
-        parts = [f"Z/{d}" for d in self.m_part.invariant_factors]
-        parts += ["Z"] * self.n_rank
-        return " x ".join(parts) if parts else "0"
 
 
 def h2_bgc(G, class_ids):
@@ -439,7 +425,7 @@ def hom_branch_type(G, class_ids, v):
     Z^{C//G} -> G_ab, is necessary for realizability by a closed
     connected cover.
     """
-    cids = _c_class_ids(G, class_ids)
+    cids = sorted(set(class_ids))
     d = v.as_dict() if isinstance(v, BranchData) else dict(v)
     vec = [d.get((cid, 1), 0) - d.get((cid, -1), 0) for cid in cids]
     A, proj = abelianization(G)

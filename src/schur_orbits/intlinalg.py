@@ -286,9 +286,6 @@ class PresentedAbelianGroup:
             n *= d
         return n
 
-    def is_trivial(self):
-        return not self.moduli
-
     def zero(self):
         return (0,) * len(self.moduli)
 
@@ -320,13 +317,6 @@ class PresentedAbelianGroup:
         if self.rank:
             raise ValueError("infinite group has no element enumeration")
         return (tuple(t) for t in product(*[range(d) for d in self.moduli]))
-
-    def describe(self):
-        parts = [f"Z/{d}" for d in self.invariant_factors] + ["Z"] * self.rank
-        return " x ".join(parts) if parts else "0"
-
-    def __str__(self):
-        return self.describe()
 
 
 def cokernel(M, ambient_dim=None):

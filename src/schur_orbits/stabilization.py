@@ -88,7 +88,6 @@ class StabilizationCertificate:
     puncture_surjective: dict  # class_id -> bool
     dilation_surjective: bool
     dilation_witness: dict  # class_id -> (w_plus, w_minus) or empty
-    thresholds: dict  # class_id -> U multiplicity
 
     def all_puncture(self):
         return all(self.puncture_surjective.values())
@@ -106,11 +105,9 @@ def certificate(G, class_ids, g, v):
     cids = sorted(set(class_ids))
     vd = v.as_dict() if isinstance(v, BranchData) else dict(v)
     handle_flag = g > G.order
-    thresholds = {}
     pflags = {}
     for cid in cids:
         u = u_threshold(G, cid).as_dict()
-        thresholds[cid] = u.get((cid, 1), 0)
         ok = True
         for c2 in cids:
             for sign in (1, -1):
@@ -130,7 +127,6 @@ def certificate(G, class_ids, g, v):
         puncture_surjective=pflags,
         dilation_surjective=dil_flag if cids else True,
         dilation_witness=witness,
-        thresholds=thresholds,
     )
 
 

@@ -3,9 +3,11 @@
 The kernel coordinates W are rows rank.. of the exact Smith form's
 V^{-1} of d2, in Python integers, reduced mod |G| afterwards.  The image
 lattice absorbs the d3 images of all (|G|-1)^3 columns in lexicographic
-order.  `h2_group` keeps V^{-1} mod |G| throughout and stops absorbing
-once the generator columns' index is reached; both must give the same
-W, the same echelon and so the same presentation.
+order.  `h2_group` keeps V^{-1} mod |G| throughout and absorbs the
+generator columns only, in another order.  Both must give the same W
+and the same image lattice, and `_echelon_cokernel`, shared by both,
+presents a lattice by its reduced Howell form, so the presentations
+must be equal too.
 """
 
 import numpy as np

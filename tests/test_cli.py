@@ -138,6 +138,32 @@ def test_sch_and_dilate_and_stabilize(files, capsys):
     assert all(o == 1 for _, o in rep2["tuple"]["punctures"])
 
 
+# sch coordinates of closed genus-2 tuples of (Z/2)^4, the one spec group
+# whose H2 relations have more than one non-unit pivot: the presented
+# basis is that of the reduced Howell form of the relations, and these
+# pin it
+Z2_4_SCH = [
+    ([[1, 2], [3, 4]], [0, 0, 1, 1, 1, 0]),
+    ([[1, 2], [1, 4]], [1, 1, 0, 0, 0, 0]),
+    ([[1, 3], [2, 4]], [0, 1, 0, 1, 0, 0]),
+    ([[5, 6], [7, 9]], [0, 0, 1, 1, 1, 1]),
+    ([[1, 15], [2, 3]], [1, 0, 0, 0, 0, 1]),
+    ([[1, 2], [0, 0]], [0, 0, 1, 0, 0, 1]),
+]
+
+
+def test_sch_coords_of_z2_4_are_pinned(files, capsys):
+    path = files["tmp"] / "z2^4.json"
+    path.write_text(json.dumps(GROUP_SPECS["z2^4"]))
+    for handles, coords in Z2_4_SCH:
+        t = json.dumps({"g": 2, "handles": handles, "punctures": []})
+        code, out = run(capsys, ["sch", "--group", str(path), "--tuple", t,
+                                 "--no-cache"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["H2"] == [2] * 6 and rep["coords"] == coords
+
+
 def test_diff_cli(files, capsys):
     t = json.dumps({"g": 2, "handles": [[1, 2], [0, 0]], "punctures": []})
     code, out = run(capsys, ["diff", "--group", files["k4"],

@@ -89,9 +89,9 @@ def test_h2_group_matches_direct_route(name, form):
 
 
 # Generating sequences (the identity, the spec generators and the element
-# of this BFS index) on which the generator columns alone give another,
-# equally valid, basis of H2; the presented echelon must be that of all
-# columns whatever generators the group was given.
+# of this BFS index) whose generator columns, absorbed alone, give an
+# echelon other than that of all columns; the presentation is built from
+# the lattice alone, so it must still be that of all columns.
 BASIS_CASES = [("z2^4", 15), ("z4z4", 14)]
 
 

@@ -81,6 +81,14 @@ def test_h2_dual_route(name):
     assert A.rank == 0
 
 
+def _presented(cols, K, N):
+    """Z^K / (cols + N.Z^K) through the echelon, absorbing cols in order."""
+    H, piv = np.zeros((K, K), dtype=np.int64), [N] * K
+    for col in cols:
+        _absorb(H, piv, np.array(col, dtype=np.int64) % N, N)
+    return _echelon_cokernel(H, piv, N)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_mod_n_echelon_matches_exact_cokernel(seed):
     # Z^K / (columns of A + N.Z^K), once from A mod N through the echelon
@@ -90,10 +98,7 @@ def test_mod_n_echelon_matches_exact_cokernel(seed):
     K = rng.randint(1, 5)
     cols = [[rng.randint(-20, 20) for _ in range(K)]
             for _ in range(rng.randint(0, K + 1))]
-    H, piv = np.zeros((K, K), dtype=np.int64), [N] * K
-    for col in cols:
-        _absorb(H, piv, np.array(col, dtype=np.int64) % N, N)
-    got = _echelon_cokernel(H, piv, N)
+    got = _presented(cols, K, N)
     full = cols + [[N if i == k else 0 for i in range(K)] for k in range(K)]
     want = cokernel([list(row) for row in zip(*full)], ambient_dim=K)
     assert got.invariant_factors == want.invariant_factors
@@ -101,6 +106,19 @@ def test_mod_n_echelon_matches_exact_cokernel(seed):
     for u, v in itertools.combinations(vecs, 2):
         assert ((got.to_coords(u) == got.to_coords(v))
                 == (want.to_coords(u) == want.to_coords(v)))
+    # the presentation depends on the lattice, not on the absorption order
+    for _ in range(3):
+        rng.shuffle(cols)
+        assert _presented(cols, K, N) == got
+
+
+def test_echelon_cokernel_reduces_entries_left_unreduced_by_absorb():
+    # absorbed in this order, _absorb leaves the entries 7 and 4 above the
+    # last pivot 4 (in the other order, 3 and 0); every pivot is a
+    # non-unit, so only the full reduction in _echelon_cokernel makes both
+    # orders present the same basis
+    cols = [[2, 2, 3], [4, 2, 2]]
+    assert _presented(cols, 3, 8) == _presented(cols[::-1], 3, 8)
 
 
 @pytest.mark.parametrize("name", ["z4", "z6", "s3", "k4", "q8", "d4", "a4"])

@@ -191,15 +191,23 @@ def _letters_for(G, class_id, sign):
 
 def enumerate_tuples(G, g, v, surjective=True, budget=None):
     """All BranchedTuples of genus g with branch data v, deterministic
-    lexicographic order: fastorbits.build_level's nodes, closed or
-    punctured, expanded into one tuple-code array, sorted in place and
-    decoded.  BudgetError when the builder would walk more than budget
-    prefixes or the level has more than budget tuples, raised before the
-    level, or its tuples, are allocated.
+    lexicographic order: the nodes of fastorbits.orbit_scan's table under
+    moves.move_catalog when surjective, else of fastorbits.build_level,
+    closed or punctured, expanded into one tuple-code array, sorted in
+    place and decoded.  BudgetError when the builder
+    would walk more than budget prefixes or the level has more than
+    budget tuples, raised before the level, or its tuples, are allocated.
     """
-    from .fastorbits import build_level  # fastorbits imports this module
+    # fastorbits and moves import this module
+    from .fastorbits import build_level, orbit_scan
+    from .moves import move_catalog
 
-    codes, level = build_level(G, g, v, surjective, budget)
+    if surjective:
+        table, _ = orbit_scan(G, g, v, move_catalog(G, g, v.cardinality),
+                              budget)
+        codes, level = table.codes, table.level
+    else:
+        codes, level = build_level(G, g, v, budget)
     tuples = codes.expand(level, budget)
     tuples.sort()
     return codes.tuples(tuples)

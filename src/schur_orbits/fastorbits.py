@@ -8,23 +8,29 @@ of nodes: products of per-handle orbits on the q^2 pairs
 puncture word.  A node code (_Codes) has a label digit per handle and a
 digit per puncture; node order is the order of the nodes' least tuples,
 and a genus-0 level's nodes are its tuples.  One builder (build_level)
-makes every level's sorted node codes, and one frontier sweep (_sweep)
-partitions them into orbits under the moves that span handles or
-punctures.  Each of those moves is a transition table on the digits of
-each of its sites (_transitions), built by running its moves.move_plan
-through _applier on numpy columns of the site's tuples, for the digit
-values that occur in the level.  ChainTwist is a relation on nodes (up
+makes the sorted node codes of every tuple of a level's relation, and
+one frontier sweep (_sweep) partitions them into orbits under the moves
+that span handles or punctures.  Every move is an automorphism of pi_1
+or a conjugation, so surjectivity is decided once per orbit: orbit_scan
+drops the orbits whose representative does not generate G.  Each of
+those moves is a transition table on the digits of each of its sites
+(_transitions), built by running its moves.move_plan through _applier
+on numpy columns of the site's tuples, for the digit values that occur
+in the level.  ChainTwist is a relation on nodes (up
 to 22 targets per label pair on A4, 53 on S4), so its frontier is
 deduplicated.  Orbit and level sizes are sums of node weights, the
 products of orbit sizes.  A budget bounds the prefixes build_level walks
 (_prefix_count) and the tuples _Codes.expand makes.
 
-On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 5
-in-process orbit_scan runs: A4 g=3 (742,560 tuples in 948 nodes)
-0.019 s, D4 g=4 (8.2M tuples) 0.033 s, S3 g=5 (20.1M) 0.032 s, S4 g=3
-(15.4M in 12,344 nodes) 0.32 s, most of it in surjectivity closures.
-Genus 0 sweeps tuples: S4 "8 transpositions" (131,040) 0.39 s,
-2.9 us/tuple, half of it in np.searchsorted.
+On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 7
+in-process orbit_scan runs: A4 g=3 (742,560 tuples; 1,101 nodes of the
+relation, 948 kept) 0.020 s, D4 g=4 (8.2M tuples) 0.046 s, S3 g=5
+(20.1M) 0.032 s, S4 g=3 (15.4M; 16,093 nodes, 12,344 kept) 0.29 s, two
+thirds of it building the transition tables.  Genus 0 sweeps tuples:
+S4 "8 transpositions" (131,040 of 140,160) 0.44 s, more than half of
+it in np.searchsorted; A5 "6 3-cycles" (960,120 of 1,072,540) 4.6 s.
+The orbits that do not generate G are swept too: S4 "10 double
+transpositions" has 14,763 tuples, none surjective, and takes 0.083 s.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from .covers import (
     BudgetError,
     _letters_for,
     _multiset_permutations,
+    is_surjective,
 )
-from .groups import closure
 from .moves import (
     _MOVE_WORDS,
     MOVE_SET_TAG,
@@ -309,35 +315,6 @@ def _applier(G, plan):
     return f
 
 
-def _surjective_mask(G, cols, size, memo):
-    """Boolean mask: do the letters of each of size states generate G?
-    Each state's letter set is a bit mask of one uint64 word per 64
-    elements; memo maps a mask's bytes to its answer and is shared across
-    calls."""
-    q = G.order
-    words = -(-q // 64)
-    masks = np.zeros((size, words), dtype=np.uint64)
-    rows = np.arange(size)
-    for c in cols:
-        masks[rows, c >> 6] |= np.uint64(1) << (c & 63).astype(np.uint64)
-    # one word sorts much faster as an integer than as raw bytes: with
-    # byte keys for every q, the closed-scan benchmark's wall_s median
-    # rose from 2.29 to 2.61 s (12 interleaved pairs, 2-CPU Xeon VM)
-    keys = (masks[:, 0] if words == 1
-            else masks.view(np.dtype((np.void, 8 * words))).ravel())
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    ok = np.empty(uniq.shape, dtype=bool)
-    for idx, key in enumerate(uniq):
-        key = key.tobytes()
-        if key not in memo:
-            mval = sum(int(w) << 64 * k for k, w in
-                       enumerate(np.frombuffer(key, dtype=np.uint64)))
-            elems = [e for e in range(q) if mval >> e & 1]
-            memo[key] = len(closure(G, elems)) == q
-        ok[idx] = memo[key]
-    return ok[inverse]
-
-
 def _relator(L):
     """Register word of the handle commutators [a_1,b_1]...[a_g,b_g]."""
     return [r for i in range(0, L, 2) for r in (i, i + 1, ~i, ~(i + 1))]
@@ -367,20 +344,19 @@ def _prefix_count(G, g, v):
     return K ** g * total
 
 
-def build_level(G, g, v, surjective=True, budget=None):
-    """(_Codes, sorted node codes) of the genus-g level with branch data v
-    (surjective tuples only if asked); with no punctures, the closed
-    level.
+def build_level(G, g, v, budget=None):
+    """(_Codes, sorted node codes) of the genus-g level with branch data v,
+    every tuple that satisfies the surface relation, surjective or not;
+    with no punctures, the closed level.
 
     Each distinct order of the puncture kinds is one block: a mixed radix
     over every digit but the last, FILTER_CHUNK prefixes at a time, each
     followed by the entries of the last pool (labels on a closed level,
     letters otherwise) whose commutator or letter is the inverse of the
     prefix's product.  The empty tuple has no digits and product 1.
-    Surjectivity is tested on each node's least tuple, since <a, b> is
-    the same on a handle orbit.  BudgetError, before the level is
-    allocated, when it walks more than budget prefixes (_prefix_count)
-    or its tuple code space overflows int64.
+    BudgetError, before the level is allocated, when it walks more than
+    budget prefixes (_prefix_count) or its tuple code space overflows
+    int64.
     """
     if budget is not None and _prefix_count(G, g, v) > budget:
         raise BudgetError(f"enumeration budget {budget} exhausted")
@@ -391,39 +367,32 @@ def build_level(G, g, v, surjective=True, budget=None):
                                       pools.items() for w in pool.tolist()])
     q, H = G.order, codes.orbits
     mulf, inv = _np_tables(G)
-    # a digit's pool entries as (node digit, group value, letter columns)
-    handle = (np.arange(H.size.size), H.comm, np.divmod(H.least, q))
-    memo = {}
+    # a digit's pool entries as (node digit, group value)
+    handle = (np.arange(H.size.size), H.comm)
     parts = []
     for order in _multiset_permutations(slots):
         digits = [handle] * g + [(codes.rank[(sign > 0) * q + pools[c, sign]],
-                                  pools[c, sign], (pools[c, sign],))
-                                 for c, sign in order]
-        *head, (_, value, _) = digits or [(None, np.zeros(1, np.int64), None)]
+                                  pools[c, sign]) for c, sign in order]
+        *head, (_, value) = digits or [(None, np.zeros(1, np.int64))]
         # the last pool's entries grouped by value, ascending within each
         by = np.argsort(value, kind="stable")
         offsets = np.zeros(q + 1, dtype=np.int64)
         np.cumsum(np.bincount(value, minlength=q), out=offsets[1:])
-        radices = [d.size for d, _, _ in head]
+        radices = [d.size for d, _ in head]
         total = prod(radices)
         for start in range(0, total, FILTER_CHUNK):
             idx = np.arange(start, min(start + FILTER_CHUNK, total),
                             dtype=np.int64)
             cols = _digits(idx, radices)
             p = np.zeros_like(idx)
-            for (_, val, _), c in zip(head, cols):
+            for (_, val), c in zip(head, cols):
                 p = mulf[p * q + val[c]]
             need = inv[p]
             cnt = offsets[need + 1] - offsets[need]
             cols = ([c.repeat(cnt) for c in cols]
                     + [by[_ragged(offsets[need], cnt)]])
-            if surjective:
-                keep = _surjective_mask(G, [x[c] for (_, _, xs), c in
-                                            zip(digits, cols) for x in xs],
-                                        cols[-1].size, memo)
-                cols = [c[keep] for c in cols]
             code = np.zeros(cols[-1].size, dtype=np.int64)
-            for (d, _, _), c, w in zip(digits, cols, codes.place):
+            for (d, _), c, w in zip(digits, cols, codes.place):
                 code += d[c] * w
             parts.append(code)
     level = np.concatenate(parts)
@@ -620,9 +589,13 @@ def _forward_moves(G, catalog):
 
 def orbit_scan(G, g, v, catalog, budget=None):
     """Partition the surjective genus-g level with branch data v into
-    catalog orbits: build_level's nodes, swept with the catalog's forward
-    moves (_forward_moves) but its handle moves, which must twist every
-    handle (MoveError otherwise).
+    catalog orbits: build_level's nodes, every tuple of the relation,
+    swept with the catalog's forward moves (_forward_moves) but its
+    handle moves, which must twist every handle (MoveError otherwise).
+    Every move is an automorphism of pi_1 or a conjugation, so the
+    letters of an orbit's tuples generate conjugate subgroups: the
+    orbits whose representative does not generate G are dropped, with
+    their nodes, and the orbits kept are renumbered in order.
 
     BudgetError, before the level is allocated, when build_level would
     walk more than budget prefixes, closed or punctured.
@@ -632,14 +605,19 @@ def orbit_scan(G, g, v, catalog, budget=None):
     if not ({(m.kind.removesuffix("Inv"), m.index) for m in catalog}
             >= {(kind, i) for kind in _HANDLE_KINDS for i in range(g)}):
         raise MoveError("the catalog lacks a handle move on some handle")
-    codes, level = build_level(G, g, v, True, budget)
+    codes, level = build_level(G, g, v, budget)
     plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
              if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]
     seeds, sizes, ids = _sweep(codes, level, plans)
     reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64),
                                           least=True))
+    keep = np.array([is_surjective(t) for t in reps], dtype=bool)
+    on = keep[ids]
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
+    reps = [t for t, k in zip(reps, keep) if k]
+    sizes = [n for n, k in zip(sizes, keep) if k]
     table = FastOrbitTable(MOVE_SET_TAG, tuple(reps), tuple(sizes), {},
-                           codes, ids, level)
+                           codes, renumber[ids[on]], level[on])
     return table, sum(sizes)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covers import BranchData
-from .groups import abelianization, centralizer, quotient_by_normal_closure
+from .groups import abelianization, centralizer, closure
 from .intlinalg import (
     IntegerLattice,
     PresentedAbelianGroup,
@@ -35,6 +35,7 @@ from .intlinalg import (
     cokernel,
     kernel_lattice,
     snf_with_inverse,
+    subgroup_quotient,
 )
 
 __all__ = [
@@ -323,8 +324,6 @@ def m_g_c(G, class_ids):
     """(M(G)_C, projection from H2 coordinates)."""
     H2 = h2_group(G)
     gens = c_tori_subgroup(G, class_ids)
-    from .intlinalg import subgroup_quotient
-
     return subgroup_quotient(H2.presentation, gens)
 
 
@@ -368,16 +367,19 @@ def h2_bgc(G, class_ids):
 
 
 def h1_bgc(G, class_ids):
-    elems = [x for x in range(G.order) if G.class_of[x] in set(class_ids)]
-    Q, _ = quotient_by_normal_closure(G, elems)
-    A, _ = abelianization(Q)
-    return A
+    """H1(BG_C), the abelianization of G/<<C>>: G_ab modulo the images of
+    the class representatives of C (a conjugate has the same image)."""
+    A, proj = abelianization(G)
+    Q, _ = subgroup_quotient(A, [proj(G.class_reps[cid])
+                                 for cid in sorted(set(class_ids))])
+    return Q
 
 
 def pi1_bgc_order(G, class_ids):
+    """|G/<<C>>|: C is closed under conjugation, so the subgroup it
+    generates is already normal."""
     elems = [x for x in range(G.order) if G.class_of[x] in set(class_ids)]
-    Q, _ = quotient_by_normal_closure(G, elems)
-    return Q.order
+    return G.order // len(closure(G, elems))
 
 
 def unbranched_cycle(G, handles):

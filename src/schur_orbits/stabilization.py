@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .covers import BranchData, BranchedTuple, BudgetError
 from .fastorbits import closed_orbit_scan, orbit_scan
-from .groups import closure
+from .groups import generates
 from .homology import hom_branch_type, m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog
 
@@ -219,7 +219,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
     if g_seed is None:
         g_seed = 0 if cids else 1
     c_elems = [x for x in range(G.order) if G.class_of[x] in set(cids)]
-    c_generates = len(closure(G, c_elems)) == G.order if cids else False
+    c_generates = generates(G, c_elems) if cids else False
     skip_handle = bool(cids) and c_generates and g_seed == 0
 
     M, _ = m_g_c(G, cids)

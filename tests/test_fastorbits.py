@@ -13,6 +13,7 @@ from schur_orbits.covers import (
     BranchedTuple,
     BudgetError,
     enumerate_tuples,
+    is_surjective,
 )
 from schur_orbits.fastorbits import (
     _applier,
@@ -38,6 +39,7 @@ from schur_orbits.moves import (
 
 from conftest import GROUP_SPECS, cyclic, get_group, transposition_class
 from enumeration_oracle import oracle_enumerate, walked_prefixes
+from level_count_oracle import level_count
 
 
 @st.composite
@@ -401,8 +403,9 @@ def test_closed_budget_counts_the_handle_prefixes(name, g):
     budget = walked_prefixes(G, g, v)
     assert budget == (_handle_orbits(G).size.size ** (g - 1) if g else 1)
     codes, level = build_level(G, g, v, budget=budget)
+    assert codes.weight(level).sum() == level_count(G, g, v, False)
     cat = move_catalog(G, g, 0)
-    assert codes.weight(level).sum() == closed_orbit_scan(G, g, cat, budget)[1]
+    assert closed_orbit_scan(G, g, cat, budget)[1] == level_count(G, g, v, True)
     with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted$"):
         build_level(G, g, v, budget=budget - 1)
     with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted$"):
@@ -446,6 +449,33 @@ def test_class_engine_matches_hash_bfs(case):
     for t in sorted(level):
         want[slow.orbit_id(t)].append(t)
     assert fast.members() == want
+
+
+@pytest.mark.parametrize("name,k,pattern", [("d4", 2, "nnSnSSSSS"),
+                                              ("s3", 4, "nSnSSSSS")])
+def test_orbits_that_do_not_generate_are_dropped_and_renumbered(name, k,
+                                                               pattern):
+    # genus 1, k punctures in the class of element 1: on the whole level
+    # of the relation, orbits that do not generate G (n) come before and
+    # between the surjective ones (S), so every kept orbit is renumbered
+    G = get_group(name)
+    v = BranchData.from_dict({(G.class_of[1], 1): k})
+    cat = move_catalog(G, 1, k)
+    hom = enumerate_tuples(G, 1, v, surjective=False)
+    whole = orbits(hom, cat)
+    assert "".join("S" if is_surjective(t) else "n"
+                   for t in whole.representatives) == pattern
+    fast, n_tuples = orbit_scan(G, 1, v, cat)
+    slow = orbits(oracle_enumerate(G, 1, v), cat)
+    assert fast.to_json() == slow.to_json()
+    assert n_tuples == sum(slow.sizes)
+    for t in hom:
+        if is_surjective(t):
+            assert fast.orbit_id(t) == slow.orbit_id(t)
+        else:
+            with pytest.raises(KeyError):
+                fast.orbit_id(t)
+    assert [len(ts) for ts in fast.members().values()] == list(slow.sizes)
 
 
 def _handle_move_orbits(G):

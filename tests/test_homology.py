@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schur_orbits.covers import BranchData, BranchData as BD, enumerate_tuples
-from schur_orbits.groups import abelianization
+from schur_orbits.groups import abelianization, quotient_by_normal_closure
 from schur_orbits.homology import (
     HomologyError,
     _absorb,
@@ -27,7 +27,7 @@ from schur_orbits.homology import (
 )
 from schur_orbits.intlinalg import cokernel, mat_mul, snf_with_inverse
 
-from conftest import get_group, transposition_class
+from conftest import GROUP_SPECS, get_group, transposition_class
 
 H2_EXPECTED = {
     "z2": (), "z3": (), "z4": (), "z5": (), "z6": (),
@@ -240,6 +240,27 @@ def test_h1_pi1_bgc(s3, k4):
     assert h1_bgc(k4, (cid,)).invariant_factors == (2,)
     # killing nothing: pi1 = G
     assert pi1_bgc_order(s3, ()) == 6
+
+
+def _class_subsets(G):
+    """Every class subset of a group with at most 8 classes; otherwise
+    those of at most two classes, and all the classes."""
+    cids = range(len(G.class_reps))
+    sizes = range(len(cids) + 1) if len(cids) <= 8 else range(3)
+    subsets = [c for k in sizes for c in itertools.combinations(cids, k)]
+    return subsets + [tuple(cids)] * (len(cids) > 8)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_h1_pi1_bgc_match_the_quotient_group(name):
+    # the reference builds G/<<C>> as a group of its own
+    G = get_group(name)
+    for cids in _class_subsets(G):
+        elems = [x for x in range(G.order) if G.class_of[x] in cids]
+        Q, _ = quotient_by_normal_closure(G, elems)
+        assert pi1_bgc_order(G, cids) == Q.order
+        want, _ = abelianization(Q)
+        assert h1_bgc(G, cids).invariant_factors == want.invariant_factors
 
 
 def test_h2_bgc_shape(s3, k4):

@@ -14,6 +14,8 @@ w_j^{o_j}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .groups import FiniteGroup, generates
 
@@ -51,12 +53,14 @@ class BranchedTuple:
     def n(self):
         return len(self.punctures)
 
+    @cached_property
+    def flat(self):
+        """(letters slot by slot, puncture signs), two tuples made once."""
+        words, signs = zip(*self.punctures) if self.punctures else ((), ())
+        return (*chain(*self.handles), *words), signs
+
     def letters(self):
-        out = []
-        for a, b in self.handles:
-            out.extend((a, b))
-        out.extend(w for w, _ in self.punctures)
-        return out
+        return list(self.flat[0])
 
     def relation_product(self):
         G = self.group

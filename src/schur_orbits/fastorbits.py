@@ -14,13 +14,14 @@ that span handles or punctures.  Every move is an automorphism of pi_1
 or a conjugation, so surjectivity is decided once per orbit: orbit_scan
 drops the orbits whose representative does not generate G.  Each of
 those moves is a transition table on the digits of each of its sites
-(_transitions), built by running its moves.move_plan through _applier
-on numpy columns of the site's tuples, for the digit values that occur
-in the level.  ChainTwist is a relation on nodes (up
-to 22 targets per label pair on A4, 53 on S4), so its frontier is
-deduplicated.  Orbit and level sizes are sums of node weights, the
-products of orbit sizes.  A budget bounds the prefixes build_level walks
-(_prefix_count) and the tuples _Codes.expand makes.
+(_transitions), built by running its moves.move_plan through
+moves.plan_evaluator, apply_move's evaluator, on numpy columns of the
+site's tuples, for the digit values that occur in the level.
+ChainTwist is a relation on nodes (up to 22 targets per label pair on
+A4, 53 on S4), so its frontier is deduplicated.  Orbit and level sizes
+are sums of node weights, the products of orbit sizes.  A budget bounds
+the prefixes build_level walks (_prefix_count) and the tuples
+_Codes.expand makes.
 
 On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 7
 in-process orbit_scan runs: A4 g=3 (742,560 tuples; 1,101 nodes of the
@@ -29,8 +30,9 @@ relation, 948 kept) 0.020 s, D4 g=4 (8.2M tuples) 0.046 s, S3 g=5
 thirds of it building the transition tables.  Genus 0 sweeps tuples:
 S4 "8 transpositions" (131,040 of 140,160) 0.44 s, more than half of
 it in np.searchsorted; A5 "6 3-cycles" (960,120 of 1,072,540) 4.6 s.
-The orbits that do not generate G are swept too: S4 "10 double
-transpositions" has 14,763 tuples, none surjective, and takes 0.083 s.
+A genus-0 level whose puncture pools do not generate G is not built:
+S4 "10 double transpositions" (14,763 tuples, none surjective) takes
+2 ms cold, 0.1 ms warm, where its sweep took 0.08 s.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .covers import (
     _multiset_permutations,
     is_surjective,
 )
+from .groups import generates
 from .moves import (
     _MOVE_WORDS,
     MOVE_SET_TAG,
@@ -57,6 +60,7 @@ from .moves import (
     OrbitTable,
     _np_tables,
     move_plan,
+    plan_evaluator,
     word_values,
 )
 
@@ -118,7 +122,8 @@ def _handle_orbits(G):
         ab = list(np.divmod(pairs, q))
         perms = []
         for kind in _HANDLE_KINDS:
-            out, _ = _applier(G, move_plan(G, Move(kind), 1, 0))(ab)
+            plan = move_plan(G, Move(kind), 1, 0)
+            out, _ = plan_evaluator(G, plan, columns=True)(ab)
             perms.append(out[0] * q + out[1])
         # each pair's label falls to the least pair code joined to it,
         # along every move both ways and by pointer jumping
@@ -273,46 +278,20 @@ class FastOrbitTable(OrbitTable):
             raise KeyError("tuple not in this orbit table")
         return int(self.ids[pos])
 
-    def members(self, budget=None):
-        """Orbit id -> the orbit's tuples in key order; BudgetError when
-        the level has more than budget tuples (_Codes.expand)."""
-        codes = self.codes.expand(self.level, budget)
-        ids = self.ids.repeat(self.codes.weight(self.level))
+    def members(self, budget=None, least=False):
+        """Orbit id -> the orbit's tuples in key order, or with least only
+        each node's least tuple; BudgetError when there are more than
+        budget of them."""
+        if least and budget is not None and self.level.size > budget:
+            raise BudgetError(f"enumeration budget {budget} exhausted")
+        codes = (self.codes.tuple_codes(self.level, least=True) if least
+                 else self.codes.expand(self.level, budget))
+        ids = self.ids if least else self.ids.repeat(self.codes.weight(self.level))
         order = np.argsort(codes, kind="stable")
         out = {i: [] for i in range(self.num_orbits)}
         for t, i in zip(self.codes.tuples(codes[order]), ids[order].tolist()):
             out[i].append(t)
         return out
-
-
-def _applier(G, plan):
-    """(cols, signs) -> (cols, signs) function running one move plan on
-    numpy columns: cols holds the letters slot by slot, signs the
-    puncture signs."""
-    q = G.order
-    mulf, inv = _np_tables(G)
-    steps = [(reg, srcs, None if table is None else np.array(table), word)
-             for reg, srcs, table, word in plan.steps]
-
-    def f(cols, signs=()):
-        env = dict(enumerate(cols))
-        env[plan.slots] = plan.element
-        for reg, srcs, table, word in steps:
-            if table is None:
-                env[reg] = word_values(word, env, q, mulf, inv)
-            elif len(srcs) == 1:
-                env[reg] = table[env[srcs[0]]]
-            else:
-                env[reg] = table[env[srcs[0]] * q + env[srcs[1]]]
-        out = list(cols)
-        for slot, reg in plan.writes:
-            out[slot] = env[reg]
-        out_signs = list(signs)
-        for j, src in plan.signs:
-            out_signs[j] = signs[src]
-        return out, out_signs
-
-    return f
 
 
 def _relator(L):
@@ -344,6 +323,17 @@ def _prefix_count(G, g, v):
     return K ** g * total
 
 
+def _level_codes(G, g, v, budget):
+    """(_Codes, letter pools by puncture kind) of the genus-g level with
+    branch data v; BudgetError past budget prefixes (_prefix_count)."""
+    if budget is not None and _prefix_count(G, g, v) > budget:
+        raise BudgetError(f"enumeration budget {budget} exhausted")
+    pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
+             for kind, _ in v.counts}
+    return _Codes(G, g, v.cardinality, [(w, sign) for (_, sign), pool in
+                                        pools.items() for w in pool.tolist()]), pools
+
+
 def build_level(G, g, v, budget=None):
     """(_Codes, sorted node codes) of the genus-g level with branch data v,
     every tuple that satisfies the surface relation, surjective or not;
@@ -358,13 +348,8 @@ def build_level(G, g, v, budget=None):
     budget prefixes (_prefix_count) or its tuple code space overflows
     int64.
     """
-    if budget is not None and _prefix_count(G, g, v) > budget:
-        raise BudgetError(f"enumeration budget {budget} exhausted")
-    pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
-             for kind, _ in v.counts}
+    codes, pools = _level_codes(G, g, v, budget)
     slots = [kind for kind, k in v.counts for _ in range(k)]
-    codes = _Codes(G, g, len(slots), [(w, sign) for (_, sign), pool in
-                                      pools.items() for w in pool.tolist()])
     q, H = G.order, codes.orbits
     mulf, inv = _np_tables(G)
     # a digit's pool entries as (node digit, group value)
@@ -461,7 +446,7 @@ def _transitions(codes, plan, lo, hi, level):
     for start in range(0, level.size, FILTER_CHUNK):
         seen[level[start:start + FILTER_CHUNK] // place % space] = True
     keys = np.flatnonzero(seen)
-    f = _applier(G, plan)
+    f = plan_evaluator(G, plan, columns=True)
     digits = _digits(keys, radices)
     # label 0 holds only pair code 0, the identities, which every move
     # fixes, so the zero digits of keys * place count once
@@ -598,14 +583,19 @@ def orbit_scan(G, g, v, catalog, budget=None):
     their nodes, and the orbits kept are renumbered in order.
 
     BudgetError, before the level is allocated, when build_level would
-    walk more than budget prefixes, closed or punctured.
+    walk more than budget prefixes, closed or punctured; past it, a genus-0
+    level whose puncture pools (all its letters) do not generate G is empty.
 
     Returns (FastOrbitTable, number of tuples in the level).
     """
     if not ({(m.kind.removesuffix("Inv"), m.index) for m in catalog}
             >= {(kind, i) for kind in _HANDLE_KINDS for i in range(g)}):
         raise MoveError("the catalog lacks a handle move on some handle")
-    codes, level = build_level(G, g, v, budget)
+    codes, _ = _level_codes(G, g, v, budget)
+    if g == 0 and not generates(G, codes.letter.tolist()):
+        empty = np.zeros(0, dtype=np.int64)
+        return FastOrbitTable(MOVE_SET_TAG, (), (), {}, codes, empty, empty), 0
+    codes, level = build_level(G, g, v)  # within budget, as checked above
     plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
              if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]
     seeds, sizes, ids = _sweep(codes, level, plans)

@@ -8,9 +8,9 @@ branch data and is invertible within the catalog.
 
 Each move kind is defined once, as a row of _MOVE_WORDS: straight-line
 words over the letters of the site it acts on.  move_plan binds a row
-to letter slots; apply_move runs the plan as Python code generated once
-per (move, group, genus, punctures), and fastorbits runs the same plan
-on numpy columns.  A new move is a new row there (plus a site in
+to letter slots, and plan_evaluator runs the plan: on one tuple's
+letters for apply_move, on numpy columns of many tuples for
+fastorbits.  A new move is a new row there (plus a site in
 _site_slots if it acts on a new kind of site) and an entry in
 move_catalog.
 """
@@ -28,6 +28,7 @@ __all__ = [
     "move_catalog",
     "MovePlan",
     "move_plan",
+    "plan_evaluator",
     "apply_move",
     "canonicalize",
     "move_closure",
@@ -159,11 +160,11 @@ class MovePlan:
     """A move bound to the letter slots of one level.
 
     Registers below `slots` hold the letters before the move; register
-    `slots` holds the point-push element.  Each step (reg, srcs, table,
-    word) sets a new register: table[srcs[0]] or table[srcs[0] * q +
-    srcs[1]] when the word reads at most two registers other than the
-    point-push element, else the word's product (word entries r >= 0
-    read register r, ~r its inverse).
+    `slots` holds the point-push element.  Step k (reg, srcs, table,
+    word) sets register reg = slots + 1 + k: table[srcs[0]] or
+    table[srcs[0] * q + srcs[1]] when the word reads at most two
+    registers other than the point-push element, else the word's product
+    (word entries r >= 0 read register r, ~r its inverse).
     """
 
     slots: int
@@ -225,96 +226,56 @@ def move_plan(G, m, g, n):
     return MovePlan(L, m.element, tuple(steps), tuple(writes), tuple(moved))
 
 
-def _python_move(G, plan, g):
-    """Straight-line Python for one plan: t -> moved BranchedTuple.  Only
-    the letters the plan reads are unpacked, and only the handles and
-    punctures it writes are rebuilt."""
-    L, q, n = plan.slots, G.order, plan.slots - 2 * g
-    new, sign_of = dict(plan.writes), dict(plan.signs)
-    ns = {"mul": G.mul, "inv": G.inv, "BT": BranchedTuple, "G": G}
+def plan_evaluator(G, plan, columns):
+    """The function (letters slot by slot, puncture signs) -> the same
+    after plan's move.  With columns each is a numpy column of many
+    tuples; without, one tuple's Python ints, and the letters stay ints."""
+    q = G.order
+    mulf, inv = (a if columns else a.tolist() for a in _np_tables(G))
+    # each step as ((first source, second source or None), table, word)
+    steps = [((*srcs, None, None)[:2],
+              np.array(table) if columns and table is not None else table, word)
+             for _, srcs, table, word in plan.steps]
 
-    def name(r):
-        return str(plan.element) if r == L else f"r{r}"
+    def f(letters, signs=()):
+        env = [*letters, plan.element]
+        for (a, b), table, word in steps:  # step k sets register len(env)
+            if table is None:
+                env.append(word_values(word, env, q, mulf, inv))
+            elif b is None:
+                env.append(table[env[a]])
+            else:
+                env.append(table[env[a] * q + env[b]])
+        out, out_signs = list(letters), list(signs)
+        for slot, reg in plan.writes:
+            out[slot] = env[reg]
+        for j, src in plan.signs:
+            out_signs[j] = signs[src]
+        return out, out_signs
 
-    def handle(k):
-        a, b = 2 * k, 2 * k + 1
-        if a in new or b in new:
-            return f"({name(new.get(a, a))}, {name(new.get(b, b))}), "
-        return f"h[{k}], "
-
-    def puncture(j):
-        s = 2 * g + j
-        if s in new or j in sign_of:
-            return f"({name(new.get(s, s))}, o{sign_of.get(j, j)}), "
-        return f"p[{j}], "
-
-    lines = ["def move(t):", "    h = t.handles", "    p = t.punctures"]
-    touched = set(new) | set(new.values()) | {
-        r if r >= 0 else ~r for step in plan.steps for r in step[3]}
-    for k in range(g):
-        if {2 * k, 2 * k + 1} & touched:
-            lines.append(f"    r{2 * k}, r{2 * k + 1} = h[{k}]")
-    for j in range(n):
-        if 2 * g + j in touched or j in sign_of or j in sign_of.values():
-            lines.append(f"    r{2 * g + j}, o{j} = p[{j}]")
-    for k, (reg, srcs, table, word) in enumerate(plan.steps):
-        if table is not None:
-            ns[f"T{k}"] = table
-            idx = name(srcs[0]) if len(srcs) == 1 else \
-                f"{name(srcs[0])} * {q} + {name(srcs[1])}"
-            lines.append(f"    r{reg} = T{k}[{idx}]")
-        else:
-            e = None
-            for r in word:
-                v = name(r) if r >= 0 else f"inv[{name(~r)}]"
-                e = v if e is None else f"mul[{e}][{v}]"
-            lines.append(f"    r{reg} = {e}")
-    hx, px = "h", "p"
-    if any(s < 2 * g for s in new):
-        hx = "(" + "".join(map(handle, range(g))) + ")"
-    if any(s >= 2 * g for s in new) or sign_of:
-        px = "(" + "".join(map(puncture, range(n))) + ")"
-    lines.append(f"    return BT(G, {g}, {hx}, {px})")
-    exec("\n".join(lines), ns)
-    return ns["move"]
-
-
-def _compiled(G, m, g, n):
-    """apply_move's function for move m on genus-g, n-puncture tuples,
-    generated on first use and kept in the group's cache."""
-    key = (m.kind, m.index, m.element, g, n)
-    f = G.cache.get(key)
-    if f is None:
-        f = G.cache[key] = _python_move(G, move_plan(G, m, g, n), g)
     return f
 
 
 def apply_move(m, t):
-    return _compiled(t.group, m, t.genus, len(t.punctures))(t)
-
-
-def _conjugators(G, g, n):
-    """Compiled GlobalConj moves by every non-identity element."""
-    key = ("conjugators", g, n)
+    """The tuple that move m makes of t: its plan run on t's letters."""
+    G, g, n = t.group, t.genus, len(t.punctures)
+    L, key = 2 * g, (m.kind, m.index, m.element, g, n)
     if key not in G.cache:
-        G.cache[key] = [_compiled(G, Move("GlobalConj", element=x), g, n)
-                        for x in range(1, G.order)]
-    return G.cache[key]
+        plan = move_plan(G, m, g, n)
+        G.cache[key] = (plan_evaluator(G, plan, columns=False),
+                        any(slot < L for slot, _ in plan.writes),
+                        any(slot >= L for slot, _ in plan.writes) or plan.signs)
+    f, handles, punctures = G.cache[key]
+    letters, signs = f(*t.flat)
+    return BranchedTuple(
+        G, g, tuple(zip(letters[0:L:2], letters[1:L:2])) if handles else t.handles,
+        tuple(zip(letters[L:], signs)) if punctures else t.punctures)
 
 
 def canonicalize(t):
-    """Lexicographically minimal tuple among all global conjugates."""
-    G = t.group
-    if G.is_abelian():
-        return t
-    best = t
-    bkey = t.key()
-    for conj in _conjugators(G, t.genus, len(t.punctures)):
-        s = conj(t)
-        k = s.key()
-        if k < bkey:
-            best, bkey = s, k
-    return best
+    """The least of t's global conjugates: GlobalConj by every element."""
+    return min(apply_move(Move("GlobalConj", element=x), t)
+               for x in range(t.group.order))
 
 
 @dataclass(frozen=True)
@@ -399,22 +360,15 @@ def orbits(tuples, catalog):
     return OrbitTable(MOVE_SET_TAG, tuple(reps), tuple(sizes), orbit_of)
 
 
-def induced_orbit_map(f, src, dst, exhaustive_members=None):
+def induced_orbit_map(f, src, dst, exhaustive_members):
     """Orbit-level map induced by a tuple map f: src set -> dst set.
 
-    Well-definedness is asserted: every member of a source orbit must
-    land in a single target orbit.  exhaustive_members optionally maps
-    source orbit id -> iterable of member tuples to check; by default
-    only each representative is mapped, which checks nothing.
+    exhaustive_members maps each source orbit id to the member tuples to
+    check; every one of them must land in a single target orbit.
     """
     mapping = {}
-    for i, rep in enumerate(src.representatives):
-        targets = set()
-        members = (
-            exhaustive_members[i] if exhaustive_members is not None else [rep]
-        )
-        for t in members:
-            targets.add(dst.orbit_id(f(t)))
+    for i in range(src.num_orbits):
+        targets = {dst.orbit_id(f(t)) for t in exhaustive_members[i]}
         if len(targets) != 1:
             raise MoveError(f"induced map ill-defined on source orbit {i}")
         mapping[i] = targets.pop()

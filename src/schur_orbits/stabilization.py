@@ -156,13 +156,12 @@ class StableRangeReport:
 
 def level_orbits(G, g, v, enum_budget):
     """(orbit table, number of tuples) for the surjective tuples of one
-    (g, v) level.
-
-    Every level runs through fastorbits.orbit_scan, closed levels by way
-    of closed_orbit_scan, the name perfbench/trace_job.py times.
-    enum_budget caps the prefixes fastorbits.build_level walks; a level
-    over it raises BudgetError before it is allocated.
-    No tuple object is built but the representatives.
+    (g, v) level, by fastorbits.orbit_scan; closed levels by way of
+    closed_orbit_scan, the name perfbench/trace_job.py times.  enum_budget
+    caps the prefixes fastorbits.build_level walks: a level over it raises
+    BudgetError before it is allocated, and a genus-0 level whose puncture
+    letters do not generate G is empty and is not built.  No tuple object
+    is built but the representatives.
     """
     n = v.cardinality
     catalog = move_catalog(G, g, n)
@@ -204,7 +203,12 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
                   enum_budget=2_000_000):
     """Probe the stable range at (g, v) levels grown by stabilization
     rounds (_next_level) until the orbit count plateaus over two full
-    rounds, then cross-check against |M(G)_C|."""
+    rounds, then cross-check against |M(G)_C|.
+
+    A round leaves the handles alone, so it sends each node of a level
+    into one node of the next, and mapping each node's least tuple checks
+    its induced orbit map in full.  A level over enum_budget, or after a
+    level with more nodes than that, is skipped."""
     cids = tuple(sorted(set(class_ids)))
     if v_seed is None:
         v_seed = BranchData.from_dict({})
@@ -251,10 +255,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
     for _ in range(max_rounds + 1):
         try:
             table, n_tuples = level_orbits(G, g, v, enum_budget)
-            # every member of a punctured level is mapped; a closed
-            # level is too large, so only its representatives are
-            members = (prev.members(enum_budget)
-                       if prev is not None and prev.codes.n else None)
+            members = prev.members(enum_budget, least=True) if prev else None
         except BudgetError:
             report.levels.append({"g": g,
                                   "v": [[list(k), m] for k, m in v.counts],

@@ -1,5 +1,5 @@
 """The vectorized level engine, closed and punctured, against the
-scalar move evaluator, the hash-BFS orbit engine and the Python
+move words read directly, the hash-BFS orbit engine and the Python
 enumeration walk."""
 
 import numpy as np
@@ -16,7 +16,6 @@ from schur_orbits.covers import (
     is_surjective,
 )
 from schur_orbits.fastorbits import (
-    _applier,
     _Codes,
     _forward_moves,
     _handle_orbits,
@@ -35,11 +34,13 @@ from schur_orbits.moves import (
     move_catalog,
     move_plan,
     orbits,
+    plan_evaluator,
 )
 
 from conftest import GROUP_SPECS, cyclic, get_group, transposition_class
 from enumeration_oracle import oracle_enumerate, walked_prefixes
 from level_count_oracle import level_count
+from test_moves import _word_move
 
 
 @st.composite
@@ -70,11 +71,12 @@ def test_numpy_moves_match_apply_move(case):
     signs = [np.array([o[j] for _, o in states], dtype=np.int64)
              for j in range(n)]
     for m in move_catalog(G, g, n):
-        out, out_signs = _applier(G, move_plan(G, m, g, n))(cols, signs)
+        out, out_signs = plan_evaluator(G, move_plan(G, m, g, n), columns=True)(
+            cols, signs)
         for row, (s, o) in enumerate(states):
             t = BranchedTuple(G, g, tuple(zip(s[:L:2], s[1:L:2])),
                               tuple(zip(s[L:], o)))
-            moved = apply_move(m, t)
+            moved = _word_move(m, t)
             assert [int(c[row]) for c in out] == moved.letters(), m
             assert [int(c[row]) for c in out_signs] == \
                 [o for _, o in moved.punctures], m
@@ -303,6 +305,28 @@ def test_s4_eight_transpositions_is_one_orbit(s4):
     table, n_tuples = orbit_scan(s4, 0, v, move_catalog(s4, 0, 8))
     assert n_tuples == 131040
     assert table.num_orbits == 1 and table.sizes == (131040,)
+
+
+def test_genus_zero_level_whose_pools_do_not_generate_is_not_built(
+        s4, monkeypatch):
+    # 14,763 tuples of 10 double transpositions, all in the Klein four
+    # subgroup; the budget is still checked first
+    dt = next(c for c, x in enumerate(s4.class_reps)
+              if s4.element_order(x) == 2 and len(s4.class_members(c)) == 3)
+    v = BranchData.from_dict({(dt, 1): 10})
+    cat = move_catalog(s4, 0, 10)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a level with no surjective tuple")
+
+    monkeypatch.setattr(fastorbits, "build_level", no_build)
+    table, n = orbit_scan(s4, 0, v, cat)
+    assert (n, table.num_orbits, table.level.size) == (0, 0, 0)
+    assert enumerate_tuples(s4, 0, v) == []
+    with pytest.raises(KeyError):
+        table.orbit_id(BranchedTuple(s4, 0, (), ((s4.class_reps[dt], 1),) * 10))
+    with pytest.raises(BudgetError):
+        orbit_scan(s4, 0, v, cat, budget=_prefix_count(s4, 0, v) - 1)
 
 
 def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):

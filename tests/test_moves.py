@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schur_orbits.covers import (
     BranchData,
@@ -245,6 +247,32 @@ def test_canonicalize_idempotent_and_conj_invariant(s3, s4):
             for x in range(1, G.order):
                 s = apply_move(Move("GlobalConj", element=x), t)
                 assert canonicalize(s) == c
+
+
+@st.composite
+def letter_tuples(draw):
+    """A tuple of letters and signs over a small group, on the surface
+    relation or not: the moves act letterwise."""
+    G = get_group(draw(st.sampled_from(["s3", "k4", "q8", "a4", "s4"])))
+    g, n = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    letter = st.integers(0, G.order - 1)
+    handles = draw(st.lists(st.tuples(letter, letter), min_size=g, max_size=g))
+    punctures = draw(st.lists(st.tuples(letter, st.sampled_from([1, -1])),
+                              min_size=n, max_size=n))
+    return BranchedTuple(G, g, tuple(handles), tuple(punctures))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(letter_tuples())
+def test_apply_move_gives_python_ints_and_canonicalize_the_least_conjugate(t):
+    # a numpy scalar in a tuple would not serialize into a JSON report
+    G = t.group
+    for m in move_catalog(G, t.genus, t.n):
+        s = apply_move(m, t)
+        assert all(type(x) is int
+                   for x in s.letters() + [o for _, o in s.punctures]), m
+    assert canonicalize(t) == min(
+        _word_move(Move("GlobalConj", element=x), t) for x in range(G.order))
 
 
 @pytest.mark.parametrize("name", ["s3", "k4", "q8"])

@@ -2,13 +2,20 @@
 
 import pytest
 
-from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
+from schur_orbits.covers import (
+    BranchData,
+    BudgetError,
+    branch_data,
+    enumerate_tuples,
+    make_tuple,
+)
 from schur_orbits.moves import induced_orbit_map, move_catalog, orbits
 from schur_orbits.stabilization import (
     StabilizationError,
     certificate,
     dilate,
     handle_stabilize,
+    level_orbits,
     puncture_stabilize,
     stable_orbits,
     surger_handles,
@@ -217,12 +224,12 @@ def test_stable_orbits_skips_a_closed_level_over_the_cap(
         "m_order": 2, "m_invariant_factors": [2], "verdict": verdict}
 
 
-@pytest.mark.parametrize("budget,computed", [(1920, 3), (1919, 2)])
-def test_stable_orbits_skips_a_level_whose_induced_map_is_over_budget(
+@pytest.mark.parametrize("budget,computed", [(216, 3), (215, 2)])
+def test_stable_orbits_maps_the_nodes_of_a_level_within_its_budget(
         q8, budget, computed):
     # Q8 g = 1, 2, 3 with 1, 3, 5 punctures of the central class walk 6,
-    # 36, 216 prefixes, but the induced map into g = 3 expands the 1,920
-    # tuples of g = 2
+    # 36, 216 prefixes; the induced map into g = 3 maps the 10 nodes of
+    # g = 2, not its 1,920 tuples, so only the level's own budget counts
     c = q8.class_of[1]
     r = stable_orbits(q8, (c,), v_seed=BranchData.from_dict({(c, 1): 1}),
                       g_seed=1, enum_budget=budget)
@@ -231,6 +238,11 @@ def test_stable_orbits_skips_a_level_whose_induced_map_is_over_budget(
     assert r.levels[-1].get("skipped") == (None if computed == 3
                                            else "level over budget")
     assert (r.stable_count, r.verdict) == (1, "empirical-match")
+    table, _ = level_orbits(q8, 2, BranchData.from_dict({(c, 1): 3}), budget)
+    assert table.level.size == 10
+    assert sum(map(len, table.members(10, least=True).values())) == 10
+    with pytest.raises(BudgetError):
+        table.members(9, least=True)
 
 
 def test_stable_orbits_grows_an_empty_level_by_its_branch_data(s3):

@@ -278,18 +278,12 @@ class FastOrbitTable(OrbitTable):
             raise KeyError("tuple not in this orbit table")
         return int(self.ids[pos])
 
-    def members(self, budget=None, least=False):
-        """Orbit id -> the orbit's tuples in key order, or with least only
-        each node's least tuple; BudgetError when there are more than
-        budget of them."""
-        if least and budget is not None and self.level.size > budget:
-            raise BudgetError(f"enumeration budget {budget} exhausted")
-        codes = (self.codes.tuple_codes(self.level, least=True) if least
-                 else self.codes.expand(self.level, budget))
-        ids = self.ids if least else self.ids.repeat(self.codes.weight(self.level))
-        order = np.argsort(codes, kind="stable")
+    def members(self):
+        """Orbit id -> the least tuple of each of the orbit's nodes, in key
+        order; the orbit's representative comes first."""
+        codes = self.codes.tuple_codes(self.level, least=True)
         out = {i: [] for i in range(self.num_orbits)}
-        for t, i in zip(self.codes.tuples(codes[order]), ids[order].tolist()):
+        for t, i in zip(self.codes.tuples(codes), self.ids.tolist()):
             out[i].append(t)
         return out
 
@@ -323,15 +317,11 @@ def _prefix_count(G, g, v):
     return K ** g * total
 
 
-def _level_codes(G, g, v, budget):
-    """(_Codes, letter pools by puncture kind) of the genus-g level with
-    branch data v; BudgetError past budget prefixes (_prefix_count)."""
+def _check_budget(G, g, v, budget):
+    """BudgetError when build_level would walk more than budget prefixes
+    (_prefix_count)."""
     if budget is not None and _prefix_count(G, g, v) > budget:
         raise BudgetError(f"enumeration budget {budget} exhausted")
-    pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
-             for kind, _ in v.counts}
-    return _Codes(G, g, v.cardinality, [(w, sign) for (_, sign), pool in
-                                        pools.items() for w in pool.tolist()]), pools
 
 
 def build_level(G, g, v, budget=None):
@@ -348,8 +338,12 @@ def build_level(G, g, v, budget=None):
     budget prefixes (_prefix_count) or its tuple code space overflows
     int64.
     """
-    codes, pools = _level_codes(G, g, v, budget)
+    _check_budget(G, g, v, budget)
+    pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
+             for kind, _ in v.counts}
     slots = [kind for kind, k in v.counts for _ in range(k)]
+    codes = _Codes(G, g, len(slots), [(w, sign) for (_, sign), pool in
+                                      pools.items() for w in pool.tolist()])
     q, H = G.order, codes.orbits
     mulf, inv = _np_tables(G)
     # a digit's pool entries as (node digit, group value)
@@ -591,10 +585,15 @@ def orbit_scan(G, g, v, catalog, budget=None):
     if not ({(m.kind.removesuffix("Inv"), m.index) for m in catalog}
             >= {(kind, i) for kind in _HANDLE_KINDS for i in range(g)}):
         raise MoveError("the catalog lacks a handle move on some handle")
-    codes, _ = _level_codes(G, g, v, budget)
-    if g == 0 and not generates(G, codes.letter.tolist()):
-        empty = np.zeros(0, dtype=np.int64)
-        return FastOrbitTable(MOVE_SET_TAG, (), (), {}, codes, empty, empty), 0
+    _check_budget(G, g, v, budget)
+    if g == 0:
+        alphabet = [(w, sign) for (cid, sign), _ in v.counts
+                    for w in _letters_for(G, cid, sign)]
+        if not generates(G, [w for w, _ in alphabet]):
+            empty = np.zeros(0, dtype=np.int64)
+            codes = _Codes(G, 0, v.cardinality, alphabet)
+            return FastOrbitTable(MOVE_SET_TAG, (), (), {}, codes, empty,
+                                  empty), 0
     codes, level = build_level(G, g, v)  # within budget, as checked above
     plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
              if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]

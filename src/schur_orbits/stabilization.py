@@ -207,8 +207,9 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
 
     A round leaves the handles alone, so it sends each node of a level
     into one node of the next, and mapping each node's least tuple checks
-    its induced orbit map in full.  A level over enum_budget, or after a
-    level with more nodes than that, is skipped."""
+    its induced orbit map in full.  A level over enum_budget is skipped.
+    The nodes mapped into a level number no more than the prefixes of it
+    or of the level before, so the map needs no budget of its own."""
     cids = tuple(sorted(set(class_ids)))
     if v_seed is None:
         v_seed = BranchData.from_dict({})
@@ -255,7 +256,6 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
     for _ in range(max_rounds + 1):
         try:
             table, n_tuples = level_orbits(G, g, v, enum_budget)
-            members = prev.members(enum_budget, least=True) if prev else None
         except BudgetError:
             report.levels.append({"g": g,
                                   "v": [[list(k), m] for k, m in v.counts],
@@ -280,7 +280,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         }
         if prev is not None:
             flags = induced_orbit_map(f, prev, table,
-                                      exhaustive_members=members)
+                                      exhaustive_members=prev.members())
             entry["induced_map"] = {
                 "surjective": flags["surjective"],
                 "injective": flags["injective"],

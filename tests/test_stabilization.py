@@ -2,13 +2,7 @@
 
 import pytest
 
-from schur_orbits.covers import (
-    BranchData,
-    BudgetError,
-    branch_data,
-    enumerate_tuples,
-    make_tuple,
-)
+from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
 from schur_orbits.moves import induced_orbit_map, move_catalog, orbits
 from schur_orbits.stabilization import (
     StabilizationError,
@@ -240,9 +234,7 @@ def test_stable_orbits_maps_the_nodes_of_a_level_within_its_budget(
     assert (r.stable_count, r.verdict) == (1, "empirical-match")
     table, _ = level_orbits(q8, 2, BranchData.from_dict({(c, 1): 3}), budget)
     assert table.level.size == 10
-    assert sum(map(len, table.members(10, least=True).values())) == 10
-    with pytest.raises(BudgetError):
-        table.members(9, least=True)
+    assert sum(map(len, table.members().values())) == 10
 
 
 def test_stable_orbits_grows_an_empty_level_by_its_branch_data(s3):

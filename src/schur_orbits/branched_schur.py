@@ -29,6 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .covers import BudgetError, branch_data, is_surjective
+from .groups import DomainError
 from .homology import h2_group, m_g_c
 from .moves import MOVE_SET_TAG, move_catalog, move_closure
 
@@ -44,7 +45,7 @@ __all__ = [
 ORIENTATION_CONVENTION = "mirror-reverse-swap-v1"
 
 
-class DoublingError(ValueError):
+class DoublingError(DomainError):
     """Tuples that have no difference class: different levels, a
     non-surjective tuple, or a branch class outside C."""
 

@@ -2,16 +2,21 @@
 and a digest-keyed result cache.
 
 Every subcommand emits one JSON report (stdout or --out).  Exit codes
-come from exception types: 0 success, 1 domain error (malformed input,
-invalid tuple, a branch class outside C, ...), 2 budget exhaustion
-(BudgetError) or an inconclusive stable-range verdict, 3 an internal
-error (any other exception: its traceback goes to stderr).  Reports are
-byte-identical across runs, --threads values (accepted and ignored) and
-cache cold/warm runs; the cache stores the serialized report keyed by a
-content digest of the job (group table digest, classes, parameters,
-move-set tag, and a digest of the package's source files, so a report
-computed by other code is never served).  An entry that does not decode
-is a miss: the report is recomputed and the entry rewritten.
+come from exception types: 0 success, 1 a groups.DomainError (malformed
+input, invalid tuple, a branch class outside C, ...), 2 budget
+exhaustion (BudgetError) or an inconclusive stable-range verdict, 3 an
+internal error (any other exception: its traceback goes to stderr).
+Reports are byte-identical across runs, --threads values (accepted and
+ignored) and cache cold/warm runs; the cache stores the serialized
+report keyed by a content digest of the job (group table digest,
+command, parameters, and a digest of the package's source files, which
+covers the move-set tag in moves.py, so a report computed by other code
+is never served).  An entry that does not decode is a miss: the report
+is recomputed and the entry rewritten.
+
+Only groups and covers are imported here; each command imports the
+modules it runs in its own body, so argument parsing, group-info and a
+cache hit load neither numpy nor the orbit and homology modules.
 """
 
 from __future__ import annotations
@@ -26,46 +31,25 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .branched_schur import DoublingError, schur_diff, torsor_check
 from .covers import (
     BranchData,
     BudgetError,
-    TupleError,
     branch_data,
     enumerate_tuples,
     tuple_from_json,
     tuple_to_json,
 )
 from .groups import (
-    GroupBuildError,
+    DomainError,
     _closure_and_bfs_order,
     abelianization,
     build_group,
-)
-from .homology import (
-    HomologyError,
-    h1_bgc,
-    h2_bgc,
-    h2_group,
-    hom_branch_type,
-    m_g_c,
-    pi1_bgc_order,
-    sch_unbranched,
-)
-from .moves import MOVE_SET_TAG, MoveError
-from .stabilization import (
-    StabilizationError,
-    dilate,
-    handle_stabilize,
-    level_orbits,
-    puncture_stabilize,
-    stable_orbits,
 )
 
 __all__ = ["main"]
 
 
-class CliError(ValueError):
+class CliError(DomainError):
     pass
 
 
@@ -271,6 +255,9 @@ def _params_orbits(G, args):
 
 
 def _cmd_orbits(G, args):
+    from .homology import hom_branch_type
+    from .stabilization import level_orbits
+
     v = parse_branch(G, args.branch)
     vec, in_n = hom_branch_type(G, v.class_ids(), v)
     table, n = level_orbits(G, args.genus, v, args.budget)
@@ -289,6 +276,8 @@ def _params_h2(G, args):
 
 
 def _cmd_h2(G, args):
+    from .homology import h2_group
+
     return {"H2": list(h2_group(G).presentation.invariant_factors)}
 
 
@@ -297,12 +286,16 @@ def _params_classes_only(G, args):
 
 
 def _cmd_mgc(G, args):
+    from .homology import m_g_c
+
     cids = parse_classes(G, args.classes)
     M, _ = m_g_c(G, cids)
     return {"MGC": list(M.invariant_factors), "classes": list(cids)}
 
 
 def _cmd_h2bgc(G, args):
+    from .homology import h1_bgc, h2_bgc, h2_group, pi1_bgc_order
+
     cids = parse_classes(G, args.classes)
     B = h2_bgc(G, cids)
     return {
@@ -321,6 +314,8 @@ def _params_sch(G, args):
 
 
 def _cmd_sch(G, args):
+    from .homology import h2_group, sch_unbranched
+
     t = _load_tuple(G, args.tuple)
     if t.n != 0:
         raise CliError("sch is defined for closed (unbranched) tuples")
@@ -338,6 +333,8 @@ def _params_diff(G, args):
 
 
 def _cmd_diff(G, args):
+    from .branched_schur import schur_diff
+
     t = _load_tuple(G, args.tuple)
     t2 = _load_tuple(G, args.tuple2)
     cids = parse_classes(G, args.classes) if args.classes is not None else None
@@ -349,6 +346,8 @@ def _params_dilate(G, args):
 
 
 def _cmd_dilate(G, args):
+    from .stabilization import dilate
+
     out = dilate(_load_tuple(G, args.tuple))
     return {"tuple": tuple_to_json(out),
             "branch": _branch_key(branch_data(out))}
@@ -361,6 +360,8 @@ def _params_stabilize(G, args):
 
 
 def _cmd_stabilize(G, args):
+    from .stabilization import handle_stabilize, puncture_stabilize
+
     t = _load_tuple(G, args.tuple)
     for cid in parse_classes(G, args.classes):
         t = puncture_stabilize(t, cid)
@@ -381,6 +382,8 @@ def _params_stable_range(G, args):
 
 
 def _cmd_stable_range(G, args):
+    from .stabilization import stable_orbits
+
     cids = _stable_range_classes(G, args)
     v = parse_branch(G, args.branch)
     r = stable_orbits(G, cids, v_seed=v, g_seed=args.genus_seed,
@@ -396,6 +399,9 @@ def _params_torsor_check(G, args):
 
 
 def _cmd_torsor_check(G, args):
+    from .branched_schur import torsor_check
+    from .stabilization import level_orbits
+
     cids = _stable_range_classes(G, args)
     v = parse_branch(G, args.branch)
     table, n = level_orbits(G, args.genus, v, args.budget)
@@ -592,7 +598,6 @@ def main(argv=None):
         params = param_fn(G, args)
         payload = {
             "code_version": _source_digest(),
-            "move_set": MOVE_SET_TAG,
             "group": G.digest,
             "command": args.command,
             "params": params,
@@ -615,8 +620,7 @@ def main(argv=None):
     except BudgetError as e:
         _emit(args, _render({"error": {"kind": "budget", "message": str(e)}}))
         return 2
-    except (CliError, GroupBuildError, HomologyError, StabilizationError,
-            DoublingError, TupleError, MoveError) as e:
+    except DomainError as e:
         _emit(args, _render({"error": {"kind": "domain", "message": str(e)}}))
         return 1
     except Exception as e:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .groups import FiniteGroup, generates
+from .groups import DomainError, FiniteGroup, generates
 
 __all__ = [
     "BudgetError",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class TupleError(ValueError):
+class TupleError(DomainError):
     pass
 
 

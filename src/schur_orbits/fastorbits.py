@@ -227,21 +227,29 @@ class _Codes:
                 self.tuple_codes(nodes[lo:hi])
         return out
 
-    def code_of(self, t):
-        """The node code of one tuple; KeyError when it has another shape,
-        a letter outside 0..|G|-1 or a puncture outside the alphabet."""
-        q = self.group.order
-        if (t.genus != self.genus or len(t.punctures) != self.n
-                or not all(0 <= x < q for x in t.letters())
-                or not all(o in (1, -1) for _, o in t.punctures)):
-            raise KeyError("tuple not in this orbit table")
-        code = 0
-        for a, b in t.handles:
-            code = code * self.orbits.size.size + int(self.orbits.label[a * q + b])
-        for w, o in t.punctures:
-            k = int(self.rank[(o > 0) * q + w])
-            if k < 0:
-                raise KeyError("tuple not in this orbit table")
+    def codes_of(self, tuples):
+        """The node codes of tuples, as an int64 array; KeyError when one
+        has another shape, a letter outside 0..|G|-1 or a puncture
+        outside the alphabet."""
+        q, L, n = self.group.order, 2 * self.genus, self.n
+        miss = KeyError("tuple not in this orbit table")
+        if any(t.genus != self.genus or t.n != n for t in tuples):
+            raise miss
+        try:  # one row per tuple: its letters slot by slot, then its signs
+            rows = np.array([t.flat[0] + t.flat[1] for t in tuples],
+                            dtype=np.int64).reshape(len(tuples), L + 2 * n)
+        except OverflowError:
+            raise miss from None
+        letters, signs = rows[:, :L + n].T, rows[:, L + n:].T
+        if ((letters < 0) | (letters >= q)).any() or (abs(signs) != 1).any():
+            raise miss
+        ranks = self.rank[(signs > 0) * q + letters[L:]]
+        if (ranks < 0).any():
+            raise miss
+        code = np.zeros(len(tuples), dtype=np.int64)
+        for a, b in zip(letters[0:L:2], letters[1:L:2]):
+            code = code * self.orbits.size.size + self.orbits.label[a * q + b]
+        for k in ranks:
             code = code * len(self.alphabet) + k
         return code
 
@@ -272,11 +280,18 @@ class FastOrbitTable(OrbitTable):
     level: np.ndarray
 
     def orbit_id(self, t):
-        code = self.codes.code_of(t)
-        pos = int(np.searchsorted(self.level, code))
-        if pos == self.level.size or self.level[pos] != code:
+        return self.orbit_ids([t])[0]
+
+    def orbit_ids(self, tuples):
+        """The orbit id of each tuple: its node code looked up in level,
+        all in one search."""
+        codes = self.codes.codes_of(tuples)
+        pos = np.searchsorted(self.level, codes)
+        found = pos < self.level.size
+        found[found] = self.level[pos[found]] == codes[found]
+        if not found.all():
             raise KeyError("tuple not in this orbit table")
-        return int(self.ids[pos])
+        return self.ids[pos].tolist()
 
     def members(self):
         """Orbit id -> the least tuple of each of the orbit's nodes, in key

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .intlinalg import PresentedAbelianGroup, cokernel
 
 __all__ = [
+    "DomainError",
     "FiniteGroup",
     "build_group",
     "centralizer",
@@ -30,7 +31,13 @@ __all__ = [
 DEFAULT_MAX_ORDER = 120
 
 
-class GroupBuildError(ValueError):
+class DomainError(ValueError):
+    """Input the mathematics rejects: a malformed group, tuple or
+    selector, a move outside its range, a branch class outside C.  The
+    CLI reports every subclass as exit 1, kind "domain"."""
+
+
+class GroupBuildError(DomainError):
     pass
 
 

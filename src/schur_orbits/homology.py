@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covers import BranchData
-from .groups import abelianization, centralizer, closure
+from .groups import DomainError, abelianization, centralizer, closure
 from .intlinalg import (
     IntegerLattice,
     PresentedAbelianGroup,
@@ -62,7 +62,7 @@ BAR_SIZE_CAP = 32  # group order cap for bar-complex computations
 _D3_CHUNK = 128
 
 
-class HomologyError(ValueError):
+class HomologyError(DomainError):
     pass
 
 

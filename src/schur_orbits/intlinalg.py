@@ -11,8 +11,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 __all__ = [
     "smith_normal_form",
     "snf_with_inverse",
@@ -53,7 +51,7 @@ class _SNF:
     U: list | None
     D: list
     V: list | None
-    Vinv: list | np.ndarray | None
+    Vinv: list | None  # an int64 numpy array when reduced mod N
     diag: list
     rank: int
 
@@ -84,6 +82,10 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
     elif modulus is None:
         Vinv = identity_matrix(c)
     else:
+        # numpy serves only this array, so it is imported here: the rest
+        # of the module, and groups.abelianization, run without it
+        import numpy as np
+
         Vinv = np.eye(c, dtype=np.int64)
 
     def row_add(i, j, q):  # row_i += q * row_j

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covers import BranchedTuple
+from .groups import DomainError
 
 __all__ = [
     "Move",
@@ -85,7 +86,7 @@ _MOVE_WORDS = {
 }
 
 
-class MoveError(ValueError):
+class MoveError(DomainError):
     pass
 
 
@@ -295,6 +296,9 @@ class OrbitTable:
             raise KeyError("tuple not in this orbit table")
         return i
 
+    def orbit_ids(self, tuples):
+        return [self.orbit_id(t) for t in tuples]
+
     def to_json(self):
         from .covers import tuple_to_json
 
@@ -316,7 +320,7 @@ def move_closure(t, catalog):
     yield t
     while frontier:
         nxt = []
-        for s in sorted(frontier):
+        for s in sorted(frontier, key=BranchedTuple.key):
             for m in catalog:
                 u = apply_move(m, s)
                 k = u.key()
@@ -364,14 +368,20 @@ def induced_orbit_map(f, src, dst, exhaustive_members):
     """Orbit-level map induced by a tuple map f: src set -> dst set.
 
     exhaustive_members maps each source orbit id to the member tuples to
-    check; every one of them must land in a single target orbit.
+    check; every one of them must land in a single target orbit.  The
+    images are looked up in dst in one orbit_ids call.
     """
+    pairs = [(i, f(t)) for i in range(src.num_orbits)
+             for t in exhaustive_members[i]]
+    images = dst.orbit_ids([u for _, u in pairs])
+    targets = {i: set() for i in range(src.num_orbits)}
+    for (i, _), j in zip(pairs, images):
+        targets[i].add(j)
     mapping = {}
-    for i in range(src.num_orbits):
-        targets = {dst.orbit_id(f(t)) for t in exhaustive_members[i]}
-        if len(targets) != 1:
+    for i, ts in targets.items():
+        if len(ts) != 1:
             raise MoveError(f"induced map ill-defined on source orbit {i}")
-        mapping[i] = targets.pop()
+        mapping[i] = ts.pop()
     image = set(mapping.values())
     return {
         "map": mapping,

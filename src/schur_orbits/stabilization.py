@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .covers import BranchData, BranchedTuple, BudgetError
 from .fastorbits import closed_orbit_scan, orbit_scan
-from .groups import generates
+from .groups import DomainError, generates
 from .homology import hom_branch_type, m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog
 
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-class StabilizationError(ValueError):
+class StabilizationError(DomainError):
     pass
 
 

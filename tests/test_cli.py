@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from schur_orbits import cli
-from schur_orbits.cli import main
-from schur_orbits.covers import tuple_to_json
+from schur_orbits import cli, stabilization
+from schur_orbits.branched_schur import DoublingError
+from schur_orbits.cli import CliError, main
+from schur_orbits.covers import TupleError, tuple_to_json
+from schur_orbits.groups import DomainError, GroupBuildError
+from schur_orbits.homology import HomologyError
 from schur_orbits.moves import MoveError
+from schur_orbits.stabilization import StabilizationError
 
 from conftest import GROUP_SPECS, get_level
 
@@ -19,7 +24,7 @@ from conftest import GROUP_SPECS, get_level
 def files(tmp_path, monkeypatch):
     monkeypatch.setenv("SCHUR_ORBITS_CACHE", str(tmp_path / "cache"))
     paths = {}
-    for name in ("s3", "k4", "z2z4", "a4"):
+    for name in ("s3", "k4", "z2z4", "a4", "s4"):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(GROUP_SPECS[name]))
         paths[name] = str(p)
@@ -218,7 +223,7 @@ def test_exit_code_comes_from_the_error_type(files, capsys, monkeypatch):
     def fail(*args):
         raise MoveError("move exceeds cap on a budget")
 
-    monkeypatch.setattr(cli, "level_orbits", fail)
+    monkeypatch.setattr(stabilization, "level_orbits", fail)
     code, out = run(capsys, ["orbits", "--group", files["s3"],
                              "--genus", "1", "--no-cache"])
     assert code == 1
@@ -229,7 +234,7 @@ def test_unexpected_errors_exit_3_with_a_traceback(files, capsys, monkeypatch):
     def fail(*args):
         raise ValueError("not a domain error")
 
-    monkeypatch.setattr(cli, "level_orbits", fail)
+    monkeypatch.setattr(stabilization, "level_orbits", fail)
     code = main(["orbits", "--group", files["s3"], "--genus", "1",
                  "--no-cache"])
     captured = capsys.readouterr()
@@ -237,6 +242,67 @@ def test_unexpected_errors_exit_3_with_a_traceback(files, capsys, monkeypatch):
     assert json.loads(captured.out)["error"] == {
         "kind": "internal", "message": "ValueError: not a domain error"}
     assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize("error,code,kind", [
+    *[(e, 1, "domain") for e in (CliError, GroupBuildError, TupleError,
+                                 MoveError, HomologyError, StabilizationError,
+                                 DoublingError)],
+    (ValueError, 3, "internal"),
+])
+def test_every_domain_error_exits_1(files, capsys, monkeypatch, error, code,
+                                    kind):
+    assert issubclass(error, DomainError) == (code == 1)
+
+    def fail(G, args):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "h2", (cli._params_h2, fail))
+    got, out = run(capsys, ["h2", "--group", files["s3"], "--no-cache"])
+    assert got == code
+    assert json.loads(out)["error"]["kind"] == kind
+
+
+def test_h2bgc_report(files, capsys):
+    d4 = files["tmp"] / "d4.json"
+    d4.write_text(json.dumps(GROUP_SPECS["d4"]))
+    code, out = run(capsys, ["h2bgc", "--group", str(d4), "--classes", "all"])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["H2"], rep["MGC"], rep["N_rank"], rep["H1"],
+            rep["pi1_order"]) == ([2], [], 4, [], 1)
+
+
+# what a command that only reads the group, or a cache hit, must not load
+HEAVY_MODULES = {"numpy", "schur_orbits.homology", "schur_orbits.moves",
+                 "schur_orbits.fastorbits", "schur_orbits.stabilization",
+                 "schur_orbits.branched_schur"}
+
+
+def _imported_modules(argv):
+    """The modules a fresh `python -m schur_orbits.cli argv` imports, from
+    its -X importtime log."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    p = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                        "schur_orbits.cli", *argv],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in p.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_group_info_and_cache_hits_import_no_numpy(files):
+    cache = ["--cache-dir", str(files["tmp"] / "cache")]
+    group_info = _imported_modules(["group-info", "--group", files["s4"],
+                                    "--no-cache"])
+    cold = _imported_modules(["h2", "--group", files["s4"], *cache])
+    warm = _imported_modules(["h2", "--group", files["s4"], *cache])
+    # the log does list what a command loads: h2 runs homology on numpy
+    assert {"numpy", "schur_orbits.homology"} <= cold
+    assert "schur_orbits.groups" in group_info
+    assert not group_info & HEAVY_MODULES
+    assert not warm & HEAVY_MODULES
 
 
 @pytest.mark.parametrize("tup", [

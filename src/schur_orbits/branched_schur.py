@@ -112,7 +112,12 @@ class _Extension:
         # int64 products below stay far from overflow
         T_h2 = _reduced_transform(H2.presentation)
         T_m = _reduced_transform(M)
-        h2 = T_h2 @ H2._coords % _moduli(H2.presentation)
+        # H2._coords is uint8, so it is widened one column block at a time
+        W, step = H2._coords, 128
+        h2 = np.zeros((len(T_h2), W.shape[1]), dtype=np.int64)
+        for s in range(0, W.shape[1], step):
+            h2[:, s:s + step] = T_h2 @ W[:, s:s + step]
+        h2 %= _moduli(H2.presentation)
         f = T_m @ h2 % _moduli(M)
         m = G.order - 1
         table = np.zeros((G.order, G.order, len(M.moduli)), dtype=np.int64)

@@ -8,12 +8,12 @@ accumulated modulo |G| with every entry below |G| (the modular Hermite
 form of Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  Kernel
 coordinates, and the H2 presentation over them, are therefore kept
 mod |G|: the Smith form of d2 reduces d2 itself in exact Python
-integers but keeps its V^{-1} mod |G| in numpy, and the image lattice
-absorbs the d3 images of the generator columns only, which span it (see
-h2_group).  The quotient is presented from the reduced Howell form of
-its relations (J. A. Howell, Linear Multilinear Algebra 19, 1986),
-which is unique for its lattice, so the H2 coordinates depend on that
-lattice alone.  On top of that sit the
+integers but keeps its V^{-1} mod |G| in uint8, and the image lattice,
+a uint8 echelon, absorbs the d3 images of the generator columns only,
+which span it (see h2_group).  The quotient is presented from the
+reduced Howell form of its relations (J. A. Howell, Linear Multilinear
+Algebra 19, 1986), which is unique for its lattice, so the H2
+coordinates depend on that lattice alone.  On top of that sit the
 branch-class reductions: the subgroup of torus classes with meridian in
 a chosen union of conjugacy classes C, the reduced multiplier M(G)_C,
 the branch-type lattice N, and the homology of the C-branched
@@ -54,12 +54,13 @@ __all__ = [
     "hom_branch_type",
 ]
 
-BAR_SIZE_CAP = 32  # group order cap for bar-complex computations
+BAR_SIZE_CAP = 64  # group order cap for bar-complex computations
 
-# d3 columns imaged at a time.  Peak RSS of h2_group on a 2-CPU Xeon VM:
-# S4 51 MiB at 128, 56 MiB at 256, 60 MiB at 1024, 189 MiB with all
-# columns at once; (Z/2)^5 65, 72, 106 and 690 MiB.
+# d3 columns imaged or checked at a time.  Peak RSS of h2_group on a
+# 2-CPU Xeon VM, 33 MiB before: (Z/2)^5 37.2 MiB at 128, 38.7 at 256,
+# 45.1 at 1024, 57.5 at once; A5 66.6, 71.7, 98.4 and 178.4 MiB.
 _D3_CHUNK = 128
+_ABOVE_ROWS = 64  # echelon rows reduced at a time above a new pivot
 
 
 class HomologyError(DomainError):
@@ -103,18 +104,22 @@ def _d3_sparse(G):
     """d3 as (row index, coefficient) arrays of shape (m^3, 4), one row
     per column [x|y|z] in lexicographic order:
     d[x|y|z] = [y|z] - [xy|z] + [x|yz] - [x|y], symbols with an identity
-    entry carrying coefficient 0.  Repeated indices add up."""
+    entry carrying coefficient 0 and index 0.  Repeated indices add up.
+    Indices are the narrowest unsigned dtype, coefficients int8."""
     m = G.order - 1
-    mul = np.array(G.mul, dtype=np.int64)
-    e = np.arange(1, G.order)
+    et, it = np.min_scalar_type(m), np.min_scalar_type(m * m)
+    mul = np.array(G.mul, dtype=et)
+    pair = np.zeros((G.order, G.order), dtype=it)  # index of [x|y]
+    pair[1:, 1:] = np.arange(m * m, dtype=it).reshape(m, m)
+    e = np.arange(1, G.order, dtype=et)
     x, y, z = (a.ravel() for a in np.meshgrid(e, e, e, indexing="ij"))
     xy, yz = mul[x, y], mul[y, z]
-    ones = np.ones(m ** 3, dtype=np.int64)
-    coeff = np.stack([ones, -(xy != 0).astype(np.int64),
-                      (yz != 0).astype(np.int64), -ones], axis=1)
-    idx = np.stack([(y - 1) * m + z - 1, (xy - 1) * m + z - 1,
-                    (x - 1) * m + yz - 1, (x - 1) * m + y - 1], axis=1)
-    return np.where(coeff != 0, idx, 0), coeff
+    ones = np.ones(m ** 3, dtype=np.int8)
+    coeff = np.stack([ones, -(xy != 0).astype(np.int8),
+                      (yz != 0).astype(np.int8), -ones], axis=1)
+    idx = np.stack([pair[y, z], pair[xy, z], pair[x, yz], pair[x, y]],
+                   axis=1)
+    return idx, coeff
 
 
 def _chain_vector(G, chain):
@@ -145,7 +150,8 @@ def _is_cycle(G, chain):
 class H2Group:
     group: object
     presentation: PresentedAbelianGroup  # over kernel coordinates mod |G|
-    _coords: np.ndarray  # rows r.. of the d2 Smith form's V^{-1}, mod |G|
+    # rows r.. of the d2 Smith form's V^{-1}, mod |G|, in uint8
+    _coords: np.ndarray
 
     @property
     def invariant_factors(self):
@@ -159,7 +165,9 @@ class H2Group:
             raise HomologyError("chain is not a d2-cycle")
         v = np.array([c % G.order for c in _chain_vector(G, chain)],
                      dtype=np.int64)
-        return [int(t) for t in self._coords @ v % G.order]
+        nz = np.flatnonzero(v)  # widen only the chain's support
+        return [int(t) for t in
+                self._coords[:, nz].astype(np.int64) @ v[nz] % G.order]
 
     def cycle_class(self, chain):
         """H2 coordinates of a 2-cycle given as {(x, y): coeff}."""
@@ -172,9 +180,9 @@ def _absorb(H, piv, v, N):
     Row j of H has zeros left of column j and pivot piv[j] = H[j, j],
     a divisor of N; an empty row has pivot N (the row N.e_j, which is
     0 mod N).  The lattice spanned by H and N.Z^K only grows.  Entries
-    stay below N <= BAR_SIZE_CAP and multipliers below N, so no product
-    or K-term sum here comes near the int64 range.  Returns True if the
-    lattice grew.
+    stay below N <= BAR_SIZE_CAP, so H may be uint8 or int64; the
+    arithmetic widens one row, or _ABOVE_ROWS rows, at a time, and
+    nothing in it exceeds 2 N^2.  Returns True if the lattice grew.
 
     A new row r with pivot g leaves (N/g).r in the span of the rows
     below it, since the v reduced on carries that multiple.  So H is a
@@ -183,7 +191,7 @@ def _absorb(H, piv, v, N):
     that vanish left of j, the pivots depend on the lattice alone, and a
     vector already in the lattice reduces to 0 without changing H."""
     grew = False
-    v = v.copy()
+    v = v.astype(np.int64)
     j = -1
     while True:
         nz = np.flatnonzero(v[j + 1:])
@@ -191,7 +199,7 @@ def _absorb(H, piv, v, N):
             return grew
         j += 1 + int(nz[0])
         p, a = piv[j], int(v[j])
-        w, h = v[j:], H[j, j:]  # both vanish left of j
+        w, h = v[j:], H[j, j:].astype(np.int64)  # both vanish left of j
         if a % p == 0:
             w -= (a // p) * h
             w %= N
@@ -204,10 +212,13 @@ def _absorb(H, piv, v, N):
             H[j, j:], piv[j] = r, g
             grew = True
             # reducing the rows above the new pivot keeps later reductions
-            # short: without it h2_group takes 4.8 s on (Z/2)^5, not 1.4 s
+            # short: without it h2_group takes 0.85 s on (Z/2)^5, not 0.65
             above = np.flatnonzero(H[:j, j] >= g)
-            q = (H[above, j] // g)[:, None]
-            H[above, j:] = (H[above, j:] - q * r) % N
+            for s in range(0, len(above), _ABOVE_ROWS):
+                rows = above[s:s + _ABOVE_ROWS]
+                block = H[rows, j:].astype(np.int64)
+                block -= block[:, :1] // g * r
+                H[rows, j:] = block % N
 
 
 def _echelon_cokernel(H, piv, N):
@@ -264,7 +275,8 @@ def h2_group(G):
     only they are absorbed.  _echelon_cokernel presents the quotient
     from the reduced Howell form of its relations, so the H2 coordinates
     depend on the image lattice alone, whatever generators G was given.
-    The d2 . d3 check runs over all columns."""
+    The d2 . d3 check runs over all columns.  Images are int16: four
+    terms, each below |G| in absolute value."""
     key = G.digest
     if key in _H2_CACHE:
         return _H2_CACHE[key]
@@ -277,13 +289,14 @@ def h2_group(G):
     idx, coeff = _d3_sparse(G)
     # int8 suffices: d2 entries lie in [-1, 2], so each sum is at most 8
     D2T = np.array(D2, dtype=np.int8).T.copy()
-    c8 = coeff.astype(np.int8)
-    if sum(D2T[idx[:, k]] * c8[:, k:k + 1] for k in range(4)).any():
-        raise HomologyError("d2 . d3 != 0 (bar complex bug)")
+    for s in range(0, len(idx), _D3_CHUNK):
+        ci, cc = idx[s:s + _D3_CHUNK], coeff[s:s + _D3_CHUNK]
+        if sum(D2T[ci[:, k]] * cc[:, k:k + 1] for k in range(4)).any():
+            raise HomologyError("d2 . d3 != 0 (bar complex bug)")
 
     S = np.array(sorted({s for s in G.generators if s}), dtype=np.int64)
     cols = (np.arange(m * m)[:, None] * m + S - 1).ravel()
-    H = np.zeros((len(W), len(W)), dtype=np.int64)
+    H = np.zeros((len(W), len(W)), dtype=np.uint8)
     piv = [N] * len(W)
     for s in range(0, len(cols), _D3_CHUNK):
         chunk = cols[s:s + _D3_CHUNK]

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
 arbitrary precision.  The one exception is a Smith form's V^{-1} asked
-for modulo N, which is an int64 numpy array with entries below N.
+for modulo N <= 256, which is a uint8 numpy array with entries below N.
 """
 
 from __future__ import annotations
@@ -46,12 +46,15 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
+_GATHER_ROWS = 64  # rows of V^{-1} mod N widened to int64 at a time
+
+
 @dataclass
 class _SNF:
     U: list | None
     D: list
     V: list | None
-    Vinv: list | None  # an int64 numpy array when reduced mod N
+    Vinv: list | None  # a uint8 numpy array when reduced mod N
     diag: list
     rank: int
 
@@ -65,10 +68,10 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
     growth tame and makes the output deterministic.
 
     U, V and V^{-1} are tracked only when asked for and are None
-    otherwise.  Given a modulus N, V^{-1} is kept reduced mod N as an
-    int64 array and updated by vectorized row operations.  Reduction mod
-    N commutes with row operations and the pivots depend on M alone, so
-    that array is the exact V^{-1} reduced mod N.
+    otherwise.  Given a modulus N <= 256, V^{-1} is kept reduced mod N
+    as a uint8 array and updated by vectorized row operations.  Reduction
+    mod N commutes with row operations and the pivots depend on M alone,
+    so that array is the exact V^{-1} reduced mod N.
     """
     A = [[int(x) for x in row] for row in M]
     r = len(A)
@@ -86,7 +89,9 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
         # of the module, and groups.abelianization, run without it
         import numpy as np
 
-        Vinv = np.eye(c, dtype=np.int64)
+        if not 0 < modulus <= 256:
+            raise ValueError(f"modulus {modulus} outside uint8")
+        Vinv = np.eye(c, dtype=np.uint8) * (modulus > 1)  # I mod 1 is 0
 
     def row_add(i, j, q):  # row_i += q * row_j
         Ai, Aj = A[i], A[j]
@@ -125,7 +130,10 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
         else:
             js = [j for j, _ in ops]
             qs = np.array([q % modulus for _, q in ops], dtype=np.int64)
-            Vinv[i] = (Vinv[i] - qs @ Vinv[js]) % modulus
+            acc = np.zeros(c, dtype=np.int64)  # below c * 255^2
+            for s in range(0, len(js), _GATHER_ROWS):
+                acc += qs[s:s + _GATHER_ROWS] @ Vinv[js[s:s + _GATHER_ROWS]]
+            Vinv[i] = (Vinv[i] - acc) % modulus
 
     def col_swap(i, j):
         for row in A:
@@ -227,8 +235,8 @@ def smith_normal_form(M):
 def snf_with_inverse(M, modulus=None):
     """Like smith_normal_form but also tracks V^{-1} (as an _SNF record).
 
-    Given a modulus N, only V^{-1} is tracked, as an int64 array reduced
-    mod N; U and V are None."""
+    Given a modulus N, only V^{-1} is tracked, as a uint8 array reduced
+    mod N <= 256; U and V are None."""
     if modulus is None:
         return _snf_engine(M, want_u=True, want_v=True, want_vinv=True)
     return _snf_engine(M, want_vinv=True, modulus=modulus)

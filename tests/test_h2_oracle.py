@@ -123,3 +123,22 @@ def test_d2_d3_check_covers_non_generator_columns(monkeypatch):
     monkeypatch.setattr(homology, "_H2_CACHE", {})
     with pytest.raises(HomologyError, match="d2 . d3"):
         h2_group(G)
+
+
+def test_d2_d3_check_covers_the_last_chunk(monkeypatch):
+    # the check runs _D3_CHUNK columns at a time: corrupt d3[m|m|m], the
+    # last of S4's 23^3 columns
+    G = build_group(GROUP_SPECS["s4"])
+    assert (G.order - 1) ** 3 > homology._D3_CHUNK
+    d3_sparse = homology._d3_sparse
+
+    def corrupted(G):
+        idx, coeff = d3_sparse(G)
+        coeff = coeff.copy()
+        coeff[-1, 0] = -coeff[-1, 0]  # the [y|z] term
+        return idx, coeff
+
+    monkeypatch.setattr(homology, "_d3_sparse", corrupted)
+    monkeypatch.setattr(homology, "_H2_CACHE", {})
+    with pytest.raises(HomologyError, match="d2 . d3"):
+        h2_group(G)

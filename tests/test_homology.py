@@ -5,9 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schur_orbits import homology
 from schur_orbits.covers import BranchData, BranchData as BD, enumerate_tuples
-from schur_orbits.groups import abelianization, quotient_by_normal_closure
+from schur_orbits.groups import (
+    abelianization,
+    build_group,
+    quotient_by_normal_closure,
+)
 from schur_orbits.homology import (
     HomologyError,
     _absorb,
@@ -44,6 +51,28 @@ def test_h2_invariant_factors(name):
     G = get_group(name)
     H2 = h2_group(G)
     assert H2.presentation.invariant_factors == H2_EXPECTED[name]
+
+
+def _cycle(n, points):
+    perm = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return perm
+
+
+def test_h2_past_order_32():
+    # Schur's product formula M(A x B) = M(A) + M(B) + (A_ab (x) B_ab):
+    # M(A4 x Z/3) = Z/2 + 0 + (Z/3 (x) Z/3) = Z/6
+    G = build_group({"permutations": [[1, 2, 0, 3, 4, 5, 6],
+                                      [0, 2, 3, 1, 4, 5, 6],
+                                      _cycle(7, [4, 5, 6])]})
+    assert G.order == 36
+    assert h2_group(G).invariant_factors == (6,)
+    # Z/5 x Z/13 has order 65, one over the bar-complex cap
+    G = build_group({"permutations": [_cycle(18, [0, 1, 2, 3, 4]),
+                                      _cycle(18, list(range(5, 18)))]})
+    with pytest.raises(HomologyError, match="over bar-complex cap"):
+        h2_group(G)
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "k4"])
@@ -110,6 +139,31 @@ def test_mod_n_echelon_matches_exact_cokernel(seed):
     for _ in range(3):
         rng.shuffle(cols)
         assert _presented(cols, K, N) == got
+
+
+# The int64 echelon reduces all rows above a new pivot at once and the
+# uint8 one 3 rows at a time.  Scaling a vector by a divisor of N makes
+# non-unit pivots.
+@settings(max_examples=40, deadline=None, database=None)
+@given(N=st.integers(2, 64), K=st.integers(1, 40), count=st.integers(0, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_absorb_into_uint8_in_blocks_matches_int64(N, K, count, seed):
+    rng = np.random.default_rng(seed)
+    divisors = [d for d in range(1, N) if N % d == 0]
+    wide, pw = np.zeros((K, K), dtype=np.int64), [N] * K
+    narrow, pn = np.zeros((K, K), dtype=np.uint8), [N] * K
+    block = homology._ABOVE_ROWS
+    try:
+        for _ in range(count):
+            v = rng.integers(0, N, size=K) * rng.choice(divisors) % N
+            v[:rng.integers(0, K)] = 0  # start past some pivots
+            homology._ABOVE_ROWS = K
+            grew = _absorb(wide, pw, v.astype(np.int64), N)
+            homology._ABOVE_ROWS = 3
+            assert _absorb(narrow, pn, v.astype(np.int16), N) == grew
+    finally:
+        homology._ABOVE_ROWS = block
+    assert np.array_equal(wide, narrow) and pw == pn
 
 
 def test_echelon_cokernel_reduces_entries_left_unreduced_by_absorb():

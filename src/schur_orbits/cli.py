@@ -16,14 +16,15 @@ is recomputed and the entry rewritten.
 
 Only groups and covers are imported here; each command imports the
 modules it runs in its own body, so argument parsing, group-info and a
-cache hit load neither numpy nor the orbit and homology modules.
+cache hit load neither numpy nor the orbit and homology modules, and
+orbits loads neither homology nor stabilization.  No command loads
+OpenSSL: the digests use groups.sha256, CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .covers import (
     BudgetError,
     branch_data,
     enumerate_tuples,
+    hom_branch_type,
     tuple_from_json,
     tuple_to_json,
 )
@@ -44,6 +46,7 @@ from .groups import (
     _closure_and_bfs_order,
     abelianization,
     build_group,
+    sha256,
 )
 
 __all__ = ["main"]
@@ -198,7 +201,7 @@ def _cache_dir(args):
 @functools.cache
 def _source_digest():
     """sha256 of the package's *.py files, sorted by file name."""
-    h = hashlib.sha256()
+    h = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
@@ -255,8 +258,7 @@ def _params_orbits(G, args):
 
 
 def _cmd_orbits(G, args):
-    from .homology import hom_branch_type
-    from .stabilization import level_orbits
+    from .fastorbits import level_orbits
 
     v = parse_branch(G, args.branch)
     vec, in_n = hom_branch_type(G, v.class_ids(), v)
@@ -400,7 +402,7 @@ def _params_torsor_check(G, args):
 
 def _cmd_torsor_check(G, args):
     from .branched_schur import torsor_check
-    from .stabilization import level_orbits
+    from .fastorbits import level_orbits
 
     cids = _stable_range_classes(G, args)
     v = parse_branch(G, args.branch)
@@ -603,7 +605,7 @@ def main(argv=None):
             "params": params,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode()).hexdigest()
+        digest = sha256(blob.encode()).hexdigest()
         cpath = _cache_dir(args) / f"{digest}.json"
         use_cache = not getattr(args, "no_cache", False)
         cached = _read_cache(cpath) if use_cache else None

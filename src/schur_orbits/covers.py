@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .groups import DomainError, FiniteGroup, generates
+from .groups import DomainError, FiniteGroup, abelianization, generates
 
 __all__ = [
     "BudgetError",
@@ -25,6 +25,7 @@ __all__ = [
     "BranchData",
     "make_tuple",
     "branch_data",
+    "hom_branch_type",
     "is_surjective",
     "enumerate_tuples",
     "connect_sum",
@@ -147,6 +148,24 @@ def branch_data(t):
         k = t.branch_class(j)
         d[k] = d.get(k, 0) + 1
     return BranchData.from_dict(d)
+
+
+def hom_branch_type(G, class_ids, v):
+    """Net branch vector [v] over the classes of C plus membership in N.
+
+    [v](cbar) = v(cbar,+1) - v(cbar,-1); membership in N, the kernel of
+    Z^{C//G} -> G_ab, is necessary for realizability by a closed
+    connected cover.
+    """
+    cids = sorted(set(class_ids))
+    d = v.as_dict() if isinstance(v, BranchData) else dict(v)
+    vec = [d.get((cid, 1), 0) - d.get((cid, -1), 0) for cid in cids]
+    A, proj = abelianization(G)
+    image = A.zero()
+    for k, cid in zip(vec, cids):
+        rep = proj(G.class_reps[cid])
+        image = A.reduce(x + k * y for x, y in zip(image, rep))
+    return vec, image == A.zero()
 
 
 def is_surjective(t):

@@ -59,12 +59,14 @@ from .moves import (
     MoveError,
     OrbitTable,
     _np_tables,
+    move_catalog,
     move_plan,
     plan_evaluator,
     word_values,
 )
 
-__all__ = ["orbit_scan", "closed_orbit_scan", "build_level", "FastOrbitTable"]
+__all__ = ["orbit_scan", "closed_orbit_scan", "level_orbits", "build_level",
+           "FastOrbitTable"]
 
 FILTER_CHUNK = 1 << 18  # prefixes, frontier nodes or tuples at a time
 
@@ -630,3 +632,20 @@ def closed_orbit_scan(G, g, catalog, budget=None):
     tuples in the level).  A name of its own because
     perfbench/trace_job.py times closed scans through it."""
     return orbit_scan(G, g, BranchData(()), catalog, budget)
+
+
+def level_orbits(G, g, v, enum_budget):
+    """(orbit table, number of tuples) for the surjective tuples of one
+    (g, v) level under moves.move_catalog: orbit_scan, and on a closed
+    level closed_orbit_scan, which it looks up in this module, where
+    perfbench/trace_job.py puts its timed wrapper.  enum_budget caps the
+    prefixes build_level walks: a level over it raises BudgetError before
+    it is allocated, and a genus-0 level whose puncture letters do not
+    generate G is empty and is not built.  No tuple object is built but
+    the representatives.
+    """
+    n = v.cardinality
+    catalog = move_catalog(G, g, n)
+    if n == 0:
+        return closed_orbit_scan(G, g, catalog, enum_budget)
+    return orbit_scan(G, g, v, catalog, enum_budget)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covers import BranchData, BranchedTuple, BudgetError
-from .fastorbits import closed_orbit_scan, orbit_scan
+from .covers import BranchData, BranchedTuple, BudgetError, hom_branch_type
+from .fastorbits import level_orbits
 from .groups import DomainError, generates
-from .homology import hom_branch_type, m_g_c
-from .moves import MOVE_SET_TAG, induced_orbit_map, move_catalog
+from .homology import m_g_c
+from .moves import MOVE_SET_TAG, induced_orbit_map
 
 __all__ = [
     "puncture_stabilize",
@@ -24,7 +24,6 @@ __all__ = [
     "u_threshold",
     "certificate",
     "StabilizationCertificate",
-    "level_orbits",
     "stable_orbits",
     "StableRangeReport",
     "surger_handles",
@@ -152,22 +151,6 @@ class StableRangeReport:
             "m_invariant_factors": list(self.m_invariant_factors),
             "verdict": self.verdict,
         }
-
-
-def level_orbits(G, g, v, enum_budget):
-    """(orbit table, number of tuples) for the surjective tuples of one
-    (g, v) level, by fastorbits.orbit_scan; closed levels by way of
-    closed_orbit_scan, the name perfbench/trace_job.py times.  enum_budget
-    caps the prefixes fastorbits.build_level walks: a level over it raises
-    BudgetError before it is allocated, and a genus-0 level whose puncture
-    letters do not generate G is empty and is not built.  No tuple object
-    is built but the representatives.
-    """
-    n = v.cardinality
-    catalog = move_catalog(G, g, n)
-    if n == 0:
-        return closed_orbit_scan(G, g, catalog, enum_budget)
-    return orbit_scan(G, g, v, catalog, enum_budget)
 
 
 def _round_map(G, class_ids, skip_handle):

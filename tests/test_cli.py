@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from schur_orbits import cli, stabilization
+from schur_orbits import cli, fastorbits
 from schur_orbits.branched_schur import DoublingError
 from schur_orbits.cli import CliError, main
 from schur_orbits.covers import TupleError, tuple_to_json
@@ -223,7 +223,7 @@ def test_exit_code_comes_from_the_error_type(files, capsys, monkeypatch):
     def fail(*args):
         raise MoveError("move exceeds cap on a budget")
 
-    monkeypatch.setattr(stabilization, "level_orbits", fail)
+    monkeypatch.setattr(fastorbits, "level_orbits", fail)
     code, out = run(capsys, ["orbits", "--group", files["s3"],
                              "--genus", "1", "--no-cache"])
     assert code == 1
@@ -234,7 +234,7 @@ def test_unexpected_errors_exit_3_with_a_traceback(files, capsys, monkeypatch):
     def fail(*args):
         raise ValueError("not a domain error")
 
-    monkeypatch.setattr(stabilization, "level_orbits", fail)
+    monkeypatch.setattr(fastorbits, "level_orbits", fail)
     code = main(["orbits", "--group", files["s3"], "--genus", "1",
                  "--no-cache"])
     captured = capsys.readouterr()
@@ -303,6 +303,42 @@ def test_group_info_and_cache_hits_import_no_numpy(files):
     assert "schur_orbits.groups" in group_info
     assert not group_info & HEAVY_MODULES
     assert not warm & HEAVY_MODULES
+
+
+# a run of each command that computes with the group; a group name in
+# the arguments stands for its file
+_FOOTPRINT_ARGV = {
+    "group-info": ["--group", "s4"],
+    "orbits": ["--group", "s3", "--genus", "0", "--branch",
+               "4 transpositions"],
+    "h2": ["--group", "k4"],
+    "h2bgc": ["--group", "s3", "--classes", "transpositions"],
+    "mgc": ["--group", "s3", "--classes", "transpositions"],
+    "sch": ["--group", "k4", "--tuple",
+            json.dumps({"g": 1, "handles": [[1, 2]], "punctures": []})],
+    "stable-range": ["--group", "k4", "--no-branching"],
+    "torsor-check": ["--group", "k4", "--no-branching", "--genus", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FOOTPRINT_ARGV))
+def test_no_command_loads_openssl(files, command):
+    # hashlib maps OpenSSL's libcrypto; the digests come from the
+    # built-in sha256 module instead
+    argv = [files.get(a, a) for a in _FOOTPRINT_ARGV[command]]
+    loaded = _imported_modules([command, *argv, "--no-cache"])
+    assert "schur_orbits.groups" in loaded
+    assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("level", [["--genus", "0", "--branch",
+                                    "4 transpositions"],
+                                   ["--genus", "2"]])
+def test_orbits_loads_neither_homology_nor_stabilization(files, level):
+    loaded = _imported_modules(["orbits", "--group", files["s3"], *level,
+                                "--no-cache"])
+    assert "schur_orbits.fastorbits" in loaded
+    assert not loaded & {"schur_orbits.homology", "schur_orbits.stabilization"}
 
 
 @pytest.mark.parametrize("tup", [

@@ -1,8 +1,11 @@
 """Finite group core: tables, classes, centralizers, abelianization."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schur_orbits.groups import (
     GroupBuildError,
@@ -15,6 +18,7 @@ from schur_orbits.groups import (
     generates,
     inn_order_on_class,
     quotient_by_normal_closure,
+    sha256,
 )
 
 from conftest import GROUP_SPECS, get_group
@@ -159,3 +163,16 @@ def test_table_identity_relocation():
 def test_digest_is_stable(s3):
     G2 = build_group(GROUP_SPECS["s3"])
     assert G2.digest == s3.digest
+    # cache entries are keyed by it, so it must not change with the code
+    assert s3.digest == "dfd9e4047a6f8efa"
+
+
+@given(st.lists(st.binary(max_size=300), max_size=8))
+def test_sha256_matches_hashlib(chunks):
+    # fed in chunks, the way the CLI's source digest is
+    ours, theirs = sha256(), hashlib.sha256()
+    for chunk in chunks:
+        ours.update(chunk)
+        theirs.update(chunk)
+    assert ours.hexdigest() == theirs.hexdigest()
+    assert sha256(b"".join(chunks)).digest() == theirs.digest()

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_orbits import homology
-from schur_orbits.covers import BranchData, BranchData as BD, enumerate_tuples
+from schur_orbits.covers import (
+    BranchData,
+    BranchData as BD,
+    enumerate_tuples,
+    hom_branch_type,
+)
 from schur_orbits.groups import (
     abelianization,
     build_group,
@@ -24,7 +29,6 @@ from schur_orbits.homology import (
     h1_bgc,
     h2_bgc,
     h2_group,
-    hom_branch_type,
     m_g_c,
     n_lattice,
     pi1_bgc_order,

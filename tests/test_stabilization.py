@@ -3,13 +3,13 @@
 import pytest
 
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
+from schur_orbits.fastorbits import level_orbits
 from schur_orbits.moves import induced_orbit_map, move_catalog, orbits
 from schur_orbits.stabilization import (
     StabilizationError,
     certificate,
     dilate,
     handle_stabilize,
-    level_orbits,
     puncture_stabilize,
     stable_orbits,
     surger_handles,

@@ -19,18 +19,19 @@ is constant on move orbits (Serre, C. R. Acad. Sci. Paris 311, 1990;
 Fried and Voelklein, Math. Ann. 290, 1991).  The difference class of
 two covers with the same branch data is Lambda(t) - Lambda(t2), the
 class of the closed double of t and the orientation reversal of t2.
+
+The table of f is read from h2_group's kernel coordinates column by
+column, one sparse column per symbol [x|y], in Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-
-import numpy as np
+from itertools import islice, product
 
 from .covers import BudgetError, branch_data, is_surjective
 from .groups import DomainError
-from .homology import h2_group, m_g_c
+from .homology import _pair_index, h2_group, m_g_c
 from .moves import MOVE_SET_TAG, move_catalog, move_closure
 
 __all__ = [
@@ -108,21 +109,15 @@ class _Extension:
         H2 = h2_group(G)
         M, _ = m_g_c(G, class_ids)
         self.group, self.M, self.classes = G, M, sorted(set(class_ids))
-        # rows reduced mod their slot's modulus (each divides |G|), so the
-        # int64 products below stay far from overflow
-        T_h2 = _reduced_transform(H2.presentation)
-        T_m = _reduced_transform(M)
-        # H2._coords is uint8, so it is widened one column block at a time
-        W, step = H2._coords, 128
-        h2 = np.zeros((len(T_h2), W.shape[1]), dtype=np.int64)
-        for s in range(0, W.shape[1], step):
-            h2[:, s:s + step] = T_h2 @ W[:, s:s + step]
-        h2 %= _moduli(H2.presentation)
-        f = T_m @ h2 % _moduli(M)
-        m = G.order - 1
-        table = np.zeros((G.order, G.order, len(M.moduli)), dtype=np.int64)
-        table[1:, 1:] = f.T.reshape(m, m, len(M.moduli))
-        self._f = [[tuple(v) for v in row] for row in table.tolist()]
+        # f(x, y) = proj_C of the H2 coordinates of the kernel coordinates
+        # of [x|y], read from the sparse column of W for that symbol
+        P = H2.presentation
+        self._f = [[M.zero()] * G.order for _ in range(G.order)]
+        for x, y in product(range(1, G.order), repeat=2):
+            col = H2._coords[_pair_index(G, x, y)]
+            self._f[x][y] = M.to_coords(
+                [sum(row[k] * w for k, w in col) % d
+                 for d, row in zip(P.moduli, P.transform)])
         self._zero = M.zero()
         self._lift = {}
         for cid in self.classes:
@@ -167,16 +162,6 @@ class _Extension:
         if x != 0:
             raise DoublingError("tuple violates the surface relation")
         return a
-
-
-def _moduli(P):
-    return np.array(P.moduli, dtype=np.int64)[:, None]
-
-
-def _reduced_transform(P):
-    return np.array([[x % d for x in row]
-                     for d, row in zip(P.moduli, P.transform)],
-                    dtype=np.int64).reshape(len(P.moduli), P.ambient_dim)
 
 
 _EXTENSION_CACHE = {}

@@ -11,13 +11,16 @@ ignored) and cache cold/warm runs; the cache stores the serialized
 report keyed by a content digest of the job (group table digest,
 command, parameters, and a digest of the package's source files, which
 covers the move-set tag in moves.py, so a report computed by other code
-is never served).  An entry that does not decode is a miss: the report
-is recomputed and the entry rewritten.
+is never served).  The key is computed only when the cache is used.  An
+entry that does not decode is a miss: the report is recomputed and the
+entry rewritten.
 
 Only groups and covers are imported here; each command imports the
 modules it runs in its own body, so argument parsing, group-info and a
 cache hit load neither numpy nor the orbit and homology modules, and
-orbits loads neither homology nor stabilization.  No command loads
+orbits loads neither homology nor stabilization.  numpy comes in only
+with the orbit engine (moves and fastorbits): h2, mgc, h2bgc and sch
+run homology in Python ints and never load it.  No command loads
 OpenSSL: the digests use groups.sha256, CPython's built-in SHA-256.
 """
 
@@ -205,6 +208,19 @@ def _source_digest():
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def _cache_path(args, G, params):
+    """The cache entry of a job: a digest of the source digest, the group
+    digest, the command and its normalized parameters."""
+    payload = {
+        "code_version": _source_digest(),
+        "group": G.digest,
+        "command": args.command,
+        "params": params,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _cache_dir(args) / f"{sha256(blob.encode()).hexdigest()}.json"
 
 
 def _render(report):
@@ -597,17 +613,9 @@ def main(argv=None):
                 raise CliError(f"--{k.replace('_', '-')} must be nonnegative")
         G = _load_group(args.group)
         param_fn, run_fn = _COMMANDS[args.command]
-        params = param_fn(G, args)
-        payload = {
-            "code_version": _source_digest(),
-            "group": G.digest,
-            "command": args.command,
-            "params": params,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = sha256(blob.encode()).hexdigest()
-        cpath = _cache_dir(args) / f"{digest}.json"
+        params = param_fn(G, args)  # validates the inputs
         use_cache = not getattr(args, "no_cache", False)
+        cpath = _cache_path(args, G, params) if use_cache else None
         cached = _read_cache(cpath) if use_cache else None
         if cached:
             report, text = cached

@@ -7,24 +7,27 @@ coordinates |G|.Z^K lies inside im d3 and the image lattice can be
 accumulated modulo |G| with every entry below |G| (the modular Hermite
 form of Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  Kernel
 coordinates, and the H2 presentation over them, are therefore kept
-mod |G|: the Smith form of d2 reduces d2 itself in exact Python
-integers but keeps its V^{-1} mod |G| in uint8, and the image lattice,
-a uint8 echelon, absorbs the d3 images of the generator columns only,
-which span it (see h2_group).  The quotient is presented from the
-reduced Howell form of its relations (J. A. Howell, Linear Multilinear
-Algebra 19, 1986), which is unique for its lattice, so the H2
-coordinates depend on that lattice alone.  On top of that sit the
-branch-class reductions: the subgroup of torus classes with meridian in
-a chosen union of conjugacy classes C, the reduced multiplier M(G)_C,
-the branch-type lattice N, and the homology of the C-branched
-classifying space reported as the (non-natural) direct sum M(G)_C + N.
+mod |G|, and everything is sparse and in Python ints: the Smith form of
+d2 keeps its V^{-1} mod |G| as sparse rows, whose kernel rows W have a
+single entry 1 each on every group measured, so W is kept by columns,
+one per 2-symbol; a d3 image is the signed sum of the W columns of its
+four symbols, a dict of at most four entries when W is that sparse; and
+the image lattice is a Howell echelon of dict rows that absorbs the d3
+images of the generator columns only, which span it (see h2_group).
+The quotient is presented from the reduced Howell form of its relations
+(J. A. Howell, Linear Multilinear Algebra 19, 1986), which is unique for
+its lattice, so the H2 coordinates depend on that lattice alone.  On
+top of that sit the branch-class reductions: the subgroup of torus
+classes with meridian in a chosen union of conjugacy classes C, the
+reduced multiplier M(G)_C, the branch-type lattice N, and the homology
+of the C-branched classifying space reported as the (non-natural)
+direct sum M(G)_C + N.  The module imports nothing outside the standard
+library but groups and intlinalg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .groups import DomainError, abelianization, centralizer, closure
 from .intlinalg import (
@@ -54,11 +57,7 @@ __all__ = [
 
 BAR_SIZE_CAP = 64  # group order cap for bar-complex computations
 
-# d3 columns imaged or checked at a time.  Peak RSS of h2_group on a
-# 2-CPU Xeon VM, 33 MiB before: (Z/2)^5 37.2 MiB at 128, 38.7 at 256,
-# 45.1 at 1024, 57.5 at once; A5 66.6, 71.7, 98.4 and 178.4 MiB.
-_D3_CHUNK = 128
-_ABOVE_ROWS = 64  # echelon rows reduced at a time above a new pivot
+_D3_SIGNS = (1, -1, 1, -1)  # of the four symbols _d3_columns gives
 
 
 class HomologyError(DomainError):
@@ -89,47 +88,30 @@ def boundary_matrix(G, k):
                     M[xy - 1][j] -= 1
         return M
     if k == 3:
-        M = [[0] * (m * m * m) for _ in range(m * m)]
-        idx, coeff = _d3_sparse(G)
-        for j, (rows, cs) in enumerate(zip(idx.tolist(), coeff.tolist())):
-            for i, c in zip(rows, cs):
+        M = [[0] * (m * m * m) for _ in range(m * m + 1)]
+        for j, col in enumerate(_d3_columns(G, range(1, G.order))):
+            for i, c in zip(col, _D3_SIGNS):
                 M[i][j] += c
-        return M
+        return M[:-1]  # the row of symbols with an identity entry
     raise HomologyError(f"unsupported boundary degree {k}")
 
 
-def _d3_sparse(G):
-    """d3 as (row index, coefficient) arrays of shape (m^3, 4), one row
-    per column [x|y|z] in lexicographic order:
-    d[x|y|z] = [y|z] - [xy|z] + [x|yz] - [x|y], symbols with an identity
-    entry carrying coefficient 0 and index 0.  Repeated indices add up.
-    Indices are the narrowest unsigned dtype, coefficients int8."""
-    m = G.order - 1
-    et, it = np.min_scalar_type(m), np.min_scalar_type(m * m)
-    mul = np.array(G.mul, dtype=et)
-    pair = np.zeros((G.order, G.order), dtype=it)  # index of [x|y]
-    pair[1:, 1:] = np.arange(m * m, dtype=it).reshape(m, m)
-    e = np.arange(1, G.order, dtype=et)
-    x, y, z = (a.ravel() for a in np.meshgrid(e, e, e, indexing="ij"))
-    xy, yz = mul[x, y], mul[y, z]
-    ones = np.ones(m ** 3, dtype=np.int8)
-    coeff = np.stack([ones, -(xy != 0).astype(np.int8),
-                      (yz != 0).astype(np.int8), -ones], axis=1)
-    idx = np.stack([pair[y, z], pair[xy, z], pair[x, yz], pair[x, y]],
-                   axis=1)
-    return idx, coeff
-
-
-def _chain_vector(G, chain):
-    """Dict {(x, y): coeff} -> dense coefficient list over the 2-basis.
-    Symbols containing the identity are dropped."""
-    m = G.order - 1
-    v = [0] * (m * m)
-    for (x, y), c in chain.items():
-        if x == 0 or y == 0 or c == 0:
-            continue
-        v[_pair_index(G, x, y)] += c
-    return v
+def _d3_columns(G, last):
+    """The columns d3[x|y|z] = [y|z] - [xy|z] + [x|yz] - [x|y], for x, y
+    != 1 and z in last, in lexicographic order of (x, y, z), each as the
+    2-basis indices of its four symbols, whose signs are _D3_SIGNS.  A
+    symbol with an identity entry has the index m^2, one past the basis.
+    Both the d2 . d3 check and the image lattice read these columns."""
+    N, m = G.order, G.order - 1
+    pair = [[m * m] * N] + [[m * m, *range((x - 1) * m, x * m)]
+                            for x in range(1, N)]
+    last = list(last)
+    for x in range(1, N):
+        px, mx = pair[x], G.mul[x]
+        for y in range(1, N):
+            py, pxy, my, xy = pair[y], pair[mx[y]], G.mul[y], px[y]
+            for z in last:
+                yield py[z], pxy[z], px[my[z]], xy
 
 
 def _is_cycle(G, chain):
@@ -148,8 +130,10 @@ def _is_cycle(G, chain):
 class H2Group:
     group: object
     presentation: PresentedAbelianGroup  # over kernel coordinates mod |G|
-    # rows r.. of the d2 Smith form's V^{-1}, mod |G|, in uint8
-    _coords: np.ndarray
+    # the kernel coordinates W (rows r.. of the d2 Smith form's V^{-1},
+    # mod |G|) by columns: entry p lists the nonzero (k, W[k, p]) of
+    # 2-symbol p, and entry m^2, a symbol with an identity entry, is ()
+    _coords: list
 
     @property
     def invariant_factors(self):
@@ -161,92 +145,117 @@ class H2Group:
         G = self.group
         if not _is_cycle(G, chain):
             raise HomologyError("chain is not a d2-cycle")
-        v = np.array([c % G.order for c in _chain_vector(G, chain)],
-                     dtype=np.int64)
-        nz = np.flatnonzero(v)  # widen only the chain's support
-        return [int(t) for t in
-                self._coords[:, nz].astype(np.int64) @ v[nz] % G.order]
+        out = [0] * self.presentation.ambient_dim
+        for (x, y), c in chain.items():
+            if x and y:
+                for k, w in self._coords[_pair_index(G, x, y)]:
+                    out[k] += c * w
+        return [t % G.order for t in out]
 
     def cycle_class(self, chain):
         """H2 coordinates of a 2-cycle given as {(x, y): coeff}."""
         return self.presentation.to_coords(self.kernel_coords(chain))
 
 
-def _absorb(H, piv, v, N, supports=None):
-    """Add the row v (entries mod N) to the echelon H mod N.
+class _Echelon:
+    """An echelon mod N over Z^K in dict rows, filled by _absorb.
 
-    Row j of H has zeros left of column j and pivot piv[j] = H[j, j],
-    a divisor of N; an empty row has pivot N (the row N.e_j, which is
-    0 mod N).  The lattice spanned by H and N.Z^K only grows.  Entries
-    stay below N <= BAR_SIZE_CAP, so H may be uint8 or int64.  Returns
-    True if the lattice grew.
+    rows[j] holds the nonzero entries of row j right of column j, and
+    piv[j] its pivot, a divisor of N; an empty row has pivot N (the row
+    N.e_j, which is 0 mod N).  above[j] is the set of rows i < j with a
+    nonzero entry in column j, the column index that the update of the
+    rows above a new pivot reads."""
 
-    v is reduced as a {column: entry} dict of Python ints: a step on row
-    j changes v only on that row's support, so the next column to reduce
-    is the least key left, and v is never scanned.  The supports of the
-    rows right of their pivots are read from H once and kept in
-    supports, a dict that a caller may pass to every _absorb on the same
-    H; a row is dropped from it when it changes.  A new pivot's update of
-    the rows above it widens only the new row's support, _ABOVE_ROWS rows
-    at a time, and nothing in the arithmetic exceeds 2 N^2.
+    def __init__(self, K, N):
+        self.N = N
+        self.rows = [{} for _ in range(K)]
+        self.piv = [N] * K
+        self.above = [set() for _ in range(K)]
+
+    def dense(self):
+        """Row j as a list of K entries, pivot included (0 if empty)."""
+        K = len(self.piv)
+        out = []
+        for j, (row, p) in enumerate(zip(self.rows, self.piv)):
+            dense = [0] * K
+            dense[j] = p % self.N
+            for k, x in row.items():
+                dense[k] = x
+            out.append(dense)
+        return out
+
+
+def _absorb(E, v):
+    """Add v, a {column: entry} dict, to the echelon E mod N (see
+    _Echelon).  The lattice spanned by E and N.Z^K only grows.  Returns
+    True if it grew.
+
+    v is reduced mod N as a dict of Python ints: a step on row j
+    changes v only on that row's support, so the next column to reduce
+    is the least key left, and v is never scanned.  A new pivot g at
+    column j also reduces the rows above it whose entry there is at
+    least g, found through the column index above[j], on the new row's
+    support alone.
 
     A new row r with pivot g leaves (N/g).r in the span of the rows
-    below it, since the v reduced on carries that multiple.  So H is a
+    below it, since the v reduced on carries that multiple.  So E is a
     Howell form (J. A. Howell, Linear Multilinear Algebra 19, 1986):
     piv[j] generates the ideal of j-th entries of the lattice vectors
     that vanish left of j, the pivots depend on the lattice alone, and a
-    vector already in the lattice reduces to 0 without changing H."""
-    supports = {} if supports is None else supports
+    vector already in the lattice reduces to 0 without changing E."""
+    N, rows, piv, above = E.N, E.rows, E.piv, E.above
     grew = False
-    nz = v.nonzero()[0]
-    w = {k: x % N for k, x in zip(nz.tolist(), v[nz].tolist())}
+    w = {k: x % N for k, x in v.items() if x % N}
     while w:
         j = min(w)
         a = w.pop(j)
         if not a:
             continue
-        p, row = piv[j], H[j]  # row vanishes left of j, as w does
-        h = supports.get(j)
-        if h is None:
-            hc = row[j + 1:].nonzero()[0] + (j + 1)
-            h = supports[j] = dict(zip(hc.tolist(), row[hc].tolist()))
+        p, h = piv[j], rows[j]  # row j vanishes left of j, as w does
         if a % p == 0:
             q = a // p
             for k, hk in h.items():
                 w[k] = (w.get(k, 0) - q * hk) % N
-        else:
-            # the new row and the rest of v over the union of supports;
-            # column j of v becomes 0
-            g, x, y = _xgcd(p, a)
-            cols = w.keys() | h.keys()
-            r = {k: (x * h.get(k, 0) + y * w.get(k, 0)) % N for k in cols}
-            w = {k: (p // g * w.get(k, 0) - a // g * h.get(k, 0)) % N
-                 for k in cols}
-            row[list(h)] = 0
-            row[list(r)] = list(r.values())
-            row[j] = piv[j] = g
-            grew = True
-            # reducing the rows above the new pivot keeps later reductions
-            # short: without it h2_group takes 0.37-0.41 s on (Z/2)^5, not
-            # 0.30
-            above = np.flatnonzero(H[:j, j] >= g)
-            for i in [j, *above.tolist()]:
-                supports.pop(i, None)
-            # only the columns of the new row's support change
-            rc = np.flatnonzero(row[j:]) + j
-            r = row[rc].astype(np.int64)
-            for s in range(0, len(above), _ABOVE_ROWS):
-                at = np.ix_(above[s:s + _ABOVE_ROWS], rc)
-                block = H[at].astype(np.int64)
-                block -= block[:, :1] // g * r
-                H[at] = block % N
+            continue
+        # the new row and the rest of w over the union of supports;
+        # column j of w becomes 0
+        g, x, y = _xgcd(p, a)
+        cols = w.keys() | h.keys()
+        r = {k: t for k in cols
+             if (t := (x * h.get(k, 0) + y * w.get(k, 0)) % N)}
+        w = {k: (p // g * w.get(k, 0) - a // g * h.get(k, 0)) % N
+             for k in cols}
+        for k in h:
+            above[k].discard(j)
+        for k in r:
+            above[k].add(j)
+        rows[j], piv[j] = r, g
+        grew = True
+        # reducing the rows above the new pivot keeps E the echelon the
+        # dense oracle builds.  In-process it pays on (Z/2)^6 (0.87-1.1 s
+        # with it, 1.2-1.6 s without) and costs on A5 (0.53-0.66 against
+        # 0.42-0.51 s) and (Z/4)^3 (0.73-0.93 against 0.57-0.69 s)
+        new = [(j, g), *r.items()]
+        for i in [i for i in above[j] if rows[i][j] >= g]:
+            row = rows[i]
+            q = row[j] // g
+            for k, t in new:
+                t = (row.get(k, 0) - q * t) % N
+                if t:
+                    row[k] = t
+                    above[k].add(i)
+                elif row.pop(k, None) is not None:
+                    above[k].discard(i)
+        # a set keeps its table as it empties: A5 peaks 15 MiB higher
+        # with the emptied sets of the columns above new pivots kept
+        above[j] = set(above[j])
     return grew
 
 
-def _echelon_cokernel(H, piv, N):
-    """Z^K / (rows of H + N.Z^K) with its transform rows mod their moduli.
+def _echelon_cokernel(E):
+    """Z^K / (rows of E + N.Z^K) with its transform rows mod their moduli.
 
-    A unit-pivot row says e_j = -(H[j, j+1:] . e), so substituting those
+    A unit-pivot row says e_j = -(E[j, j+1:] . e), so substituting those
     right to left writes every e_j over the non-unit pivot columns S, up
     to the lattice L_S of relations among those; the non-unit rows, plus
     N.I, span L_S.  The relations are put into the reduced Howell form
@@ -254,27 +263,70 @@ def _echelon_cokernel(H, piv, N):
     its lattice.  A transform row maps L_S into d.Z for its modulus d, so
     reducing it mod d removes the choice of substitution.  The
     presentation thus depends on the lattice alone, not on the order in
-    which H absorbed it."""
-    K = len(piv)
-    S = [j for j in range(K) if piv[j] != 1]
-    P = np.zeros((K, len(S)), dtype=np.int64)  # e_j over the columns S
-    P[S, np.arange(len(S))] = 1
+    which E absorbed it.  Every vector here is a sparse dict."""
+    N, K = E.N, len(E.piv)
+    S = [j for j in range(K) if E.piv[j] != 1]
+    P = [None] * K  # e_j over the columns S, as {index into S: entry}
+    for s, j in enumerate(S):
+        P[j] = {s: 1}
     for j in reversed(range(K)):
-        if piv[j] == 1:
-            P[j] = -(H[j, j + 1:] @ P[j + 1:]) % N
-    R, rpiv = np.zeros((len(S), len(S)), dtype=np.int64), [N] * len(S)
-    for j in S:
-        _absorb(R, rpiv, H[j] @ P % N, N)
-    for j in range(len(S)):
+        if E.piv[j] == 1:
+            acc = {}
+            for k, h in E.rows[j].items():
+                for s, x in P[k].items():
+                    acc[s] = acc.get(s, 0) - h * x
+            P[j] = {s: t % N for s, t in acc.items() if t % N}
+    R = _Echelon(len(S), N)
+    for j in S:  # row j of E over S; an empty row's pivot N is 0 mod N
+        v = {s: E.piv[j] * x for s, x in P[j].items()}
+        for k, h in E.rows[j].items():
+            for s, x in P[k].items():
+                v[s] = v.get(s, 0) + h * x
+        _absorb(R, v)
+    # the reduced Howell form, which R's column index does not follow
+    for j, row in enumerate(R.rows):
         for k in range(j + 1, len(S)):
-            R[j, k:] = (R[j, k:] - R[j, k] // rpiv[k] * R[k, k:]) % N
-    rels = [row for row, p in zip(R.tolist(), rpiv) if p < N]
-    rels += (N * np.eye(len(S), dtype=np.int64)).tolist()
+            q = row.get(k, 0) // R.piv[k]
+            if q:
+                for t, x in [(k, R.piv[k]), *R.rows[k].items()]:
+                    row[t] = (row.get(t, 0) - q * x) % N
+    rels = [row for row, p in zip(R.dense(), R.piv) if p < N]
+    rels += [[N if s == t else 0 for t in range(len(S))]
+             for s in range(len(S))]
     pres = cokernel([list(col) for col in zip(*rels)], ambient_dim=len(S))
     transform = tuple(
-        tuple(int(t) for t in np.array([c % d for c in row]) @ P.T % d)
+        tuple(sum(row[s] % d * x for s, x in Pk.items()) % d for Pk in P)
         for d, row in zip(pres.moduli, pres.transform))
     return PresentedAbelianGroup(K, pres.moduli, transform)
+
+
+def _d2_kernel(G):
+    """(W, K): the K kernel coordinates of d2 mod |G| by columns, as
+    H2Group._coords keeps them, once d2 . d3 = 0 is checked.
+
+    The check runs over all (|G|-1)^3 columns of d3.  Column p of d2 is
+    encoded as the integer sum_e d2[e, p] 32^e.  An entry of d2 . d3
+    sums four d2 entries, each in [-2, 2], so it lies in [-8, 8], and a
+    d3 column passes iff the codes of its four symbols, with their
+    signs, sum to 0.  The Smith form of d2, whose rows of V^{-1} before
+    the rank fill in, is dropped on return, before the absorption
+    peaks."""
+    N, m = G.order, G.order - 1
+    D2 = boundary_matrix(G, 2)
+    code = [0] * (m * m + 1)  # the last is a symbol with an identity entry
+    for e, row in enumerate(D2):
+        for p, c in enumerate(row):
+            if c:
+                code[p] += c << 5 * e
+    if any(code[a] - code[b] + code[c] - code[d]
+           for a, b, c, d in _d3_columns(G, range(1, N))):
+        raise HomologyError("d2 . d3 != 0 (bar complex bug)")
+    res = snf_with_inverse(D2, modulus=N)
+    W = [[] for _ in range(m * m + 1)]
+    for k, row in enumerate(res.Vinv[res.rank:]):
+        for p, x in row.items():
+            W[p].append((k, x))
+    return [tuple(col) for col in W], len(res.Vinv) - res.rank
 
 
 _H2_CACHE = {}
@@ -297,37 +349,21 @@ def h2_group(G):
     only they are absorbed.  _echelon_cokernel presents the quotient
     from the reduced Howell form of its relations, so the H2 coordinates
     depend on the image lattice alone, whatever generators G was given.
-    The d2 . d3 check runs over all columns.  Images are int16: four
-    terms, each below |G| in absolute value."""
+    The d2 . d3 check runs over all columns (see _d2_kernel)."""
     key = G.digest
     if key in _H2_CACHE:
         return _H2_CACHE[key]
     if G.order > BAR_SIZE_CAP:
         raise HomologyError(f"group order {G.order} over bar-complex cap")
-    N, m = G.order, G.order - 1
-    D2 = boundary_matrix(G, 2)
-    res = snf_with_inverse(D2, modulus=N)
-    W = res.Vinv[res.rank:]  # kernel coordinates mod N
-    idx, coeff = _d3_sparse(G)
-    # int8 suffices: d2 entries lie in [-1, 2], so each sum is at most 8
-    D2T = np.array(D2, dtype=np.int8).T.copy()
-    for s in range(0, len(idx), _D3_CHUNK):
-        ci, cc = idx[s:s + _D3_CHUNK], coeff[s:s + _D3_CHUNK]
-        if sum(D2T[ci[:, k]] * cc[:, k:k + 1] for k in range(4)).any():
-            raise HomologyError("d2 . d3 != 0 (bar complex bug)")
-
-    S = np.array(sorted({s for s in G.generators if s}), dtype=np.int64)
-    cols = (np.arange(m * m)[:, None] * m + S - 1).ravel()
-    H = np.zeros((len(W), len(W)), dtype=np.uint8)
-    piv = [N] * len(W)
-    supports = {}
-    for s in range(0, len(cols), _D3_CHUNK):
-        chunk = cols[s:s + _D3_CHUNK]
-        ci, cc = idx[chunk], coeff[chunk]
-        images = sum(W[:, ci[:, k]] * cc[:, k] for k in range(4)) % N
-        for v in images.T[images.any(axis=0)]:
-            _absorb(H, piv, v, N, supports)
-    out = H2Group(G, _echelon_cokernel(H, piv, N), W)
+    W, K = _d2_kernel(G)
+    E = _Echelon(K, G.order)
+    for col in _d3_columns(G, sorted({s for s in G.generators if s})):
+        v = {}
+        for p, sign in zip(col, _D3_SIGNS):
+            for k, x in W[p]:
+                v[k] = v.get(k, 0) + sign * x
+        _absorb(E, v)
+    out = H2Group(G, _echelon_cokernel(E), W)
     _H2_CACHE[key] = out
     return out
 

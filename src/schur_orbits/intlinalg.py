@@ -2,7 +2,9 @@
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
 arbitrary precision.  The one exception is a Smith form's V^{-1} asked
-for modulo N <= 256, which is a uint8 numpy array with entries below N.
+for modulo N, which is a list of sparse rows, {column: entry} dicts
+holding the nonzero entries, each in [1, N).  The module imports
+nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -46,15 +48,12 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-_GATHER_ROWS = 64  # rows of V^{-1} mod N widened to int64 at a time
-
-
 @dataclass
 class _SNF:
     U: list | None
     D: list
     V: list | None
-    Vinv: list | None  # a uint8 numpy array when reduced mod N
+    Vinv: list | None  # sparse {column: entry} rows when reduced mod N
     diag: list
     rank: int
 
@@ -68,10 +67,13 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
     growth tame and makes the output deterministic.
 
     U, V and V^{-1} are tracked only when asked for and are None
-    otherwise.  Given a modulus N <= 256, V^{-1} is kept reduced mod N
-    as a uint8 array and updated by vectorized row operations.  Reduction
-    mod N commutes with row operations and the pivots depend on M alone,
-    so that array is the exact V^{-1} reduced mod N.
+    otherwise.  Given a modulus N >= 1, V^{-1} is kept reduced mod N as
+    sparse rows, {column: entry} dicts without zero entries, and updated
+    by the inverse column operations on those rows alone.  Reduction mod
+    N commutes with row operations and the pivots depend on M alone, so
+    these rows are the exact V^{-1} reduced mod N.  On a bar-complex d2
+    the rows from the rank on, its kernel coordinates, keep a single
+    entry each on every group measured; the rows before it fill in.
     """
     A = [[int(x) for x in row] for row in M]
     r = len(A)
@@ -84,14 +86,10 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
         Vinv = None
     elif modulus is None:
         Vinv = identity_matrix(c)
+    elif modulus < 1:
+        raise ValueError(f"modulus {modulus} is not positive")
     else:
-        # numpy serves only this array, so it is imported here: the rest
-        # of the module, and groups.abelianization, run without it
-        import numpy as np
-
-        if not 0 < modulus <= 256:
-            raise ValueError(f"modulus {modulus} outside uint8")
-        Vinv = np.eye(c, dtype=np.uint8) * (modulus > 1)  # I mod 1 is 0
+        Vinv = [{k: 1} if modulus > 1 else {} for k in range(c)]  # I mod N
 
     def row_add(i, j, q):  # row_i += q * row_j
         Ai, Aj = A[i], A[j]
@@ -121,19 +119,20 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
         if Vinv is None or not ops:
             return
         # inverse ops, which commute: Vinv row_i -= q * Vinv row_j
+        Vi = Vinv[i]
         if modulus is None:
-            Vi = Vinv[i]
             for j, q in ops:
                 Vj = Vinv[j]
                 for k in range(c):
                     Vi[k] -= q * Vj[k]
-        else:
-            js = [j for j, _ in ops]
-            qs = np.array([q % modulus for _, q in ops], dtype=np.int64)
-            acc = np.zeros(c, dtype=np.int64)  # below c * 255^2
-            for s in range(0, len(js), _GATHER_ROWS):
-                acc += qs[s:s + _GATHER_ROWS] @ Vinv[js[s:s + _GATHER_ROWS]]
-            Vinv[i] = (Vinv[i] - acc) % modulus
+            return
+        for j, q in ops:
+            for k, x in Vinv[j].items():
+                y = (Vi.get(k, 0) - q * x) % modulus
+                if y:
+                    Vi[k] = y
+                else:
+                    Vi.pop(k, None)
 
     def col_swap(i, j):
         for row in A:
@@ -141,12 +140,8 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
         if V is not None:
             for row in V:
                 row[i], row[j] = row[j], row[i]
-        if Vinv is None:
-            return
-        if modulus is None:
+        if Vinv is not None:
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-        else:
-            Vinv[[i, j]] = Vinv[[j, i]]
 
     def find_pivot(t):
         best = None
@@ -207,6 +202,8 @@ def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
             col_adds(ops, t)
             if dirty:
                 continue
+            if d == 1:  # divides the remaining submatrix: nothing to scan
+                break
             # pivot must divide the remaining submatrix
             offender = None
             for i in range(t + 1, r):
@@ -235,8 +232,8 @@ def smith_normal_form(M):
 def snf_with_inverse(M, modulus=None):
     """Like smith_normal_form but also tracks V^{-1} (as an _SNF record).
 
-    Given a modulus N, only V^{-1} is tracked, as a uint8 array reduced
-    mod N <= 256; U and V are None."""
+    Given a modulus N >= 1, only V^{-1} is tracked, as sparse rows
+    reduced mod N (see _snf_engine); U and V are None."""
     if modulus is None:
         return _snf_engine(M, want_u=True, want_v=True, want_vinv=True)
     return _snf_engine(M, want_vinv=True, modulus=modulus)

@@ -298,8 +298,9 @@ def test_group_info_and_cache_hits_import_no_numpy(files):
                                     "--no-cache"])
     cold = _imported_modules(["h2", "--group", files["s4"], *cache])
     warm = _imported_modules(["h2", "--group", files["s4"], *cache])
-    # the log does list what a command loads: h2 runs homology on numpy
-    assert {"numpy", "schur_orbits.homology"} <= cold
+    # the log does list what a command loads: h2 runs homology, which
+    # needs no numpy
+    assert "schur_orbits.homology" in cold and "numpy" not in cold
     assert "schur_orbits.groups" in group_info
     assert not group_info & HEAVY_MODULES
     assert not warm & HEAVY_MODULES
@@ -329,6 +330,17 @@ def test_no_command_loads_openssl(files, command):
     loaded = _imported_modules([command, *argv, "--no-cache"])
     assert "schur_orbits.groups" in loaded
     assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("command", ["h2", "h2bgc", "mgc", "sch"])
+def test_homology_commands_load_no_numpy(files, command):
+    # the H2 build is sparse and in Python ints, and none of these
+    # commands runs the orbit engine
+    argv = [files.get(a, a) for a in _FOOTPRINT_ARGV[command]]
+    loaded = _imported_modules([command, *argv, "--no-cache"])
+    assert "schur_orbits.homology" in loaded
+    assert not loaded & {"numpy", "schur_orbits.fastorbits",
+                         "schur_orbits.moves"}
 
 
 @pytest.mark.parametrize("level", [["--genus", "0", "--branch",
@@ -448,6 +460,21 @@ def test_cache_key_follows_the_package_sources(files, capsys, monkeypatch):
     _, out = run(capsys, argv)
     assert json.loads(out)["H2"] == []
     assert len(list(cache.glob("*.json"))) == 2
+
+
+def test_no_cache_computes_no_cache_key(files, capsys, monkeypatch):
+    # with --no-cache nothing reads the key, so the sources are not
+    # hashed; the parameters are still parsed, which validates them
+    def unused():
+        raise AssertionError("cache key computed under --no-cache")
+
+    monkeypatch.setattr(cli, "_source_digest", unused)
+    code, out = run(capsys, ["h2", "--group", files["s3"], "--no-cache"])
+    assert (code, json.loads(out)) == (0, {"H2": []})
+    code, out = run(capsys, ["mgc", "--group", files["s3"], "--classes",
+                             "99", "--no-cache"])
+    assert code == 1 and "out of range" in json.loads(out)["error"]["message"]
+    assert not (files["tmp"] / "cache").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """h2_group against the direct route of h2_oracle, on the spec generators
 of every test group and on relabelled generating sequences."""
 
+import itertools
 import random
 
 import numpy as np
@@ -70,19 +71,32 @@ def _closed_chains(G, rng, tries=200):
     return chains
 
 
+def _dense_coords(H2):
+    """The K x (|G|-1)^2 matrix W that H2._coords lists by columns."""
+    m = H2.group.order - 1
+    W = [[0] * (m * m) for _ in range(H2.presentation.ambient_dim)]
+    for p, col in enumerate(H2._coords[:m * m]):
+        for k, x in col:
+            W[k][p] = x
+    assert H2._coords[m * m:] == [()]  # a symbol with an identity entry
+    return W
+
+
 @pytest.mark.parametrize("name,form", CASES)
 def test_h2_group_matches_direct_route(name, form):
     G = _group(name, form)
     got, want = h2_group(G), h2_oracle(G)
     assert got.invariant_factors == want.invariant_factors
-    assert np.array_equal(got._coords, want._coords)
+    # W is a 0/1 matrix on every group here, one 1 per row
+    assert _dense_coords(got) == want.W.tolist()
+    assert set(np.unique(want.W).tolist()) <= {0, 1}
     rng = random.Random(f"h2-oracle:{name}:{form}")
     chains = [torus_cycle(G, a, b) for a in range(1, G.order)
               for b in range(1, G.order) if G.mul[a][b] == G.mul[b][a]]
     chains += _closed_chains(G, rng)
     for chain in chains:
         assert got.cycle_class(chain) == want.cycle_class(chain)
-    K = len(got._coords)
+    K = got.presentation.ambient_dim
     for _ in range(50):
         v = [rng.randrange(G.order) for _ in range(K)]
         assert got.presentation.to_coords(v) == want.presentation.to_coords(v)
@@ -105,40 +119,43 @@ def test_h2_basis_does_not_depend_on_the_generators_given(name, extra):
     assert got.presentation == want.presentation
 
 
+def _corrupt_column(monkeypatch, G, target):
+    """Make homology._d3_columns drop the [y|z] symbol of the column
+    target = (x, y, z), wherever it is read; returns the list of the
+    times it was."""
+    d3_columns, m, hits = homology._d3_columns, G.order - 1, []
+
+    def corrupted(G, last):
+        last = list(last)
+        e = range(1, G.order)
+        for xyz, col in zip(itertools.product(e, e, last),
+                            d3_columns(G, last)):
+            if xyz == target:
+                hits.append(xyz)
+                col = (m * m, *col[1:])  # the index of no symbol
+            yield col
+
+    monkeypatch.setattr(homology, "_d3_columns", corrupted)
+    monkeypatch.setattr(homology, "_H2_CACHE", {})
+    return hits
+
+
 def test_d2_d3_check_covers_non_generator_columns(monkeypatch):
     # corrupt d3[1|1|z] for a z outside the generators: only the check
     # over all columns can see it
     G = build_group(GROUP_SPECS["s3"])
     z = next(z for z in range(1, G.order) if z not in G.generators)
-    col = z - 1  # [1|1|z] in lexicographic order
-    d3_sparse = homology._d3_sparse
-
-    def corrupted(G):
-        idx, coeff = d3_sparse(G)
-        coeff = coeff.copy()
-        coeff[col, 0] = -coeff[col, 0]  # the [y|z] term
-        return idx, coeff
-
-    monkeypatch.setattr(homology, "_d3_sparse", corrupted)
-    monkeypatch.setattr(homology, "_H2_CACHE", {})
+    hits = _corrupt_column(monkeypatch, G, (1, 1, z))
     with pytest.raises(HomologyError, match="d2 . d3"):
         h2_group(G)
+    assert hits == [(1, 1, z)]
 
 
-def test_d2_d3_check_covers_the_last_chunk(monkeypatch):
-    # the check runs _D3_CHUNK columns at a time: corrupt d3[m|m|m], the
-    # last of S4's 23^3 columns
+def test_d2_d3_check_covers_the_last_column(monkeypatch):
+    # corrupt d3[m|m|m], the last of S4's 23^3 columns
     G = build_group(GROUP_SPECS["s4"])
-    assert (G.order - 1) ** 3 > homology._D3_CHUNK
-    d3_sparse = homology._d3_sparse
-
-    def corrupted(G):
-        idx, coeff = d3_sparse(G)
-        coeff = coeff.copy()
-        coeff[-1, 0] = -coeff[-1, 0]  # the [y|z] term
-        return idx, coeff
-
-    monkeypatch.setattr(homology, "_d3_sparse", corrupted)
-    monkeypatch.setattr(homology, "_H2_CACHE", {})
+    m = G.order - 1
+    hits = _corrupt_column(monkeypatch, G, (m, m, m))
     with pytest.raises(HomologyError, match="d2 . d3"):
         h2_group(G)
+    assert hits == [(m, m, m)]

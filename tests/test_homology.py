@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_orbits import homology
 from schur_orbits.covers import (
     BranchData,
     BranchData as BD,
@@ -22,6 +21,7 @@ from schur_orbits.groups import (
 )
 from schur_orbits.homology import (
     HomologyError,
+    _Echelon,
     _absorb,
     _echelon_cokernel,
     boundary_matrix,
@@ -39,6 +39,7 @@ from schur_orbits.homology import (
 from schur_orbits.intlinalg import cokernel, mat_mul, snf_with_inverse
 
 from conftest import GROUP_SPECS, get_group, transposition_class
+from h2_oracle import _absorb as dense_absorb
 
 H2_EXPECTED = {
     "z2": (), "z3": (), "z4": (), "z5": (), "z6": (),
@@ -116,10 +117,10 @@ def test_h2_dual_route(name):
 
 def _presented(cols, K, N):
     """Z^K / (cols + N.Z^K) through the echelon, absorbing cols in order."""
-    H, piv = np.zeros((K, K), dtype=np.int64), [N] * K
+    E = _Echelon(K, N)
     for col in cols:
-        _absorb(H, piv, np.array(col, dtype=np.int64) % N, N)
-    return _echelon_cokernel(H, piv, N)
+        _absorb(E, dict(enumerate(col)))
+    return _echelon_cokernel(E)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -145,29 +146,27 @@ def test_mod_n_echelon_matches_exact_cokernel(seed):
         assert _presented(cols, K, N) == got
 
 
-# The int64 echelon reduces all rows above a new pivot at once and the
-# uint8 one 3 rows at a time.  Scaling a vector by a divisor of N makes
-# non-unit pivots.
+# The sparse echelon against the dense int64 one of the oracle, which
+# works on whole rows.  Scaling a vector by a divisor of N makes non-unit
+# pivots; the sparse side gets the entries unreduced, some negative.
 @settings(max_examples=40, deadline=None, database=None)
 @given(N=st.integers(2, 64), K=st.integers(1, 40), count=st.integers(0, 60),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_absorb_into_uint8_in_blocks_matches_int64(N, K, count, seed):
+def test_sparse_absorb_matches_dense_int64(N, K, count, seed):
     rng = np.random.default_rng(seed)
     divisors = [d for d in range(1, N) if N % d == 0]
-    wide, pw = np.zeros((K, K), dtype=np.int64), [N] * K
-    narrow, pn = np.zeros((K, K), dtype=np.uint8), [N] * K
-    block = homology._ABOVE_ROWS
-    try:
-        for _ in range(count):
-            v = rng.integers(0, N, size=K) * rng.choice(divisors) % N
-            v[:rng.integers(0, K)] = 0  # start past some pivots
-            homology._ABOVE_ROWS = K
-            grew = _absorb(wide, pw, v.astype(np.int64), N)
-            homology._ABOVE_ROWS = 3
-            assert _absorb(narrow, pn, v.astype(np.int16), N) == grew
-    finally:
-        homology._ABOVE_ROWS = block
-    assert np.array_equal(wide, narrow) and pw == pn
+    dense, pd = np.zeros((K, K), dtype=np.int64), [N] * K
+    E = _Echelon(K, N)
+    for _ in range(count):
+        v = rng.integers(0, N, size=K) * rng.choice(divisors) % N
+        v[:rng.integers(0, K)] = 0  # start past some pivots
+        grew = dense_absorb(dense, pd, v, N)
+        shifted = v + N * rng.integers(-2, 3, size=K)
+        assert _absorb(E, dict(enumerate(shifted.tolist()))) == grew
+    assert E.dense() == dense.tolist() and E.piv == pd
+    assert all(0 < x < N for row in E.rows for x in row.values())
+    assert E.above == [{i for i, row in enumerate(E.rows) if k in row}
+                       for k in range(K)]
 
 
 def test_echelon_cokernel_reduces_entries_left_unreduced_by_absorb():

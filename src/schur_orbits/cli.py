@@ -39,8 +39,8 @@ from .covers import (
     BranchData,
     BudgetError,
     branch_data,
-    enumerate_tuples,
     hom_branch_type,
+    level_codes,
     tuple_from_json,
     tuple_to_json,
 )
@@ -262,10 +262,11 @@ def _params_enumerate(G, args):
 
 def _cmd_enumerate(G, args):
     v = parse_branch(G, args.branch)
-    tuples = enumerate_tuples(G, args.genus, v, surjective=not args.all,
-                              budget=args.budget)
+    codes, tuples = level_codes(G, args.genus, v, surjective=not args.all,
+                                budget=args.budget)
     listed = tuples if args.limit is None else tuples[: args.limit]
-    return {"count": len(tuples), "tuples": [tuple_to_json(t) for t in listed]}
+    return {"count": int(tuples.size),
+            "tuples": [tuple_to_json(t) for t in codes.tuples(listed)]}
 
 
 def _params_orbits(G, args):

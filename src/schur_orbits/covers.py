@@ -28,6 +28,7 @@ __all__ = [
     "hom_branch_type",
     "is_surjective",
     "enumerate_tuples",
+    "level_codes",
     "connect_sum",
     "tuple_to_json",
     "tuple_from_json",
@@ -212,14 +213,15 @@ def _letters_for(G, class_id, sign):
     return sorted(G.inv[x] for x in range(1, G.order) if G.class_of[x] == class_id)
 
 
-def enumerate_tuples(G, g, v, surjective=True, budget=None):
-    """All BranchedTuples of genus g with branch data v, deterministic
-    lexicographic order: the nodes of fastorbits.orbit_scan's table under
-    moves.move_catalog when surjective, else of fastorbits.build_level,
-    closed or punctured, expanded into one tuple-code array, sorted in
-    place and decoded.  BudgetError when the builder
-    would walk more than budget prefixes or the level has more than
-    budget tuples, raised before the level, or its tuples, are allocated.
+def level_codes(G, g, v, surjective=True, budget=None):
+    """(fastorbits._Codes, sorted int64 tuple codes) of every tuple of
+    genus g with branch data v: the nodes of fastorbits.orbit_scan's table
+    under moves.move_catalog when surjective, else of
+    fastorbits.build_level, closed or punctured, expanded into one array
+    and sorted in place, so that code order is key order.  BudgetError
+    when the builder would walk more than budget prefixes or the level
+    has more than budget tuples, raised before the level, or its tuple
+    codes, are allocated.
     """
     # fastorbits and moves import this module
     from .fastorbits import build_level, orbit_scan
@@ -233,6 +235,14 @@ def enumerate_tuples(G, g, v, surjective=True, budget=None):
         codes, level = build_level(G, g, v, budget)
     tuples = codes.expand(level, budget)
     tuples.sort()
+    return codes, tuples
+
+
+def enumerate_tuples(G, g, v, surjective=True, budget=None):
+    """All BranchedTuples of genus g with branch data v, deterministic
+    lexicographic order: level_codes, decoded.
+    """
+    codes, tuples = level_codes(G, g, v, surjective, budget)
     return codes.tuples(tuples)
 
 

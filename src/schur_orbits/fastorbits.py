@@ -21,15 +21,21 @@ ChainTwist is a relation on nodes (up to 22 targets per label pair on
 A4, 53 on S4), so its frontier is deduplicated.  Orbit and level sizes
 are sums of node weights, the products of orbit sizes.  A budget bounds
 the prefixes build_level walks (_prefix_count) and the tuples
-_Codes.expand makes.
+_Codes.expand makes.  The builder, the transition tables and the sweep
+work FILTER_CHUNK prefixes, tuples or codes at a time (_row_blocks),
+splitting a node or key with more, so no array made per block has more
+rows.
 
-On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), median of 7
-in-process orbit_scan runs: A4 g=3 (742,560 tuples; 1,101 nodes of the
-relation, 948 kept) 0.020 s, D4 g=4 (8.2M tuples) 0.046 s, S3 g=5
-(20.1M) 0.032 s, S4 g=3 (15.4M; 16,093 nodes, 12,344 kept) 0.29 s, two
-thirds of it building the transition tables.  Genus 0 sweeps tuples:
-S4 "8 transpositions" (131,040 of 140,160) 0.44 s, more than half of
-it in np.searchsorted; A5 "6 3-cycles" (960,120 of 1,072,540) 4.6 s.
+On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), the median of 7
+warm in-process level_orbits calls, two runs: A4 g=3 (742,560 tuples;
+1,101 nodes of the relation, 948 kept) 0.013-0.018 s, D4 g=4 (8.2M
+tuples) 0.019-0.029 s, S3 g=5 (20.1M) 0.013-0.021 s, S4 g=3 (15.4M;
+16,093 nodes, 12,344 kept) 0.14-0.17 s, three quarters of it building
+the transition tables.  Genus 0 sweeps tuples: S4 "8 transpositions"
+(131,040 of 140,160) 0.11-0.14 s, an eighth of it finding level
+positions in the rank directory (_Positions); A5 "6 3-cycles" (960,120
+of 1,072,540) 3.9 s, three quarters of it in np.searchsorted, because
+its 20^6 codes are too sparse for the directory.
 A genus-0 level whose puncture pools do not generate G is not built:
 S4 "10 double transpositions" (14,763 tuples, none surjective) takes
 2 ms cold, 0.1 ms warm, where its sweep took 0.08 s.
@@ -38,6 +44,7 @@ S4 "10 double transpositions" (14,763 tuples, none surjective) takes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -68,7 +75,8 @@ from .moves import (
 __all__ = ["orbit_scan", "closed_orbit_scan", "level_orbits", "build_level",
            "FastOrbitTable"]
 
-FILTER_CHUNK = 1 << 18  # prefixes, frontier nodes or tuples at a time
+FILTER_CHUNK = 1 << 13  # prefixes, frontier nodes or tuples at a time
+_BIT = np.array([1 << k for k in range(32)], dtype=np.int64)  # _Positions
 
 # the move kinds that act within one handle (an *Inv kind has the orbits
 # of its forward kind); their orbits on pairs are the label digits
@@ -87,13 +95,6 @@ def _digits(codes, radices):
     return cols
 
 
-def _ragged(starts, counts):
-    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for every
-    i, concatenated."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
-
-
 def _distinct(a):
     """The sorted distinct values of a: np.unique without the numpy.ma
     import it makes on first use (45 ms on a 2-CPU Xeon VM)."""
@@ -103,12 +104,26 @@ def _distinct(a):
     return a[keep]
 
 
-def _blocks(weight):
-    """Bounds of consecutive blocks of about FILTER_CHUNK total weight
-    (more only when one item outweighs it)."""
-    cuts = np.searchsorted(np.cumsum(weight), np.arange(
-        FILTER_CHUNK, weight.sum(), FILTER_CHUNK), side="right")
-    return _distinct(np.concatenate(([0], cuts, [weight.size]))).tolist()
+def _row_blocks(weight, start=0):
+    """The rows of items of the given weights, item i having rows
+    start[i] to start[i] + weight[i] - 1 (0 to weight[i] - 1 by default),
+    in order and in blocks of at most FILTER_CHUNK rows: one (item, row)
+    pair of columns per block."""
+    ends = np.cumsum(weight)
+    first = ends - weight
+    base = first - start
+    total = int(ends[-1]) if ends.size else 0
+    if total <= FILTER_CHUNK:  # one block, every item whole
+        item = np.repeat(np.arange(weight.size), weight)
+        yield item, np.arange(total) - base[item]
+        return
+    for r0 in range(0, total, FILTER_CHUNK):
+        r1 = min(r0 + FILTER_CHUNK, total)
+        i0, i1 = np.searchsorted(ends, [r0, r1 - 1], side="right").tolist()
+        cnt = (np.minimum(ends[i0:i1 + 1], r1)
+               - np.maximum(first[i0:i1 + 1], r0))
+        item = np.repeat(np.arange(i0, i1 + 1), cnt)
+        yield item, np.arange(r0, r1) - base[item]
 
 
 def _handle_orbits(G):
@@ -172,6 +187,7 @@ class _Codes:
         self.place = [prod(self.radices[k + 1:])
                       for k in range(len(self.radices))]
         self.tail = r ** n
+        self.space = prod(self.radices)  # the number of node codes
         self.letter = np.array([w for w, _ in self.alphabet], dtype=np.int64)
         self.sign = np.array([o for _, o in self.alphabet], dtype=np.int64)
         # rank of (w, o) at (o > 0) * q + w; -1 outside the alphabet
@@ -195,38 +211,59 @@ class _Codes:
             w *= self.orbits.size[label]
         return w
 
-    def tuple_codes(self, nodes, least=False):
-        """Tuple codes of the tuples of nodes, node by node and ascending
-        within each; with least, only each node's least tuple."""
-        H, q = self.orbits, self.group.order
-        rows = np.arange(nodes.size)
+    def pairs(self, labels, rank):
+        """The pair codes, handle by handle, of tuple rank[i] (in
+        ascending order, the first handle most significant) of the
+        product of the handle orbits labels[0][i], labels[1][i], ...;
+        with rank None, of the least tuple."""
+        H = self.orbits
+        if rank is None:
+            return [H.least[label] for label in labels]
+        out = []
+        for label in reversed(labels):
+            rank, k = np.divmod(rank, H.size[label])
+            out.append(H.members[H.start[label] + k])
+        return out[::-1]
+
+    def site_letters(self, lo, hi, site, rank):
+        """The letter columns by slot and the sign columns by puncture
+        that node digits lo..hi hold in tuple rank[i] of the nodes whose
+        digits there are site[0][i], site[1][i], ..."""
+        g, q = self.genus, self.group.order
+        handles = range(lo, min(hi + 1, g))  # punctures follow every handle
+        cols, signs = {}, {}
+        for d, pair in zip(handles, self.pairs(site[:len(handles)], rank)):
+            cols[2 * d], cols[2 * d + 1] = np.divmod(pair, q)
+        for d, digit in zip(range(lo, hi + 1), site):
+            if d >= g:
+                cols[d + g] = self.letter[digit]
+                signs[d - g] = self.sign[digit]
+        return cols, signs
+
+    def tuple_codes(self, nodes, rank=None):
+        """Tuple codes of tuple rank[i] of nodes[i], in the node's
+        ascending order; with rank None, of each node's least tuple."""
+        q = self.group.order
         code = np.zeros(nodes.size, dtype=np.int64)
-        for label in _digits(nodes // self.tail, self.radices[:self.genus]):
-            label = label[rows]
-            if least:
-                pair = H.least[label]
-            else:
-                cnt = H.size[label]
-                pair = H.members[_ragged(H.start[label], cnt)]
-                rows, code = rows.repeat(cnt), code.repeat(cnt)
+        for pair in self.pairs(
+                _digits(nodes // self.tail, self.radices[:self.genus]), rank):
             code = code * (q * q) + pair
-        return code * self.tail + nodes[rows] % self.tail
+        return code * self.tail + nodes % self.tail
 
     def expand(self, nodes, budget=None):
-        """tuple_codes of nodes in one array, sized from the node weights
-        and filled about FILTER_CHUNK tuples at a time; BudgetError, before
-        it is allocated, when it would hold more than budget tuples."""
+        """The tuple codes of nodes in one array, node by node and
+        ascending within each, sized from the node weights and filled
+        FILTER_CHUNK tuples at a time; BudgetError, before it is
+        allocated, when it would hold more than budget tuples."""
         weight = self.weight(nodes)
-        ends = np.cumsum(weight)
-        total = int(ends[-1]) if ends.size else 0
+        total = int(weight.sum())
         if budget is not None and total > budget:
             raise BudgetError(f"enumeration budget {budget} exhausted: "
                               f"the level has {total} tuples")
         out = np.empty(total, dtype=np.int64)
-        bounds = _blocks(weight)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            out[ends[lo] - weight[lo]:ends[hi - 1]] = \
-                self.tuple_codes(nodes[lo:hi])
+        for start, (item, rank) in zip(range(0, total, FILTER_CHUNK),
+                                       _row_blocks(weight)):
+            out[start:start + item.size] = self.tuple_codes(nodes[item], rank)
         return out
 
     def codes_of(self, tuples):
@@ -281,24 +318,27 @@ class FastOrbitTable(OrbitTable):
     ids: np.ndarray
     level: np.ndarray
 
+    @cached_property
+    def positions(self):
+        """The level's _Positions, built on the first lookup."""
+        return _Positions(self.level, self.codes.space)
+
     def orbit_id(self, t):
         return self.orbit_ids([t])[0]
 
     def orbit_ids(self, tuples):
         """The orbit id of each tuple: its node code looked up in level,
-        all in one search."""
-        codes = self.codes.codes_of(tuples)
-        pos = np.searchsorted(self.level, codes)
-        found = pos < self.level.size
-        found[found] = self.level[pos[found]] == codes[found]
-        if not found.all():
-            raise KeyError("tuple not in this orbit table")
+        all in one lookup."""
+        try:
+            pos = self.positions(self.codes.codes_of(tuples))
+        except MoveError:
+            raise KeyError("tuple not in this orbit table") from None
         return self.ids[pos].tolist()
 
     def members(self):
         """Orbit id -> the least tuple of each of the orbit's nodes, in key
         order; the orbit's representative comes first."""
-        codes = self.codes.tuple_codes(self.level, least=True)
+        codes = self.codes.tuple_codes(self.level)
         out = {i: [] for i in range(self.num_orbits)}
         for t, i in zip(self.codes.tuples(codes), self.ids.tolist()):
             out[i].append(t)
@@ -350,7 +390,8 @@ def build_level(G, g, v, budget=None):
     over every digit but the last, FILTER_CHUNK prefixes at a time, each
     followed by the entries of the last pool (labels on a closed level,
     letters otherwise) whose commutator or letter is the inverse of the
-    prefix's product.  The empty tuple has no digits and product 1.
+    prefix's product, written FILTER_CHUNK codes at a time.  The empty
+    tuple has no digits and product 1.
     BudgetError, before the level is allocated, when it walks more than
     budget prefixes (_prefix_count) or its tuple code space overflows
     int64.
@@ -383,14 +424,15 @@ def build_level(G, g, v, budget=None):
             p = np.zeros_like(idx)
             for (_, val), c in zip(head, cols):
                 p = mulf[p * q + val[c]]
-            need = inv[p]
-            cnt = offsets[need + 1] - offsets[need]
-            cols = ([c.repeat(cnt) for c in cols]
-                    + [by[_ragged(offsets[need], cnt)]])
-            code = np.zeros(cols[-1].size, dtype=np.int64)
-            for (d, _), c, w in zip(digits, cols, codes.place):
-                code += d[c] * w
-            parts.append(code)
+            first = offsets[inv[p]]
+            for item, k in _row_blocks(offsets[inv[p] + 1] - first, first):
+                # gathered one digit column at a time, to keep the peak low
+                code = np.zeros(item.size, dtype=np.int64)
+                for (d, _), c, rows, w in zip(digits, cols + [by],
+                                              [item] * len(cols) + [k],
+                                              codes.place):
+                    code += d[c[rows]] * w
+                parts.append(code)
     level = np.concatenate(parts)
     level.sort()
     return codes, level
@@ -407,13 +449,57 @@ def _next_unvisited(ids, pos):
     return pos + int((ids[pos:pos + step] < 0).argmax())
 
 
-def _positions(level, codes):
-    """Level positions of codes; MoveError when one is off the level."""
-    pos = np.searchsorted(level, codes)
-    np.minimum(pos, level.size - 1, out=pos)
-    if not (level[pos] == codes).all():
-        raise MoveError("level is not move-closed (catalog/filter bug)")
-    return pos
+class _Positions:
+    """The positions of node codes in a sorted level of distinct codes in
+    [0, space), built once per level.
+
+    A rank directory over the code space (Jacobson, FOCS 1989): a bit per
+    code, 32 to an int64 word, and the count of the level's codes up to
+    the end of each word, so a code's position is that count less the
+    set bits at or above it in its word: a few gathers, where a binary
+    search makes about log2 of the level's size probes that miss the
+    cache.  The words are int64, not uint64, because numpy's uint64
+    kernels cost each orbits process about 0.3 MiB of peak RSS to load.
+    The bits are set FILTER_CHUNK codes at a time and the counts summed
+    from them, so the build makes no array per code.  Where the directory would take more bytes than the level's own int64
+    codes (fits), np.searchsorted over the level finds the positions
+    instead.  Calling it on int64 codes returns their positions;
+    MoveError when one is off the level."""
+
+    def __init__(self, level, space):
+        self.level = level
+        self.bits = None
+        if not self.fits(level.size, space):
+            return
+        words = -(-space // 32)
+        self.bits = np.zeros(words, dtype=np.int64)
+        for start in range(0, level.size, FILTER_CHUNK):
+            code = level[start:start + FILTER_CHUNK]
+            # a level's codes are distinct, so a word's bits sum to their or
+            np.add.at(self.bits, code >> 5, _BIT[code & 31])
+        self.rank = np.cumsum(np.bitwise_count(self.bits), dtype=np.int64)
+
+    @staticmethod
+    def fits(n, space):
+        """Whether the rank directory of a code space of space codes, 16
+        bytes per 32, takes no more bytes than n int64 codes: whether the
+        space is at most 16 times the level."""
+        return 16 * -(-space // 32) <= 8 * n
+
+    def __call__(self, codes):
+        if self.bits is None:
+            pos = np.searchsorted(self.level, codes)
+            off = (pos >= self.level.size).any()
+            off = off or (self.level[pos] != codes).any()
+        else:
+            word = codes >> 5
+            # each code's bit shifted to the bottom, the bits above it over it
+            pos = self.bits[word] >> (codes & 31)
+            off = not (pos & 1).all()
+            pos = self.rank[word] - np.bitwise_count(pos)
+        if off:
+            raise MoveError("level is not move-closed (catalog/filter bug)")
+        return pos
 
 
 def _sites(plan, g):
@@ -443,7 +529,8 @@ def _transitions(codes, plan, lo, hi, level):
     """The transition table of plan's move on node digits lo..hi, read as
     one mixed-radix key, for the keys that occur in level: the plan runs
     over every tuple of each key (its handle orbits' pairs, its
-    punctures' letters and signs), keys blocked by that count.
+    punctures' letters and signs), FILTER_CHUNK tuples at a time, so a
+    key with more tuples than that spans several blocks.
 
     Returns (place, space, start, delta, multi): a node whose key is
     k = code // place % space moves to code + delta[j] for j in
@@ -459,35 +546,25 @@ def _transitions(codes, plan, lo, hi, level):
     keys = np.flatnonzero(seen)
     f = plan_evaluator(G, plan, columns=True)
     digits = _digits(keys, radices)
+    parts = [np.zeros(0, dtype=np.int64)]
     # label 0 holds only pair code 0, the identities, which every move
     # fixes, so the zero digits of keys * place count once
-    bounds = _blocks(codes.weight(keys * place))
-    parts = []
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        rows = np.arange(b0, b1)
-        cols, signs = {}, {}
-        for d, digit in zip(range(lo, hi + 1), digits):
-            if d < g:
-                label = digit[rows]
-                cnt = H.size[label]
-                pair = H.members[_ragged(H.start[label], cnt)]
-                rows = rows.repeat(cnt)
-                cols = {s: c.repeat(cnt) for s, c in cols.items()}
-                cols[2 * d], cols[2 * d + 1] = np.divmod(pair, q)
-            else:  # punctures follow every handle, so nothing repeats after
-                cols[d + g] = codes.letter[digit[rows]]
-                signs[d - g] = codes.sign[digit[rows]]
+    for item, rank in _row_blocks(codes.weight(keys * place)):
+        cols, signs = codes.site_letters(
+            lo, hi, [digit[item] for digit in digits], rank)
+        del rank  # only the plan's columns live while it runs
         # letters outside the site are read by no letter inside it
-        zero = np.zeros(rows.size, dtype=np.int64)
+        zero = np.zeros(item.size, dtype=np.int64)
         out, out_signs = f([cols.get(s, zero) for s in range(plan.slots)],
                            [signs.get(j, zero + 1) for j in range(codes.n)])
-        target = np.zeros(rows.size, dtype=np.int64)
+        target = np.zeros(item.size, dtype=np.int64)
         for d, radix in zip(range(lo, hi + 1), radices):
             target *= radix
             target += (H.label[out[2 * d] * q + out[2 * d + 1]] if d < g
                        else codes._ranks(out[d + g], out_signs[d - g]))
-        parts.append(_distinct(rows * space + target))
-    pairs = np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
+        parts.append(_distinct(item * space + target))
+    # a key whose tuples span two blocks has its targets in both
+    pairs = _distinct(np.concatenate(parts))
     src = keys[pairs // space]
     start = np.zeros(space + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=space), out=start[1:])
@@ -495,68 +572,83 @@ def _transitions(codes, plan, lo, hi, level):
             bool((np.diff(start) > 1).any()))
 
 
+def _moved(code, sites):
+    """The node codes that one move's site tables (_transitions) take
+    the nodes code to, in pieces of at most FILTER_CHUNK codes when a
+    site has several targets per key."""
+    for k, (place, space, begin, delta, multi) in enumerate(sites):
+        key = code // place % space
+        at = begin[key]
+        if multi:
+            for item, j in _row_blocks(begin[key + 1] - at, at):
+                yield from _moved(code[item] + delta[j], sites[k + 1:])
+            return
+        code = code + delta[at]
+    yield code
+
+
 def _sweep(codes, level, plans):
     """Partition a sorted, move-closed node level into orbits under the
     moves of plans, with the handle moves that connect each node.
 
     Each orbit is seeded at the least node outside the orbits before it
-    and grown breadth first: every move's transition tables map whole
-    frontier pieces of node codes to the node codes their tuples reach,
-    whose level positions np.searchsorted finds.  A move with more than
-    one target per key can reach a node twice, so its output is
-    deduplicated; every other move permutes the nodes.  Returns (seed
-    node codes, orbit sizes in tuples, orbit id of every node).
+    and grown breadth first: every move's transition tables take the
+    frontier, FILTER_CHUNK nodes at a time, to the node codes their
+    tuples reach (_moved, in pieces of at most FILTER_CHUNK), whose
+    level positions the level's _Positions, built once, finds.  A move
+    with more than one target per key can reach a node twice, so its
+    output is deduplicated; every other move permutes the nodes.  Orbit
+    sizes are summed from the node weights once every node has its
+    orbit.  Returns (seed node codes, orbit sizes in tuples, orbit id of
+    every node).
     """
-    tables = [[_transitions(codes, plan, lo, hi, level)
-               for lo, hi in _sites(plan, codes.genus)] for plan in plans]
+    tables = []  # (each site's table, whether one has several targets)
+    for plan in plans:
+        sites = [_transitions(codes, plan, lo, hi, level)
+                 for lo, hi in _sites(plan, codes.genus)]
+        tables.append((sites, any(site[-1] for site in sites)))
+    positions = _Positions(level, codes.space)
     n_nodes = int(level.size)
     ids = np.full(n_nodes, -1, dtype=np.int32)
-    seeds, sizes, reached = [], [], 0
+    seeds, reached = [], 0
     pos = _next_unvisited(ids, 0)
     while pos < n_nodes:
         oid = len(seeds)
         ids[pos] = oid
         frontier = np.array([pos], dtype=np.int64)
-        size = 0
         while frontier.size:
             reached += frontier.size
-            size += int(codes.weight(level[frontier]).sum())
             new_parts = []
             for start in range(0, frontier.size, FILTER_CHUNK):
                 code = level[frontier[start:start + FILTER_CHUNK]]
-                for sites in tables:
-                    enc = code
-                    for place, space, begin, delta, multi in sites:
-                        key = enc // place % space
-                        at = begin[key]
+                for sites, multi in tables:
+                    for enc in _moved(code, sites):
+                        enc = positions(enc)
+                        enc = enc[ids[enc] < 0]
                         if multi:
-                            cnt = begin[key + 1] - at
-                            enc = enc.repeat(cnt) + delta[_ragged(at, cnt)]
-                        else:
-                            enc = enc + delta[at]
-                    enc = _positions(level, enc)
-                    enc = enc[ids[enc] < 0]
-                    if any(site[-1] for site in sites):
-                        enc = _distinct(enc)
-                    if enc.size:
-                        ids[enc] = oid
-                        new_parts.append(enc)
+                            enc = _distinct(enc)
+                        if enc.size:
+                            ids[enc] = oid
+                            new_parts.append(enc)
             # the old frontier goes before the new one is joined
             del frontier
             frontier = (np.concatenate(new_parts) if new_parts
                         else np.array([], dtype=np.int64))
         seeds.append(int(level[pos]))
-        sizes.append(size)
         pos = _next_unvisited(ids, pos + 1)
     # a move that permutes the nodes reaches no node twice, so every node
     # is counted once unless the level or the catalog is wrong
     if reached != n_nodes:
         raise MoveError("level is not move-closed (catalog/filter bug)")
+    sizes = np.zeros(len(seeds), dtype=np.int64)
+    for start in range(0, n_nodes, FILTER_CHUNK):
+        np.add.at(sizes, ids[start:start + FILTER_CHUNK],
+                  codes.weight(level[start:start + FILTER_CHUNK]))
     # Each seed is the least node outside the earlier orbits, so its
     # least tuple is its orbit's, the orbits come in representative
     # order, and (orbits are closed under conjugation) each
     # representative is its own canonical form.
-    return seeds, sizes, ids
+    return seeds, sizes.tolist(), ids
 
 
 def _forward_moves(G, catalog):
@@ -615,8 +707,7 @@ def orbit_scan(G, g, v, catalog, budget=None):
     plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
              if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]
     seeds, sizes, ids = _sweep(codes, level, plans)
-    reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64),
-                                          least=True))
+    reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64)))
     keep = np.array([is_surjective(t) for t in reps], dtype=bool)
     on = keep[ids]
     renumber = np.cumsum(keep, dtype=np.int32) - 1

@@ -10,14 +10,15 @@ import pytest
 
 from schur_orbits import cli, fastorbits
 from schur_orbits.branched_schur import DoublingError
-from schur_orbits.cli import CliError, main
-from schur_orbits.covers import TupleError, tuple_to_json
+from schur_orbits.cli import CliError, main, parse_branch
+from schur_orbits.covers import BranchData, TupleError, tuple_to_json
 from schur_orbits.groups import DomainError, GroupBuildError
 from schur_orbits.homology import HomologyError
 from schur_orbits.moves import MoveError
 from schur_orbits.stabilization import StabilizationError
 
-from conftest import GROUP_SPECS, get_level
+from conftest import GROUP_SPECS, get_group, get_level
+from enumeration_oracle import oracle_enumerate
 
 
 @pytest.fixture()
@@ -216,6 +217,24 @@ def test_closed_enumerate_over_budget_exit_code(files, capsys):
         "kind": "budget",
         "message": "enumeration budget 2000000 exhausted: "
                    "the level has 20132640 tuples"}
+
+
+@pytest.mark.parametrize("limit", [None, 0, 3])
+@pytest.mark.parametrize("every", [False, True])
+@pytest.mark.parametrize("genus,branch", [(0, "4 transpositions"), (2, None)])
+def test_enumerate_counts_the_level_and_lists_limit_tuples(
+        files, capsys, genus, branch, every, limit):
+    # the count is the whole level's; --limit keeps the first tuples
+    G = get_group("s3")
+    v = parse_branch(G, branch) if branch else BranchData(())
+    want = oracle_enumerate(G, genus, v, surjective=not every)
+    argv = ["enumerate", "--group", files["s3"], "--genus", str(genus),
+            "--no-cache"] + ["--branch", branch] * bool(branch)
+    argv += ["--all"] * every + ["--limit", str(limit)] * (limit is not None)
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {
+        "count": len(want), "tuples": [tuple_to_json(t) for t in want[:limit]]}
 
 
 def test_exit_code_comes_from_the_error_type(files, capsys, monkeypatch):

@@ -19,7 +19,9 @@ from schur_orbits.fastorbits import (
     _Codes,
     _forward_moves,
     _handle_orbits,
+    _moved,
     _prefix_count,
+    _sites,
     _sweep,
     _transitions,
     build_level,
@@ -134,14 +136,61 @@ def test_closed_scan_relabelled_generators():
     _assert_same_ids(fast, slow, G, 2)
 
 
+@st.composite
+def code_sets(draw):
+    """(code space, sorted distinct level codes, probe codes): spaces of
+    1 to 5,000 codes, levels from empty to full, dense enough for the
+    rank directory or sparse enough for np.searchsorted, with 0 and
+    space - 1 on or off the level, and probes on and off it."""
+    space = draw(st.integers(1, 5000))
+    code = st.integers(0, space - 1)
+    level = draw(st.sets(code, max_size=min(space, 300)))
+    level |= {c for c in (0, space - 1) if draw(st.booleans())}
+    probes = draw(st.lists(code, max_size=40)) + [0, space - 1]
+    return space, np.array(sorted(level), dtype=np.int64), probes
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(code_sets())
+@example((1, np.zeros(0, dtype=np.int64), [0]))
+@example((1, np.zeros(1, dtype=np.int64), [0]))
+@example((64, np.arange(64, dtype=np.int64), [31, 32, 63]))
+@example((5000, np.array([0, 4999], dtype=np.int64), [1, 4998]))
+@example((4096, np.arange(0, 4096, 16, dtype=np.int64), [4095]))
+def test_positions_match_searchsorted(case):
+    space, level, probes = case
+    index = fastorbits._Positions(level, space)
+    assert (index.bits is not None) == (16 * -(-space // 32) <= 8 * level.size)
+    members = set(level.tolist())
+    on = np.array([c for c in probes if c in members] + level.tolist(),
+                  dtype=np.int64)
+    np.testing.assert_array_equal(index(on), np.searchsorted(level, on))
+    for c in sorted(set(probes) - members):
+        with pytest.raises(fastorbits.MoveError, match="not move-closed"):
+            index(np.append(on, c))
+
+
+def _force_lookup(monkeypatch, lookup):
+    """Make every level's _Positions take the rank directory ("index") or
+    np.searchsorted ("searchsorted"), whatever its density."""
+    monkeypatch.setattr(fastorbits._Positions, "fits",
+                        staticmethod(lambda n, space: lookup == "index"))
+
+
 # the chunk splits the transition tables' key blocks and the expansion
 # of the level into tuples; chunks 1 and 7 also split the builder's
-# label prefixes and the sweep's frontiers
-@pytest.mark.parametrize("name,g,chunk", [("a4", 2, 1000), ("s3", 3, 4097),
-                                          ("z70", 1, 999), ("d4", 2, 7),
-                                          ("d4", 3, 1000), ("k4", 3, 1)])
-def test_filter_chunking_does_not_change_the_table(name, g, chunk,
+# label prefixes and the sweep's frontiers.  lookup forces the level
+# positions to one side (_force_lookup); the rank-directory cases carry
+# no suffix in their ids.
+@pytest.mark.parametrize("name,g,chunk,lookup", [
+    pytest.param(*case, lookup, id="-".join(
+        map(str, case + (() if lookup == "index" else (lookup,)))))
+    for case in [("a4", 2, 1000), ("s3", 3, 4097), ("z70", 1, 999),
+                 ("d4", 2, 7), ("d4", 3, 1000), ("k4", 3, 1)]
+    for lookup in ("index", "searchsorted")])
+def test_filter_chunking_does_not_change_the_table(name, g, chunk, lookup,
                                                    monkeypatch):
+    _force_lookup(monkeypatch, lookup)
     G = cyclic(70) if name == "z70" else get_group(name)
     assert chunk == 1 or G.order ** (2 * g) % chunk
     cat = move_catalog(G, g, 0)
@@ -289,7 +338,10 @@ def test_punctured_scan_signed_level(a4):
     assert fast.to_json() == slow.to_json()
 
 
-def test_punctured_chunking_does_not_change_the_table(s3, monkeypatch):
+@pytest.mark.parametrize("lookup", ["index", "searchsorted"])
+def test_punctured_chunking_does_not_change_the_table(s3, lookup,
+                                                      monkeypatch):
+    _force_lookup(monkeypatch, lookup)
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4, (tc, -1): 2})
     cat = move_catalog(s3, 0, 6)
@@ -581,7 +633,29 @@ def test_chain_twist_relation_is_the_brute_force_relation(name):
             want.add((int(H.label[p1]) * K + int(H.label[p2]),
                       int(H.label[a1 * q + b1]) * K + int(H.label[a2 * q + b2])))
     assert got == want
+    assert len(got) == delta.size  # each target once, A4's key blocks split
     assert multi and np.diff(start).max() > 1
+
+
+def test_moved_applies_every_site_after_a_relation(s3):
+    # ChainTwist's table (several targets per key) followed by GlobalConj's
+    # three handle sites, each target taken through all three
+    codes, level = build_level(s3, 3, BranchData(()))
+    sites = [_transitions(codes, plan, lo, hi, level)
+             for plan in (move_plan(s3, Move("ChainTwist", 0), 3, 0),
+                          move_plan(s3, Move("GlobalConj", element=1), 3, 0))
+             for lo, hi in _sites(plan, 3)]
+    assert [site[-1] for site in sites] == [True, False, False, False]
+    nodes = level[::5]  # not conjugation-closed, unlike the whole level
+    want = []
+    for code in nodes.tolist():
+        reached = [code]
+        for place, space, start, delta, _ in sites:
+            reached = [c + int(d) for c in reached for d in delta[
+                start[c // place % space]:start[c // place % space + 1]]]
+        want += reached
+    got = np.concatenate(list(_moved(nodes, sites)))
+    assert sorted(got.tolist()) == sorted(want)
 
 
 def test_catalog_without_a_handle_move_is_a_move_error(s3):

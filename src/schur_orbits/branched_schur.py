@@ -26,13 +26,13 @@ column, one sparse column per symbol [x|y], in Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 
-from .covers import BudgetError, branch_data, is_surjective
-from .groups import DomainError
+from .covers import branch_data, is_surjective
+from .groups import BudgetError, DomainError
 from .homology import _pair_index, h2_group, m_g_c
 from .moves import MOVE_SET_TAG, move_catalog, move_closure
+from .records import Frozen
 
 __all__ = [
     "lifting_invariant",
@@ -82,12 +82,15 @@ def normalize_letters(t, target, budget=200_000):
     )
 
 
-@dataclass(frozen=True)
-class DiffClass:
-    coords: tuple  # coordinates in the m_g_c presentation
-    invariant_factors: tuple
-    move_set: str = MOVE_SET_TAG
-    convention: str = ORIENTATION_CONVENTION
+class DiffClass(Frozen):
+    """coords: coordinates in the m_g_c presentation."""
+
+    _fields = ("coords", "invariant_factors", "move_set", "convention")
+
+    def __init__(self, coords, invariant_factors, move_set=MOVE_SET_TAG,
+                 convention=ORIENTATION_CONVENTION):
+        vars(self).update(coords=coords, invariant_factors=invariant_factors,
+                          move_set=move_set, convention=convention)
 
     def is_zero(self):
         return all(x == 0 for x in self.coords)

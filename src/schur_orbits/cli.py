@@ -3,9 +3,10 @@ and a digest-keyed result cache.
 
 Every subcommand emits one JSON report (stdout or --out).  Exit codes
 come from exception types: 0 success, 1 a groups.DomainError (malformed
-input, invalid tuple, a branch class outside C, ...), 2 budget
-exhaustion (BudgetError) or an inconclusive stable-range verdict, 3 an
-internal error (any other exception: its traceback goes to stderr).
+or unreadable input, invalid tuple, a branch class outside C, ...), 2
+budget exhaustion (groups.BudgetError) or an inconclusive stable-range
+verdict, 3 an internal error (any other exception: its traceback goes
+to stderr).
 Reports are byte-identical across runs, --threads values (accepted and
 ignored) and cache cold/warm runs; the cache stores the serialized
 report keyed by a content digest of the job (group table digest,
@@ -15,13 +16,15 @@ is never served).  The key is computed only when the cache is used.  An
 entry that does not decode is a miss: the report is recomputed and the
 entry rewritten.
 
-Only groups and covers are imported here; each command imports the
-modules it runs in its own body, so argument parsing, group-info and a
-cache hit load neither numpy nor the orbit and homology modules, and
-orbits loads neither homology nor stabilization.  numpy comes in only
-with the orbit engine (moves and fastorbits): h2, mgc, h2bgc and sch
-run homology in Python ints and never load it.  No command loads
-OpenSSL: the digests use groups.sha256, CPython's built-in SHA-256.
+Only groups is imported here; each command imports the modules it runs
+in its own body, so argument parsing, group-info and a cache hit load
+neither numpy nor covers nor the orbit and homology modules, and orbits
+loads neither homology nor stabilization.  covers comes in with the
+first tuple or branch argument.  numpy comes in only with the orbit
+engine (moves and fastorbits): h2, mgc, h2bgc and sch run homology in
+Python ints and never load it.  traceback is imported only for an
+internal error.  No command loads OpenSSL: the digests use
+groups.sha256, CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
@@ -31,20 +34,11 @@ import functools
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
 from . import __version__
-from .covers import (
-    BranchData,
-    BudgetError,
-    branch_data,
-    hom_branch_type,
-    level_codes,
-    tuple_from_json,
-    tuple_to_json,
-)
 from .groups import (
+    BudgetError,
     DomainError,
     _closure_and_bfs_order,
     abelianization,
@@ -64,6 +58,8 @@ def _load_group(path):
         spec = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CliError(f"group file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"group file is not readable: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"group file is not valid JSON: {e}")
     if not isinstance(spec, dict):
@@ -124,6 +120,8 @@ def parse_branch(G, s):
     """Branch data selector: comma-separated terms 'COUNT WHAT [-]',
     e.g. '4 transpositions' or '2 5' or '1 5 -' (negative framing).
     WHAT is an element index or the keyword 'transpositions'."""
+    from .covers import BranchData
+
     counts = {}
     if s is None or s.strip() in ("", "none"):
         return BranchData.from_dict(counts)
@@ -169,9 +167,14 @@ def _is_pair_list(x):
 def _load_tuple(G, arg):
     """Tuple argument: a path to a JSON file or an inline JSON object
     {"g": genus, "handles": [[a, b], ...], "punctures": [[w, sign], ...]}."""
+    from .covers import tuple_from_json
+
     text = arg
     if os.path.exists(arg):
-        text = Path(arg).read_text()
+        try:
+            text = Path(arg).read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise CliError(f"tuple file is not readable: {e}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -188,8 +191,21 @@ def _load_tuple(G, arg):
     return tuple_from_json(G, obj)
 
 
+def _tuple_key(G, arg):
+    """The normalized JSON of a tuple argument, for a cache key."""
+    from .covers import tuple_to_json
+
+    return tuple_to_json(_load_tuple(G, arg))
+
+
 def _branch_key(v):
     return sorted([list(k), m] for k, m in v.as_dict().items())
+
+
+def _tuple_report(t):
+    from .covers import branch_data, tuple_to_json
+
+    return {"tuple": tuple_to_json(t), "branch": _branch_key(branch_data(t))}
 
 
 def _cache_dir(args):
@@ -261,6 +277,8 @@ def _params_enumerate(G, args):
 
 
 def _cmd_enumerate(G, args):
+    from .covers import level_codes, tuple_to_json
+
     v = parse_branch(G, args.branch)
     codes, tuples = level_codes(G, args.genus, v, surjective=not args.all,
                                 budget=args.budget)
@@ -275,6 +293,7 @@ def _params_orbits(G, args):
 
 
 def _cmd_orbits(G, args):
+    from .covers import hom_branch_type
     from .fastorbits import level_orbits
 
     v = parse_branch(G, args.branch)
@@ -329,7 +348,7 @@ def _cmd_h2bgc(G, args):
 
 
 def _params_sch(G, args):
-    return {"tuple": tuple_to_json(_load_tuple(G, args.tuple))}
+    return {"tuple": _tuple_key(G, args.tuple)}
 
 
 def _cmd_sch(G, args):
@@ -346,8 +365,8 @@ def _cmd_sch(G, args):
 
 def _params_diff(G, args):
     cids = parse_classes(G, args.classes) if args.classes is not None else None
-    return {"tuple": tuple_to_json(_load_tuple(G, args.tuple)),
-            "tuple2": tuple_to_json(_load_tuple(G, args.tuple2)),
+    return {"tuple": _tuple_key(G, args.tuple),
+            "tuple2": _tuple_key(G, args.tuple2),
             "classes": list(cids) if cids is not None else None}
 
 
@@ -361,19 +380,17 @@ def _cmd_diff(G, args):
 
 
 def _params_dilate(G, args):
-    return {"tuple": tuple_to_json(_load_tuple(G, args.tuple))}
+    return {"tuple": _tuple_key(G, args.tuple)}
 
 
 def _cmd_dilate(G, args):
     from .stabilization import dilate
 
-    out = dilate(_load_tuple(G, args.tuple))
-    return {"tuple": tuple_to_json(out),
-            "branch": _branch_key(branch_data(out))}
+    return _tuple_report(dilate(_load_tuple(G, args.tuple)))
 
 
 def _params_stabilize(G, args):
-    return {"tuple": tuple_to_json(_load_tuple(G, args.tuple)),
+    return {"tuple": _tuple_key(G, args.tuple),
             "classes": list(parse_classes(G, args.classes)),
             "handle": bool(args.handle)}
 
@@ -386,7 +403,7 @@ def _cmd_stabilize(G, args):
         t = puncture_stabilize(t, cid)
     if args.handle:
         t = handle_stabilize(t)
-    return {"tuple": tuple_to_json(t), "branch": _branch_key(branch_data(t))}
+    return _tuple_report(t)
 
 
 def _stable_range_classes(G, args):
@@ -635,6 +652,8 @@ def main(argv=None):
         _emit(args, _render({"error": {"kind": "domain", "message": str(e)}}))
         return 1
     except Exception as e:
+        import traceback
+
         traceback.print_exc()
         _emit(args, _render({"error": {"kind": "internal",
                                        "message": f"{type(e).__name__}: {e}"}}))

@@ -13,11 +13,11 @@ w_j^{o_j}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .groups import DomainError, FiniteGroup, abelianization, generates
+from .groups import BudgetError, DomainError, abelianization, generates
+from .records import Frozen
 
 __all__ = [
     "BudgetError",
@@ -39,17 +39,15 @@ class TupleError(DomainError):
     pass
 
 
-class BudgetError(RuntimeError):
-    """A search or level outgrew its budget; the CLI reports it as exit
-    2, kind "budget"."""
+class BranchedTuple(Frozen):
+    """handles: (a, b) pairs; punctures: (letter, sign) pairs, sign in
+    {+1, -1}."""
 
+    _fields = ("group", "genus", "handles", "punctures")
 
-@dataclass(frozen=True)
-class BranchedTuple:
-    group: FiniteGroup
-    genus: int
-    handles: tuple  # of (a, b) pairs
-    punctures: tuple  # of (letter, sign) pairs, sign in {+1, -1}
+    def __init__(self, group, genus, handles, punctures):
+        vars(self).update(group=group, genus=genus, handles=handles,
+                          punctures=punctures)
 
     @property
     def n(self):
@@ -87,9 +85,13 @@ class BranchedTuple:
         return self.key() < other.key()
 
 
-@dataclass(frozen=True)
-class BranchData:
-    counts: tuple  # sorted tuple of ((class_id, sign), multiplicity)
+class BranchData(Frozen):
+    """counts: a sorted tuple of ((class_id, sign), multiplicity)."""
+
+    _fields = ("counts",)
+
+    def __init__(self, counts):
+        vars(self).update(counts=counts)
 
     @staticmethod
     def from_dict(d):

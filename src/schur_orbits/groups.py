@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 
 from .intlinalg import PresentedAbelianGroup, cokernel
+from .records import Frozen
 
 # SHA-256 for the group, source and cache-key digests.  Importing hashlib
 # maps OpenSSL's libcrypto, 3.5 MiB of peak RSS in every CLI process; the
@@ -27,6 +27,7 @@ except ImportError:
         from hashlib import sha256
 
 __all__ = [
+    "BudgetError",
     "DomainError",
     "FiniteGroup",
     "build_group",
@@ -47,22 +48,28 @@ class DomainError(ValueError):
     CLI reports every subclass as exit 1, kind "domain"."""
 
 
+class BudgetError(RuntimeError):
+    """A search or level outgrew its budget; the CLI reports it as exit
+    2, kind "budget"."""
+
+
 class GroupBuildError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    order: int
-    mul: tuple  # tuple of row tuples
-    inv: tuple
-    class_of: tuple
-    class_reps: tuple
-    generators: tuple  # element indices of the defining generators
-    generator_spec: str = field(compare=False)
-    # tables other modules derive from this group, under their own keys
-    cache: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+class FiniteGroup(Frozen):
+    """mul is a tuple of row tuples, generators the element indices of
+    the defining generators.  cache holds the tables other modules derive
+    from this group, under their own keys; equality leaves it and
+    generator_spec out."""
+
+    _fields = ("order", "mul", "inv", "class_of", "class_reps", "generators")
+
+    def __init__(self, order, mul, inv, class_of, class_reps, generators,
+                 generator_spec):
+        vars(self).update(order=order, mul=mul, inv=inv, class_of=class_of,
+                          class_reps=class_reps, generators=generators,
+                          generator_spec=generator_spec, cache={})
 
     def conj(self, x, g):
         """g x g^{-1}"""

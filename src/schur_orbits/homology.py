@@ -22,12 +22,10 @@ classes with meridian in a chosen union of conjugacy classes C, the
 reduced multiplier M(G)_C, the branch-type lattice N, and the homology
 of the C-branched classifying space reported as the (non-natural)
 direct sum M(G)_C + N.  The module imports nothing outside the standard
-library but groups and intlinalg.
+library but groups, intlinalg and records.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .groups import DomainError, abelianization, centralizer, closure
 from .intlinalg import (
@@ -39,6 +37,7 @@ from .intlinalg import (
     snf_with_inverse,
     subgroup_quotient,
 )
+from .records import Frozen, Record
 
 __all__ = [
     "boundary_matrix",
@@ -126,14 +125,19 @@ def _is_cycle(G, chain):
     return not any(d[1:])
 
 
-@dataclass
-class H2Group:
-    group: object
-    presentation: PresentedAbelianGroup  # over kernel coordinates mod |G|
-    # the kernel coordinates W (rows r.. of the d2 Smith form's V^{-1},
-    # mod |G|) by columns: entry p lists the nonzero (k, W[k, p]) of
-    # 2-symbol p, and entry m^2, a symbol with an identity entry, is ()
-    _coords: list
+class H2Group(Record):
+    """presentation is over the kernel coordinates mod |G|.  _coords
+    holds the kernel coordinates W (rows r.. of the d2 Smith form's
+    V^{-1}, mod |G|) by columns: entry p lists the nonzero (k, W[k, p])
+    of 2-symbol p, and entry m^2, a symbol with an identity entry, is
+    ()."""
+
+    _fields = ("group", "presentation", "_coords")
+
+    def __init__(self, group, presentation, _coords):
+        self.group = group
+        self.presentation = presentation
+        self._coords = _coords
 
     @property
     def invariant_factors(self):
@@ -424,12 +428,12 @@ def n_lattice(G, class_ids):
     return lat.basis()
 
 
-@dataclass(frozen=True)
-class BgcH2:
-    m_part: PresentedAbelianGroup
-    n_rank: int
-    n_basis: tuple
-    splitting: str = "non-canonical"
+class BgcH2(Frozen):
+    _fields = ("m_part", "n_rank", "n_basis", "splitting")
+
+    def __init__(self, m_part, n_rank, n_basis, splitting="non-canonical"):
+        vars(self).update(m_part=m_part, n_rank=n_rank, n_basis=n_basis,
+                          splitting=splitting)
 
 
 def h2_bgc(G, class_ids):

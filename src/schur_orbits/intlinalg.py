@@ -10,8 +10,9 @@ nothing outside the standard library.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import product
+
+from .records import Frozen, Record
 
 __all__ = [
     "smith_normal_form",
@@ -48,14 +49,15 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-@dataclass
-class _SNF:
-    U: list | None
-    D: list
-    V: list | None
-    Vinv: list | None  # sparse {column: entry} rows when reduced mod N
-    diag: list
-    rank: int
+class _SNF(Record):
+    """U, V and Vinv may be None; Vinv is sparse {column: entry} rows
+    when reduced mod N."""
+
+    _fields = ("U", "D", "V", "Vinv", "diag", "rank")
+
+    def __init__(self, U, D, V, Vinv, diag, rank):
+        self.U, self.D, self.V, self.Vinv = U, D, V, Vinv
+        self.diag, self.rank = diag, rank
 
 
 def _snf_engine(M, want_u=False, want_v=False, want_vinv=False, modulus=None):
@@ -258,20 +260,22 @@ def kernel_lattice(M):
     return basis
 
 
-@dataclass(frozen=True)
-class PresentedAbelianGroup:
+class PresentedAbelianGroup(Frozen):
     """Finitely generated abelian group Z^ambient / (relations) in
     invariant-factor coordinates.
 
     ``moduli`` holds one modulus per retained coordinate slot: d >= 2 for a
     torsion slot (d_i | d_{i+1}), 0 for a free slot.  ``transform`` maps an
     ambient integer vector to raw slot values; reduction mod the moduli
-    happens in to_coords.
+    happens in to_coords.  ``transform`` has one row per slot, each of
+    length ambient_dim.
     """
 
-    ambient_dim: int
-    moduli: tuple
-    transform: tuple  # one row per slot, each of length ambient_dim
+    _fields = ("ambient_dim", "moduli", "transform")
+
+    def __init__(self, ambient_dim, moduli, transform):
+        vars(self).update(ambient_dim=ambient_dim, moduli=moduli,
+                          transform=transform)
 
     @property
     def invariant_factors(self):

@@ -17,12 +17,11 @@ move_catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .covers import BranchedTuple
 from .groups import DomainError
+from .records import Frozen
 
 __all__ = [
     "Move",
@@ -90,12 +89,11 @@ class MoveError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str
-    index: int = 0
-    element: int = 0
-    note: str = ""
+class Move(Frozen):
+    _fields = ("kind", "index", "element", "note")
+
+    def __init__(self, kind, index=0, element=0, note=""):
+        vars(self).update(kind=kind, index=index, element=element, note=note)
 
 
 def move_catalog(G, g, n):
@@ -156,8 +154,7 @@ def _site_slots(site, i, g, n):
     return [{"s": s} for s in range(2 * g + n)]
 
 
-@dataclass(frozen=True)
-class MovePlan:
+class MovePlan(Frozen):
     """A move bound to the letter slots of one level.
 
     Registers below `slots` hold the letters before the move; register
@@ -165,14 +162,16 @@ class MovePlan:
     word) sets register reg = slots + 1 + k: table[srcs[0]] or
     table[srcs[0] * q + srcs[1]] when the word reads at most two
     registers other than the point-push element, else the word's product
-    (word entries r >= 0 read register r, ~r its inverse).
+    (word entries r >= 0 read register r, ~r its inverse).  Each of
+    writes is (slot, register): the letter's new value; each of signs is
+    (puncture, source puncture), one for every moved sign.
     """
 
-    slots: int
-    element: int
-    steps: tuple
-    writes: tuple  # (slot, register): the letter's new value
-    signs: tuple  # (puncture, source puncture) for every moved sign
+    _fields = ("slots", "element", "steps", "writes", "signs")
+
+    def __init__(self, slots, element, steps, writes, signs):
+        vars(self).update(slots=slots, element=element, steps=steps,
+                          writes=writes, signs=signs)
 
 
 def _np_tables(G):
@@ -279,12 +278,16 @@ def canonicalize(t):
                for x in range(t.group.order))
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    move_set: str
-    representatives: tuple  # the least tuple of each orbit, sorted
-    sizes: tuple  # orbit sizes (by input multiplicity), parallel to reps
-    orbit_of: dict  # tuple key -> orbit index
+class OrbitTable(Frozen):
+    """representatives: the least tuple of each orbit, sorted; sizes:
+    the orbit sizes (by input multiplicity), parallel to them; orbit_of:
+    tuple key -> orbit index."""
+
+    _fields = ("move_set", "representatives", "sizes", "orbit_of")
+
+    def __init__(self, move_set, representatives, sizes, orbit_of):
+        vars(self).update(move_set=move_set, representatives=representatives,
+                          sizes=sizes, orbit_of=orbit_of)
 
     @property
     def num_orbits(self):

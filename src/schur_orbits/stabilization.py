@@ -9,13 +9,12 @@ multiplier M(G)_C computed by the homology pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .covers import BranchData, BranchedTuple, BudgetError, hom_branch_type
+from .covers import BranchData, BranchedTuple, hom_branch_type
 from .fastorbits import level_orbits
-from .groups import DomainError, generates
+from .groups import BudgetError, DomainError, generates
 from .homology import m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map
+from .records import Frozen, Record
 
 __all__ = [
     "puncture_stabilize",
@@ -81,12 +80,19 @@ def u_threshold(G, class_id):
     return BranchData.from_dict({(class_id, 1): size * inn_order_on_class(G, c)})
 
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
-    handle_surjective: bool
-    puncture_surjective: dict  # class_id -> bool
-    dilation_surjective: bool
-    dilation_witness: dict  # class_id -> (w_plus, w_minus) or empty
+class StabilizationCertificate(Frozen):
+    """puncture_surjective: class_id -> bool; dilation_witness:
+    class_id -> (w_plus, w_minus), or empty."""
+
+    _fields = ("handle_surjective", "puncture_surjective",
+               "dilation_surjective", "dilation_witness")
+
+    def __init__(self, handle_surjective, puncture_surjective,
+                 dilation_surjective, dilation_witness):
+        vars(self).update(handle_surjective=handle_surjective,
+                          puncture_surjective=puncture_surjective,
+                          dilation_surjective=dilation_surjective,
+                          dilation_witness=dilation_witness)
 
     def all_puncture(self):
         return all(self.puncture_surjective.values())
@@ -129,16 +135,21 @@ def certificate(G, class_ids, g, v):
     )
 
 
-@dataclass
-class StableRangeReport:
-    group_digest: str
-    class_ids: tuple
-    move_set: str
-    levels: list = field(default_factory=list)
-    stable_count: int | None = None
-    m_order: int | None = None
-    m_invariant_factors: tuple = ()
-    verdict: str = "inconclusive"
+class StableRangeReport(Record):
+    _fields = ("group_digest", "class_ids", "move_set", "levels",
+               "stable_count", "m_order", "m_invariant_factors", "verdict")
+
+    def __init__(self, group_digest, class_ids, move_set, levels=None,
+                 stable_count=None, m_order=None, m_invariant_factors=(),
+                 verdict="inconclusive"):
+        self.group_digest = group_digest
+        self.class_ids = class_ids
+        self.move_set = move_set
+        self.levels = [] if levels is None else levels
+        self.stable_count = stable_count
+        self.m_order = m_order
+        self.m_invariant_factors = m_invariant_factors
+        self.verdict = verdict
 
     def to_json(self):
         return {

@@ -298,14 +298,18 @@ HEAVY_MODULES = {"numpy", "schur_orbits.homology", "schur_orbits.moves",
                  "schur_orbits.branched_schur"}
 
 
+def _child(args):
+    """A fresh Python process run with args and this package on its path."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def _imported_modules(argv):
     """The modules a fresh `python -m schur_orbits.cli argv` imports, from
     its -X importtime log."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    p = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                        "schur_orbits.cli", *argv],
-                       capture_output=True, text=True, env=env, timeout=120)
+    p = _child(["-X", "importtime", "-m", "schur_orbits.cli", *argv])
     assert p.returncode == 0, p.stderr
     return {line.rsplit("|", 1)[1].strip() for line in p.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
@@ -323,6 +327,7 @@ def test_group_info_and_cache_hits_import_no_numpy(files):
     assert "schur_orbits.groups" in group_info
     assert not group_info & HEAVY_MODULES
     assert not warm & HEAVY_MODULES
+    assert not warm & _ABSENT["h2"]
 
 
 # a run of each command that computes with the group; a group name in
@@ -341,6 +346,20 @@ _FOOTPRINT_ARGV = {
 }
 
 
+# what each of those runs must not load either: dataclasses (which
+# imports inspect) nowhere; inspect and traceback (cli.main imports it
+# for an internal error only) in the commands that never load numpy;
+# covers in those that read no tuple
+_NO_NUMPY = {"dataclasses", "inspect", "traceback"}
+_ABSENT = {
+    **dict.fromkeys(["group-info", "h2", "h2bgc", "mgc"],
+                    _NO_NUMPY | {"schur_orbits.covers"}),
+    "sch": _NO_NUMPY,
+    **dict.fromkeys(["orbits", "stable-range", "torsor-check"],
+                    {"dataclasses"}),
+}
+
+
 @pytest.mark.parametrize("command", sorted(_FOOTPRINT_ARGV))
 def test_no_command_loads_openssl(files, command):
     # hashlib maps OpenSSL's libcrypto; the digests come from the
@@ -349,6 +368,24 @@ def test_no_command_loads_openssl(files, command):
     loaded = _imported_modules([command, *argv, "--no-cache"])
     assert "schur_orbits.groups" in loaded
     assert "_hashlib" not in loaded
+    assert not loaded & _ABSENT[command]
+
+
+def test_internal_error_prints_a_traceback_in_a_fresh_process(files):
+    # pytest has loaded traceback already, so only a fresh process shows
+    # that cli.main imports it when it needs it
+    p = _child(["-c", "\n".join([
+        "import sys",
+        "from schur_orbits import cli, fastorbits",
+        "def fail(*args):",
+        "    raise ValueError('not a domain error')",
+        "fastorbits.level_orbits = fail",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ]), "orbits", "--group", files["s3"], "--genus", "1", "--no-cache"])
+    assert p.returncode == 3
+    assert json.loads(p.stdout)["error"] == {
+        "kind": "internal", "message": "ValueError: not a domain error"}
+    assert "Traceback" in p.stderr and "in fail" in p.stderr
 
 
 @pytest.mark.parametrize("command", ["h2", "h2bgc", "mgc", "sch"])
@@ -384,6 +421,34 @@ def test_malformed_tuple_is_a_domain_error(files, capsys, tup):
                              "--tuple", json.dumps(tup)])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("option", ["group", "tuple"])
+@pytest.mark.parametrize("case", ["directory", "not-utf-8", "unreadable"])
+def test_unreadable_input_file_is_a_domain_error(files, capsys, monkeypatch,
+                                                 option, case):
+    path = files["tmp"] / "input.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}" if case == "not-utf-8" else b"{}")
+    if case == "unreadable":  # a mode bit would not stop root
+        read_text = Path.read_text
+
+        def deny(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", deny)
+    argv = (["group-info", "--group", str(path)] if option == "group" else
+            ["sch", "--group", files["k4"], "--tuple", str(path)])
+    code = main(argv + ["--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "domain" and "not readable" in error["message"]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [

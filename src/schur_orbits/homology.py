@@ -12,31 +12,25 @@ d2 keeps its V^{-1} mod |G| as sparse rows, whose kernel rows W have a
 single entry 1 each on every group measured, so W is kept by columns,
 one per 2-symbol; a d3 image is the signed sum of the W columns of its
 four symbols, a dict of at most four entries when W is that sparse; and
-the image lattice is a Howell echelon of dict rows that absorbs the d3
-images of the generator columns only, which span it (see h2_group).
-The quotient is presented from the reduced Howell form of its relations
-(J. A. Howell, Linear Multilinear Algebra 19, 1986), which is unique for
-its lattice, so the H2 coordinates depend on that lattice alone.  On
-top of that sit the branch-class reductions: the subgroup of torus
-classes with meridian in a chosen union of conjugacy classes C, the
-reduced multiplier M(G)_C, the branch-type lattice N, and the homology
-of the C-branched classifying space reported as the (non-natural)
-direct sum M(G)_C + N.  The module imports nothing outside the standard
-library but groups, intlinalg and records.
+the image lattice is an intlinalg.IntegerLattice, a Howell echelon mod
+|G| of dict rows, that absorbs the d3 images of the generator columns
+only, which span it (see h2_group).  The quotient is presented from the
+reduced Howell form of its relations (J. A. Howell, Linear Multilinear
+Algebra 19, 1986), which is unique for its lattice, so the H2
+coordinates depend on that lattice alone.  On top of that sit the
+branch-class reductions: the subgroup of torus classes with meridian in
+a chosen union of conjugacy classes C, the reduced multiplier M(G)_C,
+the branch-type lattice N, whose Hermite normal form is read from an
+IntegerLattice mod |G| too, and the homology of the C-branched
+classifying space reported as the (non-natural) direct sum M(G)_C + N.
+The module imports nothing outside the standard library but groups,
+intlinalg and records.
 """
 
 from __future__ import annotations
 
 from .groups import DomainError, abelianization, centralizer, closure
-from .intlinalg import (
-    IntegerLattice,
-    PresentedAbelianGroup,
-    _xgcd,
-    cokernel,
-    kernel_lattice,
-    snf_with_inverse,
-    subgroup_quotient,
-)
+from .intlinalg import IntegerLattice, snf_with_inverse, subgroup_quotient
 from .records import Frozen, Record
 
 __all__ = [
@@ -161,149 +155,6 @@ class H2Group(Record):
         return self.presentation.to_coords(self.kernel_coords(chain))
 
 
-class _Echelon:
-    """An echelon mod N over Z^K in dict rows, filled by _absorb.
-
-    rows[j] holds the nonzero entries of row j right of column j, and
-    piv[j] its pivot, a divisor of N; an empty row has pivot N (the row
-    N.e_j, which is 0 mod N).  above[j] is the set of rows i < j with a
-    nonzero entry in column j, the column index that the update of the
-    rows above a new pivot reads."""
-
-    def __init__(self, K, N):
-        self.N = N
-        self.rows = [{} for _ in range(K)]
-        self.piv = [N] * K
-        self.above = [set() for _ in range(K)]
-
-    def dense(self):
-        """Row j as a list of K entries, pivot included (0 if empty)."""
-        K = len(self.piv)
-        out = []
-        for j, (row, p) in enumerate(zip(self.rows, self.piv)):
-            dense = [0] * K
-            dense[j] = p % self.N
-            for k, x in row.items():
-                dense[k] = x
-            out.append(dense)
-        return out
-
-
-def _absorb(E, v):
-    """Add v, a {column: entry} dict, to the echelon E mod N (see
-    _Echelon).  The lattice spanned by E and N.Z^K only grows.  Returns
-    True if it grew.
-
-    v is reduced mod N as a dict of Python ints: a step on row j
-    changes v only on that row's support, so the next column to reduce
-    is the least key left, and v is never scanned.  A new pivot g at
-    column j also reduces the rows above it whose entry there is at
-    least g, found through the column index above[j], on the new row's
-    support alone.
-
-    A new row r with pivot g leaves (N/g).r in the span of the rows
-    below it, since the v reduced on carries that multiple.  So E is a
-    Howell form (J. A. Howell, Linear Multilinear Algebra 19, 1986):
-    piv[j] generates the ideal of j-th entries of the lattice vectors
-    that vanish left of j, the pivots depend on the lattice alone, and a
-    vector already in the lattice reduces to 0 without changing E."""
-    N, rows, piv, above = E.N, E.rows, E.piv, E.above
-    grew = False
-    w = {k: x % N for k, x in v.items() if x % N}
-    while w:
-        j = min(w)
-        a = w.pop(j)
-        if not a:
-            continue
-        p, h = piv[j], rows[j]  # row j vanishes left of j, as w does
-        if a % p == 0:
-            q = a // p
-            for k, hk in h.items():
-                w[k] = (w.get(k, 0) - q * hk) % N
-            continue
-        # the new row and the rest of w over the union of supports;
-        # column j of w becomes 0
-        g, x, y = _xgcd(p, a)
-        cols = w.keys() | h.keys()
-        r = {k: t for k in cols
-             if (t := (x * h.get(k, 0) + y * w.get(k, 0)) % N)}
-        w = {k: (p // g * w.get(k, 0) - a // g * h.get(k, 0)) % N
-             for k in cols}
-        for k in h:
-            above[k].discard(j)
-        for k in r:
-            above[k].add(j)
-        rows[j], piv[j] = r, g
-        grew = True
-        # reducing the rows above the new pivot keeps E the echelon the
-        # dense oracle builds.  In-process it pays on (Z/2)^6 (0.87-1.1 s
-        # with it, 1.2-1.6 s without) and costs on A5 (0.53-0.66 against
-        # 0.42-0.51 s) and (Z/4)^3 (0.73-0.93 against 0.57-0.69 s)
-        new = [(j, g), *r.items()]
-        for i in [i for i in above[j] if rows[i][j] >= g]:
-            row = rows[i]
-            q = row[j] // g
-            for k, t in new:
-                t = (row.get(k, 0) - q * t) % N
-                if t:
-                    row[k] = t
-                    above[k].add(i)
-                elif row.pop(k, None) is not None:
-                    above[k].discard(i)
-        # a set keeps its table as it empties: A5 peaks 15 MiB higher
-        # with the emptied sets of the columns above new pivots kept
-        above[j] = set(above[j])
-    return grew
-
-
-def _echelon_cokernel(E):
-    """Z^K / (rows of E + N.Z^K) with its transform rows mod their moduli.
-
-    A unit-pivot row says e_j = -(E[j, j+1:] . e), so substituting those
-    right to left writes every e_j over the non-unit pivot columns S, up
-    to the lattice L_S of relations among those; the non-unit rows, plus
-    N.I, span L_S.  The relations are put into the reduced Howell form
-    of L_S (every entry above a pivot in [0, pivot)), which is unique for
-    its lattice.  A transform row maps L_S into d.Z for its modulus d, so
-    reducing it mod d removes the choice of substitution.  The
-    presentation thus depends on the lattice alone, not on the order in
-    which E absorbed it.  Every vector here is a sparse dict."""
-    N, K = E.N, len(E.piv)
-    S = [j for j in range(K) if E.piv[j] != 1]
-    P = [None] * K  # e_j over the columns S, as {index into S: entry}
-    for s, j in enumerate(S):
-        P[j] = {s: 1}
-    for j in reversed(range(K)):
-        if E.piv[j] == 1:
-            acc = {}
-            for k, h in E.rows[j].items():
-                for s, x in P[k].items():
-                    acc[s] = acc.get(s, 0) - h * x
-            P[j] = {s: t % N for s, t in acc.items() if t % N}
-    R = _Echelon(len(S), N)
-    for j in S:  # row j of E over S; an empty row's pivot N is 0 mod N
-        v = {s: E.piv[j] * x for s, x in P[j].items()}
-        for k, h in E.rows[j].items():
-            for s, x in P[k].items():
-                v[s] = v.get(s, 0) + h * x
-        _absorb(R, v)
-    # the reduced Howell form, which R's column index does not follow
-    for j, row in enumerate(R.rows):
-        for k in range(j + 1, len(S)):
-            q = row.get(k, 0) // R.piv[k]
-            if q:
-                for t, x in [(k, R.piv[k]), *R.rows[k].items()]:
-                    row[t] = (row.get(t, 0) - q * x) % N
-    rels = [row for row, p in zip(R.dense(), R.piv) if p < N]
-    rels += [[N if s == t else 0 for t in range(len(S))]
-             for s in range(len(S))]
-    pres = cokernel([list(col) for col in zip(*rels)], ambient_dim=len(S))
-    transform = tuple(
-        tuple(sum(row[s] % d * x for s, x in Pk.items()) % d for Pk in P)
-        for d, row in zip(pres.moduli, pres.transform))
-    return PresentedAbelianGroup(K, pres.moduli, transform)
-
-
 def _d2_kernel(G):
     """(W, K): the K kernel coordinates of d2 mod |G| by columns, as
     H2Group._coords keeps them, once d2 . d3 = 0 is checked.
@@ -350,8 +201,8 @@ def h2_group(G):
     monoid, so every z has a word over S.
 
     So the (|G|-1)^2 |S| generator columns span the image lattice, and
-    only they are absorbed.  _echelon_cokernel presents the quotient
-    from the reduced Howell form of its relations, so the H2 coordinates
+    only they are absorbed.  IntegerLattice.quotient presents the
+    quotient from the reduced Howell form of its relations, so the H2 coordinates
     depend on the image lattice alone, whatever generators G was given.
     The d2 . d3 check runs over all columns (see _d2_kernel)."""
     key = G.digest
@@ -360,14 +211,14 @@ def h2_group(G):
     if G.order > BAR_SIZE_CAP:
         raise HomologyError(f"group order {G.order} over bar-complex cap")
     W, K = _d2_kernel(G)
-    E = _Echelon(K, G.order)
+    E = IntegerLattice(K, G.order)
     for col in _d3_columns(G, sorted({s for s in G.generators if s})):
         v = {}
         for p, sign in zip(col, _D3_SIGNS):
             for k, x in W[p]:
                 v[k] = v.get(k, 0) + sign * x
-        _absorb(E, v)
-    out = H2Group(G, _echelon_cokernel(E), W)
+        E.add(v)
+    out = H2Group(G, E.quotient(), W)
     _H2_CACHE[key] = out
     return out
 
@@ -404,28 +255,28 @@ def m_g_c(G, class_ids):
 
 
 def n_lattice(G, class_ids):
-    """Basis (list of rows) of the kernel N of Z^{C//G} -> G_ab sending a
-    class to the abelianized image of its representative."""
+    """Hermite normal form (list of rows) of the kernel N of
+    Z^{C//G} -> G_ab sending a class to the abelianized image of its
+    representative.
+
+    |G| kills G_ab, so N contains |G|.Z^k.  A slot value x mod d is
+    x.|G|/d mod |G|, so with s the slots of G_ab, N = {c : (0, c) in L}
+    for the lattice L in Z^{s+k} spanned mod |G| by the rows (image of
+    class i, each slot of modulus d scaled by |G|/d, then e_i).  By the
+    Howell property the rows of L's echelon past column s span exactly
+    N, and in reduced form they are N's Hermite normal form."""
     cids = sorted(set(class_ids))
-    k = len(cids)
-    if k == 0:
-        return []
     A, proj = abelianization(G)
-    s = A.num_slots
-    cols = []
-    for cid in cids:
-        cols.append(list(proj(G.class_reps[cid])))
-    for i, d in enumerate(A.moduli):
-        if d:
-            cols.append([d if j == i else 0 for j in range(s)])
-    if s == 0:
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    M = [[col[i] for col in cols] for i in range(s)]
-    basis = kernel_lattice(M)
-    lat = IntegerLattice(k)
-    for v in basis:
-        lat.add(v[:k])
-    return lat.basis()
+    s, order = A.num_slots, G.order
+    L = IntegerLattice(s + len(cids), order)
+    for i, cid in enumerate(cids):
+        v = {t: x * (order // d)
+             for t, (x, d) in enumerate(zip(proj(G.class_reps[cid]),
+                                            A.moduli))}
+        v[s + i] = 1
+        L.add(v)
+    L.reduce()
+    return [row[s:] for row in L.basis()[s:]]
 
 
 class BgcH2(Frozen):

@@ -11,8 +11,9 @@ columns only, in another order, and absorbs them as sparse dicts.  Both
 must give the same W and the same image lattice, and each presents the
 lattice by its reduced Howell form, which is unique for it, so the
 presentations must be equal too.  Nothing here comes from `homology`
-but the matrix of d2; the exact Smith and cokernel engines of
-`intlinalg` are shared.
+but the matrix of d2.  The exact Smith form is the one of
+`tests/intlinalg_oracle.py`; only `intlinalg.cokernel`, which presents
+the relations, is shared.
 """
 
 from dataclasses import dataclass
@@ -20,12 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from schur_orbits.homology import boundary_matrix
-from schur_orbits.intlinalg import (
-    PresentedAbelianGroup,
-    _xgcd,
-    cokernel,
-    snf_with_inverse,
-)
+from schur_orbits.intlinalg import PresentedAbelianGroup, _xgcd, cokernel
+
+from intlinalg_oracle import snf_with_inverse
 
 CHUNK = 256  # d3 columns imaged at a time
 

@@ -18,7 +18,6 @@ from schur_orbits.homology import (
     sch_unbranched,
     torus_cycle,
 )
-from schur_orbits.intlinalg import mat_mul
 from schur_orbits.moves import (
     Move,
     apply_move,
@@ -35,6 +34,7 @@ from schur_orbits.stabilization import (
 )
 
 from conftest import GROUP_SPECS, get_group, transposition_class
+from intlinalg_oracle import mat_mul
 from test_moves import _INVERSE_KIND, random_tuple
 
 

@@ -1,6 +1,7 @@
 """Bar-complex homology: H2, C-tori, M(G)_C, N, and unbranched classes."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,9 +22,6 @@ from schur_orbits.groups import (
 )
 from schur_orbits.homology import (
     HomologyError,
-    _Echelon,
-    _absorb,
-    _echelon_cokernel,
     boundary_matrix,
     c_tori_subgroup,
     h1_bgc,
@@ -36,10 +34,11 @@ from schur_orbits.homology import (
     torus_cycle,
     unbranched_cycle,
 )
-from schur_orbits.intlinalg import cokernel, mat_mul, snf_with_inverse
+from schur_orbits.intlinalg import IntegerLattice, cokernel
 
 from conftest import GROUP_SPECS, get_group, transposition_class
 from h2_oracle import _absorb as dense_absorb
+from intlinalg_oracle import in_row_span, mat_mul, snf_with_inverse
 
 H2_EXPECTED = {
     "z2": (), "z3": (), "z4": (), "z5": (), "z6": (),
@@ -117,10 +116,10 @@ def test_h2_dual_route(name):
 
 def _presented(cols, K, N):
     """Z^K / (cols + N.Z^K) through the echelon, absorbing cols in order."""
-    E = _Echelon(K, N)
+    E = IntegerLattice(K, N)
     for col in cols:
-        _absorb(E, dict(enumerate(col)))
-    return _echelon_cokernel(E)
+        E.add(dict(enumerate(col)))
+    return E.quotient()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -156,24 +155,26 @@ def test_sparse_absorb_matches_dense_int64(N, K, count, seed):
     rng = np.random.default_rng(seed)
     divisors = [d for d in range(1, N) if N % d == 0]
     dense, pd = np.zeros((K, K), dtype=np.int64), [N] * K
-    E = _Echelon(K, N)
+    E = IntegerLattice(K, N)
     for _ in range(count):
         v = rng.integers(0, N, size=K) * rng.choice(divisors) % N
         v[:rng.integers(0, K)] = 0  # start past some pivots
         grew = dense_absorb(dense, pd, v, N)
         shifted = v + N * rng.integers(-2, 3, size=K)
-        assert _absorb(E, dict(enumerate(shifted.tolist()))) == grew
-    assert E.dense() == dense.tolist() and E.piv == pd
+        assert E.add(dict(enumerate(shifted.tolist()))) == grew
+    # the oracle stores an empty row's pivot N as 0
+    assert [[x % N for x in row] for row in E.basis()] == dense.tolist()
+    assert E.piv == pd
     assert all(0 < x < N for row in E.rows for x in row.values())
     assert E.above == [{i for i, row in enumerate(E.rows) if k in row}
                        for k in range(K)]
 
 
 def test_echelon_cokernel_reduces_entries_left_unreduced_by_absorb():
-    # absorbed in this order, _absorb leaves the entries 7 and 4 above the
+    # absorbed in this order, add leaves the entries 7 and 4 above the
     # last pivot 4 (in the other order, 3 and 0); every pivot is a
-    # non-unit, so only the full reduction in _echelon_cokernel makes both
-    # orders present the same basis
+    # non-unit, so only the full reduction in quotient makes both orders
+    # present the same basis
     cols = [[2, 2, 3], [4, 2, 2]]
     assert _presented(cols, 3, 8) == _presented(cols[::-1], 3, 8)
 
@@ -261,18 +262,50 @@ def test_n_lattice_brute_force(name, classes_kind):
         cids = tuple(c for c, r in enumerate(G.class_reps) if r != 0)
     A, proj = abelianization(G)
     basis = n_lattice(G, cids)
-    from schur_orbits.intlinalg import IntegerLattice
-
-    lat = IntegerLattice(len(cids))
-    for row in basis:
-        lat.add(row)
     for vec in itertools.product(range(-2, 3), repeat=len(cids)):
         img = A.zero()
         for k, cid in enumerate(cids):
             x = proj(G.class_reps[cid])
             for _ in range(abs(vec[k])):
                 img = A.add(img, x if vec[k] > 0 else A.neg(x))
-        assert lat.contains(list(vec)) == (img == A.zero())
+        assert in_row_span(basis, vec) == (img == A.zero())
+
+
+def test_n_lattice_pins_the_z2z4_hermite_form():
+    # the exact echelon this replaced gave [[1, -1, 2], [0, 2, 2], [0, 0, 4]]
+    assert n_lattice(get_group("z2z4"), (2, 6, 7)) == [
+        [1, 1, 0], [0, 2, 2], [0, 0, 4]]
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_n_lattice_is_the_hermite_normal_form(name):
+    # rows in N, with index |image of Z^k in G_ab|, so they span N; upper
+    # triangular, positive pivots, every entry above a pivot in [0, pivot)
+    G = get_group(name)
+    A, proj = abelianization(G)
+    cids = range(len(G.class_reps))
+    for k in range(4):
+        for sub in itertools.combinations(cids, k):
+            basis = n_lattice(G, sub)
+            images = [proj(G.class_reps[c]) for c in sub]
+            for row in basis:
+                img = A.zero()
+                for c, x in zip(row, images):
+                    img = A.add(img, tuple(c * t for t in x))
+                assert img == A.zero()
+            span, frontier = {A.zero()}, [A.zero()]
+            while frontier:
+                y = frontier.pop()
+                for x in images:
+                    z = A.add(y, x)
+                    if z not in span:
+                        span.add(z)
+                        frontier.append(z)
+            assert len(basis) == k
+            assert math.prod(row[j] for j, row in enumerate(basis)) == len(span)
+            for j, row in enumerate(basis):
+                assert row[:j] == [0] * j and row[j] > 0
+                assert all(0 <= above[j] < row[j] for above in basis[:j])
 
 
 def test_hom_branch_type_parity(s3):

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: SNF, kernels, cokernels, lattices."""
+"""Integer linear algebra: the exact Smith form of the oracle, the
+Smith form with V^{-1} mod N, cokernels, and lattices mod N."""
 
 import math
 import random
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_orbits.intlinalg import (
-    IntegerLattice,
-    cokernel,
+from schur_orbits import intlinalg
+from schur_orbits.intlinalg import IntegerLattice, cokernel, subgroup_quotient
+
+from intlinalg_oracle import (
     identity_matrix,
+    in_row_span,
     kernel_lattice,
     mat_mul,
     smith_normal_form,
     snf_with_inverse,
-    subgroup_quotient,
 )
 
 
@@ -107,7 +109,8 @@ def test_snf_with_inverse(seed):
 def test_snf_vinv_mod_n_is_the_exact_vinv_reduced(rows, cols, modulus, seed):
     rng = random.Random(seed)
     M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-    got, want = snf_with_inverse(M, modulus=modulus), snf_with_inverse(M)
+    got = intlinalg.snf_with_inverse(M, modulus=modulus)
+    want = snf_with_inverse(M)
     # sparse rows: the nonzero entries mod N, none stored as 0
     assert all(0 < x < modulus for row in got.Vinv for x in row.values())
     assert [[row.get(k, 0) for k in range(cols)] for row in got.Vinv] == [
@@ -118,7 +121,7 @@ def test_snf_vinv_mod_n_is_the_exact_vinv_reduced(rows, cols, modulus, seed):
 @pytest.mark.parametrize("modulus", [0, -4])
 def test_snf_vinv_modulus_outside_uint8_is_rejected(modulus):
     with pytest.raises(ValueError, match="not positive"):
-        snf_with_inverse([[1, 2], [3, 4]], modulus=modulus)
+        intlinalg.snf_with_inverse([[1, 2], [3, 4]], modulus=modulus)
 
 
 def test_kernel_of_sum_map():
@@ -191,28 +194,42 @@ def test_subgroup_quotient():
     assert Q2.invariant_factors == (4,)
 
 
+def _lattice(n, modulus, vecs):
+    lat = IntegerLattice(n, modulus)
+    for v in vecs:
+        lat.add(dict(enumerate(v)))
+    lat.reduce()
+    return lat.basis()
+
+
 def test_integer_lattice_membership():
-    lat = IntegerLattice(3)
-    lat.add([2, 0, 0])
-    lat.add([0, 2, 0])
-    lat.add([1, 1, 1])
-    assert lat.rank == 3
-    assert lat.contains([2, 2, 2])
-    assert lat.contains([3, 1, 1])
-    assert not lat.contains([1, 0, 0])
-    assert not lat.contains([0, 0, 1])
+    basis = _lattice(3, 8, [[2, 0, 0], [0, 2, 0], [1, 1, 1]])
+    assert basis == [[1, 1, 1], [0, 2, 0], [0, 0, 2]]
+    assert in_row_span(basis, [2, 2, 2])
+    assert in_row_span(basis, [3, 1, 1])
+    assert not in_row_span(basis, [1, 0, 0])
+    assert not in_row_span(basis, [0, 0, 1])
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_integer_lattice_spans_its_input(seed):
+    # the reduced basis spans the input and N.Z^n and has the index of
+    # the lattice they generate, so it spans exactly that lattice; and it
+    # is the Hermite normal form
     rng = random.Random(400 + seed)
     n = rng.randint(2, 5)
+    N = rng.choice([1, 2, 6, 8, 9, 12, 64])
     vecs = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(rng.randint(1, 6))]
-    lat = IntegerLattice(n)
-    for v in vecs:
-        lat.add(v)
-    for v in vecs:
-        assert lat.contains(v)
+    NI = [[N if i == j else 0 for j in range(n)] for i in range(n)]
+    basis = _lattice(n, N, vecs)
+    for v in vecs + NI:
+        assert in_row_span(basis, v)
     for u in vecs:
         for v in vecs:
-            assert lat.contains([a + b for a, b in zip(u, v)])
+            assert in_row_span(basis, [a + b for a, b in zip(u, v)])
+    _, D, _ = smith_normal_form(vecs + NI)
+    assert math.prod(row[j] for j, row in enumerate(basis)) == math.prod(
+        D[i][i] for i in range(n))
+    for j, row in enumerate(basis):
+        assert row[:j] == [0] * j and row[j] > 0
+        assert all(0 <= above[j] < row[j] for above in basis[:j])

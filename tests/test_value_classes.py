@@ -17,7 +17,7 @@ from schur_orbits.covers import BranchData, BranchedTuple
 from schur_orbits.fastorbits import FastOrbitTable, level_orbits
 from schur_orbits.groups import FiniteGroup
 from schur_orbits.homology import BgcH2, H2Group
-from schur_orbits.intlinalg import PresentedAbelianGroup, _SNF
+from schur_orbits.intlinalg import PresentedAbelianGroup
 from schur_orbits.moves import MOVE_SET_TAG, Move, MovePlan, OrbitTable
 from schur_orbits.stabilization import (
     StabilizationCertificate,
@@ -25,6 +25,7 @@ from schur_orbits.stabilization import (
 )
 
 from conftest import get_group
+from intlinalg_oracle import _SNF
 
 
 def _z2(spec="z2"):

@@ -12,7 +12,7 @@ import itertools
 import json
 import random
 
-from .intlinalg import PresentedAbelianGroup, cokernel
+from .intlinalg import cokernel
 from .records import Frozen
 
 # SHA-256 for the group, source and cache-key digests.  Importing hashlib
@@ -363,9 +363,6 @@ def abelianization(G):
     if not gens and G.order > 1:
         gens = list(minimal_generating_sequence(G))
     m = len(gens)
-    if m == 0:
-        A = cokernel([], ambient_dim=0)
-        return A, lambda x: ()
     # BFS words: vector of generator exponents reaching each element
     words = {0: [0] * m}
     frontier = [0]
@@ -380,17 +377,16 @@ def abelianization(G):
                     words[y] = w
                     nxt.append(y)
         frontier = nxt
-    # Schreier relations: word(x) + e_i - word(x*s_i) dies in G_ab
-    rel_cols = []
+    # Schreier relations: word(x) + e_i - word(x*s_i) dies in G_ab, which
+    # |G| kills
+    rels = []
     for x in range(G.order):
         for i, s in enumerate(gens):
-            y = G.mul[x][s]
-            col = [words[x][k] - words[y][k] for k in range(m)]
-            col[i] += 1
-            if any(col):
-                rel_cols.append(col)
-    M = [[col[i] for col in rel_cols] for i in range(m)]
-    A = cokernel(M, ambient_dim=m)
+            rel = {k: a - b for k, (a, b) in
+                   enumerate(zip(words[x], words[G.mul[x][s]]))}
+            rel[i] += 1
+            rels.append(rel)
+    A = cokernel(rels, m, G.order)
 
     table = {x: A.to_coords(words[x]) for x in range(G.order)}
 

@@ -1,22 +1,23 @@
-"""Integer matrix algebra in Python ints: Smith forms, cokernels and
-lattices mod N.
+"""Integer matrix algebra in Python ints: lattices mod N, the finite
+abelian groups they present, and the Smith form of d2.
 
-Two engines, neither of which imports anything outside the standard
-library but records.  The Smith form (_snf_engine) diagonalizes an
-exact matrix; `cokernel` reads it with its row transform U, and
-`snf_with_inverse` gives it with V^{-1} reduced modulo N, as sparse
-rows, {column: entry} dicts holding the nonzero entries, each in
-[1, N).  IntegerLattice keeps a lattice in Z^n that contains N.Z^n as a
-Howell form mod N (J. A. Howell, Linear Multilinear Algebra 19, 1986),
-the modular Hermite form of Domich, Kannan and Trotter (Math. Oper.
-Res. 12, 1987), so every entry stays below N.  A finite abelian group
-killed by N is determined mod N, and H2 and the branch-type lattice of
-`homology` are computed on it.
+IntegerLattice keeps a lattice in Z^n that contains N.Z^n as a Howell
+form mod N (J. A. Howell, Linear Multilinear Algebra 19, 1986), the
+modular Hermite form of Domich, Kannan and Trotter (Math. Oper. Res.
+12, 1987), so every entry stays below N.  A finite abelian group killed
+by N is determined mod N, and every one that `groups` and `homology`
+compute, G_ab, H2, M(G)_C and H1(BG_C), is killed by |G|: each is
+presented by `IntegerLattice.quotient`, which diagonalizes mod N too,
+through `cokernel` and `subgroup_quotient` or, for H2, directly.  The
+exact Smith form is left to the d2 of `homology` alone
+(`snf_with_inverse`), which needs its rank and V^{-1} mod N.  Nothing
+here imports anything outside the standard library but records.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd, prod
 
 from .records import Frozen, Record
 
@@ -39,30 +40,30 @@ def _xgcd(a, b):
 
 
 class _SNF(Record):
-    """U and Vinv may be None; Vinv is sparse {column: entry} rows
-    reduced mod N."""
+    """Vinv is sparse {column: entry} rows reduced mod N."""
 
-    _fields = ("U", "Vinv", "diag", "rank")
+    _fields = ("Vinv", "diag", "rank")
 
-    def __init__(self, U, Vinv, diag, rank):
-        self.U, self.Vinv = U, Vinv
-        self.diag, self.rank = diag, rank
+    def __init__(self, Vinv, diag, rank):
+        self.Vinv, self.diag, self.rank = Vinv, diag, rank
 
 
-def _snf_engine(M, want_u=False, modulus=None):
-    """Diagonalize M by unimodular row/column operations, D = U*M*V.
+def snf_with_inverse(M, modulus):
+    """Diagonalize M by unimodular row/column operations, D = U*M*V,
+    with V^{-1} reduced mod N = modulus >= 1.
 
     Returns an _SNF record with the diagonal of D, whose entries d_i
-    satisfy d_i | d_{i+1} and d_i >= 0, and its rank.  Pivots are chosen
-    as the nonzero entry of minimal absolute value (ties: lowest row,
-    then column), which keeps intermediate entry growth tame and makes
-    the output deterministic.
+    satisfy d_i | d_{i+1} and d_i >= 0, its rank, and V^{-1} mod N as
+    sparse rows, {column: entry} dicts without zero entries.  Pivots are
+    chosen as the nonzero entry of minimal absolute value (ties: lowest
+    row, then column), which keeps intermediate entry growth tame and
+    makes the output deterministic.  The entries of D are exact and can
+    still grow on dense matrices, so only the d2 of `homology` comes
+    here; every other group is presented mod N by IntegerLattice.
 
-    U is tracked only when asked for and is None otherwise; V is never
-    formed.  Given a modulus N >= 1, V^{-1} is kept reduced mod N as
-    sparse rows, {column: entry} dicts without zero entries, and updated
-    by the inverse column operations on those rows alone.  Reduction mod
-    N commutes with row operations and the pivots depend on M alone, so
+    Neither U nor V is formed.  The rows of V^{-1} are updated by the
+    inverse column operations on those rows alone.  Reduction mod N
+    commutes with row operations and the pivots depend on M alone, so
     these rows are the exact V^{-1} reduced mod N.  On a bar-complex d2
     the rows from the rank on, its kernel coordinates, keep a single
     entry each on every group measured; the rows before it fill in.
@@ -72,33 +73,17 @@ def _snf_engine(M, want_u=False, modulus=None):
     c = len(A[0]) if r else 0
     if any(len(row) != c for row in A):
         raise ValueError("ragged matrix")
-    U = ([[1 if i == j else 0 for j in range(r)] for i in range(r)]
-         if want_u else None)
-    if modulus is None:
-        Vinv = None
-    elif modulus < 1:
+    if modulus < 1:
         raise ValueError(f"modulus {modulus} is not positive")
-    else:
-        Vinv = [{k: 1} if modulus > 1 else {} for k in range(c)]  # I mod N
+    Vinv = [{k: 1} if modulus > 1 else {} for k in range(c)]  # I mod N
 
     def row_add(i, j, q):  # row_i += q * row_j
         Ai, Aj = A[i], A[j]
         for k in range(c):
             Ai[k] += q * Aj[k]
-        if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(r):
-                Ui[k] += q * Uj[k]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
 
     def col_adds(ops, i):  # col_j += q * col_i for each (j, q) in ops
         for row in A:
@@ -106,8 +91,6 @@ def _snf_engine(M, want_u=False, modulus=None):
             if x:
                 for j, q in ops:
                     row[j] += q * x
-        if Vinv is None:
-            return
         # inverse ops, which commute: Vinv row_i -= q * Vinv row_j
         Vi = Vinv[i]
         for j, q in ops:
@@ -121,8 +104,8 @@ def _snf_engine(M, want_u=False, modulus=None):
     def col_swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
     def find_pivot(t):
         best = None
         for i in range(t, r):
@@ -150,19 +133,16 @@ def _snf_engine(M, want_u=False, modulus=None):
             col_swap(j, t)
         while True:
             if A[t][t] < 0:
-                row_neg(t)
+                A[t] = [-x for x in A[t]]
             d = A[t][t]
             dirty = False
+            # a remainder is in [1, d), so a new pivot is positive
             for i in range(t + 1, r):
                 if A[i][t]:
-                    q = A[i][t] // d
-                    row_add(i, t, -q)
+                    row_add(i, t, -(A[i][t] // d))
                     if A[i][t]:  # remainder becomes the smaller pivot
                         row_swap(i, t)
                         dirty = True
-                        d = abs(A[t][t]) or 1
-                        if A[t][t] < 0:
-                            row_neg(t)
                         d = A[t][t]
             # the operations clearing row t change only columns j > t and
             # commute, so they are made together, before any swap moves
@@ -176,8 +156,6 @@ def _snf_engine(M, want_u=False, modulus=None):
                         ops = []
                         col_swap(j, t)
                         dirty = True
-                        if A[t][t] < 0:
-                            row_neg(t)
                         d = A[t][t]
             col_adds(ops, t)
             if dirty:
@@ -185,39 +163,88 @@ def _snf_engine(M, want_u=False, modulus=None):
             if d == 1:  # divides the remaining submatrix: nothing to scan
                 break
             # pivot must divide the remaining submatrix
-            offender = None
-            for i in range(t + 1, r):
-                Ai = A[i]
-                for j in range(t + 1, c):
-                    if Ai[j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, r)
+                             if any(x % d for x in A[i][t + 1:])), None)
             if offender is None:
                 break
             row_add(t, offender, 1)
         t += 1
     diag = [A[i][i] for i in range(lim)]
-    rank = sum(1 for d in diag if d)
-    return _SNF(U=U, Vinv=Vinv, diag=diag, rank=rank)
+    return _SNF(Vinv=Vinv, diag=diag, rank=sum(1 for d in diag if d))
 
 
-def snf_with_inverse(M, modulus):
-    """The Smith form of M with V^{-1} reduced mod N = modulus >= 1, as
-    sparse rows (see _snf_engine), in an _SNF record whose U is None."""
-    return _snf_engine(M, modulus=modulus)
+def _smith_mod(A, N):
+    """(moduli, U) presenting Z^r / (columns of A + N.Z^r), A an r x c
+    matrix with entries in [0, N), by the Smith form over Z/N.
+
+    The pivot is the least nonzero entry (ties: lowest row, then
+    column), and row and column t are cleared by the division steps of
+    snf_with_inverse, all mod N: reducing an entry mod N adds a vector
+    of N.Z^r.  Then N.e_t turns the pivot into d_t = gcd(pivot, N), and
+    a row with an entry that d_t does not divide is added to row t, so
+    d_t divides every later modulus; a row left without a pivot has
+    modulus N.  U, the row operations mod N, is invertible mod N, and
+    v -> (U v)_t mod d_t is the quotient map.  Slots of modulus 1 are
+    dropped."""
+    r, c = len(A), len(A[0]) if A else 0
+    # each row of A, then its row of U
+    B = [row + [int(i == j) for j in range(r)] for i, row in enumerate(A)]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        B[i] = [(a + q * b) % N for a, b in zip(B[i], B[j])]
+
+    def col_add(j, i, q):  # col_j += q * col_i
+        for row in B:
+            row[j] = (row[j] + q * row[i]) % N
+
+    def col_swap(i, j):
+        for row in B:
+            row[i], row[j] = row[j], row[i]
+
+    moduli = [N] * r
+    for t in range(min(r, c)):
+        nonzero = [(B[i][j], i, j) for i in range(t, r)
+                   for j in range(t, c) if B[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        B[i], B[t] = B[t], B[i]
+        col_swap(j, t)
+        while True:
+            dirty = False
+            for i in range(t + 1, r):
+                if B[i][t]:
+                    row_add(i, t, -(B[i][t] // B[t][t]))
+                    if B[i][t]:  # remainder becomes the smaller pivot
+                        B[i], B[t] = B[t], B[i]
+                        dirty = True
+            for j in range(t + 1, c):
+                if B[t][j]:
+                    col_add(j, t, -(B[t][j] // B[t][t]))
+                    if B[t][j]:
+                        col_swap(j, t)
+                        dirty = True
+            if dirty:
+                continue
+            d = B[t][t] = gcd(B[t][t], N)
+            offender = next((i for i in range(t + 1, r)
+                             if any(x % d for x in B[i][t + 1:c])), None)
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        moduli[t] = d
+    keep = [t for t in range(r) if moduli[t] > 1]
+    return tuple(moduli[t] for t in keep), [B[t][c:] for t in keep]
 
 
 class PresentedAbelianGroup(Frozen):
-    """Finitely generated abelian group Z^ambient / (relations) in
-    invariant-factor coordinates.
+    """Finite abelian group Z^ambient / L in invariant-factor
+    coordinates.
 
-    ``moduli`` holds one modulus per retained coordinate slot: d >= 2 for a
-    torsion slot (d_i | d_{i+1}), 0 for a free slot.  ``transform`` maps an
-    ambient integer vector to raw slot values; reduction mod the moduli
-    happens in to_coords.  ``transform`` has one row per slot, each of
-    length ambient_dim.
+    ``moduli`` holds one modulus d >= 2 per coordinate slot, with
+    d_i | d_{i+1}.  ``transform`` has one row per slot, each of length
+    ambient_dim, and maps an ambient integer vector to its slot values;
+    reduction mod the moduli happens in to_coords.
     """
 
     _fields = ("ambient_dim", "moduli", "transform")
@@ -228,23 +255,14 @@ class PresentedAbelianGroup(Frozen):
 
     @property
     def invariant_factors(self):
-        return tuple(d for d in self.moduli if d >= 2)
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.moduli if d == 0)
+        return self.moduli
 
     @property
     def num_slots(self):
         return len(self.moduli)
 
     def order(self):
-        if self.rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.moduli)
 
     def zero(self):
         return (0,) * len(self.moduli)
@@ -255,14 +273,11 @@ class PresentedAbelianGroup(Frozen):
             raise ValueError(
                 f"expected ambient vector of length {self.ambient_dim}, got {len(vec)}"
             )
-        out = []
-        for d, row in zip(self.moduli, self.transform):
-            x = sum(a * b for a, b in zip(row, vec))
-            out.append(x % d if d else x)
-        return tuple(out)
+        return tuple(sum(a * b for a, b in zip(row, vec)) % d
+                     for d, row in zip(self.moduli, self.transform))
 
     def reduce(self, coords):
-        return tuple(x % d if d else x for x, d in zip(coords, self.moduli))
+        return tuple(x % d for x, d in zip(coords, self.moduli))
 
     def add(self, a, b):
         return self.reduce(x + y for x, y in zip(a, b))
@@ -274,61 +289,33 @@ class PresentedAbelianGroup(Frozen):
         return self.reduce(x - y for x, y in zip(a, b))
 
     def elements(self):
-        if self.rank:
-            raise ValueError("infinite group has no element enumeration")
-        return (tuple(t) for t in product(*[range(d) for d in self.moduli]))
+        return product(*map(range, self.moduli))
 
 
-def cokernel(M, ambient_dim=None):
-    """Z^rows / column-span(M) as a PresentedAbelianGroup.
-
-    M may have zero columns; pass ambient_dim for a matrix with no rows
-    represented as [].
-    """
-    r = len(M)
-    if r == 0:
-        r = ambient_dim or 0
-        M = [[] for _ in range(r)]
-    c = len(M[0]) if M and M[0] is not None else 0
-    res = _snf_engine(M, want_u=True) if c else None
-    moduli = []
-    rows = []
-    for i in range(r):
-        d = res.diag[i] if res and i < len(res.diag) else 0
-        if d == 1:
-            continue
-        moduli.append(d)
-        urow = res.U[i] if res else [1 if k == i else 0 for k in range(r)]
-        rows.append(tuple(urow))
-    # order slots: torsion (ascending, as SNF already gives) then free
-    torsion = [(d, row) for d, row in zip(moduli, rows) if d]
-    free = [(d, row) for d, row in zip(moduli, rows) if d == 0]
-    ordered = torsion + free
-    return PresentedAbelianGroup(
-        ambient_dim=r,
-        moduli=tuple(d for d, _ in ordered),
-        transform=tuple(row for _, row in ordered),
-    )
+def cokernel(columns, n, modulus):
+    """Z^n / (span of columns + N.Z^n), N = modulus, as a
+    PresentedAbelianGroup: the columns, {index: entry} dicts, are
+    absorbed into an IntegerLattice mod N and presented by its
+    quotient."""
+    L = IntegerLattice(n, modulus)
+    for col in columns:
+        L.add(col)
+    return L.quotient()
 
 
 def subgroup_quotient(A, gens):
     """Quotient of A by the subgroup generated by coordinate vectors.
 
     Returns (Q, projection) where projection maps A-coordinates to
-    Q-coordinates.
+    Q-coordinates.  The largest modulus of A kills A and Q.
     """
     n = A.num_slots
-    cols = []
-    for i, d in enumerate(A.moduli):
-        if d:
-            cols.append([d if k == i else 0 for k in range(n)])
+    cols = [{i: d} for i, d in enumerate(A.moduli)]
     for g in gens:
-        g = list(g)
         if len(g) != n:
             raise ValueError(f"coordinate vector of length {len(g)}, expected {n}")
-        cols.append(g)
-    M = [[col[i] for col in cols] for i in range(n)]
-    Q = cokernel(M, ambient_dim=n)
+        cols.append(dict(enumerate(g)))
+    Q = cokernel(cols, n, max(A.moduli, default=1))
     return Q, Q.to_coords
 
 
@@ -452,7 +439,7 @@ class IntegerLattice:
         non-unit pivot columns S, up to the lattice L_S of relations
         among those; the non-unit rows, plus N.I, span L_S.  The
         relations are put into the reduced Howell form of L_S, which is
-        unique for its lattice.  A transform row maps L_S into d.Z for
+        unique for its lattice, and diagonalized mod N.  A transform row maps L_S into d.Z for
         its modulus d, so reducing it mod d removes the choice of
         substitution.  The presentation thus depends on L alone, not on
         the order in which the echelon absorbed it.  Every vector here
@@ -478,12 +465,10 @@ class IntegerLattice:
             R.add(v)
         R.reduce()
         rels = [row for row, p in zip(R.basis(), R.piv) if p < N]
-        rels += [[N if s == t else 0 for t in range(len(S))]
-                 for s in range(len(S))]
-        pres = cokernel([list(col) for col in zip(*rels)],
-                        ambient_dim=len(S))
+        moduli, U = _smith_mod([[rel[s] for rel in rels]
+                                for s in range(len(S))], N)
         transform = tuple(
             tuple(sum(row[s] % d * x for s, x in Pk.items()) % d
                   for Pk in P)
-            for d, row in zip(pres.moduli, pres.transform))
-        return PresentedAbelianGroup(K, pres.moduli, transform)
+            for d, row in zip(moduli, U))
+        return PresentedAbelianGroup(K, moduli, transform)

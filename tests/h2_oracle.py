@@ -11,9 +11,12 @@ columns only, in another order, and absorbs them as sparse dicts.  Both
 must give the same W and the same image lattice, and each presents the
 lattice by its reduced Howell form, which is unique for it, so the
 presentations must be equal too.  Nothing here comes from `homology`
-but the matrix of d2.  The exact Smith form is the one of
-`tests/intlinalg_oracle.py`; only `intlinalg.cokernel`, which presents
-the relations, is shared.
+but the matrix of d2.  The exact Smith form, and the exact cokernel that
+presents the relations with the Smith form's U, are those of
+`tests/intlinalg_oracle.py`; `intlinalg.quotient` diagonalizes the same
+relations mod |G| instead, so the two presentations are the same map up
+to an automorphism of the invariant-factor group.  Only `_xgcd` and the
+value class PresentedAbelianGroup come from `intlinalg`.
 """
 
 from dataclasses import dataclass
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from schur_orbits.homology import boundary_matrix
-from schur_orbits.intlinalg import PresentedAbelianGroup, _xgcd, cokernel
+from schur_orbits.intlinalg import PresentedAbelianGroup, _xgcd
 
-from intlinalg_oracle import snf_with_inverse
+from intlinalg_oracle import cokernel, snf_with_inverse
 
 CHUNK = 256  # d3 columns imaged at a time
 

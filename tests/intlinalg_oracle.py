@@ -1,12 +1,17 @@
-"""The exact Smith form, kept as the oracle for `intlinalg`.
+"""The exact Smith form and the exact cokernel, kept as the oracle for
+`intlinalg`.
 
-`intlinalg._snf_engine` tracks only U, for `cokernel`, and V^{-1}
-reduced mod N, for the d2 of `homology`.  This engine always tracks U,
-V and the exact V^{-1}, in Python ints, so U*M*V = D and V*V^{-1} = I
-can be checked, and `tests/h2_oracle.py` reads its kernel coordinates
-from the exact V^{-1}.  Nothing here comes from `intlinalg`.
+`intlinalg.snf_with_inverse` tracks only V^{-1} reduced mod N, for the
+d2 of `homology`, and `intlinalg` presents every other group mod N.
+This engine always tracks U, V and the exact V^{-1}, in Python ints, so
+U*M*V = D and V*V^{-1} = I can be checked; `tests/h2_oracle.py` reads
+its kernel coordinates from the exact V^{-1} and presents its relations
+by `cokernel`, whose transform is the exact U.  Nothing here is computed
+by `intlinalg`: only its value class PresentedAbelianGroup holds the
+cokernels.
 """
 
+from schur_orbits.intlinalg import PresentedAbelianGroup
 from schur_orbits.records import Record
 
 
@@ -123,6 +128,22 @@ def smith_normal_form(M):
     """Return (U, D, V) with U*M*V = D in Smith normal form."""
     res = snf_with_inverse(M)
     return res.U, res.D, res.V
+
+
+def cokernel(M, ambient_dim):
+    """Z^ambient_dim / column-span(M), which must be finite, as a
+    PresentedAbelianGroup: the Smith form's diagonal entries d >= 2 are
+    the moduli and the matching rows of U, unreduced, the transform.
+    Pass ambient_dim for a matrix with no columns."""
+    if len(M) != ambient_dim:
+        raise ValueError(f"{len(M)} rows, expected {ambient_dim}")
+    res = snf_with_inverse(M) if M and M[0] else None
+    diag = res.diag if res else []
+    if len(diag) < ambient_dim or 0 in diag:
+        raise ValueError("the cokernel is infinite")
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    return PresentedAbelianGroup(ambient_dim, tuple(diag[i] for i in keep),
+                                 tuple(tuple(res.U[i]) for i in keep))
 
 
 def kernel_lattice(M):

@@ -34,11 +34,11 @@ from schur_orbits.homology import (
     torus_cycle,
     unbranched_cycle,
 )
-from schur_orbits.intlinalg import IntegerLattice, cokernel
+from schur_orbits.intlinalg import IntegerLattice
 
 from conftest import GROUP_SPECS, get_group, transposition_class
 from h2_oracle import _absorb as dense_absorb
-from intlinalg_oracle import in_row_span, mat_mul, snf_with_inverse
+from intlinalg_oracle import cokernel, in_row_span, mat_mul, snf_with_inverse
 
 H2_EXPECTED = {
     "z2": (), "z3": (), "z4": (), "z5": (), "z6": (),
@@ -92,7 +92,8 @@ def test_d2_d3_composite_zero(name):
                                   "z3z3"])
 def test_h2_dual_route(name):
     # independent dense route: SNF kernel basis of d2, express d3 in it,
-    # take the plain cokernel
+    # take the exact cokernel of the oracle, which raises if it is
+    # infinite
     G = get_group(name)
     d2 = boundary_matrix(G, 2)
     d3 = boundary_matrix(G, 3)
@@ -111,7 +112,6 @@ def test_h2_dual_route(name):
     M = [[coords[j][i] for j in range(n3)] for i in range(kdim)]
     A = cokernel(M, ambient_dim=kdim)
     assert A.invariant_factors == H2_EXPECTED[name]
-    assert A.rank == 0
 
 
 def _presented(cols, K, N):

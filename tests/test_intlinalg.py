@@ -1,9 +1,14 @@
 """Integer linear algebra: the exact Smith form of the oracle, the
-Smith form with V^{-1} mod N, cokernels, and lattices mod N."""
+Smith form with V^{-1} mod N, lattices mod N, and the cokernels they
+present."""
 
+import json
 import math
+import os
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,22 +154,15 @@ def test_kernel_certificates(seed):
 
 
 def test_cokernel_frozen_example():
-    A = cokernel([[2, 4], [6, 8]])
+    A = cokernel([{0: 2, 1: 6}, {0: 4, 1: 8}], 2, 8)
     assert A.invariant_factors == (2, 4)
     assert A.order() == 8
 
 
-def test_cokernel_free_part():
-    A = cokernel([], ambient_dim=2)
-    assert A.invariant_factors == ()
-    assert A.rank == 2
-    assert A.order() is None
-
-
 def test_presented_group_arithmetic():
-    A = cokernel([[2, 0], [0, 3]])
+    A = cokernel([{0: 2}, {1: 3}], 2, 6)
     assert A.order() == 6
-    elems = A.elements()
+    elems = list(A.elements())
     assert len(set(elems)) == 6
     z = A.zero()
     for x in elems:
@@ -177,7 +175,8 @@ def test_to_coords_additive(seed):
     rng = random.Random(300 + seed)
     cols = rng.randint(1, 3)
     M = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(3)]
-    A = cokernel(M, ambient_dim=3)
+    A = cokernel([dict(enumerate(col)) for col in zip(*M)], 3,
+                 rng.choice([2, 6, 12, 60]))
     u = [rng.randint(-9, 9) for _ in range(3)]
     v = [rng.randint(-9, 9) for _ in range(3)]
     w = [a + b for a, b in zip(u, v)]
@@ -186,12 +185,139 @@ def test_to_coords_additive(seed):
 
 def test_subgroup_quotient():
     # (Z/4 x Z/4) / <(2, 2)> has order 8
-    A = cokernel([[4, 0], [0, 4]])
+    A = cokernel([{0: 4}, {1: 4}], 2, 4)
     Q, _ = subgroup_quotient(A, [A.to_coords([2, 2])])
     assert Q.order() == 8
     # quotient by a generator of one factor
     Q2, _ = subgroup_quotient(A, [A.to_coords([1, 0])])
     assert Q2.invariant_factors == (4,)
+
+
+def _brute_span(cols, n, N):
+    """The subgroup of (Z/N)^n that the columns generate, as a set."""
+    gens = {tuple(col.get(i, 0) % N for i in range(n)) for col in cols}
+    span = {(0,) * n}
+    frontier = list(span)
+    while frontier:
+        frontier = [w for w in {tuple((a + b) % N for a, b in zip(v, g))
+                                for v in frontier for g in gens}
+                    if w not in span]
+        span.update(frontier)
+    return span
+
+
+def _check_presentation(Q, cols, n, N):
+    """Every modulus at least 2 divides the next and N, and the columns
+    and N.e_i map to 0."""
+    assert all(d >= 2 and N % d == 0 for d in Q.moduli)
+    assert all(b % a == 0 for a, b in zip(Q.moduli, Q.moduli[1:]))
+    for col in cols + [{i: N} for i in range(n)]:
+        assert Q.to_coords([col.get(i, 0) for i in range(n)]) == Q.zero()
+
+
+# Z^n / (columns + N.Z^n) against brute force on (Z/N)^n: the order, the
+# k-torsion |Q[k]| for each k dividing N (which fixes the isomorphism
+# type), and the kernel of the coordinate map
+@settings(max_examples=400, deadline=None, database=None)
+@given(n=st.integers(1, 3), N=st.integers(1, 12),
+       cols=st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+                     max_size=4))
+def test_cokernel_matches_brute_force(n, N, cols):
+    cols = [dict(enumerate(col[:n])) for col in cols]
+    Q = cokernel(cols, n, N)
+    _check_presentation(Q, cols, n, N)
+    span = _brute_span(cols, n, N)
+    space = list(product(range(N), repeat=n))
+    assert Q.order() * len(span) == N ** n
+    for k in range(1, N + 1):
+        if N % k == 0:
+            torsion = sum(tuple(k * x % N for x in v) in span for v in space)
+            assert torsion == len(span) * math.prod(
+                math.gcd(k, d) for d in Q.moduli)
+    for v in space:
+        assert (Q.to_coords(v) == Q.zero()) == (v in span)
+
+
+@settings(max_examples=3000, deadline=None, database=None)
+@given(n=st.integers(1, 7), N=st.integers(1, 5040),
+       count=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_cokernel_of_random_lattices(n, N, count, seed):
+    # the order is the lattice's index, the product of its Howell pivots
+    rng = random.Random(seed)
+    cols = [{i: rng.randrange(N) * rng.choice([1, 2, 3, 6, 10])
+             for i in range(n) if rng.random() < 0.7} for _ in range(count)]
+    L = IntegerLattice(n, N)
+    for col in cols:
+        L.add(col)
+    Q = cokernel(cols, n, N)
+    _check_presentation(Q, cols, n, N)
+    assert Q.order() == math.prod(L.piv)
+
+
+def _in_child(code, timeout=60):
+    """Run code in a fresh interpreter and return what it prints, read as
+    JSON, so that a hang fails the test after timeout seconds instead of
+    stopping the suite."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         check=True, timeout=timeout, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    return json.loads(out.stdout)
+
+
+# IntegerLattice.quotient once handed these rows, with N.I, to the exact
+# Smith form, which did not return within 60 s
+HANG_ROWS = [[120, 0, 9, 1500, 119], [0, 630, 9, 660, 154],
+             [0, 0, 18, 1320, 14], [0, 0, 0, 1680, 56], [0, 0, 0, 0, 168]]
+
+
+def test_quotient_of_a_lattice_that_hung_the_exact_smith_form():
+    moduli, seconds = _in_child(f"""
+import json, time
+from schur_orbits.intlinalg import IntegerLattice
+L = IntegerLattice(5, 5040)
+for row in {HANG_ROWS}:
+    L.add(dict(enumerate(row)))
+t = time.perf_counter()
+Q = L.quotient()
+print(json.dumps([Q.moduli, time.perf_counter() - t]))
+""")
+    assert moduli == [3, 5040, 5040, 5040]
+    assert math.prod(moduli) == math.prod(row[j] for j, row in
+                                          enumerate(HANG_ROWS))
+    assert seconds < 1
+
+
+# The dense random matrices on which the exact Smith form takes 6 s
+# (Random(19), 6 x 12, with 720.I) to 25 s (Random(20), 6 x 39)
+@pytest.mark.parametrize("seed", [19, 20])
+def test_cokernel_of_dense_random_matrices(seed):
+    Ns = [1, 2, 12, 64, 720, 5040]
+    results = _in_child(f"""
+import json, math, random, time
+from schur_orbits.intlinalg import IntegerLattice, cokernel
+rng = random.Random({seed})
+rows, cols = rng.randint(1, 6), rng.randint(1, 150)
+M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+cols = [dict(enumerate(col)) for col in zip(*M)]
+out = []
+for N in {Ns}:
+    t = time.perf_counter()
+    Q = cokernel(cols, rows, N)
+    seconds = time.perf_counter() - t
+    L = IntegerLattice(rows, N)
+    for col in cols:
+        L.add(col)
+    zero = all(not any(Q.to_coords([c.get(i, 0) for i in range(rows)]))
+               for c in cols)
+    out.append([Q.moduli, seconds, math.prod(L.piv), zero])
+print(json.dumps(out))
+""")
+    for N, (moduli, seconds, index, zero) in zip(Ns, results):
+        assert all(d >= 2 and N % d == 0 for d in moduli)
+        assert all(b % a == 0 for a, b in zip(moduli, moduli[1:]))
+        assert math.prod(moduli) == index and zero
+        assert seconds < 1
 
 
 def _lattice(n, modulus, vecs):

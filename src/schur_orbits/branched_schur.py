@@ -1,9 +1,10 @@
 """Branched Schur invariants in M(G)_C, by lifting.
 
-The bar-complex H2 classifier gives a normalized 2-cocycle
-f(x, y) = proj_C([x|y]) with values in M(G)_C = H2(G) / <C-tori>: the
-classifier is linear on 2-chains and sends im d3 to 0.  f defines the
-central extension E = M(G)_C x G with product
+h2_group's Hopf cocycle f(x, y) = rho_x(t_y) is the cocycle of the
+central extension F/[F,R] of G by R/[F,R], read in H2 coordinates;
+H2Group.cycle_class sums it over a bar 2-cycle.  Projected to
+M(G)_C = H2(G) / <C-tori>, f is a normalized 2-cocycle with values in
+M(G)_C.  It defines the central extension E = M(G)_C x G with product
 (a, x)(b, y) = (a + b + f(x, y), xy).  Each class representative r of
 C lifts to (0, r) and each conjugate x r x^{-1} to the conjugate of that
 lift; two conjugators differ by an element z of the centralizer of r,
@@ -20,17 +21,16 @@ Fried and Voelklein, Math. Ann. 290, 1991).  The difference class of
 two covers with the same branch data is Lambda(t) - Lambda(t2), the
 class of the closed double of t and the orientation reversal of t2.
 
-The table of f is read from h2_group's kernel coordinates column by
-column, one sparse column per symbol [x|y], in Python ints.
+The table of f is h2_group's, each entry projected to M(G)_C.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import islice
 
 from .covers import branch_data, is_surjective
 from .groups import BudgetError, DomainError
-from .homology import _pair_index, h2_group, m_g_c
+from .homology import h2_group, m_g_c
 from .moves import MOVE_SET_TAG, move_catalog, move_closure
 from .records import Frozen
 
@@ -109,18 +109,9 @@ class _Extension:
     lifts of the elements of C."""
 
     def __init__(self, G, class_ids):
-        H2 = h2_group(G)
-        M, _ = m_g_c(G, class_ids)
+        M, proj = m_g_c(G, class_ids)
         self.group, self.M, self.classes = G, M, sorted(set(class_ids))
-        # f(x, y) = proj_C of the H2 coordinates of the kernel coordinates
-        # of [x|y], read from the sparse column of W for that symbol
-        P = H2.presentation
-        self._f = [[M.zero()] * G.order for _ in range(G.order)]
-        for x, y in product(range(1, G.order), repeat=2):
-            col = H2._coords[_pair_index(G, x, y)]
-            self._f[x][y] = M.to_coords(
-                [sum(row[k] * w for k, w in col) % d
-                 for d, row in zip(P.moduli, P.transform)])
+        self._f = [[proj(v) for v in row] for row in h2_group(G).f]
         self._zero = M.zero()
         self._lift = {}
         for cid in self.classes:

@@ -1,40 +1,49 @@
-"""Group homology through the normalized bar complex.
+"""Group homology through Hopf's formula.
 
-Second homology H2(G) is computed as ker d2 / im d3 on the normalized
-bar bases (symbols with an identity entry are dropped, so the k-basis
-has (|G|-1)^k symbols).  |G| annihilates H2(G), so in kernel-of-d2
-coordinates |G|.Z^K lies inside im d3 and the image lattice can be
-accumulated modulo |G| with every entry below |G| (the modular Hermite
-form of Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  Kernel
-coordinates, and the H2 presentation over them, are therefore kept
-mod |G|, and everything is sparse and in Python ints: the Smith form of
-d2 keeps its V^{-1} mod |G| as sparse rows, whose kernel rows W have a
-single entry 1 each on every group measured, so W is kept by columns,
-one per 2-symbol; a d3 image is the signed sum of the W columns of its
-four symbols, a dict of at most four entries when W is that sparse; and
-the image lattice is an intlinalg.IntegerLattice, a Howell echelon mod
-|G| of dict rows, that absorbs the d3 images of the generator columns
-only, which span it (see h2_group).  The quotient is presented from the
-reduced Howell form of its relations (J. A. Howell, Linear Multilinear
-Algebra 19, 1986), which is unique for its lattice, so the H2
-coordinates depend on that lattice alone.  On top of that sit the
-branch-class reductions: the subgroup of torus classes with meridian in
-a chosen union of conjugacy classes C, the reduced multiplier M(G)_C,
-the branch-type lattice N, whose Hermite normal form is read from an
-IntegerLattice mod |G| too, and the homology of the C-branched
-classifying space reported as the (non-natural) direct sum M(G)_C + N.
-The module imports nothing outside the standard library but groups,
-intlinalg and records.
+For G = F/R with F free on X, Hopf's formula gives
+H2(G) = (R n [F,F]) / [F,R] (Hopf, Comment. Math. Helv. 14, 1942;
+Brown, Cohomology of Groups, GTM 87, ch. II).  X is the shortest prefix
+of the element indices 1, 2, ... that generates G, less the elements
+already generated, so it depends on G's table alone, on which the H2
+caches are keyed.  A breadth-first transversal t_g spans a tree of the
+Cayley graph, and R is free on the Schreier generators
+s = t_g x t_{gx}^{-1} off the tree, |S| = |G|(|X|-1)+1 of them
+(Reidemeister-Schreier: Magnus, Karrass and Solitar, Combinatorial Group
+Theory, 1966).  G acts on R_ab = Z^S by conjugation, and rho_y(w), the
+word w rewritten into Schreier generators from coset y, is the action
+of y, so R/[F,R] = Z^S / span{rho_y(s) - s : y in X, s in S}.  That is
+H2 + Z^|X|, as R/(R n [F,F]) embeds in F_ab with finite index.
+Presented mod |G|^2 by an intlinalg.IntegerLattice, a Howell echelon of
+dict rows, H2 is the slots of modulus below |G|^2, since |G| kills H2.
+The quotient is presented from the reduced Howell form of its relations
+(J. A. Howell, Linear Multilinear Algebra 19, 1986), which is unique for
+its lattice.
+
+A bar 2-cycle sum c [x|y] is classified by sum c f(x, y), with
+f(x, y) = rho_x(t_y) = t_x t_y t_{xy}^{-1}, the cocycle of the central
+extension F/[F,R] of G by R/[F,R] on the section t.  f sends im d3 to 0
+and a cycle into the torsion of R/[F,R].  The H2 slots read that torsion
+faithfully: the |G|-torsion of the other slots lies in |G|.R/[F,R],
+which meets the torsion only in 0.
+
+On top of that sit the branch-class reductions: the subgroup of torus
+classes with meridian in a chosen union of conjugacy classes C, the
+reduced multiplier M(G)_C, the branch-type lattice N, whose Hermite
+normal form is read from an IntegerLattice mod |G| too, and the
+homology of the C-branched classifying space reported as the
+(non-natural) direct sum M(G)_C + N.  The module imports nothing outside the standard library
+but groups, intlinalg and records.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .groups import DomainError, abelianization, centralizer, closure
-from .intlinalg import IntegerLattice, snf_with_inverse, subgroup_quotient
+from .intlinalg import IntegerLattice, PresentedAbelianGroup, subgroup_quotient
 from .records import Frozen, Record
 
 __all__ = [
-    "boundary_matrix",
     "h2_group",
     "H2Group",
     "torus_cycle",
@@ -48,63 +57,9 @@ __all__ = [
     "sch_unbranched",
 ]
 
-BAR_SIZE_CAP = 64  # group order cap for bar-complex computations
-
-_D3_SIGNS = (1, -1, 1, -1)  # of the four symbols _d3_columns gives
-
 
 class HomologyError(DomainError):
     pass
-
-
-def _pair_index(G, x, y):
-    m = G.order - 1
-    return (x - 1) * m + (y - 1)
-
-
-def boundary_matrix(G, k):
-    """Dense matrix of d_k on normalized bar bases, columns indexed
-    lexicographically by element indices."""
-    if G.order > BAR_SIZE_CAP:
-        raise HomologyError(f"group order {G.order} over bar-complex cap")
-    m = G.order - 1
-    if k == 2:
-        rows, cols = m, m * m
-        M = [[0] * cols for _ in range(rows)]
-        for x in range(1, G.order):
-            for y in range(1, G.order):
-                j = _pair_index(G, x, y)
-                M[y - 1][j] += 1
-                M[x - 1][j] += 1
-                xy = G.mul[x][y]
-                if xy:
-                    M[xy - 1][j] -= 1
-        return M
-    if k == 3:
-        M = [[0] * (m * m * m) for _ in range(m * m + 1)]
-        for j, col in enumerate(_d3_columns(G, range(1, G.order))):
-            for i, c in zip(col, _D3_SIGNS):
-                M[i][j] += c
-        return M[:-1]  # the row of symbols with an identity entry
-    raise HomologyError(f"unsupported boundary degree {k}")
-
-
-def _d3_columns(G, last):
-    """The columns d3[x|y|z] = [y|z] - [xy|z] + [x|yz] - [x|y], for x, y
-    != 1 and z in last, in lexicographic order of (x, y, z), each as the
-    2-basis indices of its four symbols, whose signs are _D3_SIGNS.  A
-    symbol with an identity entry has the index m^2, one past the basis.
-    Both the d2 . d3 check and the image lattice read these columns."""
-    N, m = G.order, G.order - 1
-    pair = [[m * m] * N] + [[m * m, *range((x - 1) * m, x * m)]
-                            for x in range(1, N)]
-    last = list(last)
-    for x in range(1, N):
-        px, mx = pair[x], G.mul[x]
-        for y in range(1, N):
-            py, pxy, my, xy = pair[y], pair[mx[y]], G.mul[y], px[y]
-            for z in last:
-                yield py[z], pxy[z], px[my[z]], xy
 
 
 def _is_cycle(G, chain):
@@ -120,105 +75,100 @@ def _is_cycle(G, chain):
 
 
 class H2Group(Record):
-    """presentation is over the kernel coordinates mod |G|.  _coords
-    holds the kernel coordinates W (rows r.. of the d2 Smith form's
-    V^{-1}, mod |G|) by columns: entry p lists the nonzero (k, W[k, p])
-    of 2-symbol p, and entry m^2, a symbol with an identity entry, is
-    ()."""
+    """presentation maps Z^S, S the Schreier generators of h2_group, onto
+    H2; f[x][y] holds the H2 coordinates of the cocycle f(x, y)."""
 
-    _fields = ("group", "presentation", "_coords")
+    _fields = ("group", "presentation", "f")
 
-    def __init__(self, group, presentation, _coords):
+    def __init__(self, group, presentation, f):
         self.group = group
         self.presentation = presentation
-        self._coords = _coords
+        self.f = f
 
     @property
     def invariant_factors(self):
         return self.presentation.invariant_factors
 
-    def kernel_coords(self, chain):
-        """Coordinates mod |G| of a 2-cycle in the kernel lattice of d2;
-        raises if the chain is not a cycle."""
-        G = self.group
-        if not _is_cycle(G, chain):
-            raise HomologyError("chain is not a d2-cycle")
-        out = [0] * self.presentation.ambient_dim
-        for (x, y), c in chain.items():
-            if x and y:
-                for k, w in self._coords[_pair_index(G, x, y)]:
-                    out[k] += c * w
-        return [t % G.order for t in out]
-
     def cycle_class(self, chain):
-        """H2 coordinates of a 2-cycle given as {(x, y): coeff}."""
-        return self.presentation.to_coords(self.kernel_coords(chain))
+        """H2 coordinates of a 2-cycle given as {(x, y): coeff}, sum
+        coeff f(x, y); raises if the chain is not a cycle."""
+        if not _is_cycle(self.group, chain):
+            raise HomologyError("chain is not a d2-cycle")
+        out = [0] * self.presentation.num_slots
+        for (x, y), c in chain.items():
+            for k, a in enumerate(self.f[x][y]):
+                out[k] += c * a
+        return self.presentation.reduce(out)
 
 
-def _d2_kernel(G):
-    """(W, K): the K kernel coordinates of d2 mod |G| by columns, as
-    H2Group._coords keeps them, once d2 . d3 = 0 is checked.
-
-    The check runs over all (|G|-1)^3 columns of d3.  Column p of d2 is
-    encoded as the integer sum_e d2[e, p] 32^e.  An entry of d2 . d3
-    sums four d2 entries, each in [-2, 2], so it lies in [-8, 8], and a
-    d3 column passes iff the codes of its four symbols, with their
-    signs, sum to 0.  The Smith form of d2, whose rows of V^{-1} before
-    the rank fill in, is dropped on return, before the absorption
-    peaks."""
-    N, m = G.order, G.order - 1
-    D2 = boundary_matrix(G, 2)
-    code = [0] * (m * m + 1)  # the last is a symbol with an identity entry
-    for e, row in enumerate(D2):
-        for p, c in enumerate(row):
-            if c:
-                code[p] += c << 5 * e
-    if any(code[a] - code[b] + code[c] - code[d]
-           for a, b, c, d in _d3_columns(G, range(1, N))):
-        raise HomologyError("d2 . d3 != 0 (bar complex bug)")
-    res = snf_with_inverse(D2, modulus=N)
-    W = [[] for _ in range(m * m + 1)]
-    for k, row in enumerate(res.Vinv[res.rank:]):
-        for p, x in row.items():
-            W[p].append((k, x))
-    return [tuple(col) for col in W], len(res.Vinv) - res.rank
+def _free_generators(G):
+    """X: the elements 1, 2, ... up to the first that completes G, less
+    those already in the closure of the ones before."""
+    X, have = [], {0}
+    for x in range(1, G.order):
+        if len(have) == G.order:
+            break
+        if x not in have:
+            X.append(x)
+            have = set(closure(G, X))
+    return X
 
 
 _H2_CACHE = {}
 
 
 def h2_group(G):
-    """H2(G) from the normalized bar complex, with a cycle classifier.
+    """H2(G) by Hopf's formula, with a cycle classifier.
 
-    Lemma: with S the generators of G other than the identity,
-    im d3 = span{d3[x|y|s] : x, y != 1, s in S}.  Proof: d3 . d4 = 0
-    applied to [x|y|z|w] gives
-    d3[x|y|zw] = d3[y|z|w] - d3[xy|z|w] + d3[x|yz|w] + d3[x|y|z].
-    Take w in S.  The first three terms are generator columns (or 0, a
-    symbol with an identity entry), and the last has a last entry of
-    shorter word length over S.  Induct on that length, ending at
-    [x|y|s] or at [x|y|1] = 0; in a finite group S generates G as a
-    monoid, so every z has a word over S.
-
-    So the (|G|-1)^2 |S| generator columns span the image lattice, and
-    only they are absorbed.  IntegerLattice.quotient presents the
-    quotient from the reduced Howell form of its relations, so the H2 coordinates
-    depend on the image lattice alone, whatever generators G was given.
-    The d2 . d3 check runs over all columns (see _d2_kernel)."""
+    The transversal is breadth-first from 1 over X in order: the tree
+    edge (g, i) is the first that reaches g x_i, and t_{g x_i} = t_g x_i.
+    rewrite(y, ...) reads every t_g from coset y at once, down the tree:
+    the step of edge (g, i) crosses s_{yg, x_i}, or nothing on a tree
+    edge.  With f_y(g) = rho_y(t_g), the relation of s = s_{g, x_i} is
+    rho_y(s) - s = f_y(g) + e(yg, x_i) - f_y(g x_i) - e(g, x_i), and
+    f(x, y) is f_x(y) read in H2 coordinates."""
     key = G.digest
     if key in _H2_CACHE:
         return _H2_CACHE[key]
-    if G.order > BAR_SIZE_CAP:
-        raise HomologyError(f"group order {G.order} over bar-complex cap")
-    W, K = _d2_kernel(G)
-    E = IntegerLattice(K, G.order)
-    for col in _d3_columns(G, sorted({s for s in G.generators if s})):
-        v = {}
-        for p, sign in zip(col, _D3_SIGNS):
-            for k, x in W[p]:
-                v[k] = v.get(k, 0) + sign * x
-        E.add(v)
-    out = H2Group(G, E.quotient(), W)
+    N, mul, X = G.order, G.mul, _free_generators(G)
+    tree, bfs = {0: None}, [0]
+    for g in bfs:
+        for i, x in enumerate(X):
+            if mul[g][x] not in tree:
+                tree[mul[g][x]] = (g, i)
+                bfs.append(mul[g][x])
+    gen = {}  # (g, i) -> index of s_{g, x_i}, for the edges off the tree
+    for g in range(N):
+        for i, x in enumerate(X):
+            if tree[mul[g][x]] != (g, i):
+                gen[g, i] = len(gen)
+
+    def rewrite(y, zero, step):
+        out = [zero] * N
+        for h in bfs[1:]:
+            g, i = tree[h]
+            s = gen.get((mul[y][g], i))
+            out[h] = out[g] if s is None else step(out[g], s)
+        return out
+
+    L = IntegerLattice(len(gen), N * N)
+    for y in X:
+        f_y = rewrite(y, {}, lambda v, s: {**v, s: 1})
+        for (g, i), s in gen.items():
+            v = Counter(f_y[g])
+            v.subtract(f_y[mul[g][X[i]]])
+            v[s] -= 1
+            t = gen.get((mul[y][g], i))
+            if t is not None:
+                v[t] += 1
+            L.add(v)
+    Q = L.quotient()
+    k = sum(d < N * N for d in Q.moduli)  # d_i | d_{i+1}: H2 comes first
+    P = PresentedAbelianGroup(len(gen), Q.moduli[:k], Q.transform[:k])
+    col = [tuple(row[s] for row in P.transform) for s in range(len(gen))]
+    f = [rewrite(x, P.zero(), lambda v, s: P.add(v, col[s]))
+         for x in range(N)]
+    out = H2Group(G, P, f)
     _H2_CACHE[key] = out
     return out
 

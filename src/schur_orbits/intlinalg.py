@@ -1,17 +1,18 @@
-"""Integer matrix algebra in Python ints: lattices mod N, the finite
-abelian groups they present, and the Smith form of d2.
+"""Integer matrix algebra in Python ints: lattices mod N and the finite
+abelian groups they present.
 
 IntegerLattice keeps a lattice in Z^n that contains N.Z^n as a Howell
 form mod N (J. A. Howell, Linear Multilinear Algebra 19, 1986), the
 modular Hermite form of Domich, Kannan and Trotter (Math. Oper. Res.
 12, 1987), so every entry stays below N.  A finite abelian group killed
-by N is determined mod N, and every one that `groups` and `homology`
-compute, G_ab, H2, M(G)_C and H1(BG_C), is killed by |G|: each is
-presented by `IntegerLattice.quotient`, which diagonalizes mod N too,
-through `cokernel` and `subgroup_quotient` or, for H2, directly.  The
-exact Smith form is left to the d2 of `homology` alone
-(`snf_with_inverse`), which needs its rank and V^{-1} mod N.  Nothing
-here imports anything outside the standard library but records.
+by N is determined mod N.  Every one that `groups` and `homology`
+compute is presented by `IntegerLattice.quotient`, which diagonalizes
+its relations by the Smith form mod N, `snf_with_inverse`, the only
+Smith form here: G_ab, M(G)_C and H1(BG_C) mod |G| through `cokernel`
+and `subgroup_quotient`, and R/[F,R] of Hopf's formula mod |G|^2
+directly, whose slots of modulus below |G|^2 are H2.  No elimination
+here is exact.  Nothing here imports anything outside the standard
+library but records.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd, prod
 
-from .records import Frozen, Record
+from .records import Frozen
 
 __all__ = [
     "snf_with_inverse",
@@ -39,156 +40,31 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-class _SNF(Record):
-    """Vinv is sparse {column: entry} rows reduced mod N."""
-
-    _fields = ("Vinv", "diag", "rank")
-
-    def __init__(self, Vinv, diag, rank):
-        self.Vinv, self.diag, self.rank = Vinv, diag, rank
-
-
 def snf_with_inverse(M, modulus):
-    """Diagonalize M by unimodular row/column operations, D = U*M*V,
-    with V^{-1} reduced mod N = modulus >= 1.
+    """(moduli, U) presenting Z^r / (columns of M + N.Z^r), M an r x c
+    integer matrix and N = modulus >= 1, by the Smith form over Z/N.
 
-    Returns an _SNF record with the diagonal of D, whose entries d_i
-    satisfy d_i | d_{i+1} and d_i >= 0, its rank, and V^{-1} mod N as
-    sparse rows, {column: entry} dicts without zero entries.  Pivots are
-    chosen as the nonzero entry of minimal absolute value (ties: lowest
-    row, then column), which keeps intermediate entry growth tame and
-    makes the output deterministic.  The entries of D are exact and can
-    still grow on dense matrices, so only the d2 of `homology` comes
-    here; every other group is presented mod N by IntegerLattice.
+    The name is kept because perfbench/trace_job.py patches it by name,
+    and IntegerLattice.quotient calls it through this module's globals,
+    so the patch times every call.
 
-    Neither U nor V is formed.  The rows of V^{-1} are updated by the
-    inverse column operations on those rows alone.  Reduction mod N
-    commutes with row operations and the pivots depend on M alone, so
-    these rows are the exact V^{-1} reduced mod N.  On a bar-complex d2
-    the rows from the rank on, its kernel coordinates, keep a single
-    entry each on every group measured; the rows before it fill in.
-    """
-    A = [[int(x) for x in row] for row in M]
-    r = len(A)
-    c = len(A[0]) if r else 0
-    if any(len(row) != c for row in A):
-        raise ValueError("ragged matrix")
+    M is reduced mod N first: that adds a vector of N.Z^r.  The pivot is
+    the least nonzero entry (ties: lowest row, then column), and row and
+    column t are cleared by division steps, all mod N, a remainder
+    becoming the smaller pivot.  Then N.e_t turns the pivot into
+    d_t = gcd(pivot, N), and a row with an entry that d_t does not
+    divide is added to row t, so d_t divides every later modulus; a row
+    left without a pivot has modulus N.  So with d_i the exact diagonal
+    of M, 0 past its rank, the moduli are the gcd(d_i, N) above 1.  U,
+    the row operations mod N, is invertible mod N, and
+    v -> (U v)_t mod d_t is the quotient map.  Slots of modulus 1 are
+    dropped, with their rows of U."""
     if modulus < 1:
         raise ValueError(f"modulus {modulus} is not positive")
-    Vinv = [{k: 1} if modulus > 1 else {} for k in range(c)]  # I mod N
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        Ai, Aj = A[i], A[j]
-        for k in range(c):
-            Ai[k] += q * Aj[k]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def col_adds(ops, i):  # col_j += q * col_i for each (j, q) in ops
-        for row in A:
-            x = row[i]
-            if x:
-                for j, q in ops:
-                    row[j] += q * x
-        # inverse ops, which commute: Vinv row_i -= q * Vinv row_j
-        Vi = Vinv[i]
-        for j, q in ops:
-            for k, x in Vinv[j].items():
-                y = (Vi.get(k, 0) - q * x) % modulus
-                if y:
-                    Vi[k] = y
-                else:
-                    Vi.pop(k, None)
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, r):
-            Ai = A[i]
-            for j in range(t, c):
-                a = Ai[j]
-                if a:
-                    a = -a if a < 0 else a
-                    if a == 1:
-                        return (i, j)
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-        return None if best is None else (best[1], best[2])
-
-    t = 0
-    lim = min(r, c)
-    while t < lim:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            row_swap(i, t)
-        if j != t:
-            col_swap(j, t)
-        while True:
-            if A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-            d = A[t][t]
-            dirty = False
-            # a remainder is in [1, d), so a new pivot is positive
-            for i in range(t + 1, r):
-                if A[i][t]:
-                    row_add(i, t, -(A[i][t] // d))
-                    if A[i][t]:  # remainder becomes the smaller pivot
-                        row_swap(i, t)
-                        dirty = True
-                        d = A[t][t]
-            # the operations clearing row t change only columns j > t and
-            # commute, so they are made together, before any swap moves
-            # column t
-            ops = []
-            for j in range(t + 1, c):
-                if A[t][j]:
-                    ops.append((j, -(A[t][j] // d)))
-                    if A[t][j] % d:
-                        col_adds(ops, t)
-                        ops = []
-                        col_swap(j, t)
-                        dirty = True
-                        d = A[t][t]
-            col_adds(ops, t)
-            if dirty:
-                continue
-            if d == 1:  # divides the remaining submatrix: nothing to scan
-                break
-            # pivot must divide the remaining submatrix
-            offender = next((i for i in range(t + 1, r)
-                             if any(x % d for x in A[i][t + 1:])), None)
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        t += 1
-    diag = [A[i][i] for i in range(lim)]
-    return _SNF(Vinv=Vinv, diag=diag, rank=sum(1 for d in diag if d))
-
-
-def _smith_mod(A, N):
-    """(moduli, U) presenting Z^r / (columns of A + N.Z^r), A an r x c
-    matrix with entries in [0, N), by the Smith form over Z/N.
-
-    The pivot is the least nonzero entry (ties: lowest row, then
-    column), and row and column t are cleared by the division steps of
-    snf_with_inverse, all mod N: reducing an entry mod N adds a vector
-    of N.Z^r.  Then N.e_t turns the pivot into d_t = gcd(pivot, N), and
-    a row with an entry that d_t does not divide is added to row t, so
-    d_t divides every later modulus; a row left without a pivot has
-    modulus N.  U, the row operations mod N, is invertible mod N, and
-    v -> (U v)_t mod d_t is the quotient map.  Slots of modulus 1 are
-    dropped."""
-    r, c = len(A), len(A[0]) if A else 0
-    # each row of A, then its row of U
-    B = [row + [int(i == j) for j in range(r)] for i, row in enumerate(A)]
+    N, r, c = modulus, len(M), len(M[0]) if M else 0
+    # each row of M mod N, then its row of U
+    B = [[x % N for x in row] + [int(i == j) for j in range(r)]
+         for i, row in enumerate(M)]
 
     def row_add(i, j, q):  # row_i += q * row_j
         B[i] = [(a + q * b) % N for a, b in zip(B[i], B[j])]
@@ -465,8 +341,8 @@ class IntegerLattice:
             R.add(v)
         R.reduce()
         rels = [row for row, p in zip(R.basis(), R.piv) if p < N]
-        moduli, U = _smith_mod([[rel[s] for rel in rels]
-                                for s in range(len(S))], N)
+        moduli, U = snf_with_inverse([[rel[s] for rel in rels]
+                                      for s in range(len(S))], N)
         transform = tuple(
             tuple(sum(row[s] % d * x for s, x in Pk.items()) % d
                   for Pk in P)

@@ -1,29 +1,29 @@
-"""H2 the direct, dense way, kept as an oracle for `homology.h2_group`.
+"""H2 the direct, dense way, through the normalized bar complex, kept as
+an oracle for `homology.h2_group`, which uses Hopf's formula instead.
 
-The kernel coordinates W are rows rank.. of the exact Smith form's
-V^{-1} of d2, in Python integers, reduced mod |G| afterwards and stored
-as a dense int64 matrix.  d3 is a dense (row index, coefficient) table
-over all (|G|-1)^3 columns, imaged a chunk of columns at a time as
-dense vectors over all K kernel coordinates, and absorbed in
-lexicographic order into a dense int64 Howell echelon.  `h2_group`
-keeps V^{-1} mod |G| as sparse rows throughout, images the generator
-columns only, in another order, and absorbs them as sparse dicts.  Both
-must give the same W and the same image lattice, and each presents the
-lattice by its reduced Howell form, which is unique for it, so the
-presentations must be equal too.  Nothing here comes from `homology`
-but the matrix of d2.  The exact Smith form, and the exact cokernel that
-presents the relations with the Smith form's U, are those of
-`tests/intlinalg_oracle.py`; `intlinalg.quotient` diagonalizes the same
-relations mod |G| instead, so the two presentations are the same map up
-to an automorphism of the invariant-factor group.  Only `_xgcd` and the
-value class PresentedAbelianGroup come from `intlinalg`.
+d2 and d3 are built here, on the normalized bar bases (symbols with an
+identity entry are dropped, so the k-basis has (|G|-1)^k symbols).  The
+kernel coordinates W are rows rank.. of the exact Smith form's V^{-1}
+of d2, in Python integers, reduced mod |G| afterwards, since |G| kills
+H2, and stored as a dense int64 matrix.  d3 is a dense (row index,
+coefficient) table over all (|G|-1)^3 columns, imaged a chunk of
+columns at a time as dense vectors over all K kernel coordinates, and
+absorbed in lexicographic order into a dense int64 Howell echelon mod
+|G|.  `h2_group` presents R/[F,R] mod |G|^2 over the Schreier
+generators and classifies a cycle by its Hopf cocycle, so the two
+presentations share no basis: they are compared as maps from bar
+2-cycles, which must agree up to an automorphism of H2.  Nothing here
+comes from `homology`.  The exact Smith form, and the exact cokernel
+that presents the relations with the Smith form's U, are those of
+`tests/intlinalg_oracle.py`.  Only `_xgcd` and the value class
+PresentedAbelianGroup come from `intlinalg`.  The bar complex costs
+(|G|-1)^3 columns, so the oracle stays on small groups.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from schur_orbits.homology import boundary_matrix
 from schur_orbits.intlinalg import PresentedAbelianGroup, _xgcd
 
 from intlinalg_oracle import cokernel, snf_with_inverse
@@ -49,6 +49,28 @@ def _d3_sparse(G):
     idx = np.stack([pair[y, z], pair[xy, z], pair[x, yz], pair[x, y]],
                    axis=1)
     return idx, coeff
+
+
+def boundary_matrix(G, k):
+    """Dense matrix of d_k, k = 2 or 3, on normalized bar bases, columns
+    indexed lexicographically by element indices."""
+    m = G.order - 1
+    if k == 2:
+        M = [[0] * (m * m) for _ in range(m)]
+        for x in range(1, G.order):
+            for y in range(1, G.order):
+                j = (x - 1) * m + y - 1
+                M[y - 1][j] += 1
+                M[x - 1][j] += 1
+                if G.mul[x][y]:
+                    M[G.mul[x][y] - 1][j] -= 1
+        return M
+    if k == 3:
+        idx, coeff = _d3_sparse(G)
+        M = np.zeros((m * m, m ** 3), dtype=np.int64)
+        np.add.at(M, (idx, np.arange(m ** 3)[:, None]), coeff)
+        return M.tolist()
+    raise ValueError(f"unsupported boundary degree {k}")
 
 
 def _absorb(H, piv, v, N):

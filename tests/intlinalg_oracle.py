@@ -1,14 +1,16 @@
 """The exact Smith form and the exact cokernel, kept as the oracle for
 `intlinalg`.
 
-`intlinalg.snf_with_inverse` tracks only V^{-1} reduced mod N, for the
-d2 of `homology`, and `intlinalg` presents every other group mod N.
-This engine always tracks U, V and the exact V^{-1}, in Python ints, so
-U*M*V = D and V*V^{-1} = I can be checked; `tests/h2_oracle.py` reads
-its kernel coordinates from the exact V^{-1} and presents its relations
-by `cokernel`, whose transform is the exact U.  Nothing here is computed
-by `intlinalg`: only its value class PresentedAbelianGroup holds the
-cokernels.
+`src/` has no exact elimination: `intlinalg.snf_with_inverse` is the
+Smith form mod N that presents every finite abelian group, H2 by
+Hopf's formula mod |G|^2 included.  This engine works over Z in Python
+ints and always tracks U, V and the exact V^{-1}, so U*M*V = D and
+V*V^{-1} = I can be checked, and its diagonal reduced mod N checks the
+moduli of the form mod N.  `tests/h2_oracle.py` reads the bar complex's
+kernel coordinates from the exact V^{-1} of d2 and presents its
+relations by `cokernel`, whose transform is the exact U.  Nothing here
+is computed by `intlinalg`: only its value class PresentedAbelianGroup
+holds the cokernels.
 """
 
 from schur_orbits.intlinalg import PresentedAbelianGroup
@@ -39,9 +41,8 @@ class _SNF(Record):
 def snf_with_inverse(M):
     """U, D, V and V^{-1} with U*M*V = D, D diagonal with d_i | d_{i+1}
     and d_i >= 0, as an _SNF record.  Pivots are the nonzero entry of
-    minimal absolute value (ties: lowest row, then column), as in
-    `intlinalg._snf_engine`, so the diagonal and V^{-1} are the ones it
-    gives."""
+    minimal absolute value (ties: lowest row, then column), which keeps
+    intermediate entry growth tame and makes the output deterministic."""
     A = [[int(x) for x in row] for row in M]
     r = len(A)
     c = len(A[0]) if r else 0

@@ -12,7 +12,6 @@ import pytest
 from schur_orbits.branched_schur import schur_diff, torsor_check
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples
 from schur_orbits.homology import (
-    boundary_matrix,
     h2_group,
     m_g_c,
     sch_unbranched,
@@ -34,6 +33,7 @@ from schur_orbits.stabilization import (
 )
 
 from conftest import GROUP_SPECS, get_group, transposition_class
+from h2_oracle import boundary_matrix
 from intlinalg_oracle import mat_mul
 from test_moves import _INVERSE_KIND, random_tuple
 

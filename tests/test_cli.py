@@ -145,16 +145,15 @@ def test_sch_and_dilate_and_stabilize(files, capsys):
 
 
 # sch coordinates of closed genus-2 tuples of (Z/2)^4, the one spec group
-# whose H2 relations have more than one non-unit pivot: the presented
-# basis is that of the reduced Howell form of the relations, and these
-# pin it
+# whose H2 has more than two automorphisms: the presented basis is that
+# of the reduced Howell form of the Hopf relations, and these pin it
 Z2_4_SCH = [
-    ([[1, 2], [3, 4]], [0, 0, 1, 1, 1, 0]),
-    ([[1, 2], [1, 4]], [1, 1, 0, 0, 0, 0]),
-    ([[1, 3], [2, 4]], [0, 1, 0, 1, 0, 0]),
-    ([[5, 6], [7, 9]], [0, 0, 1, 1, 1, 1]),
-    ([[1, 15], [2, 3]], [1, 0, 0, 0, 0, 1]),
-    ([[1, 2], [0, 0]], [0, 0, 1, 0, 0, 1]),
+    ([[1, 2], [3, 4]], [0, 0, 1, 1, 0, 0]),
+    ([[1, 2], [1, 4]], [1, 0, 0, 0, 0, 1]),
+    ([[1, 3], [2, 4]], [1, 1, 0, 0, 1, 0]),
+    ([[5, 6], [7, 9]], [0, 0, 0, 1, 1, 1]),
+    ([[1, 15], [2, 3]], [0, 1, 0, 0, 0, 1]),
+    ([[1, 2], [0, 0]], [0, 0, 0, 1, 0, 0]),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Bar-complex homology: H2, C-tori, M(G)_C, N, and unbranched classes."""
+"""Homology: H2 by Hopf's formula against the bar complex of the oracle,
+C-tori, M(G)_C, N, and unbranched classes."""
 
 import itertools
 import math
@@ -22,7 +23,6 @@ from schur_orbits.groups import (
 )
 from schur_orbits.homology import (
     HomologyError,
-    boundary_matrix,
     c_tori_subgroup,
     h1_bgc,
     h2_bgc,
@@ -35,9 +35,11 @@ from schur_orbits.homology import (
     unbranched_cycle,
 )
 from schur_orbits.intlinalg import IntegerLattice
+from schur_orbits.intlinalg import cokernel as cokernel_mod_n
 
 from conftest import GROUP_SPECS, get_group, transposition_class
 from h2_oracle import _absorb as dense_absorb
+from h2_oracle import boundary_matrix
 from intlinalg_oracle import cokernel, in_row_span, mat_mul, snf_with_inverse
 
 H2_EXPECTED = {
@@ -72,11 +74,54 @@ def test_h2_past_order_32():
                                       _cycle(7, [4, 5, 6])]})
     assert G.order == 36
     assert h2_group(G).invariant_factors == (6,)
-    # Z/5 x Z/13 has order 65, one over the bar-complex cap
+    # Z/5 x Z/13 is cyclic of order 65, so its multiplier is trivial
     G = build_group({"permutations": [_cycle(18, [0, 1, 2, 3, 4]),
                                       _cycle(18, list(range(5, 18)))]})
-    with pytest.raises(HomologyError, match="over bar-complex cap"):
-        h2_group(G)
+    assert G.order == 65
+    assert h2_group(G).invariant_factors == ()
+    # M(S_n) = Z/2 for n >= 4 (Schur, J. reine angew. Math. 139, 1911)
+    G = build_group({"permutations": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]})
+    assert G.order == 120
+    assert h2_group(G).invariant_factors == (2,)
+
+
+A5 = {"permutations": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]}
+
+
+def _spec(name):
+    return A5 if name == "a5" else GROUP_SPECS[name]
+
+
+def _product_spec(a, b):
+    """A x B acting on disjoint points."""
+    pa, pb = a["permutations"], b["permutations"]
+    na, nb = len(pa[0]), len(pb[0])
+    return {"permutations":
+            [p + list(range(na, na + nb)) for p in pa]
+            + [list(range(na)) + [x + na for x in p] for p in pb]}
+
+
+PRODUCTS = [(a, b) for a, b in itertools.combinations_with_replacement(
+    sorted(n for n in GROUP_SPECS if "permutations" in GROUP_SPECS[n]), 2)
+    if get_group(a).order * get_group(b).order <= 120]
+
+
+@pytest.mark.parametrize("a,b", PRODUCTS + [("a5", "z2")])
+def test_h2_of_a_product_is_schurs_formula(a, b):
+    # M(A x B) = M(A) + M(B) + (A_ab (x) B_ab) (Karpilovsky, The Schur
+    # Multiplier, 1987), with Z/m (x) Z/n = Z/gcd(m, n); the right-hand
+    # side is presented by cokernel from the factors' own h2_group and
+    # abelianization
+    A, B = (build_group(_spec(n)) for n in (a, b))
+    moduli = list(h2_group(A).invariant_factors)
+    moduli += h2_group(B).invariant_factors
+    moduli += [math.gcd(m, n) for m in abelianization(A)[0].moduli
+               for n in abelianization(B)[0].moduli]
+    want = cokernel_mod_n([{i: d} for i, d in enumerate(moduli)],
+                          len(moduli), A.order * B.order)
+    G = build_group(_product_spec(_spec(a), _spec(b)))
+    assert G.order == A.order * B.order <= 120
+    assert h2_group(G).invariant_factors == want.invariant_factors
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "k4"])

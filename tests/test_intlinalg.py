@@ -1,6 +1,5 @@
 """Integer linear algebra: the exact Smith form of the oracle, the
-Smith form with V^{-1} mod N, lattices mod N, and the cokernels they
-present."""
+Smith form mod N, lattices mod N, and the cokernels they present."""
 
 import json
 import math
@@ -100,10 +99,10 @@ def test_snf_with_inverse(seed):
     assert mat_mul(res.Vinv, res.V) == identity_matrix(cols)
 
 
-# one row clear of a 6 x 150 matrix adds up to 149 rows of V^{-1} into
-# one.  Entries are small, as d2's lie in [-1, 2]: with entries in
-# [-9, 9] the engine's exact coefficients can grow for tens of seconds on
-# a 6 x 39 matrix
+# The Smith form mod N against the exact diagonal d_i of the oracle, 0
+# past the rank: the moduli are the gcd(d_i, N) above 1.  Entries are
+# small: with entries in [-9, 9] the oracle's exact coefficients can grow
+# for tens of seconds on a 6 x 39 matrix
 @settings(max_examples=40, deadline=None, database=None)
 @given(rows=st.integers(1, 6), cols=st.integers(1, 150),
        modulus=st.integers(1, 256), seed=st.integers(0, 2 ** 32 - 1))
@@ -111,20 +110,32 @@ def test_snf_with_inverse(seed):
 @example(rows=2, cols=3, modulus=1, seed=0)
 @example(rows=2, cols=3, modulus=256, seed=0)
 @example(rows=4, cols=40, modulus=257, seed=0)
-def test_snf_vinv_mod_n_is_the_exact_vinv_reduced(rows, cols, modulus, seed):
+@example(rows=5, cols=1, modulus=12, seed=0)
+def test_snf_mod_n_moduli_are_the_exact_diagonal_mod_n(rows, cols, modulus,
+                                                       seed):
     rng = random.Random(seed)
     M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-    got = intlinalg.snf_with_inverse(M, modulus=modulus)
-    want = snf_with_inverse(M)
-    # sparse rows: the nonzero entries mod N, none stored as 0
-    assert all(0 < x < modulus for row in got.Vinv for x in row.values())
-    assert [[row.get(k, 0) for k in range(cols)] for row in got.Vinv] == [
-        [x % modulus for x in row] for row in want.Vinv]
-    assert (got.diag, got.rank) == (want.diag, want.rank)
+    moduli, U = intlinalg.snf_with_inverse(M, modulus)
+    diag = snf_with_inverse(M).diag
+    diag += [0] * (rows - len(diag))
+    assert moduli == tuple(g for g in (math.gcd(d, modulus) for d in diag)
+                           if g > 1)
+    # every column maps to 0, and the columns of U generate the slots:
+    # the image, each slot of modulus d scaled by N/d into Z/N, has order
+    # prod(moduli)
+    assert len(U) == len(moduli)
+    for j in range(cols):
+        assert all(sum(u * row[j] for u, row in zip(Ut, M)) % d == 0
+                   for d, Ut in zip(moduli, U))
+    image = IntegerLattice(len(moduli), modulus)
+    for i in range(rows):
+        image.add({t: Ut[i] % d * (modulus // d)
+                   for t, (d, Ut) in enumerate(zip(moduli, U))})
+    assert modulus ** len(moduli) == math.prod(image.piv) * math.prod(moduli)
 
 
 @pytest.mark.parametrize("modulus", [0, -4])
-def test_snf_vinv_modulus_outside_uint8_is_rejected(modulus):
+def test_snf_modulus_below_one_is_rejected(modulus):
     with pytest.raises(ValueError, match="not positive"):
         intlinalg.snf_with_inverse([[1, 2], [3, 4]], modulus=modulus)
 

@@ -22,9 +22,10 @@ neither numpy nor covers nor the orbit and homology modules, and orbits
 loads neither homology nor stabilization.  covers comes in with the
 first tuple or branch argument.  numpy comes in only with the orbit
 engine (moves and fastorbits): h2, mgc, h2bgc and sch run homology in
-Python ints and never load it.  traceback is imported only for an
-internal error.  No command loads OpenSSL: the digests use
-groups.sha256, CPython's built-in SHA-256.
+Python ints and never load it.  sch is homology.lifting_invariant with C
+empty, so it loads neither branched_schur nor stabilization.  traceback
+is imported only for an internal error.  No command loads OpenSSL: the
+digests use groups.sha256, CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
@@ -352,14 +353,14 @@ def _params_sch(G, args):
 
 
 def _cmd_sch(G, args):
-    from .homology import h2_group, sch_unbranched
+    from .homology import h2_group, lifting_invariant
 
     t = _load_tuple(G, args.tuple)
     if t.n != 0:
         raise CliError("sch is defined for closed (unbranched) tuples")
     return {
         "H2": list(h2_group(G).presentation.invariant_factors),
-        "coords": list(sch_unbranched(G, t.handles)),
+        "coords": list(lifting_invariant(t, ())),
     }
 
 

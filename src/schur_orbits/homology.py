@@ -31,8 +31,13 @@ classes with meridian in a chosen union of conjugacy classes C, the
 reduced multiplier M(G)_C, the branch-type lattice N, whose Hermite
 normal form is read from an IntegerLattice mod |G| too, and the
 homology of the C-branched classifying space reported as the
-(non-natural) direct sum M(G)_C + N.  The module imports nothing outside the standard library
-but groups, intlinalg and records.
+(non-natural) direct sum M(G)_C + N.  The lifting invariant Lambda
+multiplies lifts in the extension of M(G)_C by G that f defines
+(_Extension); it is the one route from a tuple to its class.  With C
+empty, M(G)_C = H2 under the identity, and Lambda is the Schur class of
+a closed tuple.  cycle_class serves the tests' bar-complex oracle.  The
+module imports nothing outside the standard library but groups,
+intlinalg and records.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .records import Frozen, Record
 __all__ = [
     "h2_group",
     "H2Group",
-    "torus_cycle",
     "c_tori_subgroup",
     "m_g_c",
     "n_lattice",
@@ -54,12 +58,18 @@ __all__ = [
     "h1_bgc",
     "pi1_bgc_order",
     "BgcH2",
-    "sch_unbranched",
+    "lifting_invariant",
+    "DoublingError",
 ]
 
 
 class HomologyError(DomainError):
     pass
+
+
+class DoublingError(DomainError):
+    """Tuples that have no difference class: different levels, a
+    non-surjective tuple, or a branch class outside C."""
 
 
 def _is_cycle(G, chain):
@@ -173,27 +183,19 @@ def h2_group(G):
     return out
 
 
-def torus_cycle(G, a, b):
-    """The 2-cycle [a|b] - [b|a] of a commuting pair."""
-    if G.mul[a][b] != G.mul[b][a]:
-        raise HomologyError("torus cycle needs a commuting pair")
-    chain = {}
-    chain[(a, b)] = chain.get((a, b), 0) + 1
-    chain[(b, a)] = chain.get((b, a), 0) - 1
-    return {k: v for k, v in chain.items() if v and 0 not in k}
-
-
 def c_tori_subgroup(G, class_ids):
-    """H2 coordinates of all torus classes [c|t] - [t|c] with c running
-    over representatives of the classes in C and t over the centralizer
-    of c.  One representative per class suffices since conjugation acts
-    trivially on H2."""
+    """H2 coordinates of all torus classes of (c, t), c running over
+    representatives of the classes in C and t over the centralizer of c:
+    the commutator of the lifts (0, c) and (0, t) in the extension of f,
+    f(c, t) - f(t, c).  One representative per class suffices since
+    conjugation acts trivially on H2."""
     H2 = h2_group(G)
+    P, f = H2.presentation, H2.f
     out = []
     for cid in sorted(set(class_ids)):
         c = G.class_reps[cid]
         for t in centralizer(G, c):
-            out.append(H2.cycle_class(torus_cycle(G, c, t)))
+            out.append(P.sub(f[c][t], f[t][c]))
     return out
 
 
@@ -259,40 +261,81 @@ def pi1_bgc_order(G, class_ids):
     return G.order // len(closure(G, elems))
 
 
-def unbranched_cycle(G, handles):
-    """The polygon 2-chain of a closed tuple with commutator word 1.
+class _Extension:
+    """The central extension E = M(G)_C x G, (a, x)(b, y) =
+    (a + b + f(x, y), xy), f projected to M(G)_C.  A representative r of
+    a class of C lifts to (0, r), its conjugates to the conjugates of that
+    lift: two conjugators differ by z centralizing r, and the lifts by the
+    torus class of (r, z), 0 in M(G)_C.  Then
 
-    For the relator word g_1 ... g_{4g} = a_1 b_1 a_1' b_1' ... (primes
-    are inverses) the chain is sum_k [p_k | g_{k+1}] over partial
-    products p_k, minus sum_i ([a_i|a_i'] + [b_i|b_i']).
-    """
-    word = []
-    for a, b in handles:
-        word.extend([a, b, G.inv[a], G.inv[b]])
-    p = 0
-    for w in word:
-        p = G.mul[p][w]
-    if p != 0:
-        raise HomologyError("commutator word is not the identity")
-    chain = {}
+        Lambda(t) = [a~_1, b~_1] ... [a~_g, b~_g] l(c_1)^{o_1} ... l(c_n)^{o_n}
 
-    def bump(x, y, c):
-        if x and y and c:
-            chain[(x, y)] = chain.get((x, y), 0) + c
+    with c_j the branch element of puncture j lies in M(G)_C, and it is
+    constant on move orbits (Serre, C. R. Acad. Sci. Paris 311, 1990;
+    Fried and Voelklein, Math. Ann. 290, 1991)."""
 
-    p = word[0] if word else 0
-    for k in range(1, len(word)):
-        bump(p, word[k], 1)
-        p = G.mul[p][word[k]]
-    for a, b in handles:
-        bump(a, G.inv[a], -1)
-        bump(b, G.inv[b], -1)
-    return {k: v for k, v in chain.items() if v}
+    def __init__(self, G, class_ids):
+        M, proj = m_g_c(G, class_ids)
+        self.group, self.M, self.classes = G, M, sorted(set(class_ids))
+        self._f = [[proj(v) for v in row] for row in h2_group(G).f]
+        self._zero = M.zero()
+        self._lift = {}
+        for cid in self.classes:
+            r = (self._zero, G.class_reps[cid])
+            for x in range(G.order):
+                xt = (self._zero, x)
+                a, y = self.mul(self.mul(xt, r), self.inv(xt))
+                if self._lift.setdefault(y, a) != a:
+                    raise RuntimeError(
+                        f"lift of element {y} depends on the conjugator (bug)")
+
+    def mul(self, p, q):
+        (a, x), (b, y) = p, q
+        f = self._f[x][y]
+        return (tuple((u + v + w) % d for u, v, w, d
+                      in zip(a, b, f, self.M.moduli)),
+                self.group.mul[x][y])
+
+    def inv(self, p):
+        a, x = p
+        f = self._f[x][self.group.inv[x]]
+        return (tuple(-(u + w) % d for u, w, d in zip(a, f, self.M.moduli)),
+                self.group.inv[x])
+
+    def invariant(self, t):
+        """Lambda(t) as coordinates in M(G)_C."""
+        G = self.group
+        acc = (self._zero, 0)
+        for a, b in t.handles:
+            A, B = (self._zero, a), (self._zero, b)
+            acc = self.mul(acc, self.mul(self.mul(A, B),
+                                         self.mul(self.inv(A), self.inv(B))))
+        for j, (w, o) in enumerate(t.punctures):
+            c = w if o == 1 else G.inv[w]
+            if c not in self._lift:
+                raise DoublingError(
+                    f"branch class {G.class_of[c]} of puncture {j} is not "
+                    f"in C = {self.classes}")
+            lc = (self._lift[c], c)
+            acc = self.mul(acc, lc if o == 1 else self.inv(lc))
+        a, x = acc
+        if x != 0:
+            raise DoublingError("tuple violates the surface relation")
+        return a
 
 
-def sch_unbranched(G, handles):
-    """H2 class of a closed unbranched tuple (list of handle pairs with
-    total commutator word the identity)."""
-    H2 = h2_group(G)
-    return H2.cycle_class(unbranched_cycle(G, handles))
+_EXTENSION_CACHE = {}
 
+
+def _extension(G, class_ids):
+    key = (G.digest, tuple(sorted(set(class_ids))))
+    if key not in _EXTENSION_CACHE:
+        _EXTENSION_CACHE[key] = _Extension(G, class_ids)
+    return _EXTENSION_CACHE[key]
+
+
+def lifting_invariant(t, class_ids):
+    """Lambda(t) in M(G)_C, C the union of the classes class_ids; raises
+    DoublingError when a puncture's branch class lies outside C.  With C
+    empty it is the Schur class of a closed tuple in H2 coordinates."""
+    return _extension(t.group, class_ids).invariant(t)

@@ -1,6 +1,6 @@
 import pytest
 
-from schur_orbits.covers import BranchData, enumerate_tuples
+from schur_orbits.covers import BranchData, BranchedTuple, enumerate_tuples
 from schur_orbits.groups import build_group
 
 
@@ -84,6 +84,11 @@ def get_group(name):
     if name not in _CACHE:
         _CACHE[name] = build_group(GROUP_SPECS[name])
     return _CACHE[name]
+
+
+def closed_tuple(G, handles):
+    """The closed tuple of a list of handle pairs."""
+    return BranchedTuple(G, len(handles), tuple(handles), ())
 
 
 _LEVELS = {}

@@ -4,13 +4,17 @@ independent oracle for the lifting invariant.
 The oracle normalizes the second tuple's puncture letters to the first
 tuple's by a move search, glues the two covers along their branch disks
 into a closed unbranched double, and reads the double's Schur class
-modulo C-tori.  Different gluing choices for the connecting tubes differ
-by C-tori, so the class is well defined exactly in M(G)_C.
+modulo C-tori from its polygon 2-chain (`h2_oracle.unbranched_cycle`,
+classified by `H2Group.cycle_class`), not from lifts.  Different gluing
+choices for the connecting tubes differ by C-tori, so the class is well
+defined exactly in M(G)_C.
 """
 
 from schur_orbits.branched_schur import DoublingError, normalize_letters
 from schur_orbits.covers import BranchedTuple
-from schur_orbits.homology import h2_group, m_g_c, unbranched_cycle
+from schur_orbits.homology import h2_group, m_g_c
+
+from h2_oracle import unbranched_cycle
 
 
 def _mirror_handles(handles):

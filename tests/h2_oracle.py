@@ -1,23 +1,30 @@
 """H2 the direct, dense way, through the normalized bar complex, kept as
-an oracle for `homology.h2_group`, which uses Hopf's formula instead.
+an oracle for `homology`, which uses Hopf's formula instead and reaches
+every class through the lifting invariant Lambda.
 
 d2 and d3 are built here, on the normalized bar bases (symbols with an
 identity entry are dropped, so the k-basis has (|G|-1)^k symbols).  The
 kernel coordinates W are rows rank.. of the exact Smith form's V^{-1}
 of d2, in Python integers, reduced mod |G| afterwards, since |G| kills
-H2, and stored as a dense int64 matrix.  d3 is a dense (row index,
-coefficient) table over all (|G|-1)^3 columns, imaged a chunk of
-columns at a time as dense vectors over all K kernel coordinates, and
-absorbed in lexicographic order into a dense int64 Howell echelon mod
-|G|.  `h2_group` presents R/[F,R] mod |G|^2 over the Schreier
-generators and classifies a cycle by its Hopf cocycle, so the two
-presentations share no basis: they are compared as maps from bar
-2-cycles, which must agree up to an automorphism of H2.  Nothing here
-comes from `homology`.  The exact Smith form, and the exact cokernel
-that presents the relations with the Smith form's U, are those of
-`tests/intlinalg_oracle.py`.  Only `_xgcd` and the value class
-PresentedAbelianGroup come from `intlinalg`.  The bar complex costs
-(|G|-1)^3 columns, so the oracle stays on small groups.
+H2, and stored as a dense int64 matrix.  Only the generator columns
+d3[x|y|s] of d3, s a generator of G, are imaged, a chunk of columns at
+a time as dense vectors over all K kernel coordinates, and absorbed in
+lexicographic order into a dense int64 Howell echelon mod |G|.  They
+span im d3: d3 . d4 = 0 on [x|y|z|w] gives
+d3[x|y|zw] = d3[y|z|w] - d3[xy|z|w] + d3[x|yz|w] + d3[x|y|z], so with w
+a generator every column is a sum of generator columns and one whose
+last entry is a shorter word in the generators; induct on that length
+down to [x|y|s] or [x|y|1] = 0.  `h2_group` presents R/[F,R] mod |G|^2
+over the Schreier generators, so the two presentations share no basis:
+they are compared as maps from bar 2-cycles (`torus_cycle`,
+`unbranched_cycle`, both built here), which must agree up to an
+automorphism of H2.  Nothing here comes from `homology`.  The exact
+Smith form, and the exact cokernel that presents the relations with the
+Smith form's U, are those of `tests/intlinalg_oracle.py`.  Only `_xgcd`
+and the value class PresentedAbelianGroup come from `intlinalg`.  The
+exact Smith form of d2 costs (|G|-1)^2 columns, so the oracle stays on
+small groups in the tests: A5 takes 38 s and 552 MiB on a 2-CPU Xeon VM,
+28 s of it in that Smith form.
 """
 
 from dataclasses import dataclass
@@ -31,19 +38,21 @@ from intlinalg_oracle import cokernel, snf_with_inverse
 CHUNK = 256  # d3 columns imaged at a time
 
 
-def _d3_sparse(G):
-    """d3 as (row index, coefficient) arrays of shape (m^3, 4), one row
-    per column [x|y|z] in lexicographic order:
-    d[x|y|z] = [y|z] - [xy|z] + [x|yz] - [x|y], symbols with an identity
-    entry carrying coefficient 0 and index 0.  Repeated indices add up."""
+def _d3_sparse(G, last=None):
+    """d3 as (row index, coefficient) arrays of shape (m^2 |last|, 4), one
+    row per column [x|y|z], z in last (default: every z != 1), in
+    lexicographic order: d[x|y|z] = [y|z] - [xy|z] + [x|yz] - [x|y],
+    symbols with an identity entry carrying coefficient 0 and index 0.
+    Repeated indices add up."""
     m = G.order - 1
     mul = np.array(G.mul, dtype=np.int64)
     pair = np.zeros((G.order, G.order), dtype=np.int64)  # index of [x|y]
     pair[1:, 1:] = np.arange(m * m).reshape(m, m)
     e = np.arange(1, G.order)
-    x, y, z = (a.ravel() for a in np.meshgrid(e, e, e, indexing="ij"))
+    last = e if last is None else np.array(last, dtype=np.int64)
+    x, y, z = (a.ravel() for a in np.meshgrid(e, e, last, indexing="ij"))
     xy, yz = mul[x, y], mul[y, z]
-    ones = np.ones(m ** 3, dtype=np.int64)
+    ones = np.ones(len(x), dtype=np.int64)
     coeff = np.stack([ones, -(xy != 0).astype(np.int64),
                       (yz != 0).astype(np.int64), -ones], axis=1)
     idx = np.stack([pair[y, z], pair[xy, z], pair[x, yz], pair[x, y]],
@@ -152,10 +161,63 @@ def h2_oracle(G):
                  dtype=np.int64).reshape(-1, m * m)
     K = len(W)
     H, piv = np.zeros((K, K), dtype=np.int64), [N] * K
-    idx, coeff = _d3_sparse(G)
+    idx, coeff = _d3_sparse(G, sorted({s for s in G.generators if s}))
     for s in range(0, len(idx), CHUNK):
         ci, cc = idx[s:s + CHUNK], coeff[s:s + CHUNK]
         images = sum(W[:, ci[:, k]] * cc[:, k] for k in range(4)) % N
         for v in images.T[images.any(axis=0)]:
             _absorb(H, piv, v, N)
     return DenseH2(G, _echelon_cokernel(H, piv, N), W)
+
+
+def torus_cycle(G, a, b):
+    """The 2-cycle [a|b] - [b|a] of a commuting pair."""
+    if G.mul[a][b] != G.mul[b][a]:
+        raise ValueError("torus cycle needs a commuting pair")
+    chain = {(a, b): 1, (b, a): -1} if a != b else {}
+    return {k: v for k, v in chain.items() if 0 not in k}
+
+
+def unbranched_cycle(G, handles):
+    """The polygon 2-chain of a closed tuple with commutator word 1.
+
+    For the relator word g_1 ... g_{4g} = a_1 b_1 a_1' b_1' ... (primes
+    are inverses) the chain is sum_k [p_k | g_{k+1}] over partial
+    products p_k, minus sum_i ([a_i|a_i'] + [b_i|b_i']).
+    """
+    word = []
+    for a, b in handles:
+        word.extend([a, b, G.inv[a], G.inv[b]])
+    p = 0
+    for w in word:
+        p = G.mul[p][w]
+    if p != 0:
+        raise ValueError("commutator word is not the identity")
+    chain = {}
+
+    def bump(x, y, c):
+        if x and y and c:
+            chain[(x, y)] = chain.get((x, y), 0) + c
+
+    p = word[0] if word else 0
+    for k in range(1, len(word)):
+        bump(p, word[k], 1)
+        p = G.mul[p][word[k]]
+    for a, b in handles:
+        bump(a, G.inv[a], -1)
+        bump(b, G.inv[b], -1)
+    return {k: v for k, v in chain.items() if v}
+
+
+def class_graph(P, Q, pairs):
+    """The subgroup of P x Q that the pairs of coordinates generate, with
+    its two projections.  It is the graph of an isomorphism P -> Q when
+    all three have |P| = |Q| elements."""
+    gens, seen = set(pairs), {(P.zero(), Q.zero())}
+    frontier = list(seen)
+    while frontier:
+        frontier = [x for x in {(P.add(a, c), Q.add(b, d))
+                                for a, b in frontier for c, d in gens}
+                    if x not in seen]
+        seen.update(frontier)
+    return seen, {a for a, _ in seen}, {b for _, b in seen}

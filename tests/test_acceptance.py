@@ -11,12 +11,7 @@ import pytest
 
 from schur_orbits.branched_schur import schur_diff, torsor_check
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples
-from schur_orbits.homology import (
-    h2_group,
-    m_g_c,
-    sch_unbranched,
-    torus_cycle,
-)
+from schur_orbits.homology import h2_group, lifting_invariant, m_g_c
 from schur_orbits.moves import (
     Move,
     apply_move,
@@ -32,8 +27,8 @@ from schur_orbits.stabilization import (
     u_threshold,
 )
 
-from conftest import GROUP_SPECS, get_group, transposition_class
-from h2_oracle import boundary_matrix
+from conftest import GROUP_SPECS, closed_tuple, get_group, transposition_class
+from h2_oracle import boundary_matrix, torus_cycle
 from intlinalg_oracle import mat_mul
 from test_moves import _INVERSE_KIND, random_tuple
 
@@ -154,9 +149,9 @@ def test_criterion_6_sch_well_definedness():
         count = 0
         while count < 1000:
             t = rng.choice(level)
-            base = sch_unbranched(G, t.handles)
+            base = lifting_invariant(t, ())
             for m in cat:
-                assert sch_unbranched(G, apply_move(m, t).handles) == base
+                assert lifting_invariant(apply_move(m, t), ()) == base
                 count += 1
     # connect-sum additivity on 10^2 random pairs
     for name in ("s3", "k4"):
@@ -167,9 +162,10 @@ def test_criterion_6_sch_well_definedness():
                                   surjective=False)
         for _ in range(100):
             s, t = rng.choice(closed), rng.choice(closed)
-            assert sch_unbranched(G, s.handles + t.handles) == \
-                H2.presentation.add(sch_unbranched(G, s.handles),
-                                    sch_unbranched(G, t.handles))
+            st = closed_tuple(G, s.handles + t.handles)
+            assert lifting_invariant(st, ()) == \
+                H2.presentation.add(lifting_invariant(s, ()),
+                                    lifting_invariant(t, ()))
     # genus-1 commuting pairs equal the torus class, exhaustively
     for name in ("z2", "z3", "z4", "z5", "z6", "s3", "k4", "q8", "d4", "a4"):
         G = get_group(name)
@@ -178,7 +174,7 @@ def test_criterion_6_sch_well_definedness():
             for b in range(G.order):
                 if G.mul[a][b] != G.mul[b][a]:
                     continue
-                got = sch_unbranched(G, ((a, b),))
+                got = lifting_invariant(closed_tuple(G, ((a, b),)), ())
                 if a and b:
                     assert got == H2.cycle_class(torus_cycle(G, a, b))
                 else:

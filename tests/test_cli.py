@@ -389,13 +389,14 @@ def test_internal_error_prints_a_traceback_in_a_fresh_process(files):
 
 @pytest.mark.parametrize("command", ["h2", "h2bgc", "mgc", "sch"])
 def test_homology_commands_load_no_numpy(files, command):
-    # the H2 build is sparse and in Python ints, and none of these
-    # commands runs the orbit engine
+    # the H2 build is sparse and in Python ints, none of these commands
+    # runs the orbit engine, and sch is homology's Lambda with C empty
     argv = [files.get(a, a) for a in _FOOTPRINT_ARGV[command]]
     loaded = _imported_modules([command, *argv, "--no-cache"])
     assert "schur_orbits.homology" in loaded
     assert not loaded & {"numpy", "schur_orbits.fastorbits",
-                         "schur_orbits.moves"}
+                         "schur_orbits.moves", "schur_orbits.branched_schur",
+                         "schur_orbits.stabilization"}
 
 
 @pytest.mark.parametrize("level", [["--genus", "0", "--branch",

@@ -8,10 +8,10 @@ import pytest
 
 from schur_orbits import homology
 from schur_orbits.groups import FiniteGroup, _closure_and_bfs_order, build_group
-from schur_orbits.homology import h2_group, torus_cycle, unbranched_cycle
+from schur_orbits.homology import h2_group
 
 from conftest import GROUP_SPECS
-from h2_oracle import h2_oracle
+from h2_oracle import class_graph, h2_oracle, torus_cycle, unbranched_cycle
 
 
 def _relabelled(name, seed, redundant=False):
@@ -77,16 +77,9 @@ def _chains(G, name, form):
 def _graph(got, want, chains):
     """The subgroup of got x want that the pairs (got class, want class)
     of the chains generate, with its two projections."""
-    gens = {(got.cycle_class(c), want.cycle_class(c)) for c in chains}
-    P, Q = got.presentation, want.presentation
-    seen = {(P.zero(), Q.zero())}
-    frontier = list(seen)
-    while frontier:
-        frontier = [x for x in {(P.add(a, c), Q.add(b, d))
-                                for a, b in frontier for c, d in gens}
-                    if x not in seen]
-        seen.update(frontier)
-    return seen, {a for a, _ in seen}, {b for _, b in seen}
+    return class_graph(got.presentation, want.presentation,
+                       [(got.cycle_class(c), want.cycle_class(c))
+                        for c in chains])
 
 
 @pytest.mark.parametrize("name,form", CASES)

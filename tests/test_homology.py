@@ -19,6 +19,7 @@ from schur_orbits.covers import (
 from schur_orbits.groups import (
     abelianization,
     build_group,
+    centralizer,
     quotient_by_normal_closure,
 )
 from schur_orbits.homology import (
@@ -27,19 +28,17 @@ from schur_orbits.homology import (
     h1_bgc,
     h2_bgc,
     h2_group,
+    lifting_invariant,
     m_g_c,
     n_lattice,
     pi1_bgc_order,
-    sch_unbranched,
-    torus_cycle,
-    unbranched_cycle,
 )
 from schur_orbits.intlinalg import IntegerLattice
 from schur_orbits.intlinalg import cokernel as cokernel_mod_n
 
-from conftest import GROUP_SPECS, get_group, transposition_class
+from conftest import GROUP_SPECS, closed_tuple, get_group, transposition_class
 from h2_oracle import _absorb as dense_absorb
-from h2_oracle import boundary_matrix
+from h2_oracle import boundary_matrix, torus_cycle, unbranched_cycle
 from intlinalg_oracle import cokernel, in_row_span, mat_mul, snf_with_inverse
 
 H2_EXPECTED = {
@@ -86,10 +85,13 @@ def test_h2_past_order_32():
 
 
 A5 = {"permutations": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]}
+Z4_3 = {"permutations": [[1, 2, 3, 0, 4, 5, 6, 7, 8, 9, 10, 11],
+                         [0, 1, 2, 3, 5, 6, 7, 4, 8, 9, 10, 11],
+                         [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 8]]}
 
 
 def _spec(name):
-    return A5 if name == "a5" else GROUP_SPECS[name]
+    return {"a5": A5, "z4^3": Z4_3}.get(name) or GROUP_SPECS[name]
 
 
 def _product_spec(a, b):
@@ -237,7 +239,7 @@ def test_torus_cycles_are_cycles(name):
     with_pair = [(a, b) for a in range(G.order) for b in range(G.order)
                  if G.mul[a][b] != G.mul[b][a]]
     if with_pair:
-        with pytest.raises(HomologyError):
+        with pytest.raises(ValueError):
             torus_cycle(G, *with_pair[0])
 
 
@@ -417,7 +419,7 @@ def test_sch_genus1_matches_torus_class(name):
             if G.mul[a][b] != G.mul[b][a]:
                 continue
             want = H2.cycle_class(torus_cycle(G, a, b)) if (a and b) else None
-            got = sch_unbranched(G, ((a, b),))
+            got = lifting_invariant(closed_tuple(G, ((a, b),)), ())
             if a and b:
                 assert got == want
             else:
@@ -431,9 +433,9 @@ def test_sch_connect_sum_additive(name):
     closed = enumerate_tuples(G, 1, BranchData.from_dict({}), surjective=False)
     pairs = [(s, t) for s in closed[:10] for t in closed[:10]]
     for s, t in pairs[:100]:
-        lhs = sch_unbranched(G, s.handles + t.handles)
-        rhs = H2.presentation.add(sch_unbranched(G, s.handles),
-                                  sch_unbranched(G, t.handles))
+        lhs = lifting_invariant(closed_tuple(G, s.handles + t.handles), ())
+        rhs = H2.presentation.add(lifting_invariant(s, ()),
+                                  lifting_invariant(t, ()))
         assert lhs == rhs
 
 
@@ -444,3 +446,42 @@ def test_unbranched_cycle_is_cycle(s3, k4):
                                   surjective=False)
         for t in closed[:50]:
             H2.cycle_class(unbranched_cycle(G, t.handles))
+
+
+def _closed_tuples(G, genus, rng, count):
+    """count closed tuples of the genus: random letters, the last one
+    drawn among those that close the commutator word, if any do."""
+    out = []
+    while len(out) < count:
+        handles = [(rng.randrange(G.order), rng.randrange(G.order))
+                   for _ in range(genus)]
+        p = 0
+        for a, b in handles[:-1]:
+            p = G.mul[p][G.commutator(a, b)]
+        a = handles[-1][0]
+        last = [b for b in range(G.order)
+                if G.mul[p][G.commutator(a, b)] == 0]
+        if last:
+            out.append(closed_tuple(G, handles[:-1] + [(a, rng.choice(last))]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS) + ["a5", "z4^3"])
+def test_lambda_and_lifted_tori_are_the_bar_classes(name):
+    # sch is Lambda with C empty and a C-torus is a commutator of lifts;
+    # both give the class cycle_class reads off the bar chain, and
+    # M(G)_empty is H2 under the identity
+    G = build_group(_spec(name))
+    H2 = h2_group(G)
+    P = H2.presentation
+    M, proj = m_g_c(G, ())
+    assert M.moduli == P.moduli
+    assert all(proj(x) == x for x in P.elements())
+    rng = random.Random(f"lambda:{name}")
+    for genus in (1, 2, 3):
+        for t in _closed_tuples(G, genus, rng, 100):
+            assert lifting_invariant(t, ()) == \
+                H2.cycle_class(unbranched_cycle(G, t.handles))
+    for cid, c in enumerate(G.class_reps):
+        assert c_tori_subgroup(G, (cid,)) == [
+            H2.cycle_class(torus_cycle(G, c, t)) for t in centralizer(G, c)]

@@ -2,11 +2,11 @@
 invariant.
 
 The lifting invariant Lambda(t) in M(G)_C is homology.lifting_invariant:
-lifts multiplied in the central extension of M(G)_C by G that h2_group's
-Hopf cocycle defines.  The difference class of two covers with the same
-branch data is Lambda(t) - Lambda(t2), the class of the closed double of
-t and the orientation reversal of t2.  normalize_letters is the move
-search that the doubling oracle in the tests runs.
+lifts multiplied in the central extension of G by H2 that h2_group's Hopf
+cocycle defines, projected to M(G)_C.  The difference class of two covers
+with the same branch data is Lambda(t) - Lambda(t2), the class of the
+closed double of t and the orientation reversal of t2.  normalize_letters
+is the move search that the doubling oracle in the tests runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import islice
 
 from .covers import branch_data, is_surjective
 from .groups import BudgetError
-from .homology import DoublingError, _extension, lifting_invariant
+from .homology import DoublingError, lifting_invariant, m_g_c
 from .moves import MOVE_SET_TAG, move_catalog, move_closure
 from .records import Frozen
 
@@ -101,9 +101,9 @@ def schur_diff(t, t2, class_ids=None):
     _check_same_level(t, t2)
     if class_ids is None:
         class_ids = branch_data(t).class_ids()
-    ext = _extension(t.group, class_ids)
-    return DiffClass(coords=ext.M.sub(ext.invariant(t), ext.invariant(t2)),
-                     invariant_factors=ext.M.invariant_factors)
+    M, _ = m_g_c(t.group, class_ids)
+    a, b = (lifting_invariant(s, class_ids) for s in (t, t2))
+    return DiffClass(coords=M.sub(a, b), invariant_factors=M.invariant_factors)
 
 
 def torsor_check(reps, class_ids=None):
@@ -117,9 +117,8 @@ def torsor_check(reps, class_ids=None):
         _check_same_level(reps[0], t)
     if class_ids is None:
         class_ids = branch_data(reps[0]).class_ids()
-    ext = _extension(reps[0].group, class_ids)
-    M = ext.M
-    lam = [ext.invariant(t) for t in reps]
+    M, _ = m_g_c(reps[0].group, class_ids)
+    lam = [lifting_invariant(t, class_ids) for t in reps]
     D = [[M.sub(a, b) for b in lam] for a in lam]
     k = len(reps)
     failures = []

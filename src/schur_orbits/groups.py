@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from functools import cached_property
 
 from .intlinalg import cokernel
 from .records import Frozen
@@ -97,7 +98,7 @@ class FiniteGroup(Frozen):
     def is_abelian(self):
         return len(self.class_reps) == self.order
 
-    @property
+    @cached_property
     def digest(self):
         blob = json.dumps([list(r) for r in self.mul], separators=(",", ":"))
         return sha256(blob.encode()).hexdigest()[:16]

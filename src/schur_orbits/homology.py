@@ -32,17 +32,18 @@ reduced multiplier M(G)_C, the branch-type lattice N, whose Hermite
 normal form is read from an IntegerLattice mod |G| too, and the
 homology of the C-branched classifying space reported as the
 (non-natural) direct sum M(G)_C + N.  The lifting invariant Lambda
-multiplies lifts in the extension of M(G)_C by G that f defines
-(_Extension); it is the one route from a tuple to its class.  With C
-empty, M(G)_C = H2 under the identity, and Lambda is the Schur class of
-a closed tuple.  cycle_class serves the tests' bar-complex oracle.  The
-module imports nothing outside the standard library but groups,
-intlinalg and records.
+multiplies fixed lifts in the extension of G by H2 that f defines
+(H2Group.word_class) and projects the product to M(G)_C; it is the one
+route from a tuple to its class.  With C empty, M(G)_C = H2 under the
+identity, and Lambda is the Schur class of a closed tuple.  cycle_class
+serves the tests' bar-complex oracle.  The module imports nothing
+outside the standard library but groups, intlinalg and records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from .groups import DomainError, abelianization, centralizer, closure
 from .intlinalg import IntegerLattice, PresentedAbelianGroup, subgroup_quotient
@@ -69,7 +70,8 @@ class HomologyError(DomainError):
 
 class DoublingError(DomainError):
     """Tuples that have no difference class: different levels, a
-    non-surjective tuple, or a branch class outside C."""
+    non-surjective tuple, one off the surface relation, or a branch class
+    outside C."""
 
 
 def _is_cycle(G, chain):
@@ -109,6 +111,42 @@ class H2Group(Record):
             for k, a in enumerate(self.f[x][y]):
                 out[k] += c * a
         return self.presentation.reduce(out)
+
+    @cached_property
+    def lifts(self):
+        """lifts[y]: H2 coordinates of (0, x)(0, r)(0, x)^{-1} = (a, y) in
+        H2 x_f G, (a, x)(b, z) = (a + b + f(x, z), xz), r the representative
+        of y's class and x the least element with x r x^{-1} = y."""
+        G, f, P = self.group, self.f, self.presentation
+        out = [None] * G.order
+        for r in G.class_reps:
+            for x in range(G.order):
+                y = G.conj(r, x)
+                if out[y] is None:
+                    xr, xi = G.mul[x][r], G.inv[x]
+                    out[y] = P.sub(P.add(f[x][r], f[xr][xi]), f[x][xi])
+        return out
+
+    def word_class(self, t):
+        """H2 coordinates of [a~_1, b~_1] ... l(c_1)^{o_1} ... l(c_n)^{o_n},
+        each letter x lifted to (lifts[x], x) (Serre, C. R. Acad. Sci. Paris
+        311, 1990; Fried and Voelklein, Math. Ann. 290, 1991); c_j is the
+        branch element of puncture j.  Raises DoublingError when the
+        product does not lie over 1."""
+        f, lifts, mul, inv = self.f, self.lifts, self.group.mul, self.group.inv
+        word = [(x, o) for a, b in t.handles
+                for x, o in ((a, 1), (b, 1), (a, -1), (b, -1))]
+        word += [(w if o == 1 else inv[w], o) for w, o in t.punctures]
+        acc, p = [0] * self.presentation.num_slots, 0
+        for c, o in word:
+            a = lifts[c]
+            if o == -1:  # (a, c)^{-1} = (-a - f(c, c^{-1}), c^{-1})
+                a, c = [-u - v for u, v in zip(a, f[c][inv[c]])], inv[c]
+            acc = [u + v + w for u, v, w in zip(acc, a, f[p][c])]
+            p = mul[p][c]
+        if p != 0:
+            raise DoublingError("tuple violates the surface relation")
+        return self.presentation.reduce(acc)
 
 
 def _free_generators(G):
@@ -199,11 +237,16 @@ def c_tori_subgroup(G, class_ids):
     return out
 
 
+_MGC_CACHE = {}
+
+
 def m_g_c(G, class_ids):
-    """(M(G)_C, projection from H2 coordinates)."""
-    H2 = h2_group(G)
-    gens = c_tori_subgroup(G, class_ids)
-    return subgroup_quotient(H2.presentation, gens)
+    """(M(G)_C, projection from H2 coordinates), made once per G and C."""
+    key = (G.digest, tuple(sorted(set(class_ids))))
+    if key not in _MGC_CACHE:
+        _MGC_CACHE[key] = subgroup_quotient(h2_group(G).presentation,
+                                            c_tori_subgroup(G, key[1]))
+    return _MGC_CACHE[key]
 
 
 def n_lattice(G, class_ids):
@@ -261,81 +304,17 @@ def pi1_bgc_order(G, class_ids):
     return G.order // len(closure(G, elems))
 
 
-class _Extension:
-    """The central extension E = M(G)_C x G, (a, x)(b, y) =
-    (a + b + f(x, y), xy), f projected to M(G)_C.  A representative r of
-    a class of C lifts to (0, r), its conjugates to the conjugates of that
-    lift: two conjugators differ by z centralizing r, and the lifts by the
-    torus class of (r, z), 0 in M(G)_C.  Then
-
-        Lambda(t) = [a~_1, b~_1] ... [a~_g, b~_g] l(c_1)^{o_1} ... l(c_n)^{o_n}
-
-    with c_j the branch element of puncture j lies in M(G)_C, and it is
-    constant on move orbits (Serre, C. R. Acad. Sci. Paris 311, 1990;
-    Fried and Voelklein, Math. Ann. 290, 1991)."""
-
-    def __init__(self, G, class_ids):
-        M, proj = m_g_c(G, class_ids)
-        self.group, self.M, self.classes = G, M, sorted(set(class_ids))
-        self._f = [[proj(v) for v in row] for row in h2_group(G).f]
-        self._zero = M.zero()
-        self._lift = {}
-        for cid in self.classes:
-            r = (self._zero, G.class_reps[cid])
-            for x in range(G.order):
-                xt = (self._zero, x)
-                a, y = self.mul(self.mul(xt, r), self.inv(xt))
-                if self._lift.setdefault(y, a) != a:
-                    raise RuntimeError(
-                        f"lift of element {y} depends on the conjugator (bug)")
-
-    def mul(self, p, q):
-        (a, x), (b, y) = p, q
-        f = self._f[x][y]
-        return (tuple((u + v + w) % d for u, v, w, d
-                      in zip(a, b, f, self.M.moduli)),
-                self.group.mul[x][y])
-
-    def inv(self, p):
-        a, x = p
-        f = self._f[x][self.group.inv[x]]
-        return (tuple(-(u + w) % d for u, w, d in zip(a, f, self.M.moduli)),
-                self.group.inv[x])
-
-    def invariant(self, t):
-        """Lambda(t) as coordinates in M(G)_C."""
-        G = self.group
-        acc = (self._zero, 0)
-        for a, b in t.handles:
-            A, B = (self._zero, a), (self._zero, b)
-            acc = self.mul(acc, self.mul(self.mul(A, B),
-                                         self.mul(self.inv(A), self.inv(B))))
-        for j, (w, o) in enumerate(t.punctures):
-            c = w if o == 1 else G.inv[w]
-            if c not in self._lift:
-                raise DoublingError(
-                    f"branch class {G.class_of[c]} of puncture {j} is not "
-                    f"in C = {self.classes}")
-            lc = (self._lift[c], c)
-            acc = self.mul(acc, lc if o == 1 else self.inv(lc))
-        a, x = acc
-        if x != 0:
-            raise DoublingError("tuple violates the surface relation")
-        return a
-
-
-_EXTENSION_CACHE = {}
-
-
-def _extension(G, class_ids):
-    key = (G.digest, tuple(sorted(set(class_ids))))
-    if key not in _EXTENSION_CACHE:
-        _EXTENSION_CACHE[key] = _Extension(G, class_ids)
-    return _EXTENSION_CACHE[key]
-
-
 def lifting_invariant(t, class_ids):
     """Lambda(t) in M(G)_C, C the union of the classes class_ids; raises
     DoublingError when a puncture's branch class lies outside C.  With C
-    empty it is the Schur class of a closed tuple in H2 coordinates."""
-    return _extension(t.group, class_ids).invariant(t)
+    empty it is the Schur class of a closed tuple in H2 coordinates.  A
+    lift of c in C through another conjugator differs from lifts[c] by a
+    C-torus class, which the projection to M(G)_C kills."""
+    G, classes = t.group, sorted(set(class_ids))
+    for j in range(t.n):
+        cid, _ = t.branch_class(j)
+        if cid not in classes:
+            raise DoublingError(f"branch class {cid} of puncture {j} is not "
+                                f"in C = {classes}")
+    _, proj = m_g_c(G, classes)
+    return proj(h2_group(G).word_class(t))

@@ -12,7 +12,12 @@ from schur_orbits.branched_schur import (
     schur_diff,
     torsor_check,
 )
-from schur_orbits.covers import BranchData, branch_data, enumerate_tuples
+from schur_orbits.covers import (
+    BranchData,
+    BranchedTuple,
+    branch_data,
+    enumerate_tuples,
+)
 from schur_orbits.homology import m_g_c
 from schur_orbits.moves import Move, apply_move, move_catalog, orbits
 from schur_orbits.stabilization import dilate, handle_stabilize, puncture_stabilize
@@ -243,3 +248,15 @@ def test_branch_class_outside_c_is_an_error(s3):
         lifting_invariant(level[0], ())
     with pytest.raises(DoublingError, match="not in C"):
         schur_diff(level[0], level[1], class_ids=())
+
+
+def test_tuple_off_the_relation_is_an_error(s3):
+    # element 1 is a transposition and element 2 a 3-cycle of s3
+    tc = s3.class_of[1]
+    off = [BranchedTuple(s3, 1, ((1, 2),), ()),
+           BranchedTuple(s3, 0, (), ((1, 1),)),
+           BranchedTuple(s3, 1, ((1, 2),), ((1, -1), (1, 1)))]
+    for t in off:
+        assert t.relation_product() != 0
+        with pytest.raises(DoublingError, match="violates the surface relation"):
+            lifting_invariant(t, (tc,))

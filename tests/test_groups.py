@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -165,6 +166,19 @@ def test_digest_is_stable(s3):
     assert G2.digest == s3.digest
     # cache entries are keyed by it, so it must not change with the code
     assert s3.digest == "dfd9e4047a6f8efa"
+
+
+def test_digest_is_cached_and_left_out_of_equality():
+    G, G2 = build_group(GROUP_SPECS["d4"]), build_group(GROUP_SPECS["d4"])
+    assert "digest" not in vars(G)
+    blob = json.dumps([list(r) for r in G.mul], separators=(",", ":"))
+    assert G.digest == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert vars(G)["digest"] is G.digest  # computed once, then read
+    assert G2.digest == G.digest
+    G3 = build_group(GROUP_SPECS["d4"])  # its digest never read
+    assert G3 == G and hash(G3) == hash(G)
+    with pytest.raises(AttributeError):
+        G.digest = "0" * 16
 
 
 @given(st.lists(st.binary(max_size=300), max_size=8))

@@ -485,3 +485,19 @@ def test_lambda_and_lifted_tori_are_the_bar_classes(name):
     for cid, c in enumerate(G.class_reps):
         assert c_tori_subgroup(G, (cid,)) == [
             H2.cycle_class(torus_cycle(G, c, t)) for t in centralizer(G, c)]
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_lift_through_any_conjugator_projects_to_the_fixed_lift(name):
+    # (0, x)(0, r)(0, x)^{-1} = (f(x, r) + f(xr, x^{-1}) - f(x, x^{-1}),
+    # x r x^{-1}); for every conjugator x it lands on H2Group.lifts once
+    # the tori of r's class are divided out
+    G = get_group(name)
+    H2 = h2_group(G)
+    P, f = H2.presentation, H2.f
+    for cid, r in enumerate(G.class_reps):
+        _, proj = m_g_c(G, (cid,))
+        for x in range(G.order):
+            xr, xi = G.mul[x][r], G.inv[x]
+            a = P.sub(P.add(f[x][r], f[xr][xi]), f[x][xi])
+            assert proj(a) == proj(H2.lifts[G.conj(r, x)])

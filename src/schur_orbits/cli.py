@@ -16,6 +16,8 @@ is never served).  The key is computed only when the cache is used.  An
 entry that does not decode is a miss: the report is recomputed and the
 entry rewritten.
 
+The command line is one option table, _OPTIONS, that _parse reads in
+place of argparse, with the same namespaces, prefixes and usage errors.
 Only groups is imported here; each command imports the modules it runs
 in its own body, so argument parsing, group-info and a cache hit load
 neither numpy nor covers nor the orbit and homology modules, and orbits
@@ -30,12 +32,13 @@ digests use groups.sha256, CPython's built-in SHA-256.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .groups import (
@@ -467,91 +470,122 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="schur-orbits",
-        description="Mapping-class-group orbits of branched covers and the "
-                    "reduced Schur multiplier M(G)_C.",
-    )
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+DEFAULT_BUDGET = 2_000_000
+_REQUIRED = object()
+_IGNORED = "accepted for compatibility and ignored"
+_HELP = {"-h": ("help",), "--help": ("help",)}
+_LEVELS, _TRACKS = "enumerate orbits", "stable-range torsor-check"
 
-    def common(sp, tuples=0, classes=False, branch=False, genus=False):
-        sp.add_argument("--group", required=True, help="group JSON file")
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--cache-dir", help="cache directory "
-                        "(default: $SCHUR_ORBITS_CACHE or ~/.cache/schur-orbits)")
-        sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--threads", type=int,
-                        help="accepted for compatibility and ignored")
-        if tuples >= 1:
-            sp.add_argument("--tuple", required=True,
-                            help="tuple JSON (inline or a file path)")
-        if tuples >= 2:
-            sp.add_argument("--tuple2", required=True)
-        if classes:
-            sp.add_argument("--classes", default=None,
-                            help="'all', 'none', 'transpositions', or "
-                                 "comma-separated element indices")
-        if branch:
-            sp.add_argument("--branch", default=None,
-                            help="e.g. '4 transpositions' or '2 5, 1 5 -'")
-        if genus:
-            sp.add_argument("--genus", type=int, required=True)
+# The command line: (option, kind, default, help, the commands that take
+# it, all of them when None).  kind is str, int or bool, a flag that is
+# False unless given; an option whose default is _REQUIRED must be given.
+_OPTIONS = (
+    ("--group", str, _REQUIRED, "group JSON file", None),
+    ("--out", str, None, "write the report here instead of stdout", None),
+    ("--cache-dir", str, None, "cache directory "
+     "(default: $SCHUR_ORBITS_CACHE or ~/.cache/schur-orbits)", None),
+    ("--no-cache", bool, False, "", None),
+    ("--threads", int, None, _IGNORED, None),
+    ("--tuple", str, _REQUIRED, "tuple JSON (inline or a file path)", "sch diff dilate stabilize"),
+    ("--tuple2", str, _REQUIRED, "", "diff"),
+    ("--classes", str, None, "'all', 'none', 'transpositions', or comma-separated element indices",
+     f"mgc h2bgc diff stabilize {_TRACKS}"),
+    ("--branch", str, None, "e.g. '4 transpositions' or '2 5, 1 5 -'", f"{_LEVELS} {_TRACKS}"),
+    ("--genus", int, _REQUIRED, "", f"{_LEVELS} torsor-check"),
+    ("--all", bool, False, "include non-surjective tuples", "enumerate"),
+    ("--budget", int, DEFAULT_BUDGET, "", f"{_LEVELS} {_TRACKS}"),
+    ("--budget", int, None, _IGNORED, "diff"),
+    ("--limit", int, None, "cap the number of tuples listed in the report", "enumerate"),
+    ("--handle", bool, False, "", "stabilize"),
+    ("--no-branching", bool, False, "C = empty set (closed unbranched track)", _TRACKS),
+    ("--genus-seed", int, None, "", "stable-range"),
+    ("--max-rounds", int, 6, "", "stable-range"),
+    ("--csv", str, None, "also write a level/orbit-count CSV grid", "stable-range"),
+    ("--diff-budget", int, None, _IGNORED, "torsor-check"),
+)
 
-    sp = sub.add_parser("group-info")
-    common(sp)
 
-    sp = sub.add_parser("enumerate")
-    common(sp, branch=True, genus=True)
-    sp.add_argument("--all", action="store_true",
-                    help="include non-surjective tuples")
-    sp.add_argument("--budget", type=int, default=2_000_000)
-    sp.add_argument("--limit", type=int, default=None,
-                    help="cap the number of tuples listed in the report")
+def _options(command):
+    """{option: (kind, default, help)} of a command."""
+    return {o: (kind, default, text)
+            for o, kind, default, text, commands in _OPTIONS
+            if commands is None or command in commands.split()}
 
-    sp = sub.add_parser("orbits")
-    common(sp, branch=True, genus=True)
-    sp.add_argument("--budget", type=int, default=2_000_000)
 
-    sp = sub.add_parser("h2")
-    common(sp)
+def _usage(command):
+    if command is None:
+        return ("usage: schur-orbits [-h] [--version] COMMAND [OPTION ...]\n"
+                "Mapping-class-group orbits of branched covers and the reduced "
+                f"Schur multiplier M(G)_C.\ncommands: {', '.join(_COMMANDS)}\n")
+    return "".join([f"usage: schur-orbits {command} [-h] [OPTION ...]\n"] + [
+        f"  {o if kind is bool else f'{o} {o[2:].upper()}':<26}"
+        f"{'(required) ' if d is _REQUIRED else ''}{text}".rstrip() + "\n"
+        for o, (kind, d, text) in _options(command).items()])
 
-    for name in ("mgc", "h2bgc"):
-        sp = sub.add_parser(name)
-        common(sp, classes=True)
 
-    sp = sub.add_parser("sch")
-    common(sp, tuples=1)
+def _fail(command, message):
+    prog = f"schur-orbits {command}" if command else "schur-orbits"
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    sp = sub.add_parser("diff")
-    common(sp, tuples=2, classes=True)
-    sp.add_argument("--budget", type=int,
-                    help="accepted for compatibility and ignored")
 
-    sp = sub.add_parser("dilate")
-    common(sp, tuples=1)
+def _is_option(word):
+    """argparse's rule: a word that begins with '-' is an option unless it
+    is '-', a negative number or has a space before any '='."""
+    return (word[:1] == "-" and word != "-"
+            and not re.fullmatch(r"-\d+|-\d*\.\d+", word)
+            and " " not in word.partition("=")[0])
 
-    sp = sub.add_parser("stabilize")
-    common(sp, tuples=1, classes=True)
-    sp.add_argument("--handle", action="store_true")
 
-    sp = sub.add_parser("stable-range")
-    common(sp, classes=True, branch=True)
-    sp.add_argument("--no-branching", action="store_true",
-                    help="C = empty set (closed unbranched track)")
-    sp.add_argument("--genus-seed", type=int, default=None)
-    sp.add_argument("--max-rounds", type=int, default=6)
-    sp.add_argument("--budget", type=int, default=2_000_000)
-    sp.add_argument("--csv", help="also write a level/orbit-count CSV grid")
-
-    sp = sub.add_parser("torsor-check")
-    common(sp, classes=True, branch=True, genus=True)
-    sp.add_argument("--no-branching", action="store_true")
-    sp.add_argument("--budget", type=int, default=2_000_000)
-    sp.add_argument("--diff-budget", type=int,
-                    help="accepted for compatibility and ignored")
-    return p
+def _parse(argv):
+    """The command and one attribute per option of it (no_cache for
+    --no-cache), as argparse named them.  An option is named in full or by
+    a unique prefix, its value after it or after '='.  A usage error exits
+    2 with one line on stderr; -h/--help and --version exit 0."""
+    words = list(sys.argv[1:] if argv is None else argv)
+    command, options, given = None, {**_HELP, "--version": ("version",)}, {}
+    while words:
+        word = words.pop(0)
+        if not _is_option(word):
+            if command or word not in _COMMANDS:
+                _fail(command, f"unrecognized arguments: {word}" if command
+                      else f"invalid command: {word!r}")
+            command, options = word, {**_HELP, **_options(word)}
+            continue
+        name, eq, value = word.partition("=")
+        hits = [name] if name in options else [o for o in options
+                                                if o.startswith(name)]
+        if len(hits) != 1:
+            _fail(command, f"ambiguous option: {name} could match "
+                  f"{', '.join(hits)}" if hits else
+                  f"unrecognized arguments: {word}")
+        opt, kind = hits[0], options[hits[0]][0]
+        if eq and kind in (bool, "help", "version"):
+            _fail(command, f"argument {opt}: ignored explicit argument "
+                           f"{value!r}")
+        if kind in ("help", "version"):
+            sys.stdout.write(_usage(command) if kind == "help"
+                             else f"{__version__}\n")
+            raise SystemExit(0)
+        if kind is not bool and not eq:
+            if not words or _is_option(words[0]):
+                _fail(command, f"argument {opt}: expected one argument")
+            value = words.pop(0)
+        try:
+            given[opt] = True if kind is bool else kind(value)
+        except ValueError:
+            _fail(command, f"argument {opt}: invalid int value: {value!r}")
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    table = _options(command)
+    missing = [o for o, (_, d, _) in table.items()
+               if d is _REQUIRED and o not in given]
+    if missing:
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+    return SimpleNamespace(command=command, **{
+        o[2:].replace("-", "_"): given.get(o, d)
+        for o, (_, d, _) in table.items()})
 
 
 def _exit_code(command, report):
@@ -623,7 +657,7 @@ def _write_csv(args, report):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if any((getattr(args, k, None) or 0) < 0 for k in ("genus", "genus_seed")):
             raise CliError("genus must be nonnegative")

@@ -8,9 +8,7 @@ derived from them are reproducible across runs.
 
 from __future__ import annotations
 
-import itertools
 import json
-import random
 from functools import cached_property
 
 from .intlinalg import cokernel
@@ -127,7 +125,31 @@ def _closure_and_bfs_order(n_points, perms):
     return elems, index
 
 
-def _validate_table(mul, exhaustive_cap=24):
+def _right_generators(mul):
+    """A greedy S whose right products, starting from 0, reach every
+    element of the table mul."""
+    S, seen = [], {0}
+    for s in range(len(mul)):
+        if s not in seen:
+            S.append(s)
+            todo = list(seen)
+            while todo:
+                row = mul[todo.pop()]
+                new = {row[t] for t in S} - seen
+                seen |= new
+                todo += new
+    return S
+
+
+def _validate_table(mul, S):
+    """The inverses of mul, after checking that it is a group table with
+    identity 0, S a set whose right products, starting from 0, reach
+    every element.  Associativity is Light's test, exact in n^2 |S|
+    checks: (x y) s = x (y s) for all x, y and every s in S.  The set T
+    of the s satisfying it contains 0 and is closed under the product:
+    for s and t in T, (x y)(s t) = ((x y) s) t = (x (y s)) t
+    = x ((y s) t) = x (y (s t)).  Every element is ((0 s_1) s_2) ... s_k
+    with the s_i in S, so T is everything."""
     n = len(mul)
     for row in mul:
         if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -144,14 +166,12 @@ def _validate_table(mul, exhaustive_cap=24):
                 break
         if inv[x] is None:
             raise GroupBuildError(f"element {x} has no inverse")
-    if n <= exhaustive_cap:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(0)
-        triples = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(5000)]
-    for x, y, z in triples:
-        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-            raise GroupBuildError(f"non-associative at ({x},{y},{z})")
+    for s in S:
+        col = [row[s] for row in mul]
+        for x, row in enumerate(mul):
+            for y, (xy, ys) in enumerate(zip(row, col)):
+                if col[xy] != row[ys]:
+                    raise GroupBuildError(f"non-associative at ({x},{y},{s})")
     return inv
 
 
@@ -221,34 +241,19 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
         old = [ident] + [x for x in range(order) if x != ident]
         pos = {o: i for i, o in enumerate(old)}
         mul = tuple(tuple(pos[table[a][b]] for b in old) for a in old)
-        gens = tuple(range(1, order))
+        gens = tuple(_right_generators(mul))
         gspec = json.dumps({"cayley_table": table}, sort_keys=True)
     else:
         raise GroupBuildError("spec needs 'permutations' or 'cayley_table'")
 
-    inv = _validate_table([list(r) for r in mul])
+    inv = _validate_table(mul, gens)
     class_of, reps = _conjugacy_data(mul, inv)
-    # use a minimal generating subsequence for table-built groups so that
-    # GlobalConj catalogs stay small
-    G = FiniteGroup(
-        order=order,
-        mul=mul,
-        inv=tuple(inv),
-        class_of=tuple(class_of),
-        class_reps=tuple(reps),
-        generators=gens,
-        generator_spec=gspec,
-    )
+    fields = (order, mul, tuple(inv), tuple(class_of), tuple(reps))
+    G = FiniteGroup(*fields, gens, gspec)
     if "cayley_table" in spec and order > 1:
-        G = FiniteGroup(
-            order=order,
-            mul=mul,
-            inv=tuple(inv),
-            class_of=tuple(class_of),
-            class_reps=tuple(reps),
-            generators=minimal_generating_sequence(G),
-            generator_spec=gspec,
-        )
+        # a minimal generating subsequence for table-built groups keeps
+        # GlobalConj catalogs small
+        G = FiniteGroup(*fields, minimal_generating_sequence(G), gspec)
     return G
 
 

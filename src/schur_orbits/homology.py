@@ -88,14 +88,24 @@ def _is_cycle(G, chain):
 
 class H2Group(Record):
     """presentation maps Z^S, S the Schreier generators of h2_group, onto
-    H2; f[x][y] holds the H2 coordinates of the cocycle f(x, y)."""
+    H2; f[x][y] holds the H2 coordinates of the cocycle f(x, y).
+    rewrite(x, zero, step) is h2_group's rewriting of every t_g from coset
+    x, from which f is built on first use."""
 
-    _fields = ("group", "presentation", "f")
+    _fields = ("group", "presentation")
 
-    def __init__(self, group, presentation, f):
+    def __init__(self, group, presentation, rewrite):
         self.group = group
         self.presentation = presentation
-        self.f = f
+        self.rewrite = rewrite
+
+    @cached_property
+    def f(self):
+        P = self.presentation
+        col = [tuple(row[s] for row in P.transform)
+               for s in range(P.ambient_dim)]
+        return [self.rewrite(x, P.zero(), lambda v, s: P.add(v, col[s]))
+                for x in range(self.group.order)]
 
     @property
     def invariant_factors(self):
@@ -213,10 +223,7 @@ def h2_group(G):
     Q = L.quotient()
     k = sum(d < N * N for d in Q.moduli)  # d_i | d_{i+1}: H2 comes first
     P = PresentedAbelianGroup(len(gen), Q.moduli[:k], Q.transform[:k])
-    col = [tuple(row[s] for row in P.transform) for s in range(len(gen))]
-    f = [rewrite(x, P.zero(), lambda v, s: P.add(v, col[s]))
-         for x in range(N)]
-    out = H2Group(G, P, f)
+    out = H2Group(G, P, rewrite)
     _H2_CACHE[key] = out
     return out
 
@@ -228,12 +235,11 @@ def c_tori_subgroup(G, class_ids):
     f(c, t) - f(t, c).  One representative per class suffices since
     conjugation acts trivially on H2."""
     H2 = h2_group(G)
-    P, f = H2.presentation, H2.f
     out = []
     for cid in sorted(set(class_ids)):
         c = G.class_reps[cid]
         for t in centralizer(G, c):
-            out.append(P.sub(f[c][t], f[t][c]))
+            out.append(H2.presentation.sub(H2.f[c][t], H2.f[t][c]))
     return out
 
 

@@ -308,7 +308,11 @@ def _child(args):
 def _imported_modules(argv):
     """The modules a fresh `python -m schur_orbits.cli argv` imports, from
     its -X importtime log."""
-    p = _child(["-X", "importtime", "-m", "schur_orbits.cli", *argv])
+    return _import_log(["-m", "schur_orbits.cli", *argv])
+
+
+def _import_log(args):
+    p = _child(["-X", "importtime", *args])
     assert p.returncode == 0, p.stderr
     return {line.rsplit("|", 1)[1].strip() for line in p.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
@@ -368,6 +372,18 @@ def test_no_command_loads_openssl(files, command):
     assert "schur_orbits.groups" in loaded
     assert "_hashlib" not in loaded
     assert not loaded & _ABSENT[command]
+
+
+@pytest.mark.parametrize("command", ["group-info", "h2", "sch", "orbits"])
+def test_commands_load_no_argparse_or_random(files, command):
+    # the option table replaced argparse (and with it gettext and
+    # locale), and groups checks associativity without sampling; a site
+    # hook may import random at start-up, so that is left out
+    argv = [files.get(a, a) for a in _FOOTPRINT_ARGV[command]]
+    loaded = _imported_modules([command, *argv, "--no-cache"])
+    assert "schur_orbits.groups" in loaded
+    loaded -= _import_log(["-c", "pass"])
+    assert not loaded & {"argparse", "gettext", "locale", "random"}
 
 
 def test_internal_error_prints_a_traceback_in_a_fresh_process(files):

@@ -235,8 +235,7 @@ def test_closed_level_cap_is_a_budget_error(s3):
 def test_closed_levels_under_the_old_cap_fit_the_default_budget():
     # closed levels ran up to q^{2g} = 2^28 codes before the budget
     # counted label prefixes; none of them is over the default budget
-    budget = cli._build_parser().parse_args(
-        ["orbits", "--group", "g.json", "--genus", "0"]).budget
+    budget = cli.DEFAULT_BUDGET
     counts = {}
     for name in GROUP_SPECS:
         G = get_group(name)

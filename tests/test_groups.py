@@ -4,8 +4,9 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schur_orbits.groups import (
@@ -152,6 +153,65 @@ def test_table_build_rejects_garbage():
         build_group({"permutations": [[0, 0, 1]]})
     with pytest.raises(GroupBuildError):
         build_group({})
+
+
+def _cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def _intercalate_swap(table, t, y, u):
+    """The table with one intercalate swapped, t an involution: rows y and
+    yt and columns u and tu hold yu = (yt)(tu) and y(tu) = (yt)u, which
+    trade places.  The result is still a Latin square."""
+    T = [list(row) for row in table]
+    yt, tu = T[y][t], T[t][u]
+    a, b = T[y][u], T[y][tu]
+    T[y][u] = T[yt][tu] = b
+    T[y][tu] = T[yt][u] = a
+    return T
+
+
+def _is_group_exhaustive(table):
+    """The group axioms on a Cayley table, associativity on all n^3
+    triples: the reference for build_group's checks."""
+    T = np.array(table)
+    ar = np.arange(len(T))
+    ids = [e for e in ar if (T[e] == ar).all() and (T[:, e] == ar).all()]
+    return bool(ids and ((T == ids[0]) & (T.T == ids[0])).any(axis=1).all()
+                and (T[T] == T[:, T]).all())
+
+
+def test_z120_intercalate_swap_is_rejected():
+    # rows 19 and 79, columns 29 and 89 of Z/120: 1,872 of the 120^3
+    # triples are non-associative, too few for 5,000 sampled triples to
+    # be sure of meeting one
+    T = _intercalate_swap(_cyclic_table(120), 60, 19, 29)
+    assert not _is_group_exhaustive(T)
+    with pytest.raises(GroupBuildError, match="non-associative"):
+        build_group({"cayley_table": T})
+
+
+@settings(max_examples=200, deadline=None)
+@example(source=120, i=0, y=19, u=29)
+@given(source=st.one_of(st.sampled_from(sorted(GROUP_SPECS)),
+                        st.integers(1, 60).map(lambda h: 2 * h)),
+       i=st.integers(0, 119), y=st.integers(0, 119), u=st.integers(0, 119))
+def test_intercalate_swaps_are_judged_like_the_exhaustive_check(source, i,
+                                                                 y, u):
+    # source: a spec group, or the cyclic group of that even order
+    table = (_cyclic_table(source) if isinstance(source, int)
+             else get_group(source).mul)
+    n = len(table)
+    involutions = [t for t in range(1, n) if table[t][t] == 0]
+    assume(involutions)
+    T = _intercalate_swap(table, involutions[i % len(involutions)], y % n,
+                          u % n)
+    try:
+        build_group({"cayley_table": T})
+        accepted = True
+    except GroupBuildError:
+        accepted = False
+    assert accepted == _is_group_exhaustive(T)
 
 
 def test_table_identity_relocation():

@@ -8,13 +8,16 @@ budget exhaustion (groups.BudgetError) or an inconclusive stable-range
 verdict, 3 an internal error (any other exception: its traceback goes
 to stderr).
 Reports are byte-identical across runs, --threads values (accepted and
-ignored) and cache cold/warm runs; the cache stores the serialized
-report keyed by a content digest of the job (group table digest,
-command, parameters, and a digest of the package's source files, which
-covers the move-set tag in moves.py, so a report computed by other code
-is never served).  The key is computed only when the cache is used.  An
-entry that does not decode is a miss: the report is recomputed and the
-entry rewritten.
+ignored) and cache cold/warm runs.  main reads each input once: the
+group, then the --tuple, --tuple2, --classes and --branch text, each
+replaced by the value it selects, so a malformed input fails on a warm
+cache too.  The cache stores the serialized report keyed by a content
+digest of the job: the group table digest, the command, the parsed
+values of the key inputs _COMMANDS names for it, and a digest of the
+package's source files, which covers the move-set tag in moves.py, so a
+report computed by other code is never served.  The key is computed
+only when the cache is used.  An entry that does not decode is a miss:
+the report is recomputed and the entry rewritten.
 
 The command line is one option table, _OPTIONS, that _parse reads in
 place of argparse, with the same namespaces, prefixes and usage errors.
@@ -95,6 +98,20 @@ def _transposition_classes(G):
     return tuple(sorted(out))
 
 
+def _selected_classes(G, word, what, keyword=True):
+    """The classes a selector word names: those of 'transpositions' when
+    keyword is true, or the class of an element index 0 < x < |G|."""
+    if keyword and word == "transpositions":
+        return _transposition_classes(G)
+    try:
+        x = int(word)
+    except ValueError:
+        raise CliError(f"bad {what}: {word!r}")
+    if not 0 < x < G.order:
+        raise CliError(f"element index {x} out of range")
+    return (G.class_of[x],)
+
+
 def parse_classes(G, sel):
     """C selector: 'all', 'none', 'transpositions', or comma-separated
     element indices (closed up to full conjugacy classes)."""
@@ -105,19 +122,10 @@ def parse_classes(G, sel):
         return ()
     if sel == "all":
         return tuple(c for c, r in enumerate(G.class_reps) if r != 0)
-    if sel == "transpositions":
-        return _transposition_classes(G)
-    out = set()
-    for part in sel.split(","):
-        part = part.strip()
-        try:
-            x = int(part)
-        except ValueError:
-            raise CliError(f"bad class selector entry: {part!r}")
-        if not 0 < x < G.order:
-            raise CliError(f"element index {x} out of range")
-        out.add(G.class_of[x])
-    return tuple(sorted(out))
+    parts = sel.split(",")
+    return tuple(sorted({
+        c for part in parts for c in _selected_classes(
+            G, part.strip(), "class selector entry", len(parts) == 1)}))
 
 
 def parse_branch(G, s):
@@ -139,25 +147,15 @@ def parse_branch(G, s):
             raise CliError(f"bad branch count: {toks[0]!r}")
         if k < 0:
             raise CliError("branch counts must be nonnegative")
-        if toks[1] == "transpositions":
-            cids = _transposition_classes(G)
-            if len(cids) != 1:
-                raise CliError("ambiguous 'transpositions': several classes")
-            cid = cids[0]
-        else:
-            try:
-                x = int(toks[1])
-            except ValueError:
-                raise CliError(f"bad branch element: {toks[1]!r}")
-            if not 0 < x < G.order:
-                raise CliError(f"element index {x} out of range")
-            cid = G.class_of[x]
+        cids = _selected_classes(G, toks[1], "branch element")
+        if len(cids) != 1:
+            raise CliError("ambiguous 'transpositions': several classes")
         sign = 1
         if len(toks) == 3:
             if toks[2] not in ("-", "-1"):
                 raise CliError(f"bad framing sign: {toks[2]!r}")
             sign = -1
-        key = (cid, sign)
+        key = (cids[0], sign)
         counts[key] = counts.get(key, 0) + k
     return BranchData.from_dict({k: v for k, v in counts.items() if v})
 
@@ -165,7 +163,7 @@ def parse_branch(G, s):
 def _is_pair_list(x):
     return isinstance(x, list) and all(
         isinstance(p, list) and len(p) == 2
-        and all(isinstance(v, int) for v in p) for p in x)
+        and all(type(v) is int for v in p) for p in x)
 
 
 def _load_tuple(G, arg):
@@ -183,27 +181,41 @@ def _load_tuple(G, arg):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"tuple is not valid JSON: {e}")
-    if not isinstance(obj, dict) or not isinstance(obj.get("g"), int):
+    if not isinstance(obj, dict) or type(obj.get("g")) is not int:
         raise CliError('tuple must be a JSON object with an integer "g"')
-    handles, punctures = obj.get("handles", []), obj.get("punctures", [])
-    if not (_is_pair_list(handles) and _is_pair_list(punctures)):
+    if not (_is_pair_list(obj.get("handles", []))
+            and _is_pair_list(obj.get("punctures", []))):
         raise CliError('tuple "handles" and "punctures" must be lists of '
                        'integer pairs')
-    letters = [x for h in handles for x in h] + [w for w, _ in punctures]
-    if any(not 0 <= x < G.order for x in letters):
-        raise CliError(f"tuple letter out of range 0..{G.order - 1}")
     return tuple_from_json(G, obj)
 
 
-def _tuple_key(G, arg):
-    """The normalized JSON of a tuple argument, for a cache key."""
-    from .covers import tuple_to_json
-
-    return tuple_to_json(_load_tuple(G, arg))
+def _read_inputs(G, args):
+    """Replace the text of each --tuple, --tuple2, --classes and --branch
+    input of the command by the value it selects, reading each once, in
+    the order _COMMANDS names them.  With --no-branching C is empty and
+    --classes is not read; on diff an absent --classes stays None, the
+    classes of the branch data."""
+    read = {"tuple": _load_tuple, "tuple2": _load_tuple,
+            "classes": parse_classes, "branch": parse_branch}
+    given = vars(args)
+    for name in _COMMANDS[args.command][0].split():
+        if name == "classes" and given.get("no_branching"):
+            given[name] = ()
+        elif name in read and (given[name] is not None
+                               or args.command != "diff"):
+            given[name] = read[name](G, given[name])
 
 
 def _branch_key(v):
     return sorted([list(k), m] for k, m in v.as_dict().items())
+
+
+def _input_json(x):
+    """A BranchData or BranchedTuple input as JSON, for a cache key."""
+    from .covers import BranchData, tuple_to_json
+
+    return _branch_key(x) if isinstance(x, BranchData) else tuple_to_json(x)
 
 
 def _tuple_report(t):
@@ -230,28 +242,23 @@ def _source_digest():
     return h.hexdigest()
 
 
-def _cache_path(args, G, params):
+def _cache_path(args, G):
     """The cache entry of a job: a digest of the source digest, the group
-    digest, the command and its normalized parameters."""
+    digest, the command and the parsed values of its key inputs."""
+    keys = _COMMANDS[args.command][0].split()
     payload = {
         "code_version": _source_digest(),
         "group": G.digest,
         "command": args.command,
-        "params": params,
+        "params": {k: vars(args)[k] for k in keys},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=_input_json)
     return _cache_dir(args) / f"{sha256(blob.encode()).hexdigest()}.json"
 
 
 def _render(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-# Each command: params(G, args) -> cache-key dict (cheap, normalizes all
-# inputs), run(G, args) -> report dict.
-
-def _params_group_info(G, args):
-    return {}
 
 
 def _cmd_group_info(G, args):
@@ -274,33 +281,21 @@ def _cmd_group_info(G, args):
     }
 
 
-def _params_enumerate(G, args):
-    return {"genus": args.genus, "branch": _branch_key(parse_branch(G, args.branch)),
-            "surjective": not args.all, "budget": args.budget,
-            "limit": args.limit}
-
-
 def _cmd_enumerate(G, args):
     from .covers import level_codes, tuple_to_json
 
-    v = parse_branch(G, args.branch)
-    codes, tuples = level_codes(G, args.genus, v, surjective=not args.all,
-                                budget=args.budget)
+    codes, tuples = level_codes(G, args.genus, args.branch,
+                                surjective=not args.all, budget=args.budget)
     listed = tuples if args.limit is None else tuples[: args.limit]
     return {"count": int(tuples.size),
             "tuples": [tuple_to_json(t) for t in codes.tuples(listed)]}
-
-
-def _params_orbits(G, args):
-    return {"genus": args.genus, "branch": _branch_key(parse_branch(G, args.branch)),
-            "budget": args.budget}
 
 
 def _cmd_orbits(G, args):
     from .covers import hom_branch_type
     from .fastorbits import level_orbits
 
-    v = parse_branch(G, args.branch)
+    v = args.branch
     vec, in_n = hom_branch_type(G, v.class_ids(), v)
     table, n = level_orbits(G, args.genus, v, args.budget)
     return {
@@ -313,32 +308,23 @@ def _cmd_orbits(G, args):
     }
 
 
-def _params_h2(G, args):
-    return {}
-
-
 def _cmd_h2(G, args):
     from .homology import h2_group
 
     return {"H2": list(h2_group(G).presentation.invariant_factors)}
 
 
-def _params_classes_only(G, args):
-    return {"classes": list(parse_classes(G, args.classes))}
-
-
 def _cmd_mgc(G, args):
     from .homology import m_g_c
 
-    cids = parse_classes(G, args.classes)
-    M, _ = m_g_c(G, cids)
-    return {"MGC": list(M.invariant_factors), "classes": list(cids)}
+    M, _ = m_g_c(G, args.classes)
+    return {"MGC": list(M.invariant_factors), "classes": list(args.classes)}
 
 
 def _cmd_h2bgc(G, args):
     from .homology import h1_bgc, h2_bgc, h2_group, pi1_bgc_order
 
-    cids = parse_classes(G, args.classes)
+    cids = args.classes
     B = h2_bgc(G, cids)
     return {
         "H2": list(h2_group(G).presentation.invariant_factors),
@@ -351,122 +337,84 @@ def _cmd_h2bgc(G, args):
     }
 
 
-def _params_sch(G, args):
-    return {"tuple": _tuple_key(G, args.tuple)}
-
-
 def _cmd_sch(G, args):
     from .homology import h2_group, lifting_invariant
 
-    t = _load_tuple(G, args.tuple)
-    if t.n != 0:
+    if args.tuple.n != 0:
         raise CliError("sch is defined for closed (unbranched) tuples")
     return {
         "H2": list(h2_group(G).presentation.invariant_factors),
-        "coords": list(lifting_invariant(t, ())),
+        "coords": list(lifting_invariant(args.tuple, ())),
     }
-
-
-def _params_diff(G, args):
-    cids = parse_classes(G, args.classes) if args.classes is not None else None
-    return {"tuple": _tuple_key(G, args.tuple),
-            "tuple2": _tuple_key(G, args.tuple2),
-            "classes": list(cids) if cids is not None else None}
 
 
 def _cmd_diff(G, args):
     from .branched_schur import schur_diff
 
-    t = _load_tuple(G, args.tuple)
-    t2 = _load_tuple(G, args.tuple2)
-    cids = parse_classes(G, args.classes) if args.classes is not None else None
-    return schur_diff(t, t2, class_ids=cids).to_json()
-
-
-def _params_dilate(G, args):
-    return {"tuple": _tuple_key(G, args.tuple)}
+    return schur_diff(args.tuple, args.tuple2, class_ids=args.classes).to_json()
 
 
 def _cmd_dilate(G, args):
     from .stabilization import dilate
 
-    return _tuple_report(dilate(_load_tuple(G, args.tuple)))
-
-
-def _params_stabilize(G, args):
-    return {"tuple": _tuple_key(G, args.tuple),
-            "classes": list(parse_classes(G, args.classes)),
-            "handle": bool(args.handle)}
+    return _tuple_report(dilate(args.tuple))
 
 
 def _cmd_stabilize(G, args):
     from .stabilization import handle_stabilize, puncture_stabilize
 
-    t = _load_tuple(G, args.tuple)
-    for cid in parse_classes(G, args.classes):
+    t = args.tuple
+    for cid in args.classes:
         t = puncture_stabilize(t, cid)
     if args.handle:
         t = handle_stabilize(t)
     return _tuple_report(t)
 
 
-def _stable_range_classes(G, args):
-    return () if args.no_branching else parse_classes(G, args.classes)
-
-
-def _params_stable_range(G, args):
-    return {"classes": list(_stable_range_classes(G, args)),
-            "branch": _branch_key(parse_branch(G, args.branch)),
-            "genus_seed": args.genus_seed,
-            "max_rounds": args.max_rounds, "budget": args.budget}
-
-
 def _cmd_stable_range(G, args):
     from .stabilization import stable_orbits
 
-    cids = _stable_range_classes(G, args)
-    v = parse_branch(G, args.branch)
-    r = stable_orbits(G, cids, v_seed=v, g_seed=args.genus_seed,
-                      max_rounds=args.max_rounds, enum_budget=args.budget)
+    r = stable_orbits(G, args.classes, v_seed=args.branch,
+                      g_seed=args.genus_seed, max_rounds=args.max_rounds,
+                      enum_budget=args.budget)
     return r.to_json()
-
-
-def _params_torsor_check(G, args):
-    return {"classes": list(_stable_range_classes(G, args)),
-            "genus": args.genus,
-            "branch": _branch_key(parse_branch(G, args.branch)),
-            "budget": args.budget}
 
 
 def _cmd_torsor_check(G, args):
     from .branched_schur import torsor_check
     from .fastorbits import level_orbits
 
-    cids = _stable_range_classes(G, args)
-    v = parse_branch(G, args.branch)
-    table, n = level_orbits(G, args.genus, v, args.budget)
+    table, n = level_orbits(G, args.genus, args.branch, args.budget)
     if table.num_orbits == 0:
         raise CliError("level has no surjective tuples to check")
-    report = torsor_check(table.representatives, class_ids=cids)
+    report = torsor_check(table.representatives, class_ids=args.classes)
     report["genus"] = args.genus
-    report["branch"] = _branch_key(v)
+    report["branch"] = _branch_key(args.branch)
     report["tuples"] = n
     return report
 
 
+# Each command: (the inputs its cache key reads, as attribute names of
+# the parsed command line, run(G, args) -> report dict).  The key inputs
+# are all of the command's options but the common five, the ignored ones
+# and --csv.  main reads the --tuple, --tuple2, --classes and --branch
+# among them in the order given here, before the key is made, so the key
+# and run both see the parsed values.
 _COMMANDS = {
-    "group-info": (_params_group_info, _cmd_group_info),
-    "enumerate": (_params_enumerate, _cmd_enumerate),
-    "orbits": (_params_orbits, _cmd_orbits),
-    "h2": (_params_h2, _cmd_h2),
-    "mgc": (_params_classes_only, _cmd_mgc),
-    "h2bgc": (_params_classes_only, _cmd_h2bgc),
-    "sch": (_params_sch, _cmd_sch),
-    "diff": (_params_diff, _cmd_diff),
-    "dilate": (_params_dilate, _cmd_dilate),
-    "stabilize": (_params_stabilize, _cmd_stabilize),
-    "stable-range": (_params_stable_range, _cmd_stable_range),
-    "torsor-check": (_params_torsor_check, _cmd_torsor_check),
+    "group-info": ("", _cmd_group_info),
+    "enumerate": ("genus branch all budget limit", _cmd_enumerate),
+    "orbits": ("genus branch budget", _cmd_orbits),
+    "h2": ("", _cmd_h2),
+    "mgc": ("classes", _cmd_mgc),
+    "h2bgc": ("classes", _cmd_h2bgc),
+    "sch": ("tuple", _cmd_sch),
+    "diff": ("classes tuple tuple2", _cmd_diff),
+    "dilate": ("tuple", _cmd_dilate),
+    "stabilize": ("tuple classes handle", _cmd_stabilize),
+    "stable-range": ("classes branch no_branching genus_seed max_rounds "
+                     "budget", _cmd_stable_range),
+    "torsor-check": ("classes no_branching genus branch budget",
+                     _cmd_torsor_check),
 }
 
 
@@ -665,15 +613,14 @@ def main(argv=None):
             if (getattr(args, k, None) or 0) < 0:
                 raise CliError(f"--{k.replace('_', '-')} must be nonnegative")
         G = _load_group(args.group)
-        param_fn, run_fn = _COMMANDS[args.command]
-        params = param_fn(G, args)  # validates the inputs
+        _read_inputs(G, args)
         use_cache = not getattr(args, "no_cache", False)
-        cpath = _cache_path(args, G, params) if use_cache else None
+        cpath = _cache_path(args, G) if use_cache else None
         cached = _read_cache(cpath) if use_cache else None
         if cached:
             report, text = cached
         else:
-            report = run_fn(G, args)
+            report = _COMMANDS[args.command][1](G, args)
             text = _render(report)
             if use_cache:
                 _write_cache(cpath, text)

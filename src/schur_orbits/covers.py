@@ -124,6 +124,9 @@ def make_tuple(G, g, handles, punctures, allowed_classes=None):
     """
     handles = tuple((int(a), int(b)) for a, b in handles)
     punctures = tuple((int(w), int(o)) for w, o in punctures)
+    letters = chain(*handles, (w for w, _ in punctures))
+    if any(not 0 <= x < G.order for x in letters):
+        raise TupleError(f"tuple letter out of range 0..{G.order - 1}")
     if g < 0 or len(handles) != g:
         raise TupleError(f"genus {g} but {len(handles)} handle pairs")
     for w, o in punctures:

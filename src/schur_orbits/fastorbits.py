@@ -27,18 +27,17 @@ splitting a node or key with more, so no array made per block has more
 rows.
 
 On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), the median of 7
-warm in-process level_orbits calls, two runs: A4 g=3 (742,560 tuples;
-1,101 nodes of the relation, 948 kept) 0.013-0.018 s, D4 g=4 (8.2M
-tuples) 0.019-0.029 s, S3 g=5 (20.1M) 0.013-0.021 s, S4 g=3 (15.4M;
-16,093 nodes, 12,344 kept) 0.14-0.17 s, three quarters of it building
-the transition tables.  Genus 0 sweeps tuples: S4 "8 transpositions"
-(131,040 of 140,160) 0.11-0.14 s, an eighth of it finding level
-positions in the rank directory (_Positions); A5 "6 3-cycles" (960,120
-of 1,072,540) 3.9 s, three quarters of it in np.searchsorted, because
-its 20^6 codes are too sparse for the directory.
+warm in-process level_orbits calls (3 for A5), two runs: A4 g=3
+(742,560 tuples; 1,101 nodes of the relation, 948 kept) 0.008 s, D4
+g=4 (8.2M tuples) 0.013 s, S3 g=5 (20.1M) 0.008 s, S4 g=3 (15.4M;
+16,093 nodes, 12,344 kept) 0.070 s.  Genus 0 sweeps tuples: S4 "8
+transpositions" (131,040 of 140,160) 0.064 s, finding level positions
+in the rank directory (_Positions); A5 "6 3-cycles" (960,120 of
+1,072,540) 2.21-2.22 s, finding them by np.searchsorted, because its
+20^6 codes are too sparse for the directory.
 A genus-0 level whose puncture pools do not generate G is not built:
 S4 "10 double transpositions" (14,763 tuples, none surjective) takes
-2 ms cold, 0.1 ms warm, where its sweep took 0.08 s.
+0.5-0.6 ms on its first call and 0.04 ms after.
 """
 
 from __future__ import annotations

@@ -365,9 +365,7 @@ def abelianization(G):
     Works from a generating sequence: relation vectors are the Schreier
     generators of the kernel of the free abelian group on the generators.
     """
-    gens = list(G.generators) or []
-    if not gens and G.order > 1:
-        gens = list(minimal_generating_sequence(G))
+    gens = list(G.generators)
     m = len(gens)
     # BFS words: vector of generator exponents reaching each element
     words = {0: [0] * m}

@@ -45,7 +45,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 
-from .groups import DomainError, abelianization, centralizer, closure
+from .groups import (DomainError, _right_generators, abelianization,
+                     centralizer, closure)
 from .intlinalg import IntegerLattice, PresentedAbelianGroup, subgroup_quotient
 from .records import Frozen, Record
 
@@ -159,19 +160,6 @@ class H2Group(Record):
         return self.presentation.reduce(acc)
 
 
-def _free_generators(G):
-    """X: the elements 1, 2, ... up to the first that completes G, less
-    those already in the closure of the ones before."""
-    X, have = [], {0}
-    for x in range(1, G.order):
-        if len(have) == G.order:
-            break
-        if x not in have:
-            X.append(x)
-            have = set(closure(G, X))
-    return X
-
-
 _H2_CACHE = {}
 
 
@@ -188,7 +176,7 @@ def h2_group(G):
     key = G.digest
     if key in _H2_CACHE:
         return _H2_CACHE[key]
-    N, mul, X = G.order, G.mul, _free_generators(G)
+    N, mul, X = G.order, G.mul, _right_generators(G.mul)
     tree, bfs = {0: None}, [0]
     for g in bfs:
         for i, x in enumerate(X):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,168 @@ def test_cache_population(files, capsys):
     assert json.loads(out)["H2"] == ["poisoned"]
     _, fresh = run(capsys, ["h2", "--group", files["s3"], "--no-cache"])
     assert json.loads(fresh)["H2"] == []
+
+
+K4_TORI = [json.dumps({"g": 1, "handles": [h], "punctures": []})
+           for h in ([1, 2], [2, 1])]
+
+# Each command: a small job (its group and options) and, for each of its
+# key inputs, another valid value of that option (True: a flag given).
+KEY_JOBS = {
+    "group-info": ("s3", {}, {}),
+    "enumerate": ("s3", {"--genus": "0", "--branch": "2 transpositions"},
+                  {"--genus": "1", "--branch": "4 transpositions",
+                   "--all": True, "--budget": "1000000", "--limit": "1"}),
+    "orbits": ("s3", {"--genus": "0", "--branch": "2 transpositions"},
+               {"--genus": "1", "--branch": "4 transpositions",
+                "--budget": "1000000"}),
+    "h2": ("s3", {}, {}),
+    "mgc": ("s3", {"--classes": "transpositions"}, {"--classes": "all"}),
+    "h2bgc": ("s3", {"--classes": "transpositions"}, {"--classes": "all"}),
+    "sch": ("k4", {"--tuple": K4_TORI[0]}, {"--tuple": K4_TORI[1]}),
+    "diff": ("k4", {"--tuple": K4_TORI[0], "--tuple2": K4_TORI[1]},
+             {"--tuple": K4_TORI[1], "--tuple2": K4_TORI[0],
+              "--classes": "none"}),
+    "dilate": ("k4", {"--tuple": K4_TORI[0]}, {"--tuple": K4_TORI[1]}),
+    "stabilize": ("k4", {"--tuple": K4_TORI[0]},
+                  {"--tuple": K4_TORI[1], "--classes": "1",
+                   "--handle": True}),
+    "stable-range": ("k4", {"--classes": "1", "--max-rounds": "2"},
+                     {"--classes": "2", "--branch": "2 1",
+                      "--no-branching": True, "--genus-seed": "2",
+                      "--max-rounds": "3", "--budget": "1000000"}),
+    "torsor-check": ("k4", {"--genus": "1", "--classes": "all"},
+                     {"--classes": "1", "--no-branching": True,
+                      "--genus": "2", "--branch": "2 1",
+                      "--budget": "1000000"}),
+}
+# options no cache key reads, with a value for each
+NOT_KEYED = {"--threads": "3", "--out": "report.json"}
+NOT_KEYED_BY = {"stable-range": {"--csv": "grid.csv"},
+                "diff": {"--budget": "5"},
+                "torsor-check": {"--diff-budget": "5"}}
+
+
+def _job_argv(files, command, options):
+    group, base, _ = KEY_JOBS[command]
+    argv = [command, "--group", files[group]]
+    for option, value in {**base, **options}.items():
+        argv += [option] if value is True else [option, value]
+    return argv
+
+
+def test_key_inputs_are_the_options_of_each_command():
+    common = {"--group", "--out", "--cache-dir", "--no-cache", "--threads"}
+    assert set(KEY_JOBS) == set(cli._COMMANDS)
+    for command, (keys, _) in cli._COMMANDS.items():
+        options = {o for o, (_, _, text) in cli._options(command).items()
+                   if o not in common | {"--csv"} and text != cli._IGNORED}
+        assert sorted(keys.split()) == sorted(
+            o[2:].replace("-", "_") for o in options), command
+        assert set(KEY_JOBS[command][2]) == options, command
+        assert set(NOT_KEYED_BY.get(command, {})) <= set(
+            cli._options(command)) - options
+
+
+@pytest.mark.parametrize("command", list(KEY_JOBS))
+def test_cache_key_reads_every_input_and_nothing_else(files, capsys,
+                                                      command):
+    cache = files["tmp"] / "cache"
+    argv = _job_argv(files, command, {})
+    run(capsys, argv)
+    (entry,) = cache.glob("*.json")
+    # a warm run is served from the entry the cold run wrote
+    poisoned = json.dumps({"poisoned": command}, indent=2) + "\n"
+    entry.write_text(poisoned)
+    assert run(capsys, argv)[1] == poisoned
+    # options outside the key are served from the same entry
+    unkeyed = {**NOT_KEYED, **NOT_KEYED_BY.get(command, {})}
+    for option, value in unkeyed.items():
+        if option in ("--out", "--csv"):
+            value = str(files["tmp"] / value)
+        code, out = run(capsys, argv + [option, value])
+        if option == "--out":
+            out = Path(value).read_text()
+        assert out == poisoned, option
+    assert list(cache.glob("*.json")) == [entry]
+    # each key input changed alone is a new entry
+    for n, (option, value) in enumerate(KEY_JOBS[command][2].items(), 2):
+        code, out = run(capsys, _job_argv(files, command, {option: value}))
+        assert code in (0, 2) and out != poisoned, option
+        assert len(list(cache.glob("*.json"))) == n, option
+
+
+@pytest.mark.parametrize("command", list(KEY_JOBS))
+def test_each_input_is_read_once(files, capsys, monkeypatch, command):
+    reads = []
+    for name in ("parse_branch", "parse_classes", "_load_tuple"):
+        def read(G, text, _name=name, _read=getattr(cli, name)):
+            reads.append((_name, text))
+            return _read(G, text)
+        monkeypatch.setattr(cli, name, read)
+    taken = cli._options(command)
+    inputs = {"_load_tuple": ("--tuple" in taken) + ("--tuple2" in taken),
+              "parse_classes": int("--classes" in taken),
+              "parse_branch": int("--branch" in taken)}
+    alternatives = KEY_JOBS[command][2]
+    for options in [{}] + [{o: v} for o, v in alternatives.items()]:
+        argv = _job_argv(files, command, options)
+        given = {argv[i + 1] for i, word in enumerate(argv[:-1])
+                 if word in ("--tuple", "--tuple2", "--branch")
+                 or word == "--classes" and "--no-branching" not in argv}
+        for _ in range(2):  # cold, then warm
+            reads.clear()
+            code, _ = run(capsys, argv)
+            assert code in (0, 2)
+            calls = Counter(name for name, _ in reads)
+            assert all(calls[f] <= n for f, n in inputs.items()), reads
+            assert given <= {text for _, text in reads}, reads
+
+
+def test_no_branching_does_not_read_classes(files, capsys):
+    code, out = run(capsys, ["torsor-check", "--group", files["k4"],
+                             "--no-branching", "--classes", "garbage",
+                             "--genus", "2"])
+    assert code == 0 and json.loads(out)["passed"]
+
+
+# every input malformed: the error is that of the first one the key names
+@pytest.mark.parametrize("argv,first", [
+    (["diff", "--tuple", "{", "--tuple2", "{", "--classes", "bad"],
+     "class selector"),
+    (["stabilize", "--classes", "bad", "--tuple", "{"], "tuple"),
+    (["stable-range", "--branch", "bad", "--classes", "bad"],
+     "class selector"),
+    (["torsor-check", "--branch", "bad", "--classes", "bad", "--genus", "1"],
+     "class selector"),
+])
+def test_inputs_are_read_in_key_order(files, capsys, argv, first):
+    code, out = run(capsys, argv + ["--group", files["k4"], "--no-cache"])
+    assert code == 1 and first in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("classes,code", [(None, 0), ("none", 1)])
+def test_diff_without_classes_takes_the_branch_classes(files, capsys,
+                                                       classes, code):
+    level = get_level("s3", 0, ((1, 1, 4),))
+    argv = ["diff", "--group", files["s3"],
+            "--tuple", json.dumps(tuple_to_json(level[0])),
+            "--tuple2", json.dumps(tuple_to_json(level[1]))]
+    got, _ = run(capsys, argv + ["--classes", classes] * bool(classes))
+    assert got == code
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("dilate", {"g": True, "handles": [[1, 2]],
+                "punctures": [[True, 1], [1, -1]]}),
+    ("sch", {"g": True, "handles": [[1, 2]], "punctures": []}),
+    ("sch", {"g": 1, "handles": [[1, False]], "punctures": []}),
+])
+def test_tuple_booleans_are_not_integers(files, capsys, command, extra):
+    code, out = run(capsys, [command, "--group", files["k4"],
+                             "--tuple", json.dumps(extra)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
 
 
 def test_torsor_check_cli(files, capsys):
@@ -275,7 +438,7 @@ def test_every_domain_error_exits_1(files, capsys, monkeypatch, error, code,
     def fail(G, args):
         raise error("raised by the command")
 
-    monkeypatch.setitem(cli._COMMANDS, "h2", (cli._params_h2, fail))
+    monkeypatch.setitem(cli._COMMANDS, "h2", (cli._COMMANDS["h2"][0], fail))
     got, out = run(capsys, ["h2", "--group", files["s3"], "--no-cache"])
     assert got == code
     assert json.loads(out)["error"]["kind"] == kind

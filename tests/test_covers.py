@@ -41,6 +41,18 @@ def test_make_tuple_rejects_bad_signs(s3):
         make_tuple(s3, 0, [], [(a, 2), (s3.inv[a], 1)])
 
 
+@pytest.mark.parametrize("g,handles,punctures", [
+    (0, [], [(1, 1), (-5, 1)]),  # -5 would wrap to 1 through G.mul
+    (1, [(0, -6)], []),
+    (1, [(6, 0)], []),
+    (0, [], [(6, 1), (1, 1)]),
+])
+def test_make_tuple_rejects_letters_outside_the_group(s3, g, handles,
+                                                      punctures):
+    with pytest.raises(TupleError, match="out of range 0..5"):
+        make_tuple(s3, g, handles, punctures)
+
+
 def test_empty_c_forces_closed(s3):
     a = 1
     with pytest.raises(TupleError):

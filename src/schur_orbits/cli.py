@@ -28,7 +28,10 @@ loads neither homology nor stabilization.  covers comes in with the
 first tuple or branch argument.  numpy comes in only with the orbit
 engine (moves and fastorbits): h2, mgc, h2bgc and sch run homology in
 Python ints and never load it.  sch is homology.lifting_invariant with C
-empty, so it loads neither branched_schur nor stabilization.  traceback
+empty, so it loads neither branched_schur nor stabilization.  intlinalg
+comes in with G_ab (group-info, an orbits level whose net branch vector
+is nonzero) or with homology, so a closed orbits level, or one whose
+punctures cancel in the net vector, never loads it.  traceback
 is imported only for an internal error.  No command loads OpenSSL: the
 digests use groups.sha256, CPython's built-in SHA-256.
 """

@@ -161,11 +161,14 @@ def hom_branch_type(G, class_ids, v):
 
     [v](cbar) = v(cbar,+1) - v(cbar,-1); membership in N, the kernel of
     Z^{C//G} -> G_ab, is necessary for realizability by a closed
-    connected cover.
+    connected cover.  A zero vector maps to zero, so it is in N without
+    computing G_ab.
     """
     cids = sorted(set(class_ids))
     d = v.as_dict() if isinstance(v, BranchData) else dict(v)
     vec = [d.get((cid, 1), 0) - d.get((cid, -1), 0) for cid in cids]
+    if not any(vec):
+        return vec, True
     A, proj = abelianization(G)
     image = A.zero()
     for k, cid in zip(vec, cids):

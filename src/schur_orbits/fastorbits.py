@@ -13,31 +13,38 @@ one frontier sweep (_sweep) partitions them into orbits under the moves
 that span handles or punctures.  Every move is an automorphism of pi_1
 or a conjugation, so surjectivity is decided once per orbit: orbit_scan
 drops the orbits whose representative does not generate G.  Each of
-those moves is a transition table on the digits of each of its sites
-(_transitions), built by running its moves.move_plan through
+those moves acts on each of its sites, one or two node digits, by a
+transition table on the site's keys (_SiteTable), built by running its
+moves.move_plan, shifted onto the site (_site_plan), through
 moves.plan_evaluator, apply_move's evaluator, on numpy columns of the
-site's tuples, for the digit values that occur in the level.
-ChainTwist is a relation on nodes (up to 22 targets per label pair on
-A4, 53 on S4), so its frontier is deduplicated.  Orbit and level sizes
-are sums of node weights, the products of orbit sizes.  A budget bounds
-the prefixes build_level walks (_prefix_count) and the tuples
-_Codes.expand makes.  The builder, the transition tables and the sweep
-work FILTER_CHUNK prefixes, tuples or codes at a time (_row_blocks),
-splitting a node or key with more, so no array made per block has more
-rows.
+site's tuples.  The tables are memoized per group under the shifted
+plan, so a move shares one table across its site indices and across
+levels (_transitions), and each holds the keys that levels have asked
+for.  ChainTwist is a relation on nodes (up to 22 targets per label
+pair on A4, 53 on S4).  The sweep sends the images of every move of a
+breadth-first step through one position lookup and one dedupe.  Orbit
+and level sizes are sums of node weights, the products of orbit sizes.
+A budget bounds the prefixes build_level walks (_prefix_count) and the
+tuples _Codes.expand makes.  The builder, the transition tables and the
+sweep work FILTER_CHUNK prefixes, tuples or codes at a time
+(_row_blocks), splitting a node or key with more, so no array made per
+block has more rows.
 
-On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), the median of 7
-warm in-process level_orbits calls (3 for A5), two runs: A4 g=3
-(742,560 tuples; 1,101 nodes of the relation, 948 kept) 0.008 s, D4
-g=4 (8.2M tuples) 0.013 s, S3 g=5 (20.1M) 0.008 s, S4 g=3 (15.4M;
-16,093 nodes, 12,344 kept) 0.070 s.  Genus 0 sweeps tuples: S4 "8
-transpositions" (131,040 of 140,160) 0.064 s, finding level positions
-in the rank directory (_Positions); A5 "6 3-cycles" (960,120 of
-1,072,540) 2.21-2.22 s, finding them by np.searchsorted, because its
-20^6 codes are too sparse for the directory.
+On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), in-process
+level_orbits on a new group (first call), then the median of 7 more
+calls on it (3 for A5), with its handle orbits and tables memoized, two
+runs: A4 g=3 (742,560 tuples; 1,101 nodes of the relation, 948 kept)
+5.9-8.8 ms, then 2.4-3.5 ms; D4 g=4 (8.2M tuples) 9.3, then 7.8 ms; S3
+g=5 (20.1M) 6.2, then 5.3 ms; S4 g=3 (15.4M; 16,093 nodes, 12,344
+kept) 41, then 11.8 ms, the first call building tables over 24^4
+handle-pair tuples.  Genus 0 sweeps tuples: S4 "8 transpositions"
+(131,040 of 140,160) 53, then 48.5 ms, finding level positions in the
+rank directory (_Positions); A5 "6 3-cycles" (960,120 of 1,072,540)
+2.10-2.15 s, finding them by np.searchsorted, because its 20^6 codes
+are too sparse for the directory.
 A genus-0 level whose puncture pools do not generate G is not built:
 S4 "10 double transpositions" (14,763 tuples, none surjective) takes
-0.5-0.6 ms on its first call and 0.04 ms after.
+0.45 ms on its first call and 0.03-0.04 ms after.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from .moves import (
     MOVE_SET_TAG,
     Move,
     MoveError,
+    MovePlan,
     OrbitTable,
     _np_tables,
     move_catalog,
@@ -72,7 +80,7 @@ from .moves import (
 __all__ = ["orbit_scan", "closed_orbit_scan", "level_orbits", "build_level",
            "FastOrbitTable"]
 
-FILTER_CHUNK = 1 << 13  # prefixes, frontier nodes or tuples at a time
+FILTER_CHUNK = 1 << 13  # prefixes, nodes, tuples or looked-up codes at a time
 _BIT = np.array([1 << k for k in range(32)], dtype=np.int64)  # _Positions
 
 # the move kinds that act within one handle (an *Inv kind has the orbits
@@ -224,20 +232,18 @@ class _Codes:
             out.append(H.members[H.start[label] + k])
         return out[::-1]
 
-    def site_letters(self, lo, hi, site, rank):
-        """The letter columns by slot and the sign columns by puncture
-        that node digits lo..hi hold in tuple rank[i] of the nodes whose
-        digits there are site[0][i], site[1][i], ..."""
+    def letters(self, nodes, rank):
+        """The letter columns by slot and the sign columns by puncture of
+        tuple rank[i] of the nodes whose digits are nodes[0][i],
+        nodes[1][i], ..."""
         g, q = self.genus, self.group.order
-        handles = range(lo, min(hi + 1, g))  # punctures follow every handle
-        cols, signs = {}, {}
-        for d, pair in zip(handles, self.pairs(site[:len(handles)], rank)):
+        cols = {}
+        for d, pair in enumerate(self.pairs(nodes[:g], rank)):
             cols[2 * d], cols[2 * d + 1] = np.divmod(pair, q)
-        for d, digit in zip(range(lo, hi + 1), site):
-            if d >= g:
-                cols[d + g] = self.letter[digit]
-                signs[d - g] = self.sign[digit]
-        return cols, signs
+        for j, digit in enumerate(nodes[g:]):
+            cols[2 * g + j] = self.letter[digit]
+        return ([cols[s] for s in range(2 * g + self.n)],
+                [self.sign[digit] for digit in nodes[g:]])
 
     def tuple_codes(self, nodes, rank=None):
         """Tuple codes of tuple rank[i] of nodes[i], in the node's
@@ -461,10 +467,11 @@ class _Positions:
     cache.  The words are int64, not uint64, because numpy's uint64
     kernels cost each orbits process about 0.3 MiB of peak RSS to load.
     The bits are set FILTER_CHUNK codes at a time and the counts summed
-    from them, so the build makes no array per code.  Where the directory would take more bytes than the level's own int64
-    codes (fits), np.searchsorted over the level finds the positions
-    instead.  Calling it on int64 codes returns their positions;
-    MoveError when one is off the level."""
+    from them, so the build makes no array per code.  Where the directory
+    would take more bytes than the level's own int64 codes (fits),
+    np.searchsorted over the level finds the positions instead.  Calling
+    it on int64 codes returns their positions; MoveError when one is off
+    the level."""
 
     def __init__(self, level, space):
         self.level = level
@@ -525,57 +532,145 @@ def _sites(plan, g):
     return sites
 
 
-def _transitions(codes, plan, lo, hi, level):
-    """The transition table of plan's move on node digits lo..hi, read as
-    one mixed-radix key, for the keys that occur in level: the plan runs
-    over every tuple of each key (its handle orbits' pairs, its
-    punctures' letters and signs), FILTER_CHUNK tuples at a time, so a
-    key with more tuples than that spans several blocks.
+def _site_plan(plan, g, lo, hi):
+    """plan on node digits lo..hi alone, its slots shifted onto them:
+    (MovePlan, h, p) for genus-h, p-puncture tuples, the site's h handle
+    digits and then its p puncture digits.  It keeps the writes and signs
+    of the site's slots and the steps they read, renumbered in order, and
+    holds each step table as a tuple, so that it is hashable."""
+    h = max(min(hi + 1, g) - lo, 0)
+    p = hi + 1 - lo - h
+    first, n, L = 2 * lo if lo < g else lo + g, 2 * h + p, plan.slots
+    writes = [(slot, reg) for slot, reg in plan.writes
+              if first <= slot < first + n]
+    need, steps = {reg for _, reg in writes}, []
+    for step in reversed(plan.steps):
+        if step[0] in need:
+            need |= {r if r >= 0 else ~r for r in step[3]}
+            steps.append(step)
+    steps.reverse()
+    # the site's slots, then the point-push element, then its steps
+    to = {r: r - first for r in range(first, first + n)}
+    to[L] = n
+    to.update((step[0], n + 1 + k) for k, step in enumerate(steps))
+    j0 = max(lo, g) - g  # the site's first puncture
+    return MovePlan(
+        n, plan.element,
+        tuple((to[reg], tuple(to[r] for r in srcs),
+               None if table is None else tuple(table),
+               tuple(to[r] if r >= 0 else ~to[~r] for r in word))
+              for reg, srcs, table, word in steps),
+        tuple((to[slot], to[reg]) for slot, reg in writes),
+        tuple((j - j0, src - j0) for j, src in plan.signs
+              if lo <= g + j <= hi)), h, p
 
-    Returns (place, space, start, delta, multi): a node whose key is
-    k = code // place % space moves to code + delta[j] for j in
-    start[k]:start[k + 1]; multi when some key has several targets.
-    """
-    G, g, H = codes.group, codes.genus, codes.orbits
-    q = G.order
-    radices = codes.radices[lo:hi + 1]
-    place, space = codes.place[hi], prod(radices)
-    seen = np.zeros(space, dtype=bool)
-    for start in range(0, level.size, FILTER_CHUNK):
-        seen[level[start:start + FILTER_CHUNK] // place % space] = True
-    keys = np.flatnonzero(seen)
-    f = plan_evaluator(G, plan, columns=True)
-    digits = _digits(keys, radices)
-    parts = [np.zeros(0, dtype=np.int64)]
-    # label 0 holds only pair code 0, the identities, which every move
-    # fixes, so the zero digits of keys * place count once
-    for item, rank in _row_blocks(codes.weight(keys * place)):
-        cols, signs = codes.site_letters(
-            lo, hi, [digit[item] for digit in digits], rank)
-        del rank  # only the plan's columns live while it runs
-        # letters outside the site are read by no letter inside it
-        zero = np.zeros(item.size, dtype=np.int64)
-        out, out_signs = f([cols.get(s, zero) for s in range(plan.slots)],
-                           [signs.get(j, zero + 1) for j in range(codes.n)])
-        target = np.zeros(item.size, dtype=np.int64)
-        for d, radix in zip(range(lo, hi + 1), radices):
-            target *= radix
-            target += (H.label[out[2 * d] * q + out[2 * d + 1]] if d < g
-                       else codes._ranks(out[d + g], out_signs[d - g]))
-        parts.append(_distinct(item * space + target))
-    # a key whose tuples span two blocks has its targets in both
-    pairs = _distinct(np.concatenate(parts))
-    src = keys[pairs // space]
-    start = np.zeros(space + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=space), out=start[1:])
-    return (place, space, start, (pairs % space - src) * place,
-            bool((np.diff(start) > 1).any()))
+
+class _SiteTable:
+    """The transition table of a site plan (_site_plan) on the keys of its
+    site, which are the node codes of a level of the site's own shape
+    (_Codes of h handles and p punctures over the level's alphabet).  One
+    table serves its move at every site index and every level of the
+    group.  It holds the keys that levels have asked for (fill): key k
+    moves to k + delta[j] for j in start[k]:start[k + 1]; multi when some
+    key has several targets; complete once it holds every key."""
+
+    def __init__(self, codes, plan):
+        self.codes, self.plan = codes, plan
+        self.space = codes.space
+        self.done = np.zeros(self.space, dtype=bool)
+        self.complete, self.multi = False, False
+        self.pairs = np.zeros(0, dtype=np.int64)  # sorted key * space + target
+        self.start = np.zeros(self.space + 1, dtype=np.int64)
+        self.delta = self.pairs
+
+    def fill(self, keys):
+        """Add the rows of keys, sorted keys not yet held: the plan runs
+        over every tuple of each key (its handle orbits' pairs, its
+        punctures' letters and signs), FILTER_CHUNK tuples at a time, so
+        a key with more tuples than that spans several blocks.
+
+        MoveError when the table maps each key it holds to one key but
+        two of them to the same one: a move is a bijection of tuples, so
+        a move that sends each key into one key permutes the keys, and
+        the level is not move-closed otherwise."""
+        codes, space = self.codes, self.space
+        H, q, h = codes.orbits, codes.group.order, codes.genus
+        f = plan_evaluator(codes.group, self.plan, columns=True)
+        digits = _digits(keys, codes.radices)
+        parts = [self.pairs]
+        # label 0 holds only pair code 0, so a key's weight is its tuples
+        for item, rank in _row_blocks(codes.weight(keys)):
+            cols, signs = codes.letters([digit[item] for digit in digits],
+                                        rank)
+            del rank  # only the plan's columns live while it runs
+            out, out_signs = f(cols, signs)
+            target = np.zeros(item.size, dtype=np.int64)
+            for d, radix in enumerate(codes.radices):
+                target *= radix
+                target += (H.label[out[2 * d] * q + out[2 * d + 1]] if d < h
+                           else codes._ranks(out[d + h], out_signs[d - h]))
+            parts.append(_distinct(keys[item] * space + target))
+        # a key whose tuples span two blocks has its targets in both
+        pairs = _distinct(np.concatenate(parts))
+        src, target = np.divmod(pairs, space)
+        start = np.zeros(space + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=space), out=start[1:])
+        multi = bool((np.diff(start) > 1).any())
+        if not multi and _distinct(target).size < target.size:
+            raise MoveError("level is not move-closed: a move sends two "
+                            "keys of a site to one (catalog/filter bug)")
+        # kept only once checked, so the memo never holds a failed fill
+        self.pairs, self.start, self.delta = pairs, start, target - src
+        self.multi = multi
+        self.done[keys] = True
+        self.complete = bool(self.done.all())
+
+
+def _transitions(codes, plan, lo, hi, level):
+    """The _SiteTable of plan's move on node digits lo..hi of a level,
+    holding every key (those digits read as one mixed-radix number) that
+    occurs in level.  It is memoized in G.cache under the move's site
+    plan (_site_plan), its digit kinds and, with a puncture digit, the
+    alphabet, never under the Move, so every site and level with that
+    plan shares it; level is read, FILTER_CHUNK codes at a time, only
+    while the table lacks a key.  A node whose key is
+    k = code // codes.place[hi] % space moves as its key does, the
+    other digits kept."""
+    site, h, p = _site_plan(plan, codes.genus, lo, hi)
+    memo = codes.group.cache.setdefault("site tables", {})
+    key = (site, h, p, codes.alphabet if p else ())
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = _SiteTable(
+            _Codes(codes.group, h, p, codes.alphabet), site)
+    if not table.complete:
+        place = codes.place[hi]
+        seen = np.zeros(table.space, dtype=bool)
+        for start in range(0, level.size, FILTER_CHUNK):
+            seen[level[start:start + FILTER_CHUNK] // place % table.space] = True
+        keys = np.flatnonzero(seen & ~table.done)
+        if keys.size:
+            table.fill(keys)
+    return table
+
+
+def _site_moves(codes, plan, level):
+    """The sites of plan's move on level as _moved reads them: (place,
+    key space, start, delta in node units, multi) of each site's table.
+    A later fill of a shared table makes new arrays and leaves these
+    rows as they are."""
+    out = []
+    for lo, hi in _sites(plan, codes.genus):
+        t = _transitions(codes, plan, lo, hi, level)
+        place = codes.place[hi]
+        out.append((place, t.space, t.start, t.delta * place, t.multi))
+    return out
 
 
 def _moved(code, sites):
-    """The node codes that one move's site tables (_transitions) take
-    the nodes code to, in pieces of at most FILTER_CHUNK codes when a
-    site has several targets per key."""
+    """The node codes that one move's sites (_site_moves) take the nodes
+    code to, in pieces of at most FILTER_CHUNK codes when a site has
+    several targets per key."""
     for k, (place, space, begin, delta, multi) in enumerate(sites):
         key = code // place % space
         at = begin[key]
@@ -587,59 +682,65 @@ def _moved(code, sites):
     yield code
 
 
+def _claim(ids, pos, oid):
+    """The distinct level positions of pos that have no orbit id yet,
+    each given orbit oid.  Each is first tagged -2 - i by one of its
+    entries i, which then keeps it: a dedupe without a sort."""
+    pos = pos[ids[pos] < 0]
+    tag = -2 - np.arange(pos.size, dtype=np.int32)
+    ids[pos] = tag
+    pos = pos[ids[pos] == tag]
+    ids[pos] = oid
+    return pos
+
+
 def _sweep(codes, level, plans):
     """Partition a sorted, move-closed node level into orbits under the
     moves of plans, with the handle moves that connect each node.
 
     Each orbit is seeded at the least node outside the orbits before it
-    and grown breadth first: every move's transition tables take the
-    frontier, FILTER_CHUNK nodes at a time, to the node codes their
-    tuples reach (_moved, in pieces of at most FILTER_CHUNK), whose
-    level positions the level's _Positions, built once, finds.  A move
-    with more than one target per key can reach a node twice, so its
-    output is deduplicated; every other move permutes the nodes.  Orbit
-    sizes are summed from the node weights once every node has its
-    orbit.  Returns (seed node codes, orbit sizes in tuples, orbit id of
-    every node).
+    and grown breadth first.  Each step takes the frontier, FILTER_CHUNK
+    nodes at a time, through every move's site tables (_transitions,
+    memoized per group) to the node codes their tuples reach (_moved),
+    and sends the codes of all moves together, FILTER_CHUNK at a time,
+    through one lookup of their level positions (the level's _Positions,
+    built once), one filter of the visited nodes and one dedupe
+    (_claim).  A code off the level, or a table that merges keys, is a
+    MoveError.  Orbit sizes are summed from the node weights once every
+    node has its orbit.  Returns (seed node codes, orbit sizes in
+    tuples, orbit id of every node).
     """
-    tables = []  # (each site's table, whether one has several targets)
-    for plan in plans:
-        sites = [_transitions(codes, plan, lo, hi, level)
-                 for lo, hi in _sites(plan, codes.genus)]
-        tables.append((sites, any(site[-1] for site in sites)))
+    moves = [_site_moves(codes, plan, level) for plan in plans]
     positions = _Positions(level, codes.space)
     n_nodes = int(level.size)
     ids = np.full(n_nodes, -1, dtype=np.int32)
-    seeds, reached = [], 0
+    seeds = []
     pos = _next_unvisited(ids, 0)
     while pos < n_nodes:
         oid = len(seeds)
         ids[pos] = oid
         frontier = np.array([pos], dtype=np.int64)
         while frontier.size:
-            reached += frontier.size
-            new_parts = []
+            found, batch, held = [], [], 0
             for start in range(0, frontier.size, FILTER_CHUNK):
                 code = level[frontier[start:start + FILTER_CHUNK]]
-                for sites, multi in tables:
+                for sites in moves:
                     for enc in _moved(code, sites):
-                        enc = positions(enc)
-                        enc = enc[ids[enc] < 0]
-                        if multi:
-                            enc = _distinct(enc)
-                        if enc.size:
-                            ids[enc] = oid
-                            new_parts.append(enc)
+                        if held + enc.size > FILTER_CHUNK:
+                            found.append(_claim(
+                                ids, positions(np.concatenate(batch)), oid))
+                            batch, held = [], 0
+                        batch.append(enc)
+                        held += enc.size
+            if batch:
+                found.append(_claim(ids, positions(np.concatenate(batch)),
+                                    oid))
             # the old frontier goes before the new one is joined
             del frontier
-            frontier = (np.concatenate(new_parts) if new_parts
+            frontier = (np.concatenate(found) if found
                         else np.array([], dtype=np.int64))
         seeds.append(int(level[pos]))
         pos = _next_unvisited(ids, pos + 1)
-    # a move that permutes the nodes reaches no node twice, so every node
-    # is counted once unless the level or the catalog is wrong
-    if reached != n_nodes:
-        raise MoveError("level is not move-closed (catalog/filter bug)")
     sizes = np.zeros(len(seeds), dtype=np.int64)
     for start in range(0, n_nodes, FILTER_CHUNK):
         np.add.at(sizes, ids[start:start + FILTER_CHUNK],
@@ -659,8 +760,10 @@ def _forward_moves(G, catalog):
     appears twice).
 
     The orbits stay the same.  Every move permutes the finite level (the
-    sweep's closure check enforces that), so its inverse is one of its
-    powers, and the forward closure of a tuple is its whole orbit."""
+    sweep checks that each image is on the level, and each table that
+    sends every key to one key that it permutes the keys), so its inverse
+    is one of its powers, and the forward closure of a tuple is its whole
+    orbit."""
     kinds = {(m.kind, m.index) for m in catalog}
     conj = set()
     out = []

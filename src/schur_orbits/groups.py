@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .intlinalg import cokernel
 from .records import Frozen
 
 # SHA-256 for the group, source and cache-key digests.  Importing hashlib
@@ -364,7 +363,12 @@ def abelianization(G):
 
     Works from a generating sequence: relation vectors are the Schreier
     generators of the kernel of the free abelian group on the generators.
+    intlinalg is imported here, so that a process that never needs G_ab
+    (a closed orbits level, or one with a zero net branch vector) never
+    loads it.
     """
+    from .intlinalg import cokernel
+
     gens = list(G.generators)
     m = len(gens)
     # BFS words: vector of generator exponents reaching each element

@@ -491,6 +491,7 @@ def test_group_info_and_cache_hits_import_no_numpy(files):
     # needs no numpy
     assert "schur_orbits.homology" in cold and "numpy" not in cold
     assert "schur_orbits.groups" in group_info
+    assert "schur_orbits.intlinalg" in group_info  # its G_ab
     assert not group_info & HEAVY_MODULES
     assert not warm & HEAVY_MODULES
     assert not warm & _ABSENT["h2"]
@@ -578,14 +579,19 @@ def test_homology_commands_load_no_numpy(files, command):
                          "schur_orbits.stabilization"}
 
 
-@pytest.mark.parametrize("level", [["--genus", "0", "--branch",
-                                    "4 transpositions"],
-                                   ["--genus", "2"]])
+# (group, level, whether its net branch vector is nonzero)
+@pytest.mark.parametrize("level", [
+    ("s3", ["--genus", "0", "--branch", "4 transpositions"], True),
+    ("s3", ["--genus", "2"], False),
+    ("a4", ["--genus", "0", "--branch", "3 1, 3 1 -"], False)])
 def test_orbits_loads_neither_homology_nor_stabilization(files, level):
-    loaded = _imported_modules(["orbits", "--group", files["s3"], *level,
+    group, argv, nonzero = level
+    loaded = _imported_modules(["orbits", "--group", files[group], *argv,
                                 "--no-cache"])
     assert "schur_orbits.fastorbits" in loaded
     assert not loaded & {"schur_orbits.homology", "schur_orbits.stabilization"}
+    # hom_branch_type needs G_ab, and so intlinalg, for a nonzero vector only
+    assert ("schur_orbits.intlinalg" in loaded) == nonzero
 
 
 @pytest.mark.parametrize("tup", [

@@ -2,6 +2,8 @@
 move words read directly, the hash-BFS orbit engine and the Python
 enumeration walk."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -21,6 +23,8 @@ from schur_orbits.fastorbits import (
     _handle_orbits,
     _moved,
     _prefix_count,
+    _site_moves,
+    _site_plan,
     _sites,
     _sweep,
     _transitions,
@@ -619,9 +623,9 @@ def test_chain_twist_relation_is_the_brute_force_relation(name):
     K = H.size.size
     m = Move("ChainTwist", 0)
     # every label pair as a node of the genus-2 code space
-    place, space, start, delta, multi = _transitions(
-        codes, move_plan(G, m, 2, 0), 0, 1, np.arange(K * K))
-    assert (place, space) == (1, K * K)
+    t = _transitions(codes, move_plan(G, m, 2, 0), 0, 1, np.arange(K * K))
+    space, start, delta, multi = t.space, t.start, t.delta, t.multi
+    assert (codes.place[1], space) == (1, K * K)
     got = {(k, k + int(d)) for k in range(K * K)
            for d in delta[start[k]:start[k + 1]]}
     want = set()
@@ -640,10 +644,9 @@ def test_moved_applies_every_site_after_a_relation(s3):
     # ChainTwist's table (several targets per key) followed by GlobalConj's
     # three handle sites, each target taken through all three
     codes, level = build_level(s3, 3, BranchData(()))
-    sites = [_transitions(codes, plan, lo, hi, level)
-             for plan in (move_plan(s3, Move("ChainTwist", 0), 3, 0),
-                          move_plan(s3, Move("GlobalConj", element=1), 3, 0))
-             for lo, hi in _sites(plan, 3)]
+    sites = [site for plan in (move_plan(s3, Move("ChainTwist", 0), 3, 0),
+                               move_plan(s3, Move("GlobalConj", element=1), 3, 0))
+             for site in _site_moves(codes, plan, level)]
     assert [site[-1] for site in sites] == [True, False, False, False]
     nodes = level[::5]  # not conjugation-closed, unlike the whole level
     want = []
@@ -664,3 +667,129 @@ def test_catalog_without_a_handle_move_is_a_move_error(s3):
            if (m.kind, m.index) not in {("TwistB", 1), ("TwistBInv", 1)}]
     with pytest.raises(fastorbits.MoveError, match="handle move"):
         closed_orbit_scan(s3, 2, cat)
+
+
+def _rows(table, keys):
+    """The targets of each of keys in a _SiteTable, in key units."""
+    return [sorted((k + table.delta[table.start[k]:table.start[k + 1]]).tolist())
+            for k in keys.tolist()]
+
+
+def _record(mp, owner, name):
+    """Wrap owner.name so that each call appends its arguments to the
+    list returned."""
+    calls, f = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return f(*args)
+
+    mp.setattr(owner, name, wrapper)
+    return calls
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(sweep_levels())
+@example((get_group("s3"), 2, BranchData(())))
+@example((get_group("a4"), 1, BranchData.from_dict({(1, 1): 1, (2, -1): 2})))
+def test_every_table_the_sweep_uses_is_its_sites_own(case):
+    # tables are shared across sites and kept across levels (the groups
+    # are shared by every example), so each one the sweep reads must
+    # give the level's keys at that site the rows of a table built for
+    # that site alone, from an empty memo
+    G, g, v = case
+    codes, level = build_level(G, g, v)
+    assume(level.size)
+    plans = [move_plan(G, m, g, codes.n) for m in move_catalog(G, g, codes.n)]
+    with pytest.MonkeyPatch.context() as mp:
+        used = _record(mp, fastorbits, "_transitions")
+        _sweep(codes, level, plans)
+    assert [(plan, lo, hi) for _, plan, lo, hi, _ in used] == \
+        [(plan, lo, hi) for plan in plans for lo, hi in _sites(plan, g)]
+    shared = [_transitions(*args) for args in used]
+    memo = G.cache.pop("site tables")
+    try:
+        for args, table in zip(used, shared):
+            G.cache.pop("site tables", None)
+            fresh = _transitions(*args)
+            keys = np.flatnonzero(fresh.done)
+            assert keys.size and table.done[keys].all()
+            assert _rows(table, keys) == _rows(fresh, keys)
+    finally:
+        G.cache["site tables"] = memo
+
+
+def test_a4_genus_3_builds_four_tables_for_its_ten_sites(monkeypatch):
+    # ChainTwist and HandleSwap at handles 0-1 and 1-2, and GlobalConj by
+    # two elements at each of the 3 handles, share 4 tables
+    G = build_group(GROUP_SPECS["a4"])  # a new group, so an empty memo
+    sites = _record(monkeypatch, fastorbits, "_transitions")
+    fills = _record(monkeypatch, fastorbits._SiteTable, "fill")
+    table, n = closed_orbit_scan(G, 3, move_catalog(G, 3, 0))
+    assert (n, table.num_orbits) == (742560, 2)
+    assert (len(sites), len(fills), len(G.cache["site tables"])) == (10, 4, 4)
+
+
+def test_closed_stable_range_builds_each_table_once(tmp_path, monkeypatch,
+                                                    capsys):
+    # K4 is abelian, so its genus-2 level holds every pair of handle
+    # labels, and genus 3 and 4 reuse its tables whole
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(GROUP_SPECS["k4"]))
+    sites = _record(monkeypatch, fastorbits, "_transitions")
+    fills = _record(monkeypatch, fastorbits._SiteTable, "fill")
+    assert cli.main(["stable-range", "--group", str(path), "--no-branching",
+                     "--no-cache"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [lv["g"] for lv in levels] == [1, 2, 3, 4]
+    tables = [table for table, _ in fills]
+    assert len({id(t) for t in tables}) == len(tables) > 0
+    assert all(t.complete for t in tables)
+    assert len(sites) > 2 * len(tables)
+
+
+def test_single_target_table_that_merges_keys_is_a_move_error(s3):
+    # w1 := w2 with w2's sign sends key (w1, w2) to (w2, w2): one target
+    # per key, but not a permutation, so the level cannot be move-closed;
+    # the failed fill leaves no table behind
+    tc = transposition_class(s3)
+    codes, level = build_level(s3, 0, BranchData.from_dict({(tc, 1): 4}))
+    bad = MovePlan(4, 0, (), ((0, 1),), ((0, 1),))
+    for _ in range(2):
+        with pytest.raises(fastorbits.MoveError, match="not move-closed"):
+            _sweep(codes, level, [bad])
+    assert not s3.cache["site tables"][
+        _site_plan(bad, 0, 0, 1) + (codes.alphabet,)].done.any()
+
+
+@pytest.mark.parametrize("name,g,v", [
+    ("s3", 3, {}), ("a4", 2, {}), ("s3", 0, {("t", 1): 4, ("t", -1): 2})])
+def test_sweep_looks_up_at_most_a_chunk_of_codes_at_a_time(name, g, v,
+                                                           monkeypatch):
+    G = get_group(name)
+    tc = transposition_class(G) if v else None
+    codes, level = build_level(G, g, BranchData.from_dict(
+        {(tc, o): k for (_, o), k in v.items()}))
+    plans = [move_plan(G, m, g, codes.n)
+             for m in _forward_moves(G, move_catalog(G, g, codes.n))]
+    whole = _sweep(codes, level, plans)
+    monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
+    lookups = _record(monkeypatch, fastorbits._Positions, "__call__")
+    claimed = []
+
+    def claim(*args, claim=fastorbits._claim):
+        claimed.append(claim(*args))
+        return claimed[-1]
+
+    monkeypatch.setattr(fastorbits, "_claim", claim)
+    seeds, sizes, ids = _sweep(codes, level, plans)
+    # the images of several moves share a lookup, and no lookup takes more
+    # than a chunk
+    assert max(codes.size for _, codes in lookups) <= 7
+    assert sum(codes.size for _, codes in lookups) > 7 * len(lookups) // 2
+    assert (seeds, sizes) == whole[:2]
+    np.testing.assert_array_equal(ids, whole[2])
+    # every node but the seeds is claimed once, so no frontier repeats one
+    got = np.concatenate(claimed + [np.searchsorted(level, seeds)])
+    np.testing.assert_array_equal(np.sort(got), np.arange(level.size))

@@ -366,6 +366,22 @@ def test_hom_branch_type_parity(s3):
     assert vec == [2] and ok
 
 
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_hom_branch_type_zero_vector_matches_abelianization(name):
+    # a zero net vector returns before G_ab is built; the image that G_ab
+    # gives it is zero, so it is in N
+    G = get_group(name)
+    cids = [c for c, r in enumerate(G.class_reps) if r != 0]
+    v = BD.from_dict({(c, o): 1 + c % 3 for c in cids for o in (1, -1)})
+    vec, ok = hom_branch_type(G, cids, v)
+    A, proj = abelianization(G)
+    image = A.zero()
+    for k, cid in zip(vec, cids):
+        image = A.reduce(x + k * y for x, y in zip(image, proj(G.class_reps[cid])))
+    assert vec == [0] * len(cids)
+    assert ok is (image == A.zero()) is True
+
+
 def test_h1_pi1_bgc(s3, k4):
     tc = transposition_class(s3)
     # transpositions normally generate S3: BG_C simply connected

@@ -29,7 +29,6 @@ __all__ = [
     "is_surjective",
     "enumerate_tuples",
     "level_codes",
-    "connect_sum",
     "tuple_to_json",
     "tuple_from_json",
 ]
@@ -107,13 +106,6 @@ class BranchData(Frozen):
     def class_ids(self):
         return sorted({cid for (cid, _), _ in self.counts})
 
-    def strictly_less(self, other):
-        """True when every component of other exceeds this one, on the
-        union of supports."""
-        sd, od = self.as_dict(), other.as_dict()
-        keys = set(sd) | set(od)
-        return all(sd.get(k, 0) < od.get(k, 0) for k in keys)
-
 
 def make_tuple(G, g, handles, punctures, allowed_classes=None):
     """Validate and build a BranchedTuple.
@@ -179,17 +171,6 @@ def hom_branch_type(G, class_ids, v):
 
 def is_surjective(t):
     return generates(t.group, set(t.letters()))
-
-
-def connect_sum(t1, t2):
-    if t1.group is not t2.group and t1.group != t2.group:
-        raise TupleError("connect sum across different groups")
-    return BranchedTuple(
-        t1.group,
-        t1.genus + t2.genus,
-        t1.handles + t2.handles,
-        t1.punctures + t2.punctures,
-    )
 
 
 def _multiset_permutations(items):

@@ -754,10 +754,11 @@ def _sweep(codes, level, plans):
 
 def _forward_moves(G, catalog):
     """The moves of catalog without those that only undo or repeat
-    another: an *Inv kind whose forward kind with the same index is in
-    the catalog, and a GlobalConj by an element that an earlier
+    another, or do nothing: an *Inv kind whose forward kind with the same
+    index is in the catalog, a GlobalConj by an element that an earlier
     GlobalConj's element equals or inverts (an involution generator
-    appears twice).
+    appears twice), and a GlobalConj by a central element (a conjugacy
+    class of size 1), which is the identity.
 
     The orbits stay the same.  Every move permutes the finite level (the
     sweep checks that each image is on the level, and each table that
@@ -771,7 +772,8 @@ def _forward_moves(G, catalog):
         if m.kind.endswith("Inv") and (m.kind[:-3], m.index) in kinds:
             continue
         if m.kind == "GlobalConj":
-            if m.element in conj:
+            if (m.element in conj
+                    or G.class_of.count(G.class_of[m.element]) == 1):
                 continue
             conj |= {m.element, G.inv[m.element]}
         out.append(m)

@@ -33,8 +33,6 @@ __all__ = [
     "inn_order_on_class",
     "abelianization",
     "generates",
-    "commutator_length",
-    "quotient_by_normal_closure",
 ]
 
 DEFAULT_MAX_ORDER = 120
@@ -195,12 +193,27 @@ def _conjugacy_data(mul, inv):
     return class_of, reps
 
 
+def _int_rows(spec, key):
+    """spec[key] as a list of tuples: an array of arrays whose entries
+    are integers, not floats or booleans."""
+    rows = spec[key]
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(r, (list, tuple)) and all(type(x) is int for x in r)
+            for r in rows)):
+        raise GroupBuildError(f"{key} must be an array of arrays of integers")
+    return [tuple(r) for r in rows]
+
+
 def build_group(spec, max_order=DEFAULT_MAX_ORDER):
     """Build a FiniteGroup from {"permutations": [...]} (0-indexed image
     lists on a common point set) or {"cayley_table": [[...], ...]}.
+
+    The generators of a permutation group are its nonidentity generator
+    images; those of a Cayley table are the greedy _right_generators set
+    that _validate_table checks associativity on.
     """
     if "permutations" in spec:
-        perms = [tuple(p) for p in spec["permutations"]]
+        perms = _int_rows(spec, "permutations")
         if perms:
             n_points = len(perms[0])
             for p in perms:
@@ -217,9 +230,9 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
             for p in elems
         )
         gens = tuple(sorted({index[p] for p in perms if index[p] != 0}))
-        gspec = json.dumps({"permutations": [list(p) for p in perms]}, sort_keys=True)
+        gspec = json.dumps({"permutations": perms}, sort_keys=True)
     elif "cayley_table" in spec:
-        table = [list(r) for r in spec["cayley_table"]]
+        table = _int_rows(spec, "cayley_table")
         order = len(table)
         if order == 0:
             raise GroupBuildError("empty table")
@@ -247,13 +260,8 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
 
     inv = _validate_table(mul, gens)
     class_of, reps = _conjugacy_data(mul, inv)
-    fields = (order, mul, tuple(inv), tuple(class_of), tuple(reps))
-    G = FiniteGroup(*fields, gens, gspec)
-    if "cayley_table" in spec and order > 1:
-        # a minimal generating subsequence for table-built groups keeps
-        # GlobalConj catalogs small
-        G = FiniteGroup(*fields, minimal_generating_sequence(G), gspec)
-    return G
+    return FiniteGroup(order, mul, tuple(inv), tuple(class_of), tuple(reps),
+                       gens, gspec)
 
 
 def closure(G, S):
@@ -281,28 +289,6 @@ def generates(G, S):
     return len(closure(G, S)) == G.order
 
 
-def minimal_generating_sequence(G):
-    """A short generating sequence found greedily (not guaranteed minimum,
-    but deterministic and small)."""
-    if G.order == 1:
-        return ()
-    gens = []
-    have = {0}
-    while len(have) < G.order:
-        best = None
-        for x in range(G.order):
-            if x in have:
-                continue
-            c = closure(G, gens + [x])
-            if best is None or len(c) > best[1]:
-                best = (x, len(c), c)
-                if len(c) == G.order:
-                    break
-        gens.append(best[0])
-        have = set(best[2])
-    return tuple(gens)
-
-
 def centralizer(G, x):
     return tuple(y for y in range(G.order) if G.mul[y][x] == G.mul[x][y])
 
@@ -317,45 +303,6 @@ def inn_order_on_class(G, c):
         cur = {x: perm[cur[x]] for x in members}
         k += 1
     return k
-
-
-def derived_subgroup(G):
-    comms = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
-    return closure(G, comms)
-
-
-def _coset_table(G, subgroup_elems):
-    """Map element -> coset id for a (normal) subgroup."""
-    sub = set(subgroup_elems)
-    coset_of = [-1] * G.order
-    reps = []
-    for x in range(G.order):
-        if coset_of[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for h in sub:
-            coset_of[G.mul[x][h]] = cid
-    return coset_of, reps
-
-
-def quotient_by_normal_closure(G, S):
-    """G / <<S>> as a FiniteGroup, plus the projection map.
-
-    S is any element set; its normal closure is taken first.
-    """
-    closure_seed = set()
-    for s in S:
-        for g in range(G.order):
-            closure_seed.add(G.conj(s, g))
-    K = closure(G, closure_seed) if closure_seed else (0,)
-    coset_of, reps = _coset_table(G, K)
-    q = len(reps)
-    table = [[coset_of[G.mul[reps[a]][reps[b]]] for b in range(q)] for a in range(q)]
-    Q = build_group({"cayley_table": table}, max_order=max(DEFAULT_MAX_ORDER, q))
-    # build_group may renumber; reps[0] = some element of K so coset 0 holds
-    # the identity and index 0 survives renumbering
-    return Q, tuple(coset_of)
 
 
 def abelianization(G):
@@ -402,27 +349,3 @@ def abelianization(G):
         return table[x]
 
     return A, proj
-
-
-def commutator_length(G, x):
-    """Minimal number of commutators multiplying to x; None if x is not
-    in the derived subgroup."""
-    if x == 0:
-        return 0
-    comms = sorted({G.commutator(a, b) for a in range(G.order) for b in range(G.order)})
-    reached = {0}
-    frontier = {0}
-    l = 0
-    while frontier:
-        l += 1
-        nxt = set()
-        for p in frontier:
-            for c in comms:
-                q = G.mul[p][c]
-                if q == x:
-                    return l
-                if q not in reached:
-                    reached.add(q)
-                    nxt.add(q)
-        frontier = nxt
-    return None

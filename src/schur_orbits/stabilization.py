@@ -25,7 +25,6 @@ __all__ = [
     "StabilizationCertificate",
     "stable_orbits",
     "StableRangeReport",
-    "surger_handles",
 ]
 
 
@@ -289,37 +288,3 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         g, v = _next_level(G, cids, skip_handle, g, v)
     report.verdict = "inconclusive"
     return report
-
-
-def surger_handles(t, factorizations):
-    """Trade every handle of a closed tuple for branch points, producing
-    a genus-0 branched tuple in the same stable class.
-
-    factorizations[i] = (xs, ys): letter lists with product
-    xs[-1]...xs[0] = a_i and ys[-1]...ys[0] = b_i (composition reads
-    right to left).  Each handle becomes the puncture block
-    (x_k,+1)..(x_1,+1),(y_l,+1)..(y_1,+1),(x_1^{-1},-1)..(x_k^{-1},-1),
-    (y_1^{-1},-1)..(y_l^{-1},-1), whose product is [a_i, b_i].
-    """
-    G = t.group
-    if len(factorizations) != t.genus:
-        raise StabilizationError("one factorization per handle required")
-    blocks = []
-    for (a, b), (xs, ys) in zip(t.handles, factorizations):
-        if G.word(list(reversed(xs))) != a:
-            raise StabilizationError(f"letters do not multiply to handle a = {a}")
-        if G.word(list(reversed(ys))) != b:
-            raise StabilizationError(f"letters do not multiply to handle b = {b}")
-        if any(x == 0 for x in xs) or any(y == 0 for y in ys):
-            raise StabilizationError("identity letters not allowed in factorizations")
-        block = []
-        block.extend((x, 1) for x in reversed(xs))
-        block.extend((y, 1) for y in reversed(ys))
-        block.extend((G.inv[x], -1) for x in xs)
-        block.extend((G.inv[y], -1) for y in ys)
-        blocks.append(tuple(block))
-    punct = tuple(p for blk in blocks for p in blk) + t.punctures
-    out = BranchedTuple(G, 0, (), punct)
-    if out.relation_product() != 0:
-        raise StabilizationError("surgered tuple violates the relation (bug)")
-    return out

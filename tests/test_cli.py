@@ -655,6 +655,22 @@ def test_malformed_cayley_table_is_a_domain_error(files, capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+@pytest.mark.parametrize("spec", [
+    {"permutations": [[1.0, 0]]},
+    {"permutations": [1]},
+    {"cayley_table": [0]},
+    {"permutations": [[True, False]]},
+    {"cayley_table": [[0, 1.0], [1.0, 0]]},
+])
+def test_group_entries_that_are_not_integer_arrays_are_domain_errors(
+        files, capsys, spec):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, out = run(capsys, ["group-info", "--group", str(bad), "--no-cache"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
 def test_torsor_check_a4_three_cycles_cli(files, capsys):
     code, out = run(capsys, ["torsor-check", "--group", files["a4"],
                              "--classes", "1", "--genus", "0",

@@ -7,7 +7,6 @@ from schur_orbits.covers import (
     BudgetError,
     TupleError,
     branch_data,
-    connect_sum,
     enumerate_tuples,
     is_surjective,
     make_tuple,
@@ -133,15 +132,6 @@ def test_enumeration_budget(s3):
         enumerate_tuples(s3, 0, v, budget=5)
 
 
-def test_connect_sum(s3):
-    tc = transposition_class(s3)
-    v = BranchData.from_dict({(tc, 1): 4})
-    ts = enumerate_tuples(s3, 0, v)
-    c = connect_sum(ts[0], ts[1])
-    assert c.genus == 0 and c.n == 8
-    assert branch_data(c).as_dict() == {(tc, 1): 8}
-
-
 def test_json_round_trip(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4})
@@ -156,7 +146,3 @@ def test_branch_data_cardinality_and_order(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 1})
     assert v.cardinality == 3
-    w = BranchData.from_dict({(tc, 1): 3, (tc, -1): 2})
-    assert v.strictly_less(w)
-    assert not w.strictly_less(v)
-    assert not v.strictly_less(v)

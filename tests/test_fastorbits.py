@@ -30,6 +30,7 @@ from schur_orbits.fastorbits import (
     _transitions,
     build_level,
     closed_orbit_scan,
+    level_orbits,
     orbit_scan,
 )
 from schur_orbits.groups import build_group, closure
@@ -474,6 +475,51 @@ def test_forward_moves_give_the_catalog_orbits(case):
     (seeds, sizes, ids), (fseeds, fsizes, fids) = results
     assert (fseeds, fsizes) == (seeds, sizes)
     np.testing.assert_array_equal(fids, ids)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_forward_moves_keep_no_central_conjugation(name):
+    G = get_group(name)
+    centre = {x for x in range(G.order)
+              if all(G.mul[x][y] == G.mul[y][x] for y in range(G.order))}
+    cat = move_catalog(G, 1, 2)
+    kept = {m.element for m in _forward_moves(G, cat) if m.kind == "GlobalConj"}
+    assert not kept & centre
+    # each other element keeps its GlobalConj, or its inverse's
+    assert ({m.element for m in cat if m.kind == "GlobalConj"} - centre
+            <= kept | {G.inv[x] for x in kept})
+
+
+def _table_group(G):
+    """G rebuilt from its own multiplication table, as a Cayley table:
+    the same numbering, the greedy generators."""
+    return build_group({"cayley_table": [list(row) for row in G.mul]})
+
+
+def _closed_and_punctured_levels(G):
+    """Genus 1 closed, and genus 1 with the punctures (x, +1), (x, -1)
+    for x the last class representative."""
+    c = G.class_of[G.class_reps[-1]]
+    return [(1, BranchData(())),
+            (1, BranchData.from_dict({(c, 1): 1, (c, -1): 1}))]
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_a_table_group_has_the_orbits_of_its_source(name):
+    G = get_group(name)
+    T = _table_group(G)
+    for g, v in _closed_and_punctured_levels(G):
+        assert (level_orbits(T, g, v, None)[0].to_json()
+                == level_orbits(G, g, v, None)[0].to_json())
+
+
+@pytest.mark.parametrize("name", ["k4", "z4z4", "q8"])
+def test_a_table_group_has_the_full_catalog_orbits(name):
+    T = _table_group(get_group(name))
+    for g, v in _closed_and_punctured_levels(T):
+        slow = orbits(oracle_enumerate(T, g, v),
+                      move_catalog(T, g, v.cardinality))
+        assert level_orbits(T, g, v, None)[0].to_json() == slow.to_json()
 
 
 @pytest.mark.parametrize("name,g", [("k4", 3), ("s3", 3), ("a4", 2),

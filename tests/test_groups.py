@@ -11,19 +11,18 @@ from hypothesis import strategies as st
 
 from schur_orbits.groups import (
     GroupBuildError,
+    _right_generators,
     abelianization,
     build_group,
     centralizer,
     closure,
-    commutator_length,
-    derived_subgroup,
     generates,
     inn_order_on_class,
-    quotient_by_normal_closure,
     sha256,
 )
 
 from conftest import GROUP_SPECS, get_group
+from group_oracle import quotient_by_normal_closure
 
 
 @pytest.mark.parametrize("name", sorted(GROUP_SPECS))
@@ -106,24 +105,6 @@ def test_abelianization_values(s3, k4, q8, a4, s4):
     assert abelianization(q8)[0].invariant_factors == (2, 2)
     assert abelianization(a4)[0].invariant_factors == (3,)
     assert abelianization(s4)[0].invariant_factors == (2,)
-
-
-def test_derived_subgroup(s3, a4):
-    assert len(derived_subgroup(s3)) == 3
-    assert len(derived_subgroup(a4)) == 4
-
-
-def test_commutator_length(s3, q8):
-    # in S3 the derived subgroup is the 3-cycles, each a single commutator
-    for x in range(6):
-        cl = commutator_length(s3, x)
-        if s3.element_order(x) in (1, 3):
-            assert cl == (0 if x == 0 else 1)
-        else:
-            assert cl is None
-    # -1 in Q8 is a commutator
-    minus_one = next(x for x in range(8) if x != 0 and q8.element_order(x) == 2)
-    assert commutator_length(q8, minus_one) == 1
 
 
 def test_closure_and_generates(s3):
@@ -212,6 +193,15 @@ def test_intercalate_swaps_are_judged_like_the_exhaustive_check(source, i,
     except GroupBuildError:
         accepted = False
     assert accepted == _is_group_exhaustive(T)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_a_table_group_has_the_greedy_right_generators(name):
+    # the set _validate_table checks associativity on, and no other
+    G = get_group(name)
+    T = build_group({"cayley_table": [list(row) for row in G.mul]})
+    assert T.mul == G.mul
+    assert T.generators == tuple(_right_generators(G.mul))
 
 
 def test_table_identity_relocation():

@@ -20,7 +20,6 @@ from schur_orbits.groups import (
     abelianization,
     build_group,
     centralizer,
-    quotient_by_normal_closure,
 )
 from schur_orbits.homology import (
     HomologyError,
@@ -37,6 +36,7 @@ from schur_orbits.intlinalg import IntegerLattice
 from schur_orbits.intlinalg import cokernel as cokernel_mod_n
 
 from conftest import GROUP_SPECS, closed_tuple, get_group, transposition_class
+from group_oracle import quotient_by_normal_closure
 from h2_oracle import _absorb as dense_absorb
 from h2_oracle import boundary_matrix, torus_cycle, unbranched_cycle
 from intlinalg_oracle import cokernel, in_row_span, mat_mul, snf_with_inverse

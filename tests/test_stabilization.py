@@ -12,7 +12,6 @@ from schur_orbits.stabilization import (
     handle_stabilize,
     puncture_stabilize,
     stable_orbits,
-    surger_handles,
     u_threshold,
 )
 
@@ -263,16 +262,3 @@ def test_stable_orbits_rejects_bad_seed(s3, k4):
     # one transposition lies outside N, and no round changes its class
     with pytest.raises(StabilizationError, match="outside N"):
         stable_orbits(s3, (tc,), v_seed=BranchData.from_dict({(tc, -1): 1}))
-
-
-def test_surger_handles(k4):
-    t = make_tuple(k4, 1, [(1, 2)], [])
-    out = surger_handles(t, [([1], [2])])
-    assert out.genus == 0 and out.n == 4
-    assert out.relation_product() == 0
-    # letters: a, b, a^{-1}, b^{-1} with signs +,+,-,-
-    assert [o for _, o in out.punctures] == [1, 1, -1, -1]
-    with pytest.raises(StabilizationError):
-        surger_handles(t, [([1, 1], [2])])  # 1*1 = 0 != a
-    with pytest.raises(StabilizationError):
-        surger_handles(t, [])

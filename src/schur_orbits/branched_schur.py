@@ -41,7 +41,8 @@ def normalize_letters(t, target, budget=200_000):
     states after t that are tested; raises NormalizationBudgetError when
     none of them, or none of the whole orbit if it is smaller, matches.
 
-    Lambda does not search; the doubling oracle in the tests does, and perfbench's trace patches this function by name."""
+    Lambda does not search; the doubling oracle in the tests does, and
+    perfbench's trace patches this function by name."""
     target = tuple((int(w), int(o)) for w, o in target)
     if t.punctures == target:
         return t

@@ -6,7 +6,8 @@ come from exception types: 0 success, 1 a groups.DomainError (malformed
 or unreadable input, invalid tuple, a branch class outside C, ...), 2
 budget exhaustion (groups.BudgetError) or an inconclusive stable-range
 verdict, 3 an internal error (any other exception: its traceback goes
-to stderr).
+to stderr).  A --out or --csv file that cannot be written is a domain
+error; its report goes to stdout.
 Reports are byte-identical across runs, --threads values (accepted and
 ignored) and cache cold/warm runs.  main reads each input once: the
 group, then the --tuple, --tuple2, --classes and --branch text, each
@@ -591,11 +592,13 @@ def _sweep_stale_temps(directory):
             pass  # alive under another user, or not a valid pid
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(path, text, option):
+    """Write text to the file that option names; a CliError naming the
+    path when it cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliError(f"cannot write {option} {path}: {e.strerror or e}") from None
 
 
 def _write_csv(args, report):
@@ -604,7 +607,11 @@ def _write_csv(args, report):
         for i, lv in enumerate(report.get("levels", [])):
             lines.append(f"{i},{lv.get('g')},{lv.get('tuples', '')},"
                          f"{lv.get('orbits', '')}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        _write(args.csv, "\n".join(lines) + "\n", "--csv")
+
+
+def _error(kind, message):
+    return _render({"error": {"kind": kind, "message": message}})
 
 
 def main(argv=None):
@@ -628,21 +635,24 @@ def main(argv=None):
             if use_cache:
                 _write_cache(cpath, text)
         _write_csv(args, report)
-        _emit(args, text)
-        return _exit_code(args.command, report)
+        code = _exit_code(args.command, report)
     except BudgetError as e:
-        _emit(args, _render({"error": {"kind": "budget", "message": str(e)}}))
-        return 2
+        text, code = _error("budget", str(e)), 2
     except DomainError as e:
-        _emit(args, _render({"error": {"kind": "domain", "message": str(e)}}))
-        return 1
+        text, code = _error("domain", str(e)), 1
     except Exception as e:
         import traceback
 
         traceback.print_exc()
-        _emit(args, _render({"error": {"kind": "internal",
-                                       "message": f"{type(e).__name__}: {e}"}}))
-        return 3
+        text, code = _error("internal", f"{type(e).__name__}: {e}"), 3
+    if getattr(args, "out", None):
+        try:
+            _write(args.out, text, "--out")
+            return code
+        except CliError as e:  # so this report goes to stdout
+            text, code = _error("domain", str(e)), 1
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

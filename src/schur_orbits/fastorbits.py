@@ -1,8 +1,8 @@
 """Vectorized orbit scan for whole tuple levels, closed and punctured.
 
-Every handle move of the catalog (TwistA, TwistB, HandleBlockTwist and
-their *Inv kinds) acts on its own pair (a_i, b_i) alone, fixes [a_i, b_i]
-letter for letter and keeps <a_i, b_i>.  So a level is a disjoint union
+Every handle move of the catalog (TwistA and TwistB) acts on its own
+pair (a_i, b_i) alone, fixes [a_i, b_i] letter for letter and keeps
+<a_i, b_i>.  So a level is a disjoint union
 of nodes: products of per-handle orbits on the q^2 pairs
 (_handle_orbits, once per group, numbered by least pair) times one
 puncture word.  A node code (_Codes) has a label digit per handle and a
@@ -34,17 +34,17 @@ On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), in-process
 level_orbits on a new group (first call), then the median of 7 more
 calls on it (3 for A5), with its handle orbits and tables memoized, two
 runs: A4 g=3 (742,560 tuples; 1,101 nodes of the relation, 948 kept)
-5.9-8.8 ms, then 2.4-3.5 ms; D4 g=4 (8.2M tuples) 9.3, then 7.8 ms; S3
-g=5 (20.1M) 6.2, then 5.3 ms; S4 g=3 (15.4M; 16,093 nodes, 12,344
-kept) 41, then 11.8 ms, the first call building tables over 24^4
-handle-pair tuples.  Genus 0 sweeps tuples: S4 "8 transpositions"
-(131,040 of 140,160) 53, then 48.5 ms, finding level positions in the
+4.9-5.0 ms, then 2.4 ms; D4 g=4 (8.2M tuples) 8.9-9.2, then 9.0-9.3 ms;
+S3 g=5 (20.1M) 6.4-6.5, then 5.6-5.7 ms; S4 g=3 (15.4M; 16,093 nodes,
+12,344 kept) 30, then 11.7-12.1 ms, the first call building tables over
+24^4 handle-pair tuples.  Genus 0 sweeps tuples: S4 "8 transpositions"
+(131,040 of 140,160) 54-55, then 51 ms, finding level positions in the
 rank directory (_Positions); A5 "6 3-cycles" (960,120 of 1,072,540)
-2.10-2.15 s, finding them by np.searchsorted, because its 20^6 codes
+2.20-2.21 s, finding them by np.searchsorted, because its 20^6 codes
 are too sparse for the directory.
 A genus-0 level whose puncture pools do not generate G is not built:
 S4 "10 double transpositions" (14,763 tuples, none surjective) takes
-0.45 ms on its first call and 0.03-0.04 ms after.
+0.32-0.36 ms on its first call and 0.02 ms after.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ __all__ = ["orbit_scan", "closed_orbit_scan", "level_orbits", "build_level",
 FILTER_CHUNK = 1 << 13  # prefixes, nodes, tuples or looked-up codes at a time
 _BIT = np.array([1 << k for k in range(32)], dtype=np.int64)  # _Positions
 
-# the move kinds that act within one handle (an *Inv kind has the orbits
-# of its forward kind); their orbits on pairs are the label digits
+# the move kinds that act within one handle; their orbits on pairs are
+# the label digits
 _HANDLE_KINDS = tuple(kind for kind, (site, _, _) in _MOVE_WORDS.items()
-                      if site == "handle" and not kind.endswith("Inv"))
+                      if site == "handle")
 
 
 def _digits(codes, radices):
@@ -752,39 +752,11 @@ def _sweep(codes, level, plans):
     return seeds, sizes.tolist(), ids
 
 
-def _forward_moves(G, catalog):
-    """The moves of catalog without those that only undo or repeat
-    another, or do nothing: an *Inv kind whose forward kind with the same
-    index is in the catalog, a GlobalConj by an element that an earlier
-    GlobalConj's element equals or inverts (an involution generator
-    appears twice), and a GlobalConj by a central element (a conjugacy
-    class of size 1), which is the identity.
-
-    The orbits stay the same.  Every move permutes the finite level (the
-    sweep checks that each image is on the level, and each table that
-    sends every key to one key that it permutes the keys), so its inverse
-    is one of its powers, and the forward closure of a tuple is its whole
-    orbit."""
-    kinds = {(m.kind, m.index) for m in catalog}
-    conj = set()
-    out = []
-    for m in catalog:
-        if m.kind.endswith("Inv") and (m.kind[:-3], m.index) in kinds:
-            continue
-        if m.kind == "GlobalConj":
-            if (m.element in conj
-                    or G.class_of.count(G.class_of[m.element]) == 1):
-                continue
-            conj |= {m.element, G.inv[m.element]}
-        out.append(m)
-    return out
-
-
 def orbit_scan(G, g, v, catalog, budget=None):
     """Partition the surjective genus-g level with branch data v into
     catalog orbits: build_level's nodes, every tuple of the relation,
-    swept with the catalog's forward moves (_forward_moves) but its
-    handle moves, which must twist every handle (MoveError otherwise).
+    swept with the catalog's moves but its handle moves, which must
+    twist every handle (MoveError otherwise).
     Every move is an automorphism of pi_1 or a conjugation, so the
     letters of an orbit's tuples generate conjugate subgroups: the
     orbits whose representative does not generate G are dropped, with
@@ -796,8 +768,8 @@ def orbit_scan(G, g, v, catalog, budget=None):
 
     Returns (FastOrbitTable, number of tuples in the level).
     """
-    if not ({(m.kind.removesuffix("Inv"), m.index) for m in catalog}
-            >= {(kind, i) for kind in _HANDLE_KINDS for i in range(g)}):
+    if not set(catalog) >= {Move(kind, i) for kind in _HANDLE_KINDS
+                            for i in range(g)}:
         raise MoveError("the catalog lacks a handle move on some handle")
     _check_budget(G, g, v, budget)
     if g == 0:
@@ -809,8 +781,8 @@ def orbit_scan(G, g, v, catalog, budget=None):
             return FastOrbitTable(MOVE_SET_TAG, (), (), {}, codes, empty,
                                   empty), 0
     codes, level = build_level(G, g, v)  # within budget, as checked above
-    plans = [move_plan(G, m, g, codes.n) for m in _forward_moves(G, catalog)
-             if m.kind.removesuffix("Inv") not in _HANDLE_KINDS]
+    plans = [move_plan(G, m, g, codes.n) for m in catalog
+             if m.kind not in _HANDLE_KINDS]
     seeds, sizes, ids = _sweep(codes, level, plans)
     reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64)))
     keep = np.array([is_surjective(t) for t in reps], dtype=bool)

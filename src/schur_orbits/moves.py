@@ -2,9 +2,10 @@
 
 Every move in the default catalog carries a standard geometric
 realization (half-twist of adjacent branch points, Dehn twists along
-handle curves, handle interchange, chain twist, boundary block twist,
-basepoint point-push); each preserves the surface relation and the
-branch data and is invertible within the catalog.
+handle curves, chain twist, boundary block twist, basepoint
+point-push); each preserves the surface relation and the branch data
+and is a permutation of every level, so its inverse is a power of it
+and the catalog lists no inverses.
 
 Each move kind is defined once, as a row of _MOVE_WORDS: straight-line
 words over the letters of the site it acts on.  move_plan binds a row
@@ -37,6 +38,8 @@ __all__ = [
     "induced_orbit_map",
 ]
 
+# names the orbit relation, not the list: a move that the catalog's moves
+# generate (an inverse, a product of twists) changes neither, nor a report
 MOVE_SET_TAG = "default-catalog-v1"
 
 # One row per move kind: (site, words, signs).  The site names the
@@ -61,24 +64,12 @@ MOVE_SET_TAG = "default-catalog-v1"
 _MOVE_WORDS = {
     "Braid": ("punctures", {"w1": "w1 w2 w1'", "w2": "w1"},
               {"w1": "w2", "w2": "w1"}),
-    "BraidInv": ("punctures", {"w1": "w2", "w2": "w2' w1 w2"},
-                 {"w1": "w2", "w2": "w1"}),
     "TwistA": ("handle", {"b": "b a"}, {}),
-    "TwistAInv": ("handle", {"b": "b a'"}, {}),
     "TwistB": ("handle", {"a": "a b"}, {}),
-    "TwistBInv": ("handle", {"a": "a b'"}, {}),
-    "HandleSwap": ("handles", {"u": "a1 b1 a1' b1'", "a1": "u a2 u'",
-                               "b1": "u b2 u'", "a2": "a1", "b2": "b1"}, {}),
     "ChainTwist": ("handles", {"a1": "a1 a2 a1 a2' a1'",
                                "b1": "a1 a2 a1' a2' b1 a1 a1 a2' a1'",
                                "a2": "a1 a2 a1'",
                                "b2": "b2 a2 a1'"}, {}),
-    "ChainTwistInv": ("handles", {"a1": "a2' a1 a2",
-                                  "b1": "a2' a1' a2 a1 b1 a1' a2",
-                                  "a2": "a2' a1' a2 a1 a2",
-                                  "b2": "b2 a2' a2' a1 a2"}, {}),
-    "HandleBlockTwist": ("handle", {"u": "a b a' b'", "a": "u a u'",
-                                    "b": "u b u'"}, {}),
     "BoundaryBlockTwist": ("boundary", {"v": "a b a' b' w1", "a": "v a v'",
                                         "b": "v b v'", "w1": "v w1 v'"}, {}),
     "GlobalConj": ("each letter", {"s": "x s x'"}, {}),
@@ -90,45 +81,30 @@ class MoveError(DomainError):
 
 
 class Move(Frozen):
-    _fields = ("kind", "index", "element", "note")
+    _fields = ("kind", "index", "element")
 
-    def __init__(self, kind, index=0, element=0, note=""):
-        vars(self).update(kind=kind, index=index, element=element, note=note)
+    def __init__(self, kind, index=0, element=0):
+        vars(self).update(kind=kind, index=index, element=element)
 
 
 def move_catalog(G, g, n):
-    """Default generating moves for the pointed mapping class action on
-    genus-g, n-puncture tuples.
-
-    The point-pushes are GlobalConj by each generator of G and its
-    inverse, so the catalog conjugates by all of Inn(G), whatever the
-    subgroup that a tuple's letters generate.  Braids and twists come
-    with their *Inv kinds as well.  The orbit scan
-    (fastorbits.orbit_scan) sweeps only the forward moves that span
-    handles or punctures, over products of handle-move orbits;
-    move_closure applies them all."""
-    cat = []
-    for j in range(n - 1):
-        cat.append(Move("Braid", j, note="half-twist of branch points j, j+1"))
-        cat.append(Move("BraidInv", j, note="inverse half-twist"))
-    for i in range(g):
-        cat.append(Move("TwistA", i, note="Dehn twist along the a-curve"))
-        cat.append(Move("TwistAInv", i))
-        cat.append(Move("TwistB", i, note="Dehn twist along the b-curve"))
-        cat.append(Move("TwistBInv", i))
-    for i in range(g - 1):
-        cat.append(Move("HandleSwap", i, note="handle interchange"))
-        cat.append(Move("ChainTwist", i,
-                        note="Dehn twist along the chain curve through handles i, i+1"))
-        cat.append(Move("ChainTwistInv", i))
-    for i in range(g):
-        cat.append(Move("HandleBlockTwist", i, note="twist along the handle boundary"))
+    """One generating set of the pointed mapping class action on genus-g,
+    n-puncture tuples, each move once: Braid on adjacent punctures, TwistA
+    and TwistB on each handle, ChainTwist on adjacent handles,
+    BoundaryBlockTwist, and GlobalConj by each generator of G up to
+    inverse, but for a central one, which moves nothing; so it conjugates
+    by all of Inn(G).  fastorbits.orbit_scan, move_closure and orbits all
+    run it as it is."""
+    cat = [Move("Braid", j) for j in range(n - 1)]
+    cat += [Move(kind, i) for i in range(g) for kind in ("TwistA", "TwistB")]
+    cat += [Move("ChainTwist", i) for i in range(g - 1)]
     if g >= 1 and n >= 1:
-        cat.append(Move("BoundaryBlockTwist",
-                        note="twist along the last-handle-plus-first-puncture boundary"))
+        cat.append(Move("BoundaryBlockTwist"))
+    conj = set()
     for x in G.generators:
-        cat.append(Move("GlobalConj", element=x, note="basepoint point-push"))
-        cat.append(Move("GlobalConj", element=G.inv[x], note="basepoint point-push"))
+        if x not in conj and G.class_of.count(G.class_of[x]) > 1:
+            conj |= {x, G.inv[x]}
+            cat.append(Move("GlobalConj", element=x))
     return cat
 
 

@@ -30,7 +30,8 @@ from schur_orbits.stabilization import (
 from conftest import GROUP_SPECS, closed_tuple, get_group, transposition_class
 from h2_oracle import boundary_matrix, torus_cycle
 from intlinalg_oracle import mat_mul
-from test_moves import _INVERSE_KIND, random_tuple
+from move_oracle import INVERSE_KIND, word_move
+from test_moves import random_tuple
 
 
 def report(n, text):
@@ -49,7 +50,7 @@ def test_criterion_1_move_soundness():
             cat = move_catalog(G, g, n)
             if not cat:
                 continue
-            for _ in range(5):
+            for _ in range(9):
                 t = random_tuple(G, g, n, rng)
                 if t is None:
                     continue
@@ -59,12 +60,12 @@ def test_criterion_1_move_soundness():
                     assert s.relation_product() == 0
                     assert branch_data(s) == bd
                     applications += 1
-                    inv = None
-                    if m.kind in _INVERSE_KIND:
-                        inv = Move(_INVERSE_KIND[m.kind], m.index)
+                    if m.kind in INVERSE_KIND:  # the oracle's inverse words
+                        assert word_move(Move(INVERSE_KIND[m.kind], m.index),
+                                         s) == t
+                        inverse_checks += 1
                     elif m.kind == "GlobalConj":
                         inv = Move("GlobalConj", element=G.inv[m.element])
-                    if inv is not None:
                         assert apply_move(inv, s) == t
                         inverse_checks += 1
     assert applications >= 10_000

@@ -184,9 +184,9 @@ def test_torsor_detects_wrong_rep_set(k4):
 
 
 @pytest.mark.parametrize("g,n,j,least,handles,punctures", [
-    (0, 6, 100, 231, (), ((1, 1), (1, 1), (1, 1), (1, 1), (3, 1), (3, 1))),
-    (1, 4, 388, 114, ((5, 5),), ((1, 1), (1, 1), (3, 1), (3, 1))),
-])
+    (0, 6, 100, 237, (), ((1, 1), (1, 1), (1, 1), (1, 1), (3, 1), (3, 1))),
+    (1, 4, 388, 52, ((2, 2),), ((1, 1), (1, 1), (3, 1), (3, 1))),
+], ids=["g0-6-transpositions", "g1-4-transpositions"])
 def test_normalize_letters_budget_counts_states(s3, g, n, j, least, handles,
                                                 punctures):
     # the search visits states in a fixed breadth-first order, and the

@@ -731,6 +731,26 @@ def test_csv_grid(files, capsys, tmp_path):
     assert len(lines) >= 4
 
 
+def test_unwritable_out_file_is_a_domain_error_on_stdout(files, capsys):
+    dest = files["tmp"] / "missing" / "report.json"
+    code = main(["h2", "--group", files["s3"], "--out", str(dest)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")  # no traceback
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain" and str(dest) in error["message"]
+    assert not dest.parent.exists()
+
+
+def test_unwritable_csv_file_is_a_domain_error(files, capsys):
+    dest = files["tmp"] / "missing" / "grid.csv"
+    code = main(["stable-range", "--group", files["k4"], "--no-branching",
+                 "--csv", str(dest)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain" and str(dest) in error["message"]
+
+
 def test_cache_key_follows_the_package_sources(files, capsys, monkeypatch):
     cache = files["tmp"] / "cache"
     argv = ["h2", "--group", files["s3"]]

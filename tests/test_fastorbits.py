@@ -19,7 +19,6 @@ from schur_orbits.covers import (
 )
 from schur_orbits.fastorbits import (
     _Codes,
-    _forward_moves,
     _handle_orbits,
     _moved,
     _prefix_count,
@@ -47,7 +46,7 @@ from schur_orbits.moves import (
 from conftest import GROUP_SPECS, cyclic, get_group, transposition_class
 from enumeration_oracle import oracle_enumerate, walked_prefixes
 from level_count_oracle import level_count
-from test_moves import _word_move
+from move_oracle import moved_level, removed_moves, word_move
 
 
 @st.composite
@@ -83,7 +82,7 @@ def test_numpy_moves_match_apply_move(case):
         for row, (s, o) in enumerate(states):
             t = BranchedTuple(G, g, tuple(zip(s[:L:2], s[1:L:2])),
                               tuple(zip(s[L:], o)))
-            moved = _word_move(m, t)
+            moved = word_move(m, t)
             assert [int(c[row]) for c in out] == moved.letters(), m
             assert [int(c[row]) for c in out_signs] == \
                 [o for _, o in moved.punctures], m
@@ -449,8 +448,7 @@ def test_move_off_the_alphabet_is_a_move_error(s3, slot):
 @st.composite
 def sweep_levels(draw):
     """(group, genus, branch data) of a small closed (genus 1-2) or
-    punctured level; s3, k4 and d4 have an involution generator, whose
-    GlobalConj the catalog lists twice."""
+    punctured level."""
     G = get_group(draw(st.sampled_from(["s3", "k4", "d4", "q8", "a4"])))
     if draw(st.booleans()):
         g = draw(st.integers(1, 2))
@@ -459,35 +457,50 @@ def sweep_levels(draw):
     return draw(punctured_levels())
 
 
+def _assert_removed_moves_stay_in_orbits(G, g, v):
+    """Each move the catalog does not list (move_oracle.removed_moves),
+    applied to every tuple of the surjective genus-g level with branch
+    data v, keeps the tuple's catalog orbit; returns the level's size."""
+    table, n_tuples = level_orbits(G, g, v, None)
+    level = enumerate_tuples(G, g, v)
+    assert len(level) == n_tuples
+    if level:
+        ids = table.orbit_ids(level)
+        for m in removed_moves(g, v.cardinality):
+            assert table.orbit_ids(moved_level(G, g, m, level)) == ids, m
+    return n_tuples
+
+
+@pytest.mark.parametrize("name,g,k", [
+    ("s3", 2, 0), ("k4", 2, 0), ("d4", 2, 0), ("q8", 2, 0), ("a4", 2, 0),
+    ("s3", 2, 2), ("s3", 1, 4)])
+def test_removed_moves_stay_in_catalog_orbits_on_whole_levels(name, g, k):
+    # k transpositions of s3; the closed levels have k = 0
+    G = get_group(name)
+    v = BranchData.from_dict({(transposition_class(G), 1): k} if k else {})
+    assert _assert_removed_moves_stay_in_orbits(G, g, v) > 0
+
+
 @settings(max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(sweep_levels())
 @example((get_group("s3"), 2, BranchData(())))
-def test_forward_moves_give_the_catalog_orbits(case):
-    G, g, v = case
-    codes, level = build_level(G, g, v)
-    assume(level.size)
-    cat = move_catalog(G, g, codes.n)
-    forward = _forward_moves(G, cat)
-    assert len(forward) < len(cat)
-    results = [_sweep(codes, level, [move_plan(G, m, g, codes.n) for m in ms])
-               for ms in (cat, forward)]
-    (seeds, sizes, ids), (fseeds, fsizes, fids) = results
-    assert (fseeds, fsizes) == (seeds, sizes)
-    np.testing.assert_array_equal(fids, ids)
+def test_removed_moves_stay_in_catalog_orbits(case):
+    _assert_removed_moves_stay_in_orbits(*case)
 
 
 @pytest.mark.parametrize("name", sorted(GROUP_SPECS))
 def test_forward_moves_keep_no_central_conjugation(name):
+    # the catalog lists forward moves only: GlobalConj by each generator
+    # once up to inverse, and by none whose conjugacy class has size 1
     G = get_group(name)
     centre = {x for x in range(G.order)
               if all(G.mul[x][y] == G.mul[y][x] for y in range(G.order))}
-    cat = move_catalog(G, 1, 2)
-    kept = {m.element for m in _forward_moves(G, cat) if m.kind == "GlobalConj"}
-    assert not kept & centre
-    # each other element keeps its GlobalConj, or its inverse's
-    assert ({m.element for m in cat if m.kind == "GlobalConj"} - centre
-            <= kept | {G.inv[x] for x in kept})
+    kept = [m.element for m in move_catalog(G, 1, 2) if m.kind == "GlobalConj"]
+    assert not set(kept) & centre
+    assert len({frozenset((x, G.inv[x])) for x in kept}) == len(kept)
+    # each other generator keeps its GlobalConj, or its inverse's
+    assert set(G.generators) - centre <= set(kept) | {G.inv[x] for x in kept}
 
 
 def _table_group(G):
@@ -710,7 +723,7 @@ def test_catalog_without_a_handle_move_is_a_move_error(s3):
     # a node stands for whole handle-move orbits, so the scan needs every
     # handle kind on every handle
     cat = [m for m in move_catalog(s3, 2, 0)
-           if (m.kind, m.index) not in {("TwistB", 1), ("TwistBInv", 1)}]
+           if (m.kind, m.index) != ("TwistB", 1)]
     with pytest.raises(fastorbits.MoveError, match="handle move"):
         closed_orbit_scan(s3, 2, cat)
 
@@ -766,15 +779,15 @@ def test_every_table_the_sweep_uses_is_its_sites_own(case):
         G.cache["site tables"] = memo
 
 
-def test_a4_genus_3_builds_four_tables_for_its_ten_sites(monkeypatch):
-    # ChainTwist and HandleSwap at handles 0-1 and 1-2, and GlobalConj by
-    # two elements at each of the 3 handles, share 4 tables
+def test_a4_genus_3_builds_three_tables_for_its_eight_sites(monkeypatch):
+    # ChainTwist at handles 0-1 and 1-2, and GlobalConj by two elements at
+    # each of the 3 handles, share 3 tables
     G = build_group(GROUP_SPECS["a4"])  # a new group, so an empty memo
     sites = _record(monkeypatch, fastorbits, "_transitions")
     fills = _record(monkeypatch, fastorbits._SiteTable, "fill")
     table, n = closed_orbit_scan(G, 3, move_catalog(G, 3, 0))
     assert (n, table.num_orbits) == (742560, 2)
-    assert (len(sites), len(fills), len(G.cache["site tables"])) == (10, 4, 4)
+    assert (len(sites), len(fills), len(G.cache["site tables"])) == (8, 3, 3)
 
 
 def test_closed_stable_range_builds_each_table_once(tmp_path, monkeypatch,
@@ -817,8 +830,7 @@ def test_sweep_looks_up_at_most_a_chunk_of_codes_at_a_time(name, g, v,
     tc = transposition_class(G) if v else None
     codes, level = build_level(G, g, BranchData.from_dict(
         {(tc, o): k for (_, o), k in v.items()}))
-    plans = [move_plan(G, m, g, codes.n)
-             for m in _forward_moves(G, move_catalog(G, g, codes.n))]
+    plans = [move_plan(G, m, g, codes.n) for m in move_catalog(G, g, codes.n)]
     whole = _sweep(codes, level, plans)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
     lookups = _record(monkeypatch, fastorbits._Positions, "__call__")

@@ -43,7 +43,7 @@ def _pres(d=2):
 IMMUTABLE = {
     "BranchedTuple": lambda i: BranchedTuple(_z2(), 1, ((1, i),), ()),
     "BranchData": lambda i: BranchData((((1, 1), 2 + i),)),
-    "Move": lambda i: Move("Braid", i, note="half-twist"),
+    "Move": lambda i: Move("Braid", i),
     "MovePlan": lambda i: MovePlan(2, i, (), ((0, 2),), ()),
     "DiffClass": lambda i: DiffClass((i,), (2,)),
     "BgcH2": lambda i: BgcH2(_pres(), i, ()),
@@ -122,8 +122,8 @@ def test_branched_tuples_are_dict_keys_and_cache_flat():
 
 def test_defaults():
     m = Move("TwistA")
-    assert (m.kind, m.index, m.element, m.note) == ("TwistA", 0, 0, "")
-    assert Move("GlobalConj", element=3) == Move("GlobalConj", 0, 3, "")
+    assert (m.kind, m.index, m.element) == ("TwistA", 0, 0)
+    assert Move("GlobalConj", element=3) == Move("GlobalConj", 0, 3)
     d = DiffClass((0,), (2,))
     assert (d.move_set, d.convention) == (MOVE_SET_TAG, ORIENTATION_CONVENTION)
     assert d.is_zero()

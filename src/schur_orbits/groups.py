@@ -30,7 +30,6 @@ __all__ = [
     "FiniteGroup",
     "build_group",
     "centralizer",
-    "inn_order_on_class",
     "abelianization",
     "generates",
 ]
@@ -291,18 +290,6 @@ def generates(G, S):
 
 def centralizer(G, x):
     return tuple(y for y in range(G.order) if G.mul[y][x] == G.mul[x][y])
-
-
-def inn_order_on_class(G, c):
-    """Order of the permutation x -> c x c^{-1} of the conjugacy class of c."""
-    members = G.class_members(G.class_of[c])
-    k = 1
-    perm = {x: G.conj(x, c) for x in members}
-    cur = dict(perm)
-    while any(cur[x] != x for x in members):
-        cur = {x: perm[cur[x]] for x in members}
-        k += 1
-    return k
 
 
 def abelianization(G):

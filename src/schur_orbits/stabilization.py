@@ -1,10 +1,21 @@
-"""Stabilization and dilation maps on branched tuples, surjectivity
-certificates, and the stable-range prober.
+"""Stabilization and dilation maps on branched tuples, and the
+stable-range prober.
 
 The prober grows (genus, branch data) in rounds, recomputes orbit
 tables at every level, and reports when the orbit count plateaus,
 cross-checking the stable count against the order of the reduced
-multiplier M(G)_C computed by the homology pipeline.
+multiplier M(G)_C computed by the homology pipeline.  On every level it
+sweeps, three counts are ordered:
+
+    catalog orbits >= mapping-class orbits >= distinct Lambda values
+
+The first holds because every catalog move is a mapping class or a
+conjugation (tests/test_move_words.py checks each move word against the
+surface relator in the free group), the second because the branched
+Schur invariant Lambda is a mapping-class invariant (Serre, C. R. Acad.
+Sci. Paris 311, 1990; Fried & Voelklein, Math. Ann. 290, 1991).  So
+the Lambda values of a level are those of its orbit representatives,
+and when they number as many as the orbits the count is proved.
 """
 
 from __future__ import annotations
@@ -12,17 +23,14 @@ from __future__ import annotations
 from .covers import BranchData, BranchedTuple, hom_branch_type
 from .fastorbits import level_orbits
 from .groups import BudgetError, DomainError, generates
-from .homology import m_g_c
+from .homology import lifting_invariant, m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map
-from .records import Frozen, Record
+from .records import Record
 
 __all__ = [
     "puncture_stabilize",
     "handle_stabilize",
     "dilate",
-    "u_threshold",
-    "certificate",
-    "StabilizationCertificate",
     "stable_orbits",
     "StableRangeReport",
 ]
@@ -67,71 +75,6 @@ def dilate(t):
             k = G.element_order(c) - 1
             p.extend([(c, 1)] * k)
     return BranchedTuple(G, t.genus, t.handles, tuple(p))
-
-
-def u_threshold(G, class_id):
-    """The puncture-surjectivity threshold branch type
-    U = |class| * inn_order * delta_{(class,+1)}."""
-    from .groups import inn_order_on_class
-
-    c = G.class_reps[class_id]
-    size = len(G.class_members(class_id))
-    return BranchData.from_dict({(class_id, 1): size * inn_order_on_class(G, c)})
-
-
-class StabilizationCertificate(Frozen):
-    """puncture_surjective: class_id -> bool; dilation_witness:
-    class_id -> (w_plus, w_minus), or empty."""
-
-    _fields = ("handle_surjective", "puncture_surjective",
-               "dilation_surjective", "dilation_witness")
-
-    def __init__(self, handle_surjective, puncture_surjective,
-                 dilation_surjective, dilation_witness):
-        vars(self).update(handle_surjective=handle_surjective,
-                          puncture_surjective=puncture_surjective,
-                          dilation_surjective=dilation_surjective,
-                          dilation_witness=dilation_witness)
-
-    def all_puncture(self):
-        return all(self.puncture_surjective.values())
-
-
-def certificate(G, class_ids, g, v):
-    """Recomputable surjectivity flags for the stabilization maps at
-    level (g, v).
-
-    The puncture flag for a class requires v to exceed U strictly in
-    every (class, sign) component over C x {+1,-1}.  The dilation
-    witness picks w = v on positive slots (the inequality then only
-    needs each class to actually appear).
-    """
-    cids = sorted(set(class_ids))
-    vd = v.as_dict() if isinstance(v, BranchData) else dict(v)
-    handle_flag = g > G.order
-    pflags = {}
-    for cid in cids:
-        u = u_threshold(G, cid).as_dict()
-        ok = True
-        for c2 in cids:
-            for sign in (1, -1):
-                if vd.get((c2, sign), 0) <= u.get((c2, sign), 0):
-                    ok = False
-        pflags[cid] = ok
-    witness = {}
-    dil_flag = True
-    for cid in cids:
-        total = vd.get((cid, 1), 0) + vd.get((cid, -1), 0)
-        if total > 0:
-            witness[cid] = (total, 0)
-        else:
-            dil_flag = False
-    return StabilizationCertificate(
-        handle_surjective=handle_flag,
-        puncture_surjective=pflags,
-        dilation_surjective=dil_flag if cids else True,
-        dilation_witness=witness,
-    )
 
 
 class StableRangeReport(Record):
@@ -195,8 +138,12 @@ def _next_level(G, class_ids, skip_handle, g, v):
 def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
                   enum_budget=2_000_000):
     """Probe the stable range at (g, v) levels grown by stabilization
-    rounds (_next_level) until the orbit count plateaus over two full
-    rounds, then cross-check against |M(G)_C|.
+    rounds (_next_level) until a nonzero orbit count plateaus over two
+    full rounds, then cross-check against |M(G)_C|: "certified-match"
+    when the count is |M(G)_C| and on every level of the plateau the
+    orbit representatives take as many Lambda values as there are
+    orbits (the inequalities of the module docstring make that a proof),
+    "empirical-match" when only the count matches, else "mismatch".
 
     A round leaves the handles alone, so it sends each node of a level
     into one node of the next, and mapping each node's least tuple checks
@@ -229,48 +176,35 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
         m_invariant_factors=M.invariant_factors,
     )
 
-    def settle(count, window):
+    def settled(k):
+        """Whether the last k levels share a nonzero orbit count; if so,
+        the report settles on it."""
+        window = report.levels[-k:]
+        count = window[0]["orbits"] if len(window) == k else 0
+        if not count or any(lv["orbits"] != count for lv in window):
+            return False
+        proved = all(lv["lambda_values"] == count for lv in window)
         report.stable_count = count
-        certified = all(
-            (c.all_puncture() if cids else True)
-            and (c.handle_surjective if not skip_handle else True)
-            for c in window
-        )
-        if count == report.m_order:
-            report.verdict = "certified-match" if certified else "empirical-match"
-        else:
-            report.verdict = "mismatch"
+        report.verdict = ("mismatch" if count != report.m_order else
+                          "certified-match" if proved else "empirical-match")
+        return True
 
     f = _round_map(G, cids, skip_handle)
     g, v = g_seed, v_seed
-    counts = []
     prev = None  # the orbit table of the previous level
-    certs = []
     for _ in range(max_rounds + 1):
+        level = {"g": g, "v": [[list(k), m] for k, m in v.counts]}
         try:
             table, n_tuples = level_orbits(G, g, v, enum_budget)
         except BudgetError:
-            report.levels.append({"g": g,
-                                  "v": [[list(k), m] for k, m in v.counts],
-                                  "skipped": "level over budget"})
-            if len(counts) >= 2 and counts[-1] == counts[-2]:
-                # plateau held for one full round; the confirming round
-                # does not fit the budget, so settle on what we have
-                settle(counts[-1], certs[-2:])
+            # a plateau held for one full round settles the track when
+            # the confirming round does not fit the budget
+            settled(2)
+            report.levels.append({**level, "skipped": "level over budget"})
             return report
-        cert = certificate(G, cids, g, v)
-        entry = {
-            "g": g,
-            "v": [[list(k), m] for k, m in v.counts],
-            "tuples": n_tuples,
-            "orbits": table.num_orbits,
-            "certificate": {
-                "handle": cert.handle_surjective,
-                "puncture": {str(k): b for k, b in
-                             sorted(cert.puncture_surjective.items())},
-                "dilation": cert.dilation_surjective,
-            },
-        }
+        entry = {**level, "tuples": n_tuples, "orbits": table.num_orbits,
+                 "lambda_values": len({lifting_invariant(t, cids)
+                                       for t in table.representatives})}
         if prev is not None:
             flags = induced_orbit_map(f, prev, table,
                                       exhaustive_members=prev.members())
@@ -279,10 +213,7 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
                 "injective": flags["injective"],
             }
         report.levels.append(entry)
-        counts.append(table.num_orbits)
-        certs.append(cert)
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            settle(counts[-1], certs[-3:])
+        if settled(3):
             return report
         prev = table
         g, v = _next_level(G, cids, skip_handle, g, v)

@@ -19,12 +19,10 @@ from schur_orbits.moves import (
     orbits,
 )
 from schur_orbits.stabilization import (
-    certificate,
     dilate,
     handle_stabilize,
     puncture_stabilize,
     stable_orbits,
-    u_threshold,
 )
 
 from conftest import GROUP_SPECS, closed_tuple, get_group, transposition_class
@@ -119,7 +117,7 @@ def test_criterion_4_hurwitz_transitivity():
 def test_criterion_5_flagship_torsor_cross_check():
     k4 = get_group("k4")
     r = stable_orbits(k4, ())
-    assert r.verdict in ("certified-match", "empirical-match")
+    assert r.verdict == "certified-match"
     assert r.stable_count == 2 and r.m_order == 2
     lvl = enumerate_tuples(k4, 2, BranchData.from_dict({}))
     tab = orbits(lvl, move_catalog(k4, 2, 0))
@@ -130,7 +128,7 @@ def test_criterion_5_flagship_torsor_cross_check():
     tc = transposition_class(s3)
     r2 = stable_orbits(s3, (tc,), v_seed=BranchData.from_dict({(tc, 1): 4}),
                        g_seed=0)
-    assert r2.verdict in ("certified-match", "empirical-match")
+    assert r2.verdict == "certified-match"
     assert r2.stable_count == 1 and r2.m_order == 1
     lvl2 = enumerate_tuples(s3, 0, BranchData.from_dict({(tc, 1): 4}))
     tab2 = orbits(lvl2, move_catalog(s3, 0, 4))
@@ -212,19 +210,18 @@ def test_criterion_7_stabilization_algebra():
 
 
 def test_criterion_8_certificate_flips():
-    for name in ("s3", "k4"):
-        G = get_group(name)
-        empty = BranchData.from_dict({})
-        assert not certificate(G, (), G.order, empty).handle_surjective
-        assert certificate(G, (), G.order + 1, empty).handle_surjective
-    s3 = get_group("s3")
-    tc = transposition_class(s3)
-    u = u_threshold(s3, tc).as_dict()[(tc, 1)]
-    at = BranchData.from_dict({(tc, 1): u, (tc, -1): 1})
-    past = BranchData.from_dict({(tc, 1): u + 1, (tc, -1): 1})
-    assert not certificate(s3, (tc,), 0, at).puncture_surjective[tc]
-    assert certificate(s3, (tc,), 0, past).puncture_surjective[tc]
-    report(8, "handle flag flips at g = |G|+1; puncture flag flips past U")
+    # the K4 closed plateau is proved: Lambda takes as many values as
+    # there are orbits; on K4 --classes 1 it does not separate the orbits
+    k4 = get_group("k4")
+    r = stable_orbits(k4, ())
+    assert (r.verdict, r.stable_count) == ("certified-match", 2)
+    assert all(lv["lambda_values"] == lv["orbits"] for lv in r.levels)
+    r = stable_orbits(k4, (k4.class_of[1],))
+    assert r.verdict == "mismatch"
+    last = r.levels[-1]
+    assert (last["orbits"], last["lambda_values"]) == (4, 1)
+    report(8, "Lambda certifies K4 closed; K4 with C = the class of 1 "
+              "is a mismatch, 4 orbits and 1 Lambda value")
 
 
 def test_criterion_9_determinism(tmp_path, monkeypatch, capsys):

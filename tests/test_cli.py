@@ -82,7 +82,7 @@ def test_stable_range_k4_unbranched(files, capsys):
                              "--no-branching"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["verdict"] == "empirical-match"
+    assert rep["verdict"] == "certified-match"
     assert rep["stable_count"] == 2
 
 

@@ -1,21 +1,22 @@
-"""Stabilization, dilation, certificates, and the stable-range prober."""
+"""Stabilization, dilation, and the stable-range prober and its Lambda
+certificate."""
 
 import pytest
 
+from schur_orbits import stabilization
+from schur_orbits.branched_schur import torsor_check
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
 from schur_orbits.fastorbits import level_orbits
 from schur_orbits.moves import induced_orbit_map, move_catalog, orbits
 from schur_orbits.stabilization import (
     StabilizationError,
-    certificate,
     dilate,
     handle_stabilize,
     puncture_stabilize,
     stable_orbits,
-    u_threshold,
 )
 
-from conftest import get_group, transposition_class
+from conftest import GROUP_SPECS, get_group, transposition_class
 
 
 def sample_tuple(G, tc, n):
@@ -78,41 +79,6 @@ def test_dilate_fixes_positive_tuples(s3):
     assert dilate(t) == t
 
 
-def test_u_threshold_values(s3):
-    tc = transposition_class(s3)
-    # 3 transpositions, conjugation by one swaps the other two: U = 3*2
-    assert u_threshold(s3, tc).as_dict() == {(tc, 1): 6}
-    three = next(c for c, r in enumerate(s3.class_reps)
-                 if r != 0 and s3.element_order(r) == 3)
-    # 2 three-cycles, conjugation by one fixes both: U = 2*1
-    assert u_threshold(s3, three).as_dict() == {(three, 1): 2}
-
-
-def test_certificate_handle_flip(s3):
-    cert_at = certificate(s3, (), s3.order, BranchData.from_dict({}))
-    cert_past = certificate(s3, (), s3.order + 1, BranchData.from_dict({}))
-    assert not cert_at.handle_surjective
-    assert cert_past.handle_surjective
-
-
-def test_certificate_puncture_flip(s3):
-    tc = transposition_class(s3)
-    u = u_threshold(s3, tc).as_dict()[(tc, 1)]
-    at = BranchData.from_dict({(tc, 1): u, (tc, -1): 1})
-    past = BranchData.from_dict({(tc, 1): u + 1, (tc, -1): 1})
-    assert not certificate(s3, (tc,), 0, at).puncture_surjective[tc]
-    assert certificate(s3, (tc,), 0, past).puncture_surjective[tc]
-
-
-def test_certificate_dilation_witness(s3):
-    tc = transposition_class(s3)
-    c = certificate(s3, (tc,), 0, BranchData.from_dict({(tc, 1): 4}))
-    assert c.dilation_surjective
-    assert c.dilation_witness[tc][0] == 4
-    c2 = certificate(s3, (tc,), 0, BranchData.from_dict({}))
-    assert not c2.dilation_surjective
-
-
 def test_stabilizations_commute_as_tuple_maps(s3):
     tc = transposition_class(s3)
     t = sample_tuple(s3, tc, 4)
@@ -145,7 +111,7 @@ def test_stable_orbits_s3_transposition_track(s3):
     tc = transposition_class(s3)
     r = stable_orbits(s3, (tc,), v_seed=BranchData.from_dict({(tc, 1): 4}),
                       g_seed=0)
-    assert r.verdict == "empirical-match"
+    assert r.verdict == "certified-match"
     assert r.stable_count == 1 and r.m_order == 1
     assert [lv["orbits"] for lv in r.levels] == [1, 1, 1]
     assert all(lv["g"] == 0 for lv in r.levels)
@@ -153,7 +119,7 @@ def test_stable_orbits_s3_transposition_track(s3):
 
 def test_stable_orbits_k4_unbranched_track(k4):
     r = stable_orbits(k4, ())
-    assert r.verdict == "empirical-match"
+    assert r.verdict == "certified-match"
     assert r.stable_count == 2 and r.m_order == 2
     assert [lv["orbits"] for lv in r.levels][:4] == [1, 2, 2, 2]
     assert not r.levels[1]["induced_map"]["surjective"]
@@ -166,27 +132,26 @@ def test_stable_orbits_inconclusive_when_capped(k4):
     assert r.verdict == "inconclusive"
 
 
-def _entry(g, v, tuples, orbits, puncture, induced=None):
+def _entry(g, v, tuples, orbits, lambda_values, induced=None):
     """One computed level of a stable-range report."""
     entry = {"g": g, "v": v, "tuples": tuples, "orbits": orbits,
-             "certificate": {"handle": False, "puncture": puncture,
-                             "dilation": True}}
+             "lambda_values": lambda_values}
     if induced is not None:
         entry["induced_map"] = {"surjective": induced[0],
                                 "injective": induced[1]}
     return entry
 
 
-S3_LEVELS = [_entry(0, [[[1, 1], 4]], 24, 1, {"1": False}),
-             _entry(0, [[[1, 1], 6]], 240, 1, {"1": False}, (True, True))]
-K4_LEVELS = [_entry(1, [], 6, 1, {}),
-             _entry(2, [], 210, 2, {}, (False, True)),
-             _entry(3, [], 3906, 2, {}, (True, True))]
+S3_LEVELS = [_entry(0, [[[1, 1], 4]], 24, 1, 1),
+             _entry(0, [[[1, 1], 6]], 240, 1, 1, (True, True))]
+K4_LEVELS = [_entry(1, [], 6, 1, 1),
+             _entry(2, [], 210, 2, 2, (False, True)),
+             _entry(3, [], 3906, 2, 2, (True, True))]
 
 
 @pytest.mark.parametrize("budget,computed,verdict,count", [
     # n transpositions have 3^(n-1) candidates: 27, 243, 2187 at n = 4, 6, 8
-    (243, 2, "empirical-match", 1),
+    (243, 2, "certified-match", 1),
     (27, 1, "inconclusive", None),
 ])
 def test_stable_orbits_skips_a_punctured_level_over_budget(
@@ -204,7 +169,7 @@ def test_stable_orbits_skips_a_punctured_level_over_budget(
 
 @pytest.mark.parametrize("budget,computed,verdict,count", [
     # closed K4 levels walk 5^(g-1) label prefixes: 5, 25, 125 at g = 2, 3, 4
-    (25, 3, "empirical-match", 2),
+    (25, 3, "certified-match", 2),
     (5, 2, "inconclusive", None),
 ])
 def test_stable_orbits_skips_a_closed_level_over_the_cap(
@@ -230,7 +195,7 @@ def test_stable_orbits_maps_the_nodes_of_a_level_within_its_budget(
         + [None] * (3 - computed)
     assert r.levels[-1].get("skipped") == (None if computed == 3
                                            else "level over budget")
-    assert (r.stable_count, r.verdict) == (1, "empirical-match")
+    assert (r.stable_count, r.verdict) == (1, "certified-match")
     table, _ = level_orbits(q8, 2, BranchData.from_dict({(c, 1): 3}), budget)
     assert table.level.size == 10
     assert sum(map(len, table.members().values())) == 10
@@ -243,8 +208,7 @@ def test_stable_orbits_grows_an_empty_level_by_its_branch_data(s3):
     r = stable_orbits(s3, (tc,),
                       v_seed=BranchData.from_dict({(tc, 1): 1, (tc, -1): 1}))
     assert r.levels[0]["tuples"] == 0
-    assert r.levels[1] == _entry(0, [[[1, 1], 4]], 24, 1, {"1": False},
-                                 (False, True))
+    assert r.levels[1] == _entry(0, [[[1, 1], 4]], 24, 1, 1, (False, True))
     # a 3-cycle's (c, -1) dilates to two (c, +1); 3-cycles do not
     # generate S3, so the round adds a handle
     c = next(cid for cid, x in enumerate(s3.class_reps)
@@ -262,3 +226,90 @@ def test_stable_orbits_rejects_bad_seed(s3, k4):
     # one transposition lies outside N, and no round changes its class
     with pytest.raises(StabilizationError, match="outside N"):
         stable_orbits(s3, (tc,), v_seed=BranchData.from_dict({(tc, -1): 1}))
+
+
+def test_a_plateau_of_empty_levels_does_not_settle_the_track(s4):
+    # S4 has no surjective tuple of 0, 2 or 4 transpositions; the level
+    # of 6 has 2,880 tuples in one orbit, |M(S4)_C| = 1
+    tc = transposition_class(s4)
+    r = stable_orbits(s4, (tc,))
+    assert [lv.get("orbits") for lv in r.levels] == [0, 0, 0, 1, 1, None]
+    assert r.levels[3]["tuples"] == 2880
+    assert r.levels[-1]["skipped"] == "level over budget"
+    assert (r.stable_count, r.m_order, r.verdict) == (1, 1, "certified-match")
+    # a skipped level after two empty ones settles nothing
+    r = stable_orbits(s4, (tc,), enum_budget=100)
+    assert [lv.get("orbits") for lv in r.levels] == [0, 0, None]
+    assert (r.stable_count, r.verdict) == (None, "inconclusive")
+
+
+def test_a_plateau_with_fewer_lambda_values_than_orbits_is_empirical(
+        k4, monkeypatch):
+    # the K4 closed plateau, g = 2, 3, 4, with Lambda made constant on its
+    # first level: the count is still |M(G)_C|, but Lambda no longer
+    # proves it there, so the track is not certified
+    lam = stabilization.lifting_invariant
+    monkeypatch.setattr(stabilization, "lifting_invariant",
+                        lambda t, c: 0 if t.genus == 2 else lam(t, c))
+    r = stable_orbits(k4, ())
+    assert [lv["lambda_values"] for lv in r.levels] == [1, 1, 2, 2]
+    assert [lv["orbits"] for lv in r.levels] == [1, 2, 2, 2]
+    assert (r.stable_count, r.m_order, r.verdict) == (2, 2, "empirical-match")
+
+
+def _track_classes(G, track):
+    """The classes C of a track: none, the class of element 1, or every
+    nontrivial class (the CLI's --classes none, 1 and all)."""
+    return {"closed": (), "class-of-1": (G.class_of[1],),
+            "all": tuple(c for c, x in enumerate(G.class_reps) if x)}[track]
+
+
+# every GROUP_SPECS group on the three tracks but four: z2^4 closed, z3
+# all and k4 all take 4 to 8 s each, and d4's class-of-1 track meets an
+# induced map that is ill-defined (the catalog lacks the push of a
+# puncture around a handle)
+TRACKS = [(name, track) for name in sorted(GROUP_SPECS)
+          for track in ("closed", "class-of-1", "all")
+          if (name, track) not in {("z2^4", "closed"), ("z3", "all"),
+                                   ("k4", "all"), ("d4", "class-of-1")}]
+MISMATCH_TRACKS = {"k4", "z2z4", "z3z3", "z4z4"}
+
+
+def _track(G, cids, monkeypatch):
+    """(report, the orbit table of each computed level, in order)."""
+    tables = []
+
+    def recorded(*args):
+        table, n = level_orbits(*args)
+        tables.append(table)
+        return table, n
+
+    monkeypatch.setattr(stabilization, "level_orbits", recorded)
+    return stable_orbits(G, cids), tables
+
+
+@pytest.mark.parametrize("name,track", TRACKS)
+def test_lambda_certifies_exactly_where_the_torsor_check_passes(
+        name, track, monkeypatch):
+    G = get_group(name)
+    cids = _track_classes(G, track)
+    r, tables = _track(G, cids, monkeypatch)
+    computed = [lv for lv in r.levels if "orbits" in lv]
+    assert len(computed) == len(tables)
+    for lv, table in zip(computed, tables):
+        assert lv["orbits"] == table.num_orbits
+        assert lv["lambda_values"] <= lv["orbits"]
+    # no plateau reaches |M(G)_C| without Lambda proving it; the
+    # mismatches are where Lambda does not separate the orbits
+    assert r.verdict != "empirical-match"
+    mismatch = track == "class-of-1" and name in MISMATCH_TRACKS
+    assert (r.verdict == "mismatch") == mismatch
+    if mismatch:
+        assert computed[-1]["lambda_values"] < computed[-1]["orbits"]
+    if r.verdict == "inconclusive":
+        return
+    k = 2 if "skipped" in r.levels[-1] else 3
+    plateau = [torsor_check(table.representatives, cids)["passed"]
+               for table in tables[-k:]]
+    assert (r.verdict == "certified-match") == all(plateau)
+    assert (r.verdict == "mismatch") == (r.stable_count != r.m_order)

@@ -19,10 +19,7 @@ from schur_orbits.groups import FiniteGroup
 from schur_orbits.homology import BgcH2, H2Group
 from schur_orbits.intlinalg import PresentedAbelianGroup
 from schur_orbits.moves import MOVE_SET_TAG, Move, MovePlan, OrbitTable
-from schur_orbits.stabilization import (
-    StabilizationCertificate,
-    StableRangeReport,
-)
+from schur_orbits.stabilization import StableRangeReport
 
 from conftest import get_group
 from intlinalg_oracle import _SNF
@@ -59,8 +56,6 @@ FROZEN = {
     **IMMUTABLE,
     "FiniteGroup": lambda i: _z2(),
     "OrbitTable": lambda i: OrbitTable(MOVE_SET_TAG, (), (), {}),
-    "StabilizationCertificate": lambda i: StabilizationCertificate(
-        True, {}, True, {}),
 }
 
 

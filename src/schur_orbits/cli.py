@@ -51,7 +51,6 @@ from . import __version__
 from .groups import (
     BudgetError,
     DomainError,
-    _closure_and_bfs_order,
     abelianization,
     build_group,
     sha256,
@@ -78,22 +77,11 @@ def _load_group(path):
     return build_group(spec)
 
 
-def _element_perms(G):
-    """Per-element permutations for permutation-defined groups, in the
-    group's own numbering."""
-    spec = json.loads(G.generator_spec)
-    if "permutations" not in spec:
-        raise CliError("selector needs a permutation-defined group")
-    perms = [tuple(p) for p in spec["permutations"]]
-    n_points = len(perms[0]) if perms else 1
-    elems, _ = _closure_and_bfs_order(n_points, perms)
-    return elems
-
-
 def _transposition_classes(G):
-    elems = _element_perms(G)
+    if G.perms is None:
+        raise CliError("selector needs a permutation-defined group")
     out = set()
-    for x, p in enumerate(elems):
+    for x, p in enumerate(G.perms):
         moved = sum(1 for i, j in enumerate(p) if i != j)
         if moved == 2:
             out.add(G.class_of[x])

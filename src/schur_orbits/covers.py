@@ -107,13 +107,8 @@ class BranchData(Frozen):
         return sorted({cid for (cid, _), _ in self.counts})
 
 
-def make_tuple(G, g, handles, punctures, allowed_classes=None):
-    """Validate and build a BranchedTuple.
-
-    allowed_classes: optional set of class ids (the set C); every
-    puncture's branch class must lie in it.  allowed_classes = () forces
-    n = 0.
-    """
+def make_tuple(G, g, handles, punctures):
+    """Validate and build a BranchedTuple."""
     handles = tuple((int(a), int(b)) for a, b in handles)
     punctures = tuple((int(w), int(o)) for w, o in punctures)
     letters = chain(*handles, (w for w, _ in punctures))
@@ -129,14 +124,6 @@ def make_tuple(G, g, handles, punctures, allowed_classes=None):
     t = BranchedTuple(G, g, handles, punctures)
     if t.relation_product() != 0:
         raise TupleError("surface relation violated")
-    if allowed_classes is not None:
-        allowed = set(allowed_classes)
-        if not allowed and punctures:
-            raise TupleError("empty branch class set forces n = 0")
-        for j in range(len(punctures)):
-            cid, _ = t.branch_class(j)
-            if cid not in allowed:
-                raise TupleError(f"puncture {j} branch class {cid} outside C")
     return t
 
 
@@ -243,8 +230,6 @@ def tuple_to_json(t):
     }
 
 
-def tuple_from_json(G, obj, allowed_classes=None):
-    return make_tuple(
-        G, obj["g"], obj.get("handles", []), obj.get("punctures", []),
-        allowed_classes=allowed_classes,
-    )
+def tuple_from_json(G, obj):
+    return make_tuple(G, obj["g"], obj.get("handles", []),
+                      obj.get("punctures", []))

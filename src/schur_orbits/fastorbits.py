@@ -13,17 +13,19 @@ one frontier sweep (_sweep) partitions them into orbits under the moves
 that span handles or punctures.  Every move is an automorphism of pi_1
 or a conjugation, so surjectivity is decided once per orbit: orbit_scan
 drops the orbits whose representative does not generate G.  Each of
-those moves acts on each of its sites, one or two node digits, by a
-transition table on the site's keys (_SiteTable), built by running its
-moves.move_plan, shifted onto the site (_site_plan), through
+those moves acts on each of its sites, the one or two node digits of
+the letter slots moves._site_slots gives it (_spans), by a transition
+table on the site's keys (_SiteTable), built by running the move's
+moves.move_plan on a level of the site's own shape through
 moves.plan_evaluator, apply_move's evaluator, on numpy columns of the
-site's tuples.  The tables are memoized per group under the shifted
-plan, so a move shares one table across its site indices and across
-levels (_transitions), and each holds the keys that levels have asked
-for.  ChainTwist is a relation on nodes (up to 22 targets per label
-pair on A4, 53 on S4).  The sweep sends the images of every move of a
-breadth-first step through one position lookup and one dedupe.  Orbit
-and level sizes are sums of node weights, the products of orbit sizes.
+site's tuples.  The tables are memoized per group under the move's kind,
+element and site shape, so a move shares one table across its site
+indices and across levels (_transitions), and each holds the keys that
+levels have asked for.  ChainTwist is a relation on nodes (up to 22
+targets per label pair on A4, 53 on S4).  The sweep sends the images of
+every move of a breadth-first step through one position lookup and one
+dedupe.  Orbit and level sizes are sums of node weights, the products of
+orbit sizes.
 A budget bounds the prefixes build_level walks (_prefix_count) and the
 tuples _Codes.expand makes.  The builder, the transition tables and the
 sweep work FILTER_CHUNK prefixes, tuples or codes at a time
@@ -68,9 +70,9 @@ from .moves import (
     MOVE_SET_TAG,
     Move,
     MoveError,
-    MovePlan,
     OrbitTable,
     _np_tables,
+    _site_slots,
     move_catalog,
     move_plan,
     plan_evaluator,
@@ -509,70 +511,26 @@ class _Positions:
         return pos
 
 
-def _sites(plan, g):
-    """The node digit ranges (lo, hi) on which plan's move acts
-    independently: each written letter or sign with the digits it is
-    computed from, merged where they overlap."""
-    def digit(slot):
-        return slot // 2 if slot < 2 * g else slot - g
-
-    reads = {plan.slots: set()}  # register -> the digits it is read from
-    for reg, _, _, word in plan.steps:
-        reads[reg] = set().union(*(
-            reads[r] if r >= plan.slots else {digit(r)}
-            for r in (r if r >= 0 else ~r for r in word)))
-    spans = [{digit(slot)} | reads.get(reg, {digit(reg)})
-             for slot, reg in plan.writes]
-    spans += [{g + j, g + src} for j, src in plan.signs]
-    sites = []
-    for lo, hi in sorted((min(d), max(d)) for d in spans):
-        if sites and lo <= sites[-1][1]:
-            lo, hi = sites[-1][0], max(hi, sites.pop()[1])
-        sites.append((lo, hi))
-    return sites
-
-
-def _site_plan(plan, g, lo, hi):
-    """plan on node digits lo..hi alone, its slots shifted onto them:
-    (MovePlan, h, p) for genus-h, p-puncture tuples, the site's h handle
-    digits and then its p puncture digits.  It keeps the writes and signs
-    of the site's slots and the steps they read, renumbered in order, and
-    holds each step table as a tuple, so that it is hashable."""
-    h = max(min(hi + 1, g) - lo, 0)
-    p = hi + 1 - lo - h
-    first, n, L = 2 * lo if lo < g else lo + g, 2 * h + p, plan.slots
-    writes = [(slot, reg) for slot, reg in plan.writes
-              if first <= slot < first + n]
-    need, steps = {reg for _, reg in writes}, []
-    for step in reversed(plan.steps):
-        if step[0] in need:
-            need |= {r if r >= 0 else ~r for r in step[3]}
-            steps.append(step)
-    steps.reverse()
-    # the site's slots, then the point-push element, then its steps
-    to = {r: r - first for r in range(first, first + n)}
-    to[L] = n
-    to.update((step[0], n + 1 + k) for k, step in enumerate(steps))
-    j0 = max(lo, g) - g  # the site's first puncture
-    return MovePlan(
-        n, plan.element,
-        tuple((to[reg], tuple(to[r] for r in srcs),
-               None if table is None else tuple(table),
-               tuple(to[r] if r >= 0 else ~to[~r] for r in word))
-              for reg, srcs, table, word in steps),
-        tuple((to[slot], to[reg]) for slot, reg in writes),
-        tuple((j - j0, src - j0) for j, src in plan.signs
-              if lo <= g + j <= hi)), h, p
+def _spans(m, g, n):
+    """The node digit spans (lo, hi) of move m's sites on a genus-g,
+    n-puncture level, in order: the digits of each site's slots
+    (moves._site_slots), a handle's two letters sharing one digit."""
+    if m.kind not in _MOVE_WORDS:
+        raise MoveError(f"unknown move kind {m.kind}")
+    digits = ([s // 2 if s < 2 * g else s - g for s in names.values()]
+              for names in _site_slots(_MOVE_WORDS[m.kind][0], m.index, g, n))
+    return list(dict.fromkeys((min(d), max(d)) for d in digits))
 
 
 class _SiteTable:
-    """The transition table of a site plan (_site_plan) on the keys of its
-    site, which are the node codes of a level of the site's own shape
-    (_Codes of h handles and p punctures over the level's alphabet).  One
-    table serves its move at every site index and every level of the
-    group.  It holds the keys that levels have asked for (fill): key k
-    moves to k + delta[j] for j in start[k]:start[k + 1]; multi when some
-    key has several targets; complete once it holds every key."""
+    """The transition table of a move's plan (moves.move_plan) on a level
+    of its site's own shape, h handles and p punctures, on the keys of the
+    site, which are that level's node codes (_Codes of the shape over the
+    level's alphabet).  One table serves its move at every site index and
+    every level of the group.  It holds the keys that levels have asked
+    for (fill): key k moves to k + delta[j] for j in start[k]:start[k + 1];
+    multi when some key has several targets; complete once it holds every
+    key."""
 
     def __init__(self, codes, plan):
         self.codes, self.plan = codes, plan
@@ -626,23 +584,28 @@ class _SiteTable:
         self.complete = bool(self.done.all())
 
 
-def _transitions(codes, plan, lo, hi, level):
-    """The _SiteTable of plan's move on node digits lo..hi of a level,
-    holding every key (those digits read as one mixed-radix number) that
-    occurs in level.  It is memoized in G.cache under the move's site
-    plan (_site_plan), its digit kinds and, with a puncture digit, the
-    alphabet, never under the Move, so every site and level with that
-    plan shares it; level is read, FILTER_CHUNK codes at a time, only
+def _transitions(codes, m, lo, hi, level):
+    """The _SiteTable of move m on its site at node digits lo..hi of a
+    level, holding every key (those digits read as one mixed-radix
+    number) that occurs in level.  The site's h handle and p puncture
+    digits are the shape of the table's plan, m's kind and element at
+    index 0 on genus-h, p-puncture tuples.  It is memoized in G.cache
+    under m's kind and element, the shape and, with a puncture digit, the
+    alphabet, never under m's index, so every site and level of that
+    shape shares it; level is read, FILTER_CHUNK codes at a time, only
     while the table lacks a key.  A node whose key is
     k = code // codes.place[hi] % space moves as its key does, the
     other digits kept."""
-    site, h, p = _site_plan(plan, codes.genus, lo, hi)
-    memo = codes.group.cache.setdefault("site tables", {})
-    key = (site, h, p, codes.alphabet if p else ())
+    G = codes.group
+    h = max(min(hi + 1, codes.genus) - lo, 0)
+    p = hi + 1 - lo - h
+    memo = G.cache.setdefault("site tables", {})
+    key = (m.kind, m.element, h, p, codes.alphabet if p else ())
     table = memo.get(key)
     if table is None:
         table = memo[key] = _SiteTable(
-            _Codes(codes.group, h, p, codes.alphabet), site)
+            _Codes(G, h, p, codes.alphabet),
+            move_plan(G, Move(m.kind, 0, m.element), h, p))
     if not table.complete:
         place = codes.place[hi]
         seen = np.zeros(table.space, dtype=bool)
@@ -654,14 +617,14 @@ def _transitions(codes, plan, lo, hi, level):
     return table
 
 
-def _site_moves(codes, plan, level):
-    """The sites of plan's move on level as _moved reads them: (place,
+def _site_moves(codes, m, level):
+    """The sites of move m on level (_spans) as _moved reads them: (place,
     key space, start, delta in node units, multi) of each site's table.
     A later fill of a shared table makes new arrays and leaves these
     rows as they are."""
     out = []
-    for lo, hi in _sites(plan, codes.genus):
-        t = _transitions(codes, plan, lo, hi, level)
+    for lo, hi in _spans(m, codes.genus, codes.n):
+        t = _transitions(codes, m, lo, hi, level)
         place = codes.place[hi]
         out.append((place, t.space, t.start, t.delta * place, t.multi))
     return out
@@ -694,9 +657,9 @@ def _claim(ids, pos, oid):
     return pos
 
 
-def _sweep(codes, level, plans):
-    """Partition a sorted, move-closed node level into orbits under the
-    moves of plans, with the handle moves that connect each node.
+def _sweep(codes, level, moves):
+    """Partition a sorted, move-closed node level into orbits under
+    moves, with the handle moves that connect each node.
 
     Each orbit is seeded at the least node outside the orbits before it
     and grown breadth first.  Each step takes the frontier, FILTER_CHUNK
@@ -710,7 +673,7 @@ def _sweep(codes, level, plans):
     node has its orbit.  Returns (seed node codes, orbit sizes in
     tuples, orbit id of every node).
     """
-    moves = [_site_moves(codes, plan, level) for plan in plans]
+    sited = [_site_moves(codes, m, level) for m in moves]
     positions = _Positions(level, codes.space)
     n_nodes = int(level.size)
     ids = np.full(n_nodes, -1, dtype=np.int32)
@@ -724,7 +687,7 @@ def _sweep(codes, level, plans):
             found, batch, held = [], [], 0
             for start in range(0, frontier.size, FILTER_CHUNK):
                 code = level[frontier[start:start + FILTER_CHUNK]]
-                for sites in moves:
+                for sites in sited:
                     for enc in _moved(code, sites):
                         if held + enc.size > FILTER_CHUNK:
                             found.append(_claim(
@@ -781,9 +744,8 @@ def orbit_scan(G, g, v, catalog, budget=None):
             return FastOrbitTable(MOVE_SET_TAG, (), (), {}, codes, empty,
                                   empty), 0
     codes, level = build_level(G, g, v)  # within budget, as checked above
-    plans = [move_plan(G, m, g, codes.n) for m in catalog
-             if m.kind not in _HANDLE_KINDS]
-    seeds, sizes, ids = _sweep(codes, level, plans)
+    seeds, sizes, ids = _sweep(
+        codes, level, [m for m in catalog if m.kind not in _HANDLE_KINDS])
     reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64)))
     keep = np.array([is_surjective(t) for t in reps], dtype=bool)
     on = keep[ids]

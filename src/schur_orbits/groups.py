@@ -54,17 +54,18 @@ class GroupBuildError(DomainError):
 
 class FiniteGroup(Frozen):
     """mul is a tuple of row tuples, generators the element indices of
-    the defining generators.  cache holds the tables other modules derive
-    from this group, under their own keys; equality leaves it and
-    generator_spec out."""
+    the defining generators.  perms holds the permutation of each element
+    of a permutation-defined group, by index, and is None for a Cayley
+    table.  cache holds the tables other modules derive from this group,
+    under their own keys; equality leaves it and perms out."""
 
     _fields = ("order", "mul", "inv", "class_of", "class_reps", "generators")
 
     def __init__(self, order, mul, inv, class_of, class_reps, generators,
-                 generator_spec):
+                 perms):
         vars(self).update(order=order, mul=mul, inv=inv, class_of=class_of,
                           class_reps=class_reps, generators=generators,
-                          generator_spec=generator_spec, cache={})
+                          perms=perms, cache={})
 
     def conj(self, x, g):
         """g x g^{-1}"""
@@ -229,7 +230,7 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
             for p in elems
         )
         gens = tuple(sorted({index[p] for p in perms if index[p] != 0}))
-        gspec = json.dumps({"permutations": perms}, sort_keys=True)
+        elems = tuple(elems)
     elif "cayley_table" in spec:
         table = _int_rows(spec, "cayley_table")
         order = len(table)
@@ -253,14 +254,14 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
         pos = {o: i for i, o in enumerate(old)}
         mul = tuple(tuple(pos[table[a][b]] for b in old) for a in old)
         gens = tuple(_right_generators(mul))
-        gspec = json.dumps({"cayley_table": table}, sort_keys=True)
+        elems = None
     else:
         raise GroupBuildError("spec needs 'permutations' or 'cayley_table'")
 
     inv = _validate_table(mul, gens)
     class_of, reps = _conjugacy_data(mul, inv)
     return FiniteGroup(order, mul, tuple(inv), tuple(class_of), tuple(reps),
-                       gens, gspec)
+                       gens, elems)
 
 
 def closure(G, S):

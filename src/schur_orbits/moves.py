@@ -13,7 +13,10 @@ to letter slots, and plan_evaluator runs the plan: on one tuple's
 letters for apply_move, on numpy columns of many tuples for
 fastorbits.  A new move is a new row there (plus a site in
 _site_slots if it acts on a new kind of site) and an entry in
-move_catalog.
+move_catalog.  A move's site is declared only in _site_slots:
+fastorbits places each of its transition tables on the node digits of
+one site's slots, and builds it from the move's plan on a level of that
+site's own shape.
 """
 
 from __future__ import annotations

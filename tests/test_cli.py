@@ -655,6 +655,17 @@ def test_malformed_cayley_table_is_a_domain_error(files, capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+def test_transposition_selector_needs_a_permutation_group(files, capsys):
+    # a Cayley table carries no element permutations to find them in
+    table = files["tmp"] / "q8.json"
+    table.write_text(json.dumps(GROUP_SPECS["q8"]))
+    code, out = run(capsys, ["mgc", "--group", str(table),
+                             "--classes", "transpositions", "--no-cache"])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "domain" and "permutation-defined" in err["message"]
+
+
 @pytest.mark.parametrize("spec", [
     {"permutations": [[1.0, 0]]},
     {"permutations": [1]},

@@ -52,24 +52,6 @@ def test_make_tuple_rejects_letters_outside_the_group(s3, g, handles,
         make_tuple(s3, g, handles, punctures)
 
 
-def test_empty_c_forces_closed(s3):
-    a = 1
-    with pytest.raises(TupleError):
-        make_tuple(s3, 0, [], [(a, 1), (s3.inv[a], -1)], allowed_classes=())
-
-
-def test_class_restriction(s3):
-    tc = transposition_class(s3)
-    a = s3.class_reps[tc]
-    t = make_tuple(s3, 0, [], [(a, 1), (s3.inv[a], 1)], allowed_classes=(tc,))
-    assert t.branch_class(0) == (tc, 1)
-    other = next(c for c in range(len(s3.class_reps))
-                 if c not in (tc, s3.class_of[0]))
-    b = s3.class_reps[other]
-    with pytest.raises(TupleError):
-        make_tuple(s3, 0, [], [(b, 1), (s3.inv[b], 1)], allowed_classes=(tc,))
-
-
 def test_negative_framing_branch_class(s3):
     # the branch class of (w, -1) is the class of w^{-1}
     a = next(x for x in range(1, 6) if s3.element_order(x) == 3)

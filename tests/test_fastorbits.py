@@ -23,8 +23,7 @@ from schur_orbits.fastorbits import (
     _moved,
     _prefix_count,
     _site_moves,
-    _site_plan,
-    _sites,
+    _spans,
     _sweep,
     _transitions,
     build_level,
@@ -426,23 +425,30 @@ def test_move_off_the_level_is_a_move_error(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 2})
     codes, level = build_level(s3, 0, v)
-    plans = [move_plan(s3, m, 0, 4) for m in move_catalog(s3, 0, 4)]
     with pytest.raises(fastorbits.MoveError, match="not move-closed"):
-        _sweep(codes, level[:1], plans)
+        _sweep(codes, level[:1], move_catalog(s3, 0, 4))
 
 
 @pytest.mark.parametrize("slot", [0, 3])
-def test_move_off_the_alphabet_is_a_move_error(s3, slot):
+def test_move_off_the_alphabet_is_a_move_error(s3, slot, monkeypatch):
     # a plan that writes the identity into one puncture slot, the first
     # or the last: the sweep re-ranks only that slot, and must still
-    # find the pair outside the level's alphabet
+    # find the pair outside the level's alphabet.  Braid's site plan is
+    # replaced, at the puncture pair that holds the slot, in a memo of
+    # this test's own; the failed fill leaves no table behind
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 2, (tc, -1): 2})
     codes, level = build_level(s3, 0, v)
-    bad = MovePlan(4, 0, ((5, (slot,), [0] * s3.order, (slot,)),),
-                   ((slot, 5),), ())
+    index = min(slot, 2)
+    local = slot - index
+    bad = MovePlan(2, 0, ((3, (local,), [0] * s3.order, (local,)),),
+                   ((local, 3),), ())
+    monkeypatch.setattr(fastorbits, "move_plan", lambda *args: bad)
+    monkeypatch.setitem(s3.cache, "site tables", {})
     with pytest.raises(fastorbits.MoveError, match="alphabet"):
-        _sweep(codes, level, [bad])
+        _sweep(codes, level, [Move("Braid", index)])
+    assert not s3.cache["site tables"][
+        ("Braid", 0, 0, 2, codes.alphabet)].done.any()
 
 
 @st.composite
@@ -682,7 +688,7 @@ def test_chain_twist_relation_is_the_brute_force_relation(name):
     K = H.size.size
     m = Move("ChainTwist", 0)
     # every label pair as a node of the genus-2 code space
-    t = _transitions(codes, move_plan(G, m, 2, 0), 0, 1, np.arange(K * K))
+    t = _transitions(codes, m, 0, 1, np.arange(K * K))
     space, start, delta, multi = t.space, t.start, t.delta, t.multi
     assert (codes.place[1], space) == (1, K * K)
     got = {(k, k + int(d)) for k in range(K * K)
@@ -703,9 +709,9 @@ def test_moved_applies_every_site_after_a_relation(s3):
     # ChainTwist's table (several targets per key) followed by GlobalConj's
     # three handle sites, each target taken through all three
     codes, level = build_level(s3, 3, BranchData(()))
-    sites = [site for plan in (move_plan(s3, Move("ChainTwist", 0), 3, 0),
-                               move_plan(s3, Move("GlobalConj", element=1), 3, 0))
-             for site in _site_moves(codes, plan, level)]
+    sites = [site for m in (Move("ChainTwist", 0),
+                            Move("GlobalConj", element=1))
+             for site in _site_moves(codes, m, level)]
     assert [site[-1] for site in sites] == [True, False, False, False]
     nodes = level[::5]  # not conjugation-closed, unlike the whole level
     want = []
@@ -760,12 +766,12 @@ def test_every_table_the_sweep_uses_is_its_sites_own(case):
     G, g, v = case
     codes, level = build_level(G, g, v)
     assume(level.size)
-    plans = [move_plan(G, m, g, codes.n) for m in move_catalog(G, g, codes.n)]
+    moves = move_catalog(G, g, codes.n)
     with pytest.MonkeyPatch.context() as mp:
         used = _record(mp, fastorbits, "_transitions")
-        _sweep(codes, level, plans)
-    assert [(plan, lo, hi) for _, plan, lo, hi, _ in used] == \
-        [(plan, lo, hi) for plan in plans for lo, hi in _sites(plan, g)]
+        _sweep(codes, level, moves)
+    assert [(m, lo, hi) for _, m, lo, hi, _ in used] == \
+        [(m, lo, hi) for m in moves for lo, hi in _spans(m, g, codes.n)]
     shared = [_transitions(*args) for args in used]
     memo = G.cache.pop("site tables")
     try:
@@ -777,6 +783,108 @@ def test_every_table_the_sweep_uses_is_its_sites_own(case):
             assert _rows(table, keys) == _rows(fresh, keys)
     finally:
         G.cache["site tables"] = memo
+
+
+def _dataflow_sites(plan, g):
+    """The node digit ranges (lo, hi) on which plan's move acts
+    independently, read off the plan alone: each written letter or sign
+    with the digits it is computed from, merged where they overlap.  The
+    reference for the sites moves._site_slots declares."""
+    def digit(slot):
+        return slot // 2 if slot < 2 * g else slot - g
+
+    reads = {plan.slots: set()}  # register -> the digits it is read from
+    for reg, _, _, word in plan.steps:
+        reads[reg] = set().union(*(
+            reads[r] if r >= plan.slots else {digit(r)}
+            for r in (r if r >= 0 else ~r for r in word)))
+    spans = [{digit(slot)} | reads.get(reg, {digit(reg)})
+             for slot, reg in plan.writes]
+    spans += [{g + j, g + src} for j, src in plan.signs]
+    sites = []
+    for lo, hi in sorted((min(d), max(d)) for d in spans):
+        if sites and lo <= sites[-1][1]:
+            lo, hi = sites[-1][0], max(hi, sites.pop()[1])
+        sites.append((lo, hi))
+    return sites
+
+
+def _shifted_plan(plan, g, lo, hi):
+    """plan on node digits lo..hi alone, its slots shifted onto them:
+    (MovePlan, h, p) for genus-h, p-puncture tuples, the site's h handle
+    digits and then its p puncture digits.  It keeps the writes and signs
+    of the site's slots and the steps they read, renumbered in order, and
+    holds each step table as a tuple.  The reference for the plan a site
+    table runs."""
+    h = max(min(hi + 1, g) - lo, 0)
+    p = hi + 1 - lo - h
+    first, n, L = 2 * lo if lo < g else lo + g, 2 * h + p, plan.slots
+    writes = [(slot, reg) for slot, reg in plan.writes
+              if first <= slot < first + n]
+    need, steps = {reg for _, reg in writes}, []
+    for step in reversed(plan.steps):
+        if step[0] in need:
+            need |= {r if r >= 0 else ~r for r in step[3]}
+            steps.append(step)
+    steps.reverse()
+    # the site's slots, then the point-push element, then its steps
+    to = {r: r - first for r in range(first, first + n)}
+    to[L] = n
+    to.update((step[0], n + 1 + k) for k, step in enumerate(steps))
+    j0 = max(lo, g) - g  # the site's first puncture
+    return MovePlan(
+        n, plan.element,
+        tuple((to[reg], tuple(to[r] for r in srcs),
+               None if table is None else tuple(table),
+               tuple(to[r] if r >= 0 else ~to[~r] for r in word))
+              for reg, srcs, table, word in steps),
+        tuple((to[slot], to[reg]) for slot, reg in writes),
+        tuple((j - j0, src - j0) for j, src in plan.signs
+              if lo <= g + j <= hi)), h, p
+
+
+def _tupled(plan):
+    """plan with each step table as a tuple, comparable with
+    _shifted_plan's."""
+    return MovePlan(plan.slots, plan.element, tuple(
+        (reg, srcs, None if table is None else tuple(table), word)
+        for reg, srcs, table, word in plan.steps), plan.writes, plan.signs)
+
+
+@pytest.mark.parametrize("g", range(4))
+@pytest.mark.parametrize("n", range(4))
+def test_sites_and_site_plans_match_the_plan_dataflow(g, n, monkeypatch):
+    # every swept kind at every site index, with three elements: the
+    # declared sites are the plan's dataflow sites, each site table runs
+    # the full plan shifted onto its site, and two sites share a table
+    # exactly when their shifted plans and shapes are equal
+    G = get_group("a4")
+    monkeypatch.setitem(G.cache, "site tables", {})
+    codes = _Codes(G, g, n, [(w, o) for w in range(1, G.order)
+                             for o in (1, -1)])
+    empty = np.zeros(0, dtype=np.int64)
+    swept = [kind for kind in fastorbits._MOVE_WORDS
+             if kind not in fastorbits._HANDLE_KINDS]
+    tables = {}
+    for kind in swept:
+        for index in range(max(g, n) + 1):
+            for element in (0, 1, 5):
+                m = Move(kind, index, element)
+                try:
+                    plan = move_plan(G, m, g, n)
+                except fastorbits.MoveError:
+                    with pytest.raises(fastorbits.MoveError):
+                        _spans(m, g, n)
+                    continue
+                assert _spans(m, g, n) == _dataflow_sites(plan, g), m
+                for lo, hi in _spans(m, g, n):
+                    table = _transitions(codes, m, lo, hi, empty)
+                    shifted = _shifted_plan(plan, g, lo, hi)
+                    assert (_tupled(table.plan), table.codes.genus,
+                            table.codes.n) == shifted, (m, lo, hi)
+                    assert tables.setdefault(id(table), shifted) == shifted
+    # equal shifted plans and shapes share one table
+    assert len(set(tables.values())) == len(tables)
 
 
 def test_a4_genus_3_builds_three_tables_for_its_eight_sites(monkeypatch):
@@ -808,18 +916,22 @@ def test_closed_stable_range_builds_each_table_once(tmp_path, monkeypatch,
     assert len(sites) > 2 * len(tables)
 
 
-def test_single_target_table_that_merges_keys_is_a_move_error(s3):
+def test_single_target_table_that_merges_keys_is_a_move_error(s3,
+                                                              monkeypatch):
     # w1 := w2 with w2's sign sends key (w1, w2) to (w2, w2): one target
     # per key, but not a permutation, so the level cannot be move-closed;
-    # the failed fill leaves no table behind
+    # the failed fill leaves no table behind.  The plan stands in for
+    # Braid's at the first puncture pair, in a memo of this test's own
     tc = transposition_class(s3)
     codes, level = build_level(s3, 0, BranchData.from_dict({(tc, 1): 4}))
-    bad = MovePlan(4, 0, (), ((0, 1),), ((0, 1),))
+    bad = MovePlan(2, 0, (), ((0, 1),), ((0, 1),))
+    monkeypatch.setattr(fastorbits, "move_plan", lambda *args: bad)
+    monkeypatch.setitem(s3.cache, "site tables", {})
     for _ in range(2):
         with pytest.raises(fastorbits.MoveError, match="not move-closed"):
-            _sweep(codes, level, [bad])
+            _sweep(codes, level, [Move("Braid", 0)])
     assert not s3.cache["site tables"][
-        _site_plan(bad, 0, 0, 1) + (codes.alphabet,)].done.any()
+        ("Braid", 0, 0, 2, codes.alphabet)].done.any()
 
 
 @pytest.mark.parametrize("name,g,v", [
@@ -830,8 +942,8 @@ def test_sweep_looks_up_at_most_a_chunk_of_codes_at_a_time(name, g, v,
     tc = transposition_class(G) if v else None
     codes, level = build_level(G, g, BranchData.from_dict(
         {(tc, o): k for (_, o), k in v.items()}))
-    plans = [move_plan(G, m, g, codes.n) for m in move_catalog(G, g, codes.n)]
-    whole = _sweep(codes, level, plans)
+    moves = move_catalog(G, g, codes.n)
+    whole = _sweep(codes, level, moves)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
     lookups = _record(monkeypatch, fastorbits._Positions, "__call__")
     claimed = []
@@ -841,7 +953,7 @@ def test_sweep_looks_up_at_most_a_chunk_of_codes_at_a_time(name, g, v,
         return claimed[-1]
 
     monkeypatch.setattr(fastorbits, "_claim", claim)
-    seeds, sizes, ids = _sweep(codes, level, plans)
+    seeds, sizes, ids = _sweep(codes, level, moves)
     # the images of several moves share a lookup, and no lookup takes more
     # than a chunk
     assert max(codes.size for _, codes in lookups) <= 7

@@ -106,7 +106,7 @@ def test_h2_basis_does_not_depend_on_the_generators_given(name, extra,
                                                            monkeypatch):
     G = build_group(GROUP_SPECS[name])
     G2 = FiniteGroup(G.order, G.mul, G.inv, G.class_of, G.class_reps,
-                     (0, *G.generators, extra), G.generator_spec)
+                     (0, *G.generators, extra), G.perms)
     assert G2.digest == G.digest and G2.generators != G.generators
     monkeypatch.setattr(homology, "_H2_CACHE", {})
     got = h2_group(G)

@@ -4,7 +4,7 @@ Each class compares equal to an instance of the same class whose fields
 are equal, and to nothing else.  The immutable ones hash by their
 fields, so equal instances serve as the same dict key; the mutable ones
 are unhashable.  FiniteGroup hashes by (order, mul) and leaves its
-generator_spec and its cache out of equality.
+element permutations and its cache out of equality.
 """
 
 import pytest
@@ -25,10 +25,10 @@ from conftest import get_group
 from intlinalg_oracle import _SNF
 
 
-def _z2(spec="z2"):
+def _z2(perms=((0, 1), (1, 0))):
     return FiniteGroup(order=2, mul=((0, 1), (1, 0)), inv=(0, 1),
                        class_of=(0, 1), class_reps=(0, 1), generators=(1,),
-                       generator_spec=spec)
+                       perms=perms)
 
 
 def _pres(d=2):
@@ -93,13 +93,13 @@ def test_assigning_a_field_of_an_immutable_class_raises(name):
 
 
 def test_finite_group_hash_and_equality():
-    G, H = _z2("one"), _z2("other")
+    G, H = _z2(), _z2(None)
     G.cache["k"] = 1
     assert G == H and hash(G) == hash(H) == hash((2, ((0, 1), (1, 0))))
-    assert G.generator_spec == "one" and H.cache == {}
+    assert G.perms == ((0, 1), (1, 0)) and H.cache == {}
     assert G != FiniteGroup(order=2, mul=G.mul, inv=G.inv, class_of=G.class_of,
                             class_reps=G.class_reps, generators=(),
-                            generator_spec="one")
+                            perms=G.perms)
     s3 = get_group("s3")
     assert {s3: 1}[s3] == 1 and s3 != G
 

@@ -27,9 +27,11 @@ in its own body, so argument parsing, group-info and a cache hit load
 neither numpy nor covers nor the orbit and homology modules, and orbits
 loads neither homology nor stabilization.  covers comes in with the
 first tuple or branch argument.  numpy comes in only with the orbit
-engine (moves and fastorbits): h2, mgc, h2bgc and sch run homology in
-Python ints and never load it.  sch is homology.lifting_invariant with C
-empty, so it loads neither branched_schur nor stabilization.  intlinalg
+engine, fastorbits (enumerate, orbits, stable-range, torsor-check): h2,
+mgc, h2bgc and sch run homology in Python ints, and diff, dilate and
+stabilize, which read single tuples, never run the engine, so none of
+them loads it.  sch is homology.lifting_invariant with C empty, so it
+loads neither branched_schur nor stabilization.  intlinalg
 comes in with G_ab (group-info, an orbits level whose net branch vector
 is nonzero) or with homology, so a closed orbits level, or one whose
 punctures cancel in the net vector, never loads it.  traceback

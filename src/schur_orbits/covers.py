@@ -191,21 +191,19 @@ def _letters_for(G, class_id, sign):
 
 def level_codes(G, g, v, surjective=True, budget=None):
     """(fastorbits._Codes, sorted int64 tuple codes) of every tuple of
-    genus g with branch data v: the nodes of fastorbits.orbit_scan's table
-    under moves.move_catalog when surjective, else of
-    fastorbits.build_level, closed or punctured, expanded into one array
+    genus g with branch data v: the nodes of fastorbits.level_orbits'
+    table when surjective, else of fastorbits.build_level, closed or
+    punctured, expanded into one array
     and sorted in place, so that code order is key order.  BudgetError
     when the builder would walk more than budget prefixes or the level
     has more than budget tuples, raised before the level, or its tuple
     codes, are allocated.
     """
-    # fastorbits and moves import this module
-    from .fastorbits import build_level, orbit_scan
-    from .moves import move_catalog
+    # fastorbits imports this module
+    from .fastorbits import build_level, level_orbits
 
     if surjective:
-        table, _ = orbit_scan(G, g, v, move_catalog(G, g, v.cardinality),
-                              budget)
+        table, _ = level_orbits(G, g, v, budget)
         codes, level = table.codes, table.level
     else:
         codes, level = build_level(G, g, v, budget)

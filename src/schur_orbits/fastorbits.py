@@ -2,24 +2,25 @@
 
 Every handle move of the catalog (TwistA and TwistB) acts on its own
 pair (a_i, b_i) alone, fixes [a_i, b_i] letter for letter and keeps
-<a_i, b_i>.  So a level is a disjoint union
-of nodes: products of per-handle orbits on the q^2 pairs
-(_handle_orbits, once per group, numbered by least pair) times one
-puncture word.  A node code (_Codes) has a label digit per handle and a
-digit per puncture; node order is the order of the nodes' least tuples,
-and a genus-0 level's nodes are its tuples.  One builder (build_level)
-makes the sorted node codes of every tuple of a level's relation, and
-one frontier sweep (_sweep) partitions them into orbits under the moves
-that span handles or punctures.  Every move is an automorphism of pi_1
-or a conjugation, so surjectivity is decided once per orbit: orbit_scan
-drops the orbits whose representative does not generate G.  Each of
-those moves acts on each of its sites, the one or two node digits of
-the letter slots moves._site_slots gives it (_spans), by a transition
-table on the site's keys (_SiteTable), built by running the move's
-moves.move_plan on a level of the site's own shape through
-moves.plan_evaluator, apply_move's evaluator, on numpy columns of the
-site's tuples.  The tables are memoized per group under the move's kind,
-element and site shape, so a move shares one table across its site
+<a_i, b_i>.  So a level is a disjoint union of nodes: products of
+per-handle orbits on the q^2 pairs (_handle_orbits, once per group,
+numbered by least pair) times one puncture word.  A node code (_Codes)
+has a label digit per handle and a digit per puncture; node order is the
+order of the nodes' least tuples, and a genus-0 level's nodes are its
+tuples.  One builder (build_level) makes the sorted node codes of every
+tuple of a level's relation, and one frontier sweep (_sweep) partitions
+them into orbits under the moves that span handles or punctures.
+level_orbits, the one entry point, runs both with moves.move_catalog's
+moves.  Every move is an automorphism of pi_1 or a conjugation, so
+surjectivity is decided once per orbit: the orbits whose representative
+does not generate G are dropped.  Each of those moves acts on each of
+its sites, the one or two node digits of the letter slots
+moves._site_slots gives it (_spans), by a transition table on the site's
+keys (_SiteTable), built by running the move's moves.move_plan on a
+level of the site's own shape through moves.plan_evaluator, apply_move's
+evaluator, on numpy columns of the site's tuples, whose node codes
+_Codes.encode gives.  The tables are memoized per group under the move's
+kind, element and site shape, so a move shares one table across its site
 indices and across levels (_transitions), and each holds the keys that
 levels have asked for.  ChainTwist is a relation on nodes (up to 22
 targets per label pair on A4, 53 on S4).  The sweep sends the images of
@@ -79,7 +80,7 @@ from .moves import (
     word_values,
 )
 
-__all__ = ["orbit_scan", "closed_orbit_scan", "level_orbits", "build_level",
+__all__ = ["level_orbits", "closed_orbit_scan", "build_level",
            "FastOrbitTable"]
 
 FILTER_CHUNK = 1 << 13  # prefixes, nodes, tuples or looked-up codes at a time
@@ -148,7 +149,7 @@ def _handle_orbits(G):
         ab = list(np.divmod(pairs, q))
         perms = []
         for kind in _HANDLE_KINDS:
-            plan = move_plan(G, Move(kind), 1, 0)
+            plan = move_plan(Move(kind), 1, 0)
             out, _ = plan_evaluator(G, plan, columns=True)(ab)
             perms.append(out[0] * q + out[1])
         # each pair's label falls to the least pair code joined to it,
@@ -165,7 +166,7 @@ def _handle_orbits(G):
         a, b = np.divmod(least, q)
         G.cache["handle orbits"] = SimpleNamespace(
             label=label, least=least, size=size,
-            comm=word_values(_relator(2), {0: a, 1: b}, q, mulf, inv),
+            comm=word_values((0, 1, ~0, ~1), {0: a, 1: b}, q, mulf, inv),
             start=np.cumsum(size) - size,
             members=np.argsort(label, kind="stable"))
     return G.cache["handle orbits"]
@@ -203,14 +204,23 @@ class _Codes:
         self.rank = np.full(2 * q, -1, dtype=np.int64)
         self.rank[(self.sign > 0) * q + self.letter] = np.arange(r)
 
-    def _ranks(self, w, o):
-        """Alphabet ranks of the (letter, sign) pairs of a puncture
-        column; MoveError when one lies outside the alphabet."""
-        k = self.rank[(o > 0) * self.group.order + w]
-        if (k < 0).any():
-            raise MoveError("a move left the level's (letter, sign) "
-                            "alphabet (catalog bug)")
-        return k
+    def encode(self, letters, signs):
+        """The node codes of the tuples whose letter columns, slot by slot,
+        and sign columns, puncture by puncture, are given: each handle's
+        pair label, then each puncture's alphabet rank.  MoveError when a
+        puncture's (letter, sign) pair lies outside the alphabet."""
+        q, L, H = self.group.order, 2 * self.genus, self.orbits
+        digits = [H.label[a * q + b]
+                  for a, b in zip(letters[0:L:2], letters[1:L:2])]
+        for w, o in zip(letters[L:], signs):
+            digits.append(self.rank[(o > 0) * q + w])
+            if (digits[-1] < 0).any():
+                raise MoveError("a move left the level's (letter, sign) "
+                                "alphabet (catalog bug)")
+        code = 0
+        for digit, radix in zip(digits, self.radices):
+            code = code * radix + digit
+        return code
 
     def weight(self, nodes):
         """The number of tuples of each node: its handle orbit sizes
@@ -275,8 +285,8 @@ class _Codes:
 
     def codes_of(self, tuples):
         """The node codes of tuples, as an int64 array; KeyError when one
-        has another shape, a letter outside 0..|G|-1 or a puncture
-        outside the alphabet."""
+        has another shape or a letter outside 0..|G|-1, and encode's
+        MoveError when a puncture lies outside the alphabet."""
         q, L, n = self.group.order, 2 * self.genus, self.n
         miss = KeyError("tuple not in this orbit table")
         if any(t.genus != self.genus or t.n != n for t in tuples):
@@ -289,15 +299,9 @@ class _Codes:
         letters, signs = rows[:, :L + n].T, rows[:, L + n:].T
         if ((letters < 0) | (letters >= q)).any() or (abs(signs) != 1).any():
             raise miss
-        ranks = self.rank[(signs > 0) * q + letters[L:]]
-        if (ranks < 0).any():
-            raise miss
-        code = np.zeros(len(tuples), dtype=np.int64)
-        for a, b in zip(letters[0:L:2], letters[1:L:2]):
-            code = code * self.orbits.size.size + self.orbits.label[a * q + b]
-        for k in ranks:
-            code = code * len(self.alphabet) + k
-        return code
+        # a shape with no digits has the one node code 0
+        return np.zeros(len(tuples), dtype=np.int64) + self.encode(letters,
+                                                                   signs)
 
     def tuples(self, codes):
         """The BranchedTuples of tuple codes, in order."""
@@ -351,11 +355,6 @@ class FastOrbitTable(OrbitTable):
         for t, i in zip(self.codes.tuples(codes), self.ids.tolist()):
             out[i].append(t)
         return out
-
-
-def _relator(L):
-    """Register word of the handle commutators [a_1,b_1]...[a_g,b_g]."""
-    return [r for i in range(0, L, 2) for r in (i, i + 1, ~i, ~(i + 1))]
 
 
 def _prefix_count(G, g, v):
@@ -552,7 +551,6 @@ class _SiteTable:
         a move that sends each key into one key permutes the keys, and
         the level is not move-closed otherwise."""
         codes, space = self.codes, self.space
-        H, q, h = codes.orbits, codes.group.order, codes.genus
         f = plan_evaluator(codes.group, self.plan, columns=True)
         digits = _digits(keys, codes.radices)
         parts = [self.pairs]
@@ -561,12 +559,7 @@ class _SiteTable:
             cols, signs = codes.letters([digit[item] for digit in digits],
                                         rank)
             del rank  # only the plan's columns live while it runs
-            out, out_signs = f(cols, signs)
-            target = np.zeros(item.size, dtype=np.int64)
-            for d, radix in enumerate(codes.radices):
-                target *= radix
-                target += (H.label[out[2 * d] * q + out[2 * d + 1]] if d < h
-                           else codes._ranks(out[d + h], out_signs[d - h]))
+            target = codes.encode(*f(cols, signs))
             parts.append(_distinct(keys[item] * space + target))
         # a key whose tuples span two blocks has its targets in both
         pairs = _distinct(np.concatenate(parts))
@@ -605,7 +598,7 @@ def _transitions(codes, m, lo, hi, level):
     if table is None:
         table = memo[key] = _SiteTable(
             _Codes(G, h, p, codes.alphabet),
-            move_plan(G, Move(m.kind, 0, m.element), h, p))
+            move_plan(Move(m.kind, 0, m.element), h, p))
     if not table.complete:
         place = codes.place[hi]
         seen = np.zeros(table.space, dtype=bool)
@@ -715,25 +708,14 @@ def _sweep(codes, level, moves):
     return seeds, sizes.tolist(), ids
 
 
-def orbit_scan(G, g, v, catalog, budget=None):
-    """Partition the surjective genus-g level with branch data v into
-    catalog orbits: build_level's nodes, every tuple of the relation,
-    swept with the catalog's moves but its handle moves, which must
-    twist every handle (MoveError otherwise).
-    Every move is an automorphism of pi_1 or a conjugation, so the
-    letters of an orbit's tuples generate conjugate subgroups: the
-    orbits whose representative does not generate G are dropped, with
-    their nodes, and the orbits kept are renumbered in order.
-
-    BudgetError, before the level is allocated, when build_level would
-    walk more than budget prefixes, closed or punctured; past it, a genus-0
-    level whose puncture pools (all its letters) do not generate G is empty.
-
-    Returns (FastOrbitTable, number of tuples in the level).
-    """
-    if not set(catalog) >= {Move(kind, i) for kind in _HANDLE_KINDS
-                            for i in range(g)}:
-        raise MoveError("the catalog lacks a handle move on some handle")
+def _orbit_scan(G, g, v, budget):
+    """level_orbits' worker: build_level's nodes, every tuple of the
+    relation, swept with moves.move_catalog's moves but its handle moves,
+    which the nodes stand for.  Every move is an automorphism of pi_1 or
+    a conjugation, so the letters of an orbit's tuples generate conjugate
+    subgroups: the orbits whose representative does not generate G are
+    dropped, with their nodes, and the orbits kept are renumbered in
+    order."""
     _check_budget(G, g, v, budget)
     if g == 0:
         alphabet = [(w, sign) for (cid, sign), _ in v.counts
@@ -745,7 +727,8 @@ def orbit_scan(G, g, v, catalog, budget=None):
                                   empty), 0
     codes, level = build_level(G, g, v)  # within budget, as checked above
     seeds, sizes, ids = _sweep(
-        codes, level, [m for m in catalog if m.kind not in _HANDLE_KINDS])
+        codes, level, [m for m in move_catalog(G, g, v.cardinality)
+                       if m.kind not in _HANDLE_KINDS])
     reps = codes.tuples(codes.tuple_codes(np.array(seeds, dtype=np.int64)))
     keep = np.array([is_surjective(t) for t in reps], dtype=bool)
     on = keep[ids]
@@ -757,25 +740,22 @@ def orbit_scan(G, g, v, catalog, budget=None):
     return table, sum(sizes)
 
 
-def closed_orbit_scan(G, g, catalog, budget=None):
-    """orbit_scan of the closed genus-g level: (FastOrbitTable, number of
-    tuples in the level).  A name of its own because
-    perfbench/trace_job.py times closed scans through it."""
-    return orbit_scan(G, g, BranchData(()), catalog, budget)
+def closed_orbit_scan(G, g, budget=None):
+    """level_orbits of the closed genus-g level.  A name of its own
+    because perfbench/trace_job.py times closed scans through it."""
+    return _orbit_scan(G, g, BranchData(()), budget)
 
 
-def level_orbits(G, g, v, enum_budget):
-    """(orbit table, number of tuples) for the surjective tuples of one
-    (g, v) level under moves.move_catalog: orbit_scan, and on a closed
-    level closed_orbit_scan, which it looks up in this module, where
-    perfbench/trace_job.py puts its timed wrapper.  enum_budget caps the
-    prefixes build_level walks: a level over it raises BudgetError before
-    it is allocated, and a genus-0 level whose puncture letters do not
-    generate G is empty and is not built.  No tuple object is built but
-    the representatives.
+def level_orbits(G, g, v, budget=None):
+    """(orbit table, number of tuples) for the surjective tuples of the
+    genus-g level with branch data v under moves.move_catalog; a closed
+    level goes through closed_orbit_scan, which it looks up in this
+    module, where perfbench/trace_job.py puts its timed wrapper.
+    BudgetError, before the level is allocated, when build_level would
+    walk more than budget prefixes (_prefix_count); past it, a genus-0
+    level whose puncture letters do not generate G is empty and is not
+    built.  No tuple object is built but the representatives.
     """
-    n = v.cardinality
-    catalog = move_catalog(G, g, n)
-    if n == 0:
-        return closed_orbit_scan(G, g, catalog, enum_budget)
-    return orbit_scan(G, g, v, catalog, enum_budget)
+    if v.cardinality == 0:
+        return closed_orbit_scan(G, g, budget)
+    return _orbit_scan(G, g, v, budget)

@@ -8,20 +8,19 @@ and is a permutation of every level, so its inverse is a power of it
 and the catalog lists no inverses.
 
 Each move kind is defined once, as a row of _MOVE_WORDS: straight-line
-words over the letters of the site it acts on.  move_plan binds a row
-to letter slots, and plan_evaluator runs the plan: on one tuple's
-letters for apply_move, on numpy columns of many tuples for
-fastorbits.  A new move is a new row there (plus a site in
-_site_slots if it acts on a new kind of site) and an entry in
-move_catalog.  A move's site is declared only in _site_slots:
-fastorbits places each of its transition tables on the node digits of
-one site's slots, and builds it from the move's plan on a level of that
-site's own shape.
+words over the letters of the site it acts on.  move_plan binds a row to
+letter slots, a plan whose steps are those words, and plan_evaluator
+runs the plan, one word product per step: on one tuple's letters in
+Python ints for apply_move, on numpy columns of many tuples for
+fastorbits.  Only the columns load numpy; apply_move does not.  A new
+move is a new row there (plus a site in _site_slots if it acts on a new
+kind of site) and an entry in move_catalog.  A move's site is declared
+only in _site_slots: fastorbits places each of its transition tables on
+the node digits of one site's slots, and builds it from the move's plan
+on a level of that site's own shape.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .covers import BranchedTuple
 from .groups import DomainError
@@ -96,8 +95,8 @@ def move_catalog(G, g, n):
     and TwistB on each handle, ChainTwist on adjacent handles,
     BoundaryBlockTwist, and GlobalConj by each generator of G up to
     inverse, but for a central one, which moves nothing; so it conjugates
-    by all of Inn(G).  fastorbits.orbit_scan, move_closure and orbits all
-    run it as it is."""
+    by all of Inn(G).  fastorbits.level_orbits, move_closure and orbits
+    all run it as it is."""
     cat = [Move("Braid", j) for j in range(n - 1)]
     cat += [Move(kind, i) for i in range(g) for kind in ("TwistA", "TwistB")]
     cat += [Move("ChainTwist", i) for i in range(g - 1)]
@@ -137,13 +136,11 @@ class MovePlan(Frozen):
     """A move bound to the letter slots of one level.
 
     Registers below `slots` hold the letters before the move; register
-    `slots` holds the point-push element.  Step k (reg, srcs, table,
-    word) sets register reg = slots + 1 + k: table[srcs[0]] or
-    table[srcs[0] * q + srcs[1]] when the word reads at most two
-    registers other than the point-push element, else the word's product
-    (word entries r >= 0 read register r, ~r its inverse).  Each of
-    writes is (slot, register): the letter's new value; each of signs is
-    (puncture, source puncture), one for every moved sign.
+    `slots` holds the point-push element.  Each of steps is a word whose
+    product step k puts in register slots + 1 + k (word entries r >= 0
+    read register r, ~r its inverse).  Each of writes is (slot,
+    register): the letter's new value; each of signs is (puncture, source
+    puncture), one for every moved sign.
     """
 
     _fields = ("slots", "element", "steps", "writes", "signs")
@@ -156,6 +153,8 @@ class MovePlan(Frozen):
 def _np_tables(G):
     """Flattened multiplication table and inverses of G as numpy arrays."""
     if "np" not in G.cache:
+        import numpy as np
+
         G.cache["np"] = (np.array(G.mul, dtype=np.int64).ravel(),
                          np.array(G.inv, dtype=np.int64))
     return G.cache["np"]
@@ -171,14 +170,12 @@ def word_values(word, env, q, mulf, inv):
     return p
 
 
-def move_plan(G, m, g, n):
-    """Compile move m for genus-g, n-puncture tuples over G."""
+def move_plan(m, g, n):
+    """Compile move m for genus-g, n-puncture tuples."""
     if m.kind not in _MOVE_WORDS:
         raise MoveError(f"unknown move kind {m.kind}")
     site, words, signs = _MOVE_WORDS[m.kind]
-    q, L = G.order, 2 * g + n
-    mulf, inv = _np_tables(G)
-    nxt = L + 1
+    L = 2 * g + n
     steps, writes, moved = [], [], []
     for names in _site_slots(site, m.index, g, n):
         regs = dict(names, x=L)
@@ -188,15 +185,8 @@ def move_plan(G, m, g, n):
             if len(word) == 1 and word[0] >= 0:
                 reg = word[0]  # a plain copy
             else:
-                reg, nxt = nxt, nxt + 1
-                srcs = sorted({r if r >= 0 else ~r for r in word} - {L})
-                table = None
-                if len(srcs) <= 2:
-                    grid = np.indices((q,) * len(srcs)).reshape(len(srcs), -1)
-                    env = dict(zip(srcs, grid))
-                    env[L] = m.element
-                    table = word_values(word, env, q, mulf, inv).tolist()
-                steps.append((reg, tuple(srcs), table, word))
+                reg = L + 1 + len(steps)
+                steps.append(word)
             if name in names:
                 writes.append((names[name], reg))
             else:
@@ -210,21 +200,15 @@ def plan_evaluator(G, plan, columns):
     after plan's move.  With columns each is a numpy column of many
     tuples; without, one tuple's Python ints, and the letters stay ints."""
     q = G.order
-    mulf, inv = (a if columns else a.tolist() for a in _np_tables(G))
-    # each step as ((first source, second source or None), table, word)
-    steps = [((*srcs, None, None)[:2],
-              np.array(table) if columns and table is not None else table, word)
-             for _, srcs, table, word in plan.steps]
+    if columns:
+        mulf, inv = _np_tables(G)
+    else:
+        mulf, inv = [x for row in G.mul for x in row], G.inv
 
     def f(letters, signs=()):
         env = [*letters, plan.element]
-        for (a, b), table, word in steps:  # step k sets register len(env)
-            if table is None:
-                env.append(word_values(word, env, q, mulf, inv))
-            elif b is None:
-                env.append(table[env[a]])
-            else:
-                env.append(table[env[a] * q + env[b]])
+        for word in plan.steps:  # step k sets register len(env)
+            env.append(word_values(word, env, q, mulf, inv))
         out, out_signs = list(letters), list(signs)
         for slot, reg in plan.writes:
             out[slot] = env[reg]
@@ -240,7 +224,7 @@ def apply_move(m, t):
     G, g, n = t.group, t.genus, len(t.punctures)
     L, key = 2 * g, (m.kind, m.index, m.element, g, n)
     if key not in G.cache:
-        plan = move_plan(G, m, g, n)
+        plan = move_plan(m, g, n)
         G.cache[key] = (plan_evaluator(G, plan, columns=False),
                         any(slot < L for slot, _ in plan.writes),
                         any(slot >= L for slot, _ in plan.writes) or plan.signs)

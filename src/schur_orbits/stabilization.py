@@ -21,7 +21,6 @@ and when they number as many as the orbits the count is proved.
 from __future__ import annotations
 
 from .covers import BranchData, BranchedTuple, hom_branch_type
-from .fastorbits import level_orbits
 from .groups import BudgetError, DomainError, generates
 from .homology import lifting_invariant, m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map
@@ -150,6 +149,9 @@ def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
     its induced orbit map in full.  A level over enum_budget is skipped.
     The nodes mapped into a level number no more than the prefixes of it
     or of the level before, so the map needs no budget of its own."""
+    # here, not at the top, so that dilate and stabilize load no numpy
+    from .fastorbits import level_orbits
+
     cids = tuple(sorted(set(class_ids)))
     if v_seed is None:
         v_seed = BranchData.from_dict({})

@@ -499,6 +499,7 @@ def test_group_info_and_cache_hits_import_no_numpy(files):
 
 # a run of each command that computes with the group; a group name in
 # the arguments stands for its file
+_TORUS = json.dumps({"g": 1, "handles": [[1, 2]], "punctures": []})
 _FOOTPRINT_ARGV = {
     "group-info": ["--group", "s4"],
     "orbits": ["--group", "s3", "--genus", "0", "--branch",
@@ -506,8 +507,11 @@ _FOOTPRINT_ARGV = {
     "h2": ["--group", "k4"],
     "h2bgc": ["--group", "s3", "--classes", "transpositions"],
     "mgc": ["--group", "s3", "--classes", "transpositions"],
-    "sch": ["--group", "k4", "--tuple",
-            json.dumps({"g": 1, "handles": [[1, 2]], "punctures": []})],
+    "sch": ["--group", "k4", "--tuple", _TORUS],
+    "diff": ["--group", "k4", "--tuple", _TORUS, "--tuple2", _TORUS],
+    "dilate": ["--group", "k4", "--tuple", _TORUS],
+    "stabilize": ["--group", "k4", "--tuple", _TORUS, "--classes", "1",
+                  "--handle"],
     "stable-range": ["--group", "k4", "--no-branching"],
     "torsor-check": ["--group", "k4", "--no-branching", "--genus", "2"],
 }
@@ -521,7 +525,7 @@ _NO_NUMPY = {"dataclasses", "inspect", "traceback"}
 _ABSENT = {
     **dict.fromkeys(["group-info", "h2", "h2bgc", "mgc"],
                     _NO_NUMPY | {"schur_orbits.covers"}),
-    "sch": _NO_NUMPY,
+    **dict.fromkeys(["sch", "diff", "dilate", "stabilize"], _NO_NUMPY),
     **dict.fromkeys(["orbits", "stable-range", "torsor-check"],
                     {"dataclasses"}),
 }
@@ -577,6 +581,20 @@ def test_homology_commands_load_no_numpy(files, command):
     assert not loaded & {"numpy", "schur_orbits.fastorbits",
                          "schur_orbits.moves", "schur_orbits.branched_schur",
                          "schur_orbits.stabilization"}
+
+
+@pytest.mark.parametrize("command,runs", [
+    ("diff", "schur_orbits.branched_schur"),
+    ("dilate", "schur_orbits.stabilization"),
+    ("stabilize", "schur_orbits.stabilization")])
+def test_tuple_commands_load_no_numpy(files, command, runs):
+    # they read single tuples and never run the orbit engine, which alone
+    # loads numpy; moves comes in with their modules, and loads numpy only
+    # to run a plan on columns
+    argv = [files.get(a, a) for a in _FOOTPRINT_ARGV[command]]
+    loaded = _imported_modules([command, *argv, "--no-cache"])
+    assert {runs, "schur_orbits.moves"} <= loaded
+    assert not loaded & {"numpy", "schur_orbits.fastorbits"}
 
 
 # (group, level, whether its net branch vector is nonzero)

@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from schur_orbits.covers import BranchData, BudgetError, enumerate_tuples
-from schur_orbits.fastorbits import build_level, orbit_scan
-from schur_orbits.moves import move_catalog
+from schur_orbits.fastorbits import build_level, level_orbits
 
 from conftest import cyclic, get_group
 from enumeration_oracle import oracle_enumerate, walked_prefixes
@@ -112,6 +111,6 @@ def test_level_sizes_match_the_count_oracle(case):
     G, g, v = case
     codes, level = build_level(G, g, v)
     assert int(codes.weight(level).sum()) == level_count(G, g, v, False)
-    table, size = orbit_scan(G, g, v, move_catalog(G, g, v.cardinality))
+    table, size = level_orbits(G, g, v)
     assert size == int(codes.weight(table.level).sum())
     assert size == level_count(G, g, v, True)

@@ -29,7 +29,6 @@ from schur_orbits.fastorbits import (
     build_level,
     closed_orbit_scan,
     level_orbits,
-    orbit_scan,
 )
 from schur_orbits.groups import build_group, closure
 from schur_orbits.moves import (
@@ -76,7 +75,7 @@ def test_numpy_moves_match_apply_move(case):
     signs = [np.array([o[j] for _, o in states], dtype=np.int64)
              for j in range(n)]
     for m in move_catalog(G, g, n):
-        out, out_signs = plan_evaluator(G, move_plan(G, m, g, n), columns=True)(
+        out, out_signs = plan_evaluator(G, move_plan(m, g, n), columns=True)(
             cols, signs)
         for row, (s, o) in enumerate(states):
             t = BranchedTuple(G, g, tuple(zip(s[:L:2], s[1:L:2])),
@@ -116,7 +115,7 @@ def _assert_same_ids(fast, ref, G, g):
 def test_closed_scan_matches_hash_bfs(name):
     G = get_group(name)
     cat = move_catalog(G, 2, 0)
-    fast, n_tuples = closed_orbit_scan(G, 2, cat)
+    fast, n_tuples = closed_orbit_scan(G, 2)
     level = oracle_enumerate(G, 2, BranchData.from_dict({}))
     slow = orbits(level, cat)
     assert n_tuples == len(level)
@@ -131,7 +130,7 @@ def test_closed_scan_relabelled_generators():
     G = build_group({"permutations": [[2, 3, 0, 1], [0, 3, 1, 2]]})
     assert G.order == 12 and G.mul != get_group("a4").mul
     cat = move_catalog(G, 2, 0)
-    fast, n_tuples = closed_orbit_scan(G, 2, cat)
+    fast, n_tuples = closed_orbit_scan(G, 2)
     level = oracle_enumerate(G, 2, BranchData.from_dict({}))
     slow = orbits(level, cat)
     assert n_tuples == len(level)
@@ -196,11 +195,10 @@ def test_filter_chunking_does_not_change_the_table(name, g, chunk, lookup,
     _force_lookup(monkeypatch, lookup)
     G = cyclic(70) if name == "z70" else get_group(name)
     assert chunk == 1 or G.order ** (2 * g) % chunk
-    cat = move_catalog(G, g, 0)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", G.order ** (2 * g))
-    whole, n_whole = closed_orbit_scan(G, g, cat)
+    whole, n_whole = closed_orbit_scan(G, g)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", chunk)
-    chunked, n_chunked = closed_orbit_scan(G, g, cat)
+    chunked, n_chunked = closed_orbit_scan(G, g)
     assert n_chunked == n_whole
     assert chunked.to_json() == whole.to_json()
     assert chunked.sizes == whole.sizes
@@ -219,7 +217,7 @@ def test_closed_scan_group_over_64_elements():
     # move-closure check
     G = cyclic(70)
     cat = move_catalog(G, 1, 0)
-    fast, n_tuples = closed_orbit_scan(G, 1, cat)
+    fast, n_tuples = closed_orbit_scan(G, 1)
     level = oracle_enumerate(G, 1, BranchData.from_dict({}))
     slow = orbits(level, cat)
     assert n_tuples == len(level) == 3456
@@ -229,10 +227,9 @@ def test_closed_scan_group_over_64_elements():
 
 def test_closed_level_cap_is_a_budget_error(s3):
     # S3 g=2 walks its 7 handle-orbit labels for the first handle
-    cat = move_catalog(s3, 2, 0)
-    assert closed_orbit_scan(s3, 2, cat, 7)[1] == 360
+    assert closed_orbit_scan(s3, 2, 7)[1] == 360
     with pytest.raises(BudgetError, match="budget 6 exhausted"):
-        closed_orbit_scan(s3, 2, cat, 6)
+        closed_orbit_scan(s3, 2, 6)
 
 
 def test_closed_levels_under_the_old_cap_fit_the_default_budget():
@@ -253,7 +250,7 @@ def test_closed_levels_under_the_old_cap_fit_the_default_budget():
 def test_genus_zero_closed_level(name, n_tuples):
     # the empty tuple, surjective only onto the trivial group
     G = cyclic(1) if name == "z1" else get_group(name)
-    table, n = closed_orbit_scan(G, 0, move_catalog(G, 0, 0))
+    table, n = closed_orbit_scan(G, 0)
     assert n == n_tuples
     assert table.representatives == (BranchedTuple(G, 0, (), ()),) * n_tuples
     assert table.sizes == (1,) * n_tuples
@@ -268,14 +265,14 @@ def test_genus_zero_closed_level(name, n_tuples):
 def test_orbit_id_rejects_letters_outside_the_group(k4, s3):
     # 0 * 4 + 6 = 1 * 4 + 2: an unchecked handle letter 6 would alias
     # the code of ((1, 2), (0, 0))
-    closed, _ = closed_orbit_scan(k4, 2, move_catalog(k4, 2, 0))
+    closed, _ = closed_orbit_scan(k4, 2)
     assert closed.orbit_id(BranchedTuple(k4, 2, ((1, 2), (0, 0)), ())) == 0
     for handles in (((0, 6), (0, 0)), ((-1, 2), (0, 0))):
         with pytest.raises(KeyError):
             closed.orbit_id(BranchedTuple(k4, 2, handles, ()))
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4})
-    punctured, _ = orbit_scan(s3, 0, v, move_catalog(s3, 0, 4))
+    punctured, _ = level_orbits(s3, 0, v)
     rep = punctured.representatives[0]
     for bad in ((7, 1), (6, -1), (12, 1), (-5, 1), (rep.punctures[0][0], 2)):
         with pytest.raises(KeyError):
@@ -283,7 +280,7 @@ def test_orbit_id_rejects_letters_outside_the_group(k4, s3):
 
 
 def test_closed_orbit_id_rejects_other_levels(k4):
-    table, _ = closed_orbit_scan(k4, 2, move_catalog(k4, 2, 0))
+    table, _ = closed_orbit_scan(k4, 2)
     with pytest.raises(KeyError):
         table.orbit_id(BranchedTuple(k4, 1, ((1, 2),), ()))
     with pytest.raises(KeyError):
@@ -315,7 +312,7 @@ def punctured_levels(draw):
 def test_punctured_scan_matches_hash_bfs(case):
     G, g, v = case
     cat = move_catalog(G, g, v.cardinality)
-    fast, n_tuples = orbit_scan(G, g, v, cat)
+    fast, n_tuples = level_orbits(G, g, v)
     level = oracle_enumerate(G, g, v)
     slow = orbits(level, cat)
     assert n_tuples == len(level)
@@ -334,7 +331,7 @@ def test_punctured_scan_signed_level(a4):
     c = a4.class_of[1]
     v = BranchData.from_dict({(c, 1): 2, (c, -1): 2})
     cat = move_catalog(a4, 0, 4)
-    fast, n_tuples = orbit_scan(a4, 0, v, cat)
+    fast, n_tuples = level_orbits(a4, 0, v)
     slow = orbits(oracle_enumerate(a4, 0, v), cat)
     assert n_tuples == sum(slow.sizes) > 0
     assert fast.to_json() == slow.to_json()
@@ -346,10 +343,9 @@ def test_punctured_chunking_does_not_change_the_table(s3, lookup,
     _force_lookup(monkeypatch, lookup)
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4, (tc, -1): 2})
-    cat = move_catalog(s3, 0, 6)
-    whole, n_whole = orbit_scan(s3, 0, v, cat)
+    whole, n_whole = level_orbits(s3, 0, v)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
-    chunked, n_chunked = orbit_scan(s3, 0, v, cat)
+    chunked, n_chunked = level_orbits(s3, 0, v)
     assert n_chunked == n_whole
     assert chunked.to_json() == whole.to_json()
     np.testing.assert_array_equal(chunked.ids, whole.ids)
@@ -360,7 +356,7 @@ def test_s4_eight_transpositions_is_one_orbit(s4):
     # 131,040 tuples in one orbit: the hash engine took ~15 s on it
     tc = transposition_class(s4)
     v = BranchData.from_dict({(tc, 1): 8})
-    table, n_tuples = orbit_scan(s4, 0, v, move_catalog(s4, 0, 8))
+    table, n_tuples = level_orbits(s4, 0, v)
     assert n_tuples == 131040
     assert table.num_orbits == 1 and table.sizes == (131040,)
 
@@ -372,19 +368,18 @@ def test_genus_zero_level_whose_pools_do_not_generate_is_not_built(
     dt = next(c for c, x in enumerate(s4.class_reps)
               if s4.element_order(x) == 2 and len(s4.class_members(c)) == 3)
     v = BranchData.from_dict({(dt, 1): 10})
-    cat = move_catalog(s4, 0, 10)
 
     def no_build(*args, **kwargs):
         raise AssertionError("built a level with no surjective tuple")
 
     monkeypatch.setattr(fastorbits, "build_level", no_build)
-    table, n = orbit_scan(s4, 0, v, cat)
+    table, n = level_orbits(s4, 0, v)
     assert (n, table.num_orbits, table.level.size) == (0, 0, 0)
     assert enumerate_tuples(s4, 0, v) == []
     with pytest.raises(KeyError):
         table.orbit_id(BranchedTuple(s4, 0, (), ((s4.class_reps[dt], 1),) * 10))
     with pytest.raises(BudgetError):
-        orbit_scan(s4, 0, v, cat, budget=_prefix_count(s4, 0, v) - 1)
+        level_orbits(s4, 0, v, budget=_prefix_count(s4, 0, v) - 1)
 
 
 def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):
@@ -408,7 +403,7 @@ def test_code_space_overflow_is_a_budget_error_before_allocation(monkeypatch):
 def test_punctured_orbit_id_rejects_other_tuples(s3):
     tc = transposition_class(s3)
     v = BranchData.from_dict({(tc, 1): 4})
-    table, _ = orbit_scan(s3, 0, v, move_catalog(s3, 0, 4))
+    table, _ = level_orbits(s3, 0, v)
     rep = table.representatives[0]
     w, o = rep.punctures[0]
     with pytest.raises(KeyError):  # another shape
@@ -441,8 +436,7 @@ def test_move_off_the_alphabet_is_a_move_error(s3, slot, monkeypatch):
     codes, level = build_level(s3, 0, v)
     index = min(slot, 2)
     local = slot - index
-    bad = MovePlan(2, 0, ((3, (local,), [0] * s3.order, (local,)),),
-                   ((local, 3),), ())
+    bad = MovePlan(2, 0, ((local, ~local),), ((local, 3),), ())
     monkeypatch.setattr(fastorbits, "move_plan", lambda *args: bad)
     monkeypatch.setitem(s3.cache, "site tables", {})
     with pytest.raises(fastorbits.MoveError, match="alphabet"):
@@ -552,12 +546,11 @@ def test_closed_budget_counts_the_handle_prefixes(name, g):
     assert budget == (_handle_orbits(G).size.size ** (g - 1) if g else 1)
     codes, level = build_level(G, g, v, budget=budget)
     assert codes.weight(level).sum() == level_count(G, g, v, False)
-    cat = move_catalog(G, g, 0)
-    assert closed_orbit_scan(G, g, cat, budget)[1] == level_count(G, g, v, True)
+    assert closed_orbit_scan(G, g, budget)[1] == level_count(G, g, v, True)
     with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted$"):
         build_level(G, g, v, budget=budget - 1)
     with pytest.raises(BudgetError, match=f"budget {budget - 1} exhausted$"):
-        closed_orbit_scan(G, g, cat, budget - 1)
+        closed_orbit_scan(G, g, budget - 1)
 
 
 @st.composite
@@ -587,7 +580,7 @@ def oracle_levels(draw):
 def test_class_engine_matches_hash_bfs(case):
     G, g, v = case
     cat = move_catalog(G, g, v.cardinality)
-    fast, n_tuples = orbit_scan(G, g, v, cat)
+    fast, n_tuples = level_orbits(G, g, v)
     level = oracle_enumerate(G, g, v)
     slow = orbits(level, cat)
     assert n_tuples == len(level)
@@ -616,7 +609,7 @@ def test_orbits_that_do_not_generate_are_dropped_and_renumbered(name, k,
     whole = orbits(hom, cat)
     assert "".join("S" if is_surjective(t) else "n"
                    for t in whole.representatives) == pattern
-    fast, n_tuples = orbit_scan(G, 1, v, cat)
+    fast, n_tuples = level_orbits(G, 1, v)
     slow = orbits(oracle_enumerate(G, 1, v), cat)
     assert fast.to_json() == slow.to_json()
     assert n_tuples == sum(slow.sizes)
@@ -725,15 +718,6 @@ def test_moved_applies_every_site_after_a_relation(s3):
     assert sorted(got.tolist()) == sorted(want)
 
 
-def test_catalog_without_a_handle_move_is_a_move_error(s3):
-    # a node stands for whole handle-move orbits, so the scan needs every
-    # handle kind on every handle
-    cat = [m for m in move_catalog(s3, 2, 0)
-           if (m.kind, m.index) != ("TwistB", 1)]
-    with pytest.raises(fastorbits.MoveError, match="handle move"):
-        closed_orbit_scan(s3, 2, cat)
-
-
 def _rows(table, keys):
     """The targets of each of keys in a _SiteTable, in key units."""
     return [sorted((k + table.delta[table.start[k]:table.start[k + 1]]).tolist())
@@ -794,8 +778,8 @@ def _dataflow_sites(plan, g):
         return slot // 2 if slot < 2 * g else slot - g
 
     reads = {plan.slots: set()}  # register -> the digits it is read from
-    for reg, _, _, word in plan.steps:
-        reads[reg] = set().union(*(
+    for k, word in enumerate(plan.steps):
+        reads[plan.slots + 1 + k] = set().union(*(
             reads[r] if r >= plan.slots else {digit(r)}
             for r in (r if r >= 0 else ~r for r in word)))
     spans = [{digit(slot)} | reads.get(reg, {digit(reg)})
@@ -813,42 +797,31 @@ def _shifted_plan(plan, g, lo, hi):
     """plan on node digits lo..hi alone, its slots shifted onto them:
     (MovePlan, h, p) for genus-h, p-puncture tuples, the site's h handle
     digits and then its p puncture digits.  It keeps the writes and signs
-    of the site's slots and the steps they read, renumbered in order, and
-    holds each step table as a tuple.  The reference for the plan a site
-    table runs."""
+    of the site's slots and the steps they read, renumbered in order.
+    The reference for the plan a site table runs."""
     h = max(min(hi + 1, g) - lo, 0)
     p = hi + 1 - lo - h
     first, n, L = 2 * lo if lo < g else lo + g, 2 * h + p, plan.slots
     writes = [(slot, reg) for slot, reg in plan.writes
               if first <= slot < first + n]
     need, steps = {reg for _, reg in writes}, []
-    for step in reversed(plan.steps):
-        if step[0] in need:
-            need |= {r if r >= 0 else ~r for r in step[3]}
-            steps.append(step)
+    for k, word in reversed(list(enumerate(plan.steps))):
+        if L + 1 + k in need:
+            need |= {r if r >= 0 else ~r for r in word}
+            steps.append((L + 1 + k, word))
     steps.reverse()
     # the site's slots, then the point-push element, then its steps
     to = {r: r - first for r in range(first, first + n)}
     to[L] = n
-    to.update((step[0], n + 1 + k) for k, step in enumerate(steps))
+    to.update((reg, n + 1 + k) for k, (reg, _) in enumerate(steps))
     j0 = max(lo, g) - g  # the site's first puncture
     return MovePlan(
         n, plan.element,
-        tuple((to[reg], tuple(to[r] for r in srcs),
-               None if table is None else tuple(table),
-               tuple(to[r] if r >= 0 else ~to[~r] for r in word))
-              for reg, srcs, table, word in steps),
+        tuple(tuple(to[r] if r >= 0 else ~to[~r] for r in word)
+              for _, word in steps),
         tuple((to[slot], to[reg]) for slot, reg in writes),
         tuple((j - j0, src - j0) for j, src in plan.signs
               if lo <= g + j <= hi)), h, p
-
-
-def _tupled(plan):
-    """plan with each step table as a tuple, comparable with
-    _shifted_plan's."""
-    return MovePlan(plan.slots, plan.element, tuple(
-        (reg, srcs, None if table is None else tuple(table), word)
-        for reg, srcs, table, word in plan.steps), plan.writes, plan.signs)
 
 
 @pytest.mark.parametrize("g", range(4))
@@ -871,7 +844,7 @@ def test_sites_and_site_plans_match_the_plan_dataflow(g, n, monkeypatch):
             for element in (0, 1, 5):
                 m = Move(kind, index, element)
                 try:
-                    plan = move_plan(G, m, g, n)
+                    plan = move_plan(m, g, n)
                 except fastorbits.MoveError:
                     with pytest.raises(fastorbits.MoveError):
                         _spans(m, g, n)
@@ -880,7 +853,7 @@ def test_sites_and_site_plans_match_the_plan_dataflow(g, n, monkeypatch):
                 for lo, hi in _spans(m, g, n):
                     table = _transitions(codes, m, lo, hi, empty)
                     shifted = _shifted_plan(plan, g, lo, hi)
-                    assert (_tupled(table.plan), table.codes.genus,
+                    assert (table.plan, table.codes.genus,
                             table.codes.n) == shifted, (m, lo, hi)
                     assert tables.setdefault(id(table), shifted) == shifted
     # equal shifted plans and shapes share one table
@@ -893,7 +866,7 @@ def test_a4_genus_3_builds_three_tables_for_its_eight_sites(monkeypatch):
     G = build_group(GROUP_SPECS["a4"])  # a new group, so an empty memo
     sites = _record(monkeypatch, fastorbits, "_transitions")
     fills = _record(monkeypatch, fastorbits._SiteTable, "fill")
-    table, n = closed_orbit_scan(G, 3, move_catalog(G, 3, 0))
+    table, n = closed_orbit_scan(G, 3)
     assert (n, table.num_orbits) == (742560, 2)
     assert (len(sites), len(fills), len(G.cache["site tables"])) == (8, 3, 3)
 

@@ -3,7 +3,7 @@ certificate."""
 
 import pytest
 
-from schur_orbits import stabilization
+from schur_orbits import fastorbits, stabilization
 from schur_orbits.branched_schur import torsor_check
 from schur_orbits.covers import BranchData, branch_data, enumerate_tuples, make_tuple
 from schur_orbits.fastorbits import level_orbits
@@ -284,7 +284,7 @@ def _track(G, cids, monkeypatch):
         tables.append(table)
         return table, n
 
-    monkeypatch.setattr(stabilization, "level_orbits", recorded)
+    monkeypatch.setattr(fastorbits, "level_orbits", recorded)
     return stable_orbits(G, cids), tables
 
 

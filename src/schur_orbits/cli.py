@@ -18,7 +18,9 @@ values of the key inputs _COMMANDS names for it, and a digest of the
 package's source files, which covers the move-set tag in moves.py, so a
 report computed by other code is never served.  The key is computed
 only when the cache is used.  An entry that does not decode is a miss:
-the report is recomputed and the entry rewritten.
+the report is recomputed and the entry rewritten.  A cache that cannot
+be written costs only the entry: the report goes out as computed, with
+the command's own exit code, and one stderr line names the path.
 
 The command line is one option table, _OPTIONS, that _parse reads in
 place of argparse, with the same namespaces, prefixes and usage errors.
@@ -36,7 +38,13 @@ comes in with G_ab (group-info, an orbits level whose net branch vector
 is nonzero) or with homology, so a closed orbits level, or one whose
 punctures cancel in the net vector, never loads it.  traceback
 is imported only for an internal error.  No command loads OpenSSL: the
-digests use groups.sha256, CPython's built-in SHA-256.
+digests use groups.sha256, CPython's built-in SHA-256.  No command makes
+a BLAS call either, so importing cli sets OPENBLAS_NUM_THREADS to 1
+unless the caller has set it: numpy's OpenBLAS otherwise starts a
+busy-waiting worker per extra CPU as it loads, which on a 2-CPU Xeon VM
+took `import numpy` from 98 to 166 ms (median of 21 fresh processes).
+The variable is set when cli is imported, not in main, so a process
+that imports cli before numpy loads numpy with one thread too.
 """
 
 from __future__ import annotations
@@ -57,6 +65,11 @@ from .groups import (
     build_group,
     sha256,
 )
+
+# Before any command imports numpy, and only as a default: see the
+# module docstring.  A library user who never imports cli keeps
+# threaded BLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __all__ = ["main"]
 
@@ -551,16 +564,21 @@ def _write_cache(path, text):
     """Write an entry through a temp file named after this process, so
     concurrent writers never interleave; both files follow the umask.
     Then remove the temp files that writers killed mid-write left
-    behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    behind.  A cache that cannot be written, like one that cannot be
+    read, costs only the entry: one stderr line names the path."""
     tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    _sweep_stale_temps(path.parent)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        _sweep_stale_temps(path.parent)
+    except OSError as e:
+        sys.stderr.write(f"schur-orbits: cache entry not written: {path}: "
+                         f"{e.strerror or e}\n")
 
 
 def _sweep_stale_temps(directory):

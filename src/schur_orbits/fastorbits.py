@@ -105,9 +105,10 @@ def _digits(codes, radices):
 
 def _distinct(a):
     """The sorted distinct values of a: np.unique without the numpy.ma
-    import it makes on first use (10-15 ms, `import numpy.ma` timed
-    after `import numpy` in 7 fresh processes on a 2-CPU Xeon VM, numpy
-    2.4.6)."""
+    import it makes on first use (6-8 ms, median 7 ms: `import
+    numpy.ma` timed after `import numpy` in 7 fresh processes with
+    OpenBLAS at one thread, as the CLI loads it, on a 2-CPU Xeon VM,
+    numpy 2.4.6)."""
     a = np.sort(a)
     keep = np.ones(a.size, dtype=bool)
     keep[1:] = a[1:] != a[:-1]

@@ -102,9 +102,11 @@ class FiniteGroup(Frozen):
         return hash((self.order, self.mul))
 
 
-def _closure_and_bfs_order(n_points, perms):
+def _closure_and_bfs_order(n_points, perms, cap=None):
     """Close a set of permutations under composition, numbering elements
-    in BFS word order from the generators."""
+    in BFS word order from the generators.  With a cap, stop once
+    cap + 1 elements are found, so a group past the cap is never closed
+    in full."""
     ident = tuple(range(n_points))
     elems = [ident]
     index = {ident: 0}
@@ -118,6 +120,8 @@ def _closure_and_bfs_order(n_points, perms):
                     index[q] = len(elems)
                     elems.append(q)
                     nxt.append(q)
+                    if cap is not None and len(elems) > cap:
+                        return elems, index
         frontier = nxt
     return elems, index
 
@@ -210,7 +214,9 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
 
     The generators of a permutation group are its nonidentity generator
     images; those of a Cayley table are the greedy _right_generators set
-    that _validate_table checks associativity on.
+    that _validate_table checks associativity on.  A permutation group of
+    more than max_order elements is rejected once its closure finds
+    element max_order + 1, before it is closed.
     """
     if "permutations" in spec:
         perms = _int_rows(spec, "permutations")
@@ -221,10 +227,11 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
                     raise GroupBuildError(f"not a bijection on {n_points} points: {p}")
         else:
             n_points = 1
-        elems, index = _closure_and_bfs_order(n_points, perms)
+        elems, index = _closure_and_bfs_order(n_points, perms, max_order)
         order = len(elems)
         if order > max_order:
-            raise GroupBuildError(f"group order {order} exceeds cap {max_order}")
+            raise GroupBuildError(f"group order exceeds cap {max_order}: "
+                                  f"more than {max_order} elements")
         mul = tuple(
             tuple(index[tuple(p[q[i]] for i in range(n_points))] for q in elems)
             for p in elems

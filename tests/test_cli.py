@@ -571,6 +571,36 @@ def test_internal_error_prints_a_traceback_in_a_fresh_process(files):
     assert "Traceback" in p.stderr and "in fail" in p.stderr
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="threads are counted in /proc/self/task, and on one CPU "
+           "OpenBLAS starts no worker thread")
+@pytest.mark.parametrize("imports,blas_threads,threads", [
+    ("cli", None, 1),
+    # the traced benchmark job's import order
+    ("branched_schur, cli, covers, fastorbits", None, 1),
+    # a caller's own setting stands
+    ("cli", "2", 2),
+])
+def test_the_cli_loads_openblas_with_one_thread(files, monkeypatch, imports,
+                                                blas_threads, threads):
+    # no command makes a BLAS call, and numpy's OpenBLAS would otherwise
+    # start a busy-waiting worker per extra CPU as it loads
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if blas_threads:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    out = files["tmp"] / "report.json"
+    p = _child(["-c", "\n".join([
+        "import os, sys",
+        f"from schur_orbits import {imports}",
+        "code = cli.main(sys.argv[1:])",
+        "print(code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))",
+    ]), "orbits", "--group", files["s3"], "--genus", "0",
+        "--branch", "4 transpositions", "--no-cache", "--out", str(out)])
+    assert p.stdout.split() == ["0", "True", str(threads)], p.stderr
+    assert json.loads(out.read_text())["orbits"] == 1
+
+
 @pytest.mark.parametrize("command", ["h2", "h2bgc", "mgc", "sch"])
 def test_homology_commands_load_no_numpy(files, command):
     # the H2 build is sparse and in Python ints, none of these commands
@@ -700,6 +730,18 @@ def test_group_entries_that_are_not_integer_arrays_are_domain_errors(
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+def test_a_group_past_the_order_cap_is_a_domain_error(files, capsys):
+    # S9, by a 9-cycle and a transposition, is rejected before it is closed
+    s9 = files["tmp"] / "s9.json"
+    s9.write_text(json.dumps({"permutations": [[*range(1, 9), 0],
+                                               [1, 0, *range(2, 9)]]}))
+    code, out = run(capsys, ["group-info", "--group", str(s9), "--no-cache"])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err == {"kind": "domain", "message":
+                   "group order exceeds cap 120: more than 120 elements"}
+
+
 def test_torsor_check_a4_three_cycles_cli(files, capsys):
     code, out = run(capsys, ["torsor-check", "--group", files["a4"],
                              "--classes", "1", "--genus", "0",
@@ -731,6 +773,28 @@ def test_corrupt_cache_entry_is_recomputed(files, capsys):
     assert out == cold
     assert entry.read_text() == cold
     assert sorted(p.name for p in cache.iterdir()) == [entry.name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["h2"],
+    ["orbits", "--genus", "0", "--branch", "4 transpositions"],
+    ["stable-range", "--classes", "transpositions",
+     "--branch", "2 transpositions", "--max-rounds", "0"],
+])
+def test_a_cache_that_cannot_be_written_keeps_the_report(files, capsys, argv):
+    # a regular file where the cache directory should be: like a cache
+    # that cannot be read, it costs only the entry
+    blocker = files["tmp"] / "blocker"
+    blocker.write_text("")
+    argv = argv + ["--group", files["s3"]]
+    code, out = run(capsys, argv + ["--no-cache"])
+    cache = blocker / "sub"
+    got = main(argv + ["--cache-dir", str(cache)])
+    written = capsys.readouterr()
+    assert (got, written.out) == (code, out)
+    (line,) = written.err.splitlines()
+    assert str(cache) in line
+    assert blocker.read_text() == ""
 
 
 def test_cache_entry_follows_umask(files, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from schur_orbits.groups import (
     GroupBuildError,
+    _closure_and_bfs_order,
     _right_generators,
     abelianization,
     build_group,
@@ -123,6 +124,38 @@ def test_table_build_rejects_garbage():
         build_group({"permutations": [[0, 0, 1]]})
     with pytest.raises(GroupBuildError):
         build_group({})
+
+
+class _CountedPerm(tuple):
+    """A permutation that counts the points read through it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedPerm.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_closure_stops_one_element_past_the_cap():
+    # S9 has 362,880 elements: closed in full before the cap check, it
+    # took 1.5 s for group-info to reject it
+    gens = [_CountedPerm((*range(1, 9), 0)), _CountedPerm((1, 0, *range(2, 9)))]
+    _CountedPerm.reads = 0
+    elems, index = _closure_and_bfs_order(9, gens, cap=5)
+    assert len(elems) == len(index) == 6
+    # each product p after g reads g at all 9 points; at most the 6
+    # elements walked are multiplied by each of the 2 generators
+    assert _CountedPerm.reads <= 6 * 2 * 9
+    with pytest.raises(GroupBuildError, match="more than 5 elements"):
+        build_group({"permutations": [list(g) for g in gens]}, max_order=5)
+
+
+def test_a_cap_the_group_meets_closes_it_in_full(s4):
+    gens = [s4.perms[g] for g in s4.generators]
+    assert _closure_and_bfs_order(4, gens, cap=24) == _closure_and_bfs_order(4, gens)
+    spec = {"permutations": [list(g) for g in gens]}
+    assert build_group(spec, max_order=24) == s4
+    with pytest.raises(GroupBuildError, match="more than 23 elements"):
+        build_group(spec, max_order=23)
 
 
 def _cyclic_table(n):

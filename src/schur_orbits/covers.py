@@ -160,28 +160,6 @@ def is_surjective(t):
     return generates(t.group, set(t.letters()))
 
 
-def _multiset_permutations(items):
-    """Distinct orderings of a list, lexicographic."""
-    items = sorted(items)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    a = list(items)
-    while True:
-        yield tuple(a)
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
-
-
 def _letters_for(G, class_id, sign):
     """Puncture letters w with w^sign in the class, sorted."""
     if sign == 1:

@@ -28,8 +28,10 @@ every move of a breadth-first step through one position lookup and one
 dedupe.  Orbit and level sizes are sums of node weights, the products of
 orbit sizes.
 A budget bounds the prefixes build_level walks (_prefix_count) and the
-tuples _Codes.expand makes.  The builder, the transition tables and the
-sweep work FILTER_CHUNK prefixes, tuples or codes at a time
+tuples _Codes.expand makes.  The builder holds one depth of its walk,
+the prefixes before the last free digit (16 bytes each), and adds that
+digit FILTER_CHUNK // (pool size) prefixes at a time; it, the tables
+and the sweep then work FILTER_CHUNK codes or tuples at a time
 (_row_blocks), splitting a node or key with more, so no array made per
 block has more rows.
 
@@ -37,17 +39,17 @@ On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), in-process
 level_orbits on a new group (first call), then the median of 7 more
 calls on it (3 for A5), with its handle orbits and tables memoized, two
 runs: A4 g=3 (742,560 tuples; 1,101 nodes of the relation, 948 kept)
-4.9-5.0 ms, then 2.4 ms; D4 g=4 (8.2M tuples) 8.9-9.2, then 9.0-9.3 ms;
-S3 g=5 (20.1M) 6.4-6.5, then 5.6-5.7 ms; S4 g=3 (15.4M; 16,093 nodes,
-12,344 kept) 30, then 11.7-12.1 ms, the first call building tables over
-24^4 handle-pair tuples.  Genus 0 sweeps tuples: S4 "8 transpositions"
-(131,040 of 140,160) 54-55, then 51 ms, finding level positions in the
-rank directory (_Positions); A5 "6 3-cycles" (960,120 of 1,072,540)
-2.20-2.21 s, finding them by np.searchsorted, because its 20^6 codes
-are too sparse for the directory.
+10-14 ms, then 2.8-4.6 ms; D4 g=4 (8.2M tuples) 25, then 10.6-11.0 ms;
+S3 g=5 (20.1M) 17-25, then 7.5-7.7 ms; S4 g=3 (15.4M; 16,093 nodes,
+12,344 kept) 58-62, then 14.7-16.0 ms, the first call building tables
+over 24^4 handle-pair tuples.  Genus 0 sweeps tuples: S4 "8
+transpositions" (131,040 of 140,160) 70-74, then 51-52 ms, finding level
+positions in the rank directory (_Positions); A5 "6 3-cycles" (960,120
+of 1,072,540) 2.6-2.8, then 2.7 s, by np.searchsorted, because its 20^6
+codes are too sparse for the directory.
 A genus-0 level whose puncture pools do not generate G is not built:
 S4 "10 double transpositions" (14,763 tuples, none surjective) takes
-0.32-0.36 ms on its first call and 0.02 ms after.
+0.47 ms on its first call and 0.02 ms after.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .covers import (
     BranchData,
     BranchedTuple,
     _letters_for,
-    _multiset_permutations,
     is_surjective,
 )
 from .groups import BudgetError, generates
@@ -83,7 +84,7 @@ from .moves import (
 __all__ = ["level_orbits", "closed_orbit_scan", "build_level",
            "FastOrbitTable"]
 
-FILTER_CHUNK = 1 << 13  # prefixes, nodes, tuples or looked-up codes at a time
+FILTER_CHUNK = 1 << 13  # built, expanded or looked-up rows at a time
 _BIT = np.array([1 << k for k in range(32)], dtype=np.int64)  # _Positions
 
 # the move kinds that act within one handle; their orbits on pairs are
@@ -359,12 +360,12 @@ class FastOrbitTable(OrbitTable):
 
 
 def _prefix_count(G, g, v):
-    """The prefixes build_level walks for the genus-g level with branch
-    data v, the measure its budget caps.  With n >= 1 punctures: over the
-    distinct orders of the slot kinds, K^g label prefixes (K handle
-    orbits) times the pool sizes of every puncture but the last, whose
-    letter is solved from the relation; summed in closed form, kind by
-    kind as the last slot, without walking the orders.  With none, the
+    """The prefixes build_level's walk reaches at its last free digit for
+    the genus-g level with branch data v, the measure its budget caps.
+    With n >= 1 punctures: over the distinct orders of the slot kinds,
+    K^g label prefixes (K handle orbits) times the pool sizes of every
+    puncture but the last, whose letter is solved from the relation;
+    summed in closed form, kind by kind as the last slot.  With none, the
     last handle is solved: K^{g-1} prefixes, and at g = 0 the empty one."""
     K = _handle_orbits(G).size.size if g else 1
     kinds = [(len(_letters_for(G, cid, sign)), k) for (cid, sign), k in v.counts]
@@ -394,12 +395,17 @@ def build_level(G, g, v, budget=None):
     every tuple that satisfies the surface relation, surjective or not;
     with no punctures, the closed level.
 
-    Each distinct order of the puncture kinds is one block: a mixed radix
-    over every digit but the last, FILTER_CHUNK prefixes at a time, each
-    followed by the entries of the last pool (labels on a closed level,
-    letters otherwise) whose commutator or letter is the inverse of the
-    prefix's product, written FILTER_CHUNK codes at a time.  The empty
-    tuple has no digits and product 1.
+    The walk extends (node code, product) prefix arrays digit by digit:
+    the free handle labels (g, or g - 1 on a closed level), then the free
+    puncture digits by kind-count state (the slots of each kind still
+    open), one numpy step per state and open kind, the arrays that reach
+    one state joined.  It holds one depth, the prefixes before the last
+    free digit, at 16 bytes each (at most _prefix_count over that digit's
+    least pool), and adds that digit FILTER_CHUNK // (pool size) prefixes
+    at a time.  The last digit is solved: the entries of the one pool left
+    (labels on a closed level; at g = 0 one empty digit of value 0) whose
+    commutator or letter is the inverse of the prefix's product, written
+    FILTER_CHUNK codes at a time.
     BudgetError, before the level is allocated, when it walks more than
     budget prefixes (_prefix_count) or its tuple code space overflows
     int64.
@@ -407,40 +413,56 @@ def build_level(G, g, v, budget=None):
     _check_budget(G, g, v, budget)
     pools = {kind: np.array(_letters_for(G, *kind), dtype=np.int64)
              for kind, _ in v.counts}
-    slots = [kind for kind, k in v.counts for _ in range(k)]
-    codes = _Codes(G, g, len(slots), [(w, sign) for (_, sign), pool in
-                                      pools.items() for w in pool.tolist()])
-    q, H = G.order, codes.orbits
+    codes = _Codes(G, g, v.cardinality, [(w, sign) for (_, sign), pool in
+                                         pools.items() for w in pool.tolist()])
+    q, K, r = G.order, codes.orbits.size.size, len(codes.alphabet)
     mulf, inv = _np_tables(G)
-    # a digit's pool entries as (node digit, group value)
-    handle = (np.arange(H.size.size), H.comm)
+    # a digit's pool as (node digits, group values, radix), in order of
+    # value: puncture letters are sorted, labels put in commutator order
+    unit = (np.zeros(1, dtype=np.int64),) * 2 + (1,)
+    handle = (np.argsort(codes.orbits.comm), np.sort(codes.orbits.comm), K)
+    kinds = [(codes.rank[(sign > 0) * q + pool], pool, r)
+             for (_, sign), pool in pools.items()]
+    counts, free = tuple(k for _, k in v.counts), g
+    if not counts:  # the last handle is the one slot, solved
+        kinds, counts, free = [handle if g else unit], (1,), max(g - 1, 0)
+    depth = free + sum(counts) - 1  # the free digits
+
+    def steps(state, d):
+        """(pool, state after) of the pools open at free digit d (-1: unit)."""
+        if d < free:
+            return [(handle if d >= 0 else unit, state)]
+        return [(kinds[i], state[:i] + (k - 1,) + state[i + 1:])
+                for i, k in enumerate(state) if k]
+
+    def extend(code, p, pool):
+        digit, value, radix = pool
+        return ((code[:, None] * radix + digit).ravel(),
+                mulf[p[:, None] * q + value].ravel())
+
+    held = {counts: unit[:2]}
+    for d in range(depth - 1):
+        walked = {}
+        for state, (code, p) in held.items():
+            for pool, after in steps(state, d):
+                walked.setdefault(after, []).append(extend(code, p, pool))
+        held = {state: tuple(map(np.concatenate, zip(*walked.pop(state))))
+                for state in list(walked)}
+    # the entries of value x in a pool are offsets[x]:offsets[x + 1]
+    offsets = [np.searchsorted(value, np.arange(q + 1))
+               for _, value, _ in kinds]
     parts = []
-    for order in _multiset_permutations(slots):
-        digits = [handle] * g + [(codes.rank[(sign > 0) * q + pools[c, sign]],
-                                  pools[c, sign]) for c, sign in order]
-        *head, (_, value) = digits or [(None, np.zeros(1, np.int64))]
-        # the last pool's entries grouped by value, ascending within each
-        by = np.argsort(value, kind="stable")
-        offsets = np.zeros(q + 1, dtype=np.int64)
-        np.cumsum(np.bincount(value, minlength=q), out=offsets[1:])
-        radices = [d.size for d, _ in head]
-        total = prod(radices)
-        for start in range(0, total, FILTER_CHUNK):
-            idx = np.arange(start, min(start + FILTER_CHUNK, total),
-                            dtype=np.int64)
-            cols = _digits(idx, radices)
-            p = np.zeros_like(idx)
-            for (_, val), c in zip(head, cols):
-                p = mulf[p * q + val[c]]
-            first = offsets[inv[p]]
-            for item, k in _row_blocks(offsets[inv[p] + 1] - first, first):
-                # gathered one digit column at a time, to keep the peak low
-                code = np.zeros(item.size, dtype=np.int64)
-                for (d, _), c, rows, w in zip(digits, cols + [by],
-                                              [item] * len(cols) + [k],
-                                              codes.place):
-                    code += d[c[rows]] * w
-                parts.append(code)
+    for state, (code, p) in held.items():
+        for pool, after in steps(state, depth - 1):
+            i = after.index(1)  # the kind of the solved slot
+            (digit, _, radix), at = kinds[i], offsets[i]
+            step = max(FILTER_CHUNK // (pool[0].size or 1), 1)
+            for j in range(0, code.size, step):
+                c, s = extend(code[j:j + step], p[j:j + step], pool)
+                first = at[inv[s]]
+                for item, k in _row_blocks(at[inv[s] + 1] - first, first):
+                    parts.append(c[item] * radix + digit[k])
+    del held, code, p  # the held depth is freed before the level is joined
     level = np.concatenate(parts)
     level.sort()
     return codes, level

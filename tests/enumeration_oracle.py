@@ -7,13 +7,30 @@ walking the slot orders, for the budget tests."""
 
 from math import prod
 
-from schur_orbits.covers import (
-    BranchedTuple,
-    _letters_for,
-    _multiset_permutations,
-    is_surjective,
-)
+from schur_orbits.covers import BranchedTuple, _letters_for, is_surjective
 from schur_orbits.fastorbits import _handle_orbits
+
+
+def _multiset_permutations(items):
+    """Distinct orderings of a list, lexicographic."""
+    items = sorted(items)
+    n = len(items)
+    if n == 0:
+        yield ()
+        return
+    a = list(items)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def _commutator_preimages(G):
@@ -100,10 +117,11 @@ def oracle_enumerate(G, g, v, surjective=True):
 
 
 def walked_prefixes(G, g, v):
-    """The prefixes build_level walks, order by order: K^g handle-orbit
-    labels times the pool of every slot but the last, which is solved;
-    a closed level solves its last handle instead (K^{g-1}, and the
-    empty prefix at g = 0)."""
+    """The prefixes build_level's walk reaches at its last free digit,
+    counted order by order of the slot kinds: K^g handle-orbit labels
+    times the pool of every slot but the last, which is solved; a closed
+    level solves its last handle instead (K^{g-1}, and the empty prefix
+    at g = 0)."""
     K = _handle_orbits(G).size.size
     slots = [kind for kind, k in v.counts for _ in range(k)]
     if not slots:

@@ -39,6 +39,10 @@ LEVELS = [
     ("z1", 0, ()),
     ("k4", 3, ()),
     ("s3", 3, ()),
+    # three kinds of both signs: the builder walks their kind-count states
+    ("k4", 0, ((1, 1, 2), (2, -1, 2), (3, 1, 2))),
+    ("s4", 0, ((1, 1, 2), (4, 1, 1), (4, -1, 1))),
+    ("d4", 1, ((1, 1, 1), (1, -1, 1), (2, 1, 2))),
 ]
 
 
@@ -114,3 +118,5 @@ def test_level_sizes_match_the_count_oracle(case):
     table, size = level_orbits(G, g, v)
     assert size == int(codes.weight(table.level).sum())
     assert size == level_count(G, g, v, True)
+    assert (enumerate_tuples(G, g, v, surjective=False)
+            == oracle_enumerate(G, g, v, surjective=False))

@@ -180,10 +180,10 @@ def _force_lookup(monkeypatch, lookup):
 
 
 # the chunk splits the transition tables' key blocks and the expansion
-# of the level into tuples; chunks 1 and 7 also split the builder's
-# label prefixes and the sweep's frontiers.  lookup forces the level
-# positions to one side (_force_lookup); the rank-directory cases carry
-# no suffix in their ids.
+# of the level into tuples; chunks 1 and 7 also split the codes the
+# builder writes and the sweep's frontiers, and chunk 1 the builder's
+# label prefixes.  lookup forces the level positions to one side
+# (_force_lookup); the rank-directory cases carry no suffix in their ids.
 @pytest.mark.parametrize("name,g,chunk,lookup", [
     pytest.param(*case, lookup, id="-".join(
         map(str, case + (() if lookup == "index" else (lookup,)))))
@@ -359,6 +359,22 @@ def test_s4_eight_transpositions_is_one_orbit(s4):
     table, n_tuples = level_orbits(s4, 0, v)
     assert n_tuples == 131040
     assert table.num_orbits == 1 and table.sizes == (131040,)
+
+
+def test_builder_work_does_not_grow_with_the_orders_of_the_kinds(
+        k4, monkeypatch):
+    # K4 g=0 with 4 punctures in each nonidentity class: 12!/(4!)^3 =
+    # 34,650 orders of the three kinds, each with one tuple or none.  The
+    # builder's Python-level work grows with its kind-count states (one
+    # _row_blocks call per state and open kind at its last free digit),
+    # not with those orders
+    v = BranchData.from_dict({(c, 1): 4 for c, x in enumerate(k4.class_reps)
+                              if x})
+    calls = _record(monkeypatch, fastorbits, "_row_blocks")
+    codes, level = build_level(k4, 0, v)
+    assert len(calls) <= 100
+    assert level.size == level_count(k4, 0, v, False)
+    assert (np.diff(level) > 0).all()
 
 
 def test_genus_zero_level_whose_pools_do_not_generate_is_not_built(

@@ -59,6 +59,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .groups import (
+    DEFAULT_BUDGET,
     BudgetError,
     DomainError,
     abelianization,
@@ -425,7 +426,6 @@ _COMMANDS = {
 }
 
 
-DEFAULT_BUDGET = 2_000_000
 _REQUIRED = object()
 _IGNORED = "accepted for compatibility and ignored"
 _HELP = {"-h": ("help",), "--help": ("help",)}

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 120
+DEFAULT_BUDGET = 2_000_000
 
 
 class DomainError(ValueError):
@@ -272,7 +273,10 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER):
 
 
 def closure(G, S):
-    """Subgroup generated by S, as a sorted tuple of elements."""
+    """Subgroup generated by S, as a sorted tuple of elements.
+
+    Right products alone reach it: in a finite group the monoid that S
+    generates is already the subgroup, since s^-1 = s^(ord s - 1)."""
     seen = {0}
     frontier = [0]
     S = [s for s in S]
@@ -281,10 +285,6 @@ def closure(G, S):
         for x in frontier:
             for s in S:
                 y = G.mul[x][s]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                y = G.mul[s][x]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

@@ -201,17 +201,14 @@ class IntegerLattice:
 
     rows[j] holds the nonzero entries of row j right of column j, each
     in [1, N), and piv[j] its pivot, a divisor of N; an empty row has
-    pivot N (the row N.e_j, which is 0 mod N).  above[j] is the set of
-    rows i < j with a nonzero entry in column j, the column index that
-    the update of the rows above a new pivot reads.  The echelon is a
-    Howell form (see add): for every j, the rows from j on and N.Z^n
-    span the vectors of L that vanish left of column j."""
+    pivot N (the row N.e_j, which is 0 mod N).  The echelon is a Howell
+    form (see add): for every j, the rows from j on and N.Z^n span the
+    vectors of L that vanish left of column j."""
 
     def __init__(self, n, modulus):
         self.N = modulus
         self.rows = [{} for _ in range(n)]
         self.piv = [modulus] * n
-        self.above = [set() for _ in range(n)]
 
     def add(self, v):
         """Add v, a {column: entry} dict, to L, which only grows.
@@ -221,8 +218,7 @@ class IntegerLattice:
         changes v only on that row's support, so the next column to
         reduce is the least key left, and v is never scanned.  A new
         pivot g at column j also reduces the rows above it whose entry
-        there is at least g, found through the column index above[j], on
-        the new row's support alone.
+        there is at least g, on the new row's support alone.
 
         A new row r with pivot g leaves (N/g).r in the span of the rows
         below it, since the v reduced on carries that multiple.  So the
@@ -231,7 +227,7 @@ class IntegerLattice:
         the vectors of L that vanish left of j, the pivots depend on L
         alone, and a vector already in L reduces to 0 without changing
         the echelon."""
-        N, rows, piv, above = self.N, self.rows, self.piv, self.above
+        N, rows, piv = self.N, self.rows, self.piv
         grew = False
         w = {k: x % N for k, x in v.items() if x % N}
         while w:
@@ -253,39 +249,31 @@ class IntegerLattice:
                  if (t := (x * h.get(k, 0) + y * w.get(k, 0)) % N)}
             w = {k: (p // g * w.get(k, 0) - a // g * h.get(k, 0)) % N
                  for k in cols}
-            for k in h:
-                above[k].discard(j)
-            for k in r:
-                above[k].add(j)
             rows[j], piv[j] = r, g
             grew = True
             # reducing the rows above the new pivot keeps the echelon the
-            # dense oracle builds.  In-process it pays on (Z/2)^6 (0.87-1.1
-            # s with it, 1.2-1.6 s without) and costs on A5 (0.53-0.66
-            # against 0.42-0.51 s) and (Z/4)^3 (0.73-0.93 against
-            # 0.57-0.69 s)
+            # dense oracle builds, and it pays: h2_group in-process on a
+            # 2-CPU Xeon VM takes 4.9 ms with it, 6.9 without, on (Z/4)^3,
+            # 21 against 26 ms on A5 x Z/2 and 32 against 43 ms on
+            # (Z/2)^6; A5 alone is faster without it, 2.4 against 2.7 ms
             self._reduce_above(j)
-            # a set keeps its table as it empties: A5 peaks 15 MiB higher
-            # with the emptied sets of the columns above new pivots kept
-            above[j] = set(above[j])
         return grew
 
     def _reduce_above(self, j):
         """Reduce the entries in column j of the rows above row j into
-        [0, piv[j]) by subtracting multiples of row j, keeping the column
-        index."""
-        N, rows, above, g = self.N, self.rows, self.above, self.piv[j]
-        new = [(j, g), *rows[j].items()]
-        for i in [i for i in above[j] if rows[i][j] >= g]:
-            row = rows[i]
-            q = row[j] // g
-            for k, t in new:
-                t = (row.get(k, 0) - q * t) % N
-                if t:
-                    row[k] = t
-                    above[k].add(i)
-                elif row.pop(k, None) is not None:
-                    above[k].discard(i)
+        [0, piv[j]) by subtracting multiples of row j.  A scan of rows[:j]
+        finds the rows to reduce."""
+        N, g = self.N, self.piv[j]
+        new = [(j, g), *self.rows[j].items()]
+        for row in self.rows[:j]:
+            q = row.get(j, 0) // g
+            if q:
+                for k, t in new:
+                    t = (row.get(k, 0) - q * t) % N
+                    if t:
+                        row[k] = t
+                    else:
+                        row.pop(k, None)
 
     def reduce(self):
         """Bring the echelon to the reduced Howell form, every entry above

@@ -21,7 +21,7 @@ and when they number as many as the orbits the count is proved.
 from __future__ import annotations
 
 from .covers import BranchData, BranchedTuple, hom_branch_type
-from .groups import BudgetError, DomainError, generates
+from .groups import DEFAULT_BUDGET, BudgetError, DomainError, generates
 from .homology import lifting_invariant, m_g_c
 from .moves import MOVE_SET_TAG, induced_orbit_map
 from .records import Record
@@ -135,7 +135,7 @@ def _next_level(G, class_ids, skip_handle, g, v):
 
 
 def stable_orbits(G, class_ids, v_seed=None, g_seed=None, max_rounds=6,
-                  enum_budget=2_000_000):
+                  enum_budget=DEFAULT_BUDGET):
     """Probe the stable range at (g, v) levels grown by stabilization
     rounds (_next_level) until a nonzero orbit count plateaus over two
     full rounds, then cross-check against |M(G)_C|: "certified-match"

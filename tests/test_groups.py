@@ -105,6 +105,26 @@ def test_closure_and_generates(s3):
     assert not generates(s3, [three])
 
 
+def _closure_reference(G, S):
+    """Close {0} and S under all pairwise products."""
+    out = {0, *S}
+    while True:
+        more = {G.mul[x][y] for x in out for y in out} - out
+        if not more:
+            return tuple(sorted(out))
+        out |= more
+
+
+# closure takes right products only, which reach the subgroup since
+# s^-1 = s^(ord s - 1) in a finite group
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(GROUP_SPECS)), data=st.data())
+def test_closure_matches_closing_under_all_products(name, data):
+    G = get_group(name)
+    S = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    assert closure(G, S) == _closure_reference(G, S)
+
+
 def test_quotient_by_normal_closure(s3, q8):
     # S3 / <<3-cycle>> = Z/2
     three = next(x for x in range(1, 6) if s3.element_order(x) == 3)

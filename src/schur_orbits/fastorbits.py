@@ -8,12 +8,13 @@ numbered by least pair) times one puncture word.  A node code (_Codes)
 has a label digit per handle and a digit per puncture; node order is the
 order of the nodes' least tuples, and a genus-0 level's nodes are its
 tuples.  One builder (build_level) makes the sorted node codes of every
-tuple of a level's relation, and one frontier sweep (_sweep) partitions
-them into orbits under the moves that span handles or punctures.
-level_orbits, the one entry point, runs both with moves.move_catalog's
-moves.  Every move is an automorphism of pi_1 or a conjugation, so
-surjectivity is decided once per orbit: the orbits whose representative
-does not generate G are dropped.  Each of those moves acts on each of
+tuple of a level's relation, and one union-find (_join) partitions them
+into orbits under the moves that span handles or punctures (_sweep), as
+it partitions the pairs under the handle moves.  level_orbits, the one
+entry point, runs builder and sweep with moves.move_catalog's moves.
+Every move is an automorphism of pi_1 or a conjugation, so surjectivity
+is decided once per orbit: the orbits whose representative does not
+generate G are dropped.  Each of those moves acts on each of
 its sites, the one or two node digits of the letter slots
 moves._site_slots gives it (_spans), by a transition table on the site's
 keys (_SiteTable), built by running the move's moves.move_plan on a
@@ -23,10 +24,9 @@ _Codes.encode gives.  The tables are memoized per group under the move's
 kind, element and site shape, so a move shares one table across its site
 indices and across levels (_transitions), and each holds the keys that
 levels have asked for.  ChainTwist is a relation on nodes (up to 22
-targets per label pair on A4, 53 on S4).  The sweep sends the images of
-every move of a breadth-first step through one position lookup and one
-dedupe.  Orbit and level sizes are sums of node weights, the products of
-orbit sizes.
+targets per label pair on A4, 53 on S4).  The sweep looks up each
+node's images under each move once.  Orbit and level sizes are sums of
+node weights, the products of orbit sizes.
 A budget bounds the prefixes build_level walks (_prefix_count) and the
 tuples _Codes.expand makes.  The builder holds one depth of its walk,
 the prefixes before the last free digit (16 bytes each), and adds that
@@ -37,19 +37,18 @@ block has more rows.
 
 On a 2-CPU Intel Xeon VM (Python 3.11, numpy 2.4), in-process
 level_orbits on a new group (first call), then the median of 7 more
-calls on it (3 for A5), with its handle orbits and tables memoized, two
-runs: A4 g=3 (742,560 tuples; 1,101 nodes of the relation, 948 kept)
-10-14 ms, then 2.8-4.6 ms; D4 g=4 (8.2M tuples) 25, then 10.6-11.0 ms;
-S3 g=5 (20.1M) 17-25, then 7.5-7.7 ms; S4 g=3 (15.4M; 16,093 nodes,
-12,344 kept) 58-62, then 14.7-16.0 ms, the first call building tables
-over 24^4 handle-pair tuples.  Genus 0 sweeps tuples: S4 "8
-transpositions" (131,040 of 140,160) 70-74, then 51-52 ms, finding level
-positions in the rank directory (_Positions); A5 "6 3-cycles" (960,120
-of 1,072,540) 2.6-2.8, then 2.7 s, by np.searchsorted, because its 20^6
-codes are too sparse for the directory.
+calls, handle orbits and tables memoized, two runs: A4 g=3 (742,560
+tuples; 1,101 nodes of the relation, 948 kept) 6.4, then 2.6-2.7 ms;
+D4 g=4 (8.2M tuples) 14-15, then 12.0-12.2 ms; S3 g=5 (20.1M) 11.9,
+then 10.6 ms; S4 g=3 (15.4M; 16,093 nodes, 12,344 kept) 69-71, then
+15.5-24.4 ms, the first call building tables over 24^4 handle-pair
+tuples.  Genus 0 sweeps tuples: S4 "8 transpositions" (131,040 of
+140,160) 68-76, then 59-81 ms, with the rank directory (_Positions); A5
+"6 3-cycles" (960,120 of 1,072,540) 0.86-0.95, then 0.77 s, with
+np.searchsorted, as its 20^6 codes are too sparse for the directory.
 A genus-0 level whose puncture pools do not generate G is not built:
 S4 "10 double transpositions" (14,763 tuples, none surjective) takes
-0.47 ms on its first call and 0.02 ms after.
+0.16-0.19 ms on its first call and 0.03-0.04 ms after.
 """
 
 from __future__ import annotations
@@ -138,32 +137,51 @@ def _row_blocks(weight, start=0):
         yield item, np.arange(r0, r1) - base[item]
 
 
+def _roots(lab, x):
+    """The roots of the nodes x in the forest lab (lab[r] == r at a root,
+    any other node points at a lesser one), x then pointed at them."""
+    r = lab[x]
+    up = lab[r]
+    while (up != r).any():
+        r, up = up, lab[up]
+        lab[x] = r
+    return r
+
+
+def _join(lab, u, v):
+    """Join the trees of u[i] and v[i] for every i, hooking the greater
+    root of each pair under the lesser (np.minimum.at keeps a root's
+    least hook) until every pair shares a root, the least node of its
+    tree (Tarjan, J. ACM 22, 1975; Shiloach & Vishkin, J. Alg. 3, 1982).
+    u[i] may be any node of its tree, and is rooted only if not v[i]'s."""
+    while True:
+        v = _roots(lab, v)
+        apart = u != v
+        if not apart.any():
+            return
+        u, v = _roots(lab, u[apart]), v[apart]
+        np.minimum.at(lab, np.maximum(u, v), np.minimum(u, v))
+
+
 def _handle_orbits(G):
     """The orbits of the handle moves on the q^2 pairs (a, b), coded
     a * q + b and labelled in the order of their least pairs, computed
     once per group: label (pair code -> label), least (label -> least
     pair), size, comm (label -> [a, b] of each of its pairs), and
-    members, the pair codes by label, ascending, from start[label]."""
+    members, the pair codes by label, ascending, from start[label]; the
+    union-find (_join) joins each pair to its image under each move."""
     if "handle orbits" not in G.cache:
         q = G.order
         mulf, inv = _np_tables(G)
         pairs = np.arange(q * q, dtype=np.int64)
         ab = list(np.divmod(pairs, q))
-        perms = []
+        lab = pairs.copy()
         for kind in _HANDLE_KINDS:
             plan = move_plan(Move(kind), 1, 0)
             out, _ = plan_evaluator(G, plan, columns=True)(ab)
-            perms.append(out[0] * q + out[1])
-        # each pair's label falls to the least pair code joined to it,
-        # along every move both ways and by pointer jumping
-        lab, old = pairs, None
-        while old is None or (lab != old).any():
-            old = lab
-            for p in perms:
-                lab = np.minimum(lab, lab[p])
-                lab[p] = np.minimum(lab[p], lab)
-            lab = lab[lab]
-        least, label = np.unique(lab, return_inverse=True)
+            _join(lab, pairs, out[0] * q + out[1])
+        least = np.flatnonzero(_roots(lab, pairs) == pairs)
+        label = np.searchsorted(least, lab)
         size = np.bincount(label)
         a, b = np.divmod(least, q)
         G.cache["handle orbits"] = SimpleNamespace(
@@ -468,17 +486,6 @@ def build_level(G, g, v, budget=None):
     return codes, level
 
 
-def _next_unvisited(ids, pos):
-    """The first node position at or after pos without an orbit id
-    (ids.size if none), searched in blocks that double in size."""
-    step = 64
-    while pos < ids.size and (ids[pos:pos + step] >= 0).all():
-        pos, step = pos + step, step * 2
-    if pos >= ids.size:
-        return ids.size
-    return pos + int((ids[pos:pos + step] < 0).argmax())
-
-
 class _Positions:
     """The positions of node codes in a sorted level of distinct codes in
     [0, space), built once per level.
@@ -646,88 +653,61 @@ def _site_moves(codes, m, level):
     return out
 
 
-def _moved(code, sites):
-    """The node codes that one move's sites (_site_moves) take the nodes
-    code to, in pieces of at most FILTER_CHUNK codes when a site has
-    several targets per key."""
+def _moved(code, sites, src):
+    """(sources, images): the node codes that one move's sites
+    (_site_moves) take the nodes code to, each with the entry of src
+    that names its node (src[i] names code[i]), in pieces of at most
+    FILTER_CHUNK codes when a site has several targets per key."""
     for k, (place, space, begin, delta, multi) in enumerate(sites):
         key = code // place % space
         at = begin[key]
         if multi:
             for item, j in _row_blocks(begin[key + 1] - at, at):
-                yield from _moved(code[item] + delta[j], sites[k + 1:])
+                yield from _moved(code[item] + delta[j], sites[k + 1:],
+                                  src[item])
             return
         code = code + delta[at]
-    yield code
-
-
-def _claim(ids, pos, oid):
-    """The distinct level positions of pos that have no orbit id yet,
-    each given orbit oid.  Each is first tagged -2 - i by one of its
-    entries i, which then keeps it: a dedupe without a sort."""
-    pos = pos[ids[pos] < 0]
-    tag = -2 - np.arange(pos.size, dtype=np.int32)
-    ids[pos] = tag
-    pos = pos[ids[pos] == tag]
-    ids[pos] = oid
-    return pos
+    yield src, code
 
 
 def _sweep(codes, level, moves):
     """Partition a sorted, move-closed node level into orbits under
     moves, with the handle moves that connect each node.
 
-    Each orbit is seeded at the least node outside the orbits before it
-    and grown breadth first.  Each step takes the frontier, FILTER_CHUNK
-    nodes at a time, through every move's site tables (_transitions,
-    memoized per group) to the node codes their tuples reach (_moved),
-    and sends the codes of all moves together, FILTER_CHUNK at a time,
-    through one lookup of their level positions (the level's _Positions,
-    built once), one filter of the visited nodes and one dedupe
-    (_claim).  A code off the level, or a table that merges keys, is a
-    MoveError.  Orbit sizes are summed from the node weights once every
-    node has its orbit.  Returns (seed node codes, orbit sizes in
-    tuples, orbit id of every node).
+    A union-find over level positions (_join) joins each node to the
+    nodes its tuples reach under each move, FILTER_CHUNK nodes at a time
+    through the move's site tables (_transitions, memoized per group) to
+    their images (_moved), whose positions one lookup finds (the level's
+    _Positions, built once).  A code off the level, or a table that
+    merges keys, is a MoveError.  A root is the least node of its orbit,
+    so its least tuple is the orbit's; one pass numbers the roots in
+    order, representative order, and each representative is its own
+    canonical form, as orbits are closed under conjugation.  Returns
+    (seed node codes, orbit sizes in tuples, orbit id of every node).
     """
     sited = [_site_moves(codes, m, level) for m in moves]
     positions = _Positions(level, codes.space)
     n_nodes = int(level.size)
-    ids = np.full(n_nodes, -1, dtype=np.int32)
+    lab = np.arange(n_nodes, dtype=np.int64)
+    for start in range(0, n_nodes, FILTER_CHUNK):
+        node = np.arange(start, min(start + FILTER_CHUNK, n_nodes))
+        root = _roots(lab, node)  # each image is first compared with it
+        for sites in sited:
+            for src, enc in _moved(level[node], sites, root):
+                _join(lab, src, positions(enc))
+    ids = np.empty(n_nodes, dtype=np.int32)
     seeds = []
-    pos = _next_unvisited(ids, 0)
-    while pos < n_nodes:
-        oid = len(seeds)
-        ids[pos] = oid
-        frontier = np.array([pos], dtype=np.int64)
-        while frontier.size:
-            found, batch, held = [], [], 0
-            for start in range(0, frontier.size, FILTER_CHUNK):
-                code = level[frontier[start:start + FILTER_CHUNK]]
-                for sites in sited:
-                    for enc in _moved(code, sites):
-                        if held + enc.size > FILTER_CHUNK:
-                            found.append(_claim(
-                                ids, positions(np.concatenate(batch)), oid))
-                            batch, held = [], 0
-                        batch.append(enc)
-                        held += enc.size
-            if batch:
-                found.append(_claim(ids, positions(np.concatenate(batch)),
-                                    oid))
-            # the old frontier goes before the new one is joined
-            del frontier
-            frontier = (np.concatenate(found) if found
-                        else np.array([], dtype=np.int64))
-        seeds.append(int(level[pos]))
-        pos = _next_unvisited(ids, pos + 1)
+    for start in range(0, n_nodes, FILTER_CHUNK):
+        node = np.arange(start, min(start + FILTER_CHUNK, n_nodes))
+        root = _roots(lab, node)
+        new = node[root == node]
+        ids[new] = np.arange(len(seeds), len(seeds) + new.size)
+        seeds += level[new].tolist()
+        ids[node] = ids[root]  # a root is its own or an earlier node
     sizes = np.zeros(len(seeds), dtype=np.int64)
     for start in range(0, n_nodes, FILTER_CHUNK):
         np.add.at(sizes, ids[start:start + FILTER_CHUNK],
                   codes.weight(level[start:start + FILTER_CHUNK]))
-    # Each seed is the least node outside the earlier orbits, so its
-    # least tuple is its orbit's, the orbits come in representative
-    # order, and (orbits are closed under conjugation) each
-    # representative is its own canonical form.
     return seeds, sizes.tolist(), ids
 
 

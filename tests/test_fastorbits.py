@@ -2,6 +2,7 @@
 move words read directly, the hash-BFS orbit engine and the Python
 enumeration walk."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -714,6 +715,16 @@ def test_chain_twist_relation_is_the_brute_force_relation(name):
     assert multi and np.diff(start).max() > 1
 
 
+def _images(sites, code):
+    """The node codes that a move's sites (_site_moves) take the node
+    code to, read off the site tables one code at a time."""
+    reached = [code]
+    for place, space, start, delta, _ in sites:
+        reached = [c + int(d) for c in reached for d in delta[
+            start[c // place % space]:start[c // place % space + 1]]]
+    return reached
+
+
 def test_moved_applies_every_site_after_a_relation(s3):
     # ChainTwist's table (several targets per key) followed by GlobalConj's
     # three handle sites, each target taken through all three
@@ -723,15 +734,13 @@ def test_moved_applies_every_site_after_a_relation(s3):
              for site in _site_moves(codes, m, level)]
     assert [site[-1] for site in sites] == [True, False, False, False]
     nodes = level[::5]  # not conjugation-closed, unlike the whole level
-    want = []
-    for code in nodes.tolist():
-        reached = [code]
-        for place, space, start, delta, _ in sites:
-            reached = [c + int(d) for c in reached for d in delta[
-                start[c // place % space]:start[c // place % space + 1]]]
-        want += reached
-    got = np.concatenate(list(_moved(nodes, sites)))
-    assert sorted(got.tolist()) == sorted(want)
+    want = [(i, c) for i, code in enumerate(nodes.tolist())
+            for c in _images(sites, code)]
+    # each image comes with the index of the node it was reached from
+    got = [(i, c) for src, image in _moved(nodes, sites,
+                                           np.arange(nodes.size))
+           for i, c in zip(src.tolist(), image.tolist())]
+    assert sorted(got) == sorted(want)
 
 
 def _rows(table, keys):
@@ -935,20 +944,106 @@ def test_sweep_looks_up_at_most_a_chunk_of_codes_at_a_time(name, g, v,
     whole = _sweep(codes, level, moves)
     monkeypatch.setattr(fastorbits, "FILTER_CHUNK", 7)
     lookups = _record(monkeypatch, fastorbits._Positions, "__call__")
-    claimed = []
-
-    def claim(*args, claim=fastorbits._claim):
-        claimed.append(claim(*args))
-        return claimed[-1]
-
-    monkeypatch.setattr(fastorbits, "_claim", claim)
     seeds, sizes, ids = _sweep(codes, level, moves)
-    # the images of several moves share a lookup, and no lookup takes more
-    # than a chunk
-    assert max(codes.size for _, codes in lookups) <= 7
-    assert sum(codes.size for _, codes in lookups) > 7 * len(lookups) // 2
+    assert max(looked.size for _, looked in lookups) <= 7
     assert (seeds, sizes) == whole[:2]
     np.testing.assert_array_equal(ids, whole[2])
-    # every node but the seeds is claimed once, so no frontier repeats one
-    got = np.concatenate(claimed + [np.searchsorted(level, seeds)])
-    np.testing.assert_array_equal(np.sort(got), np.arange(level.size))
+    # the codes looked up are each node's images under each move, each
+    # (node, image) pair once, read off the site tables one code at a time
+    want = [c for sites in [_site_moves(codes, m, level) for m in moves]
+            for code in level.tolist() for c in _images(sites, code)]
+    got = np.concatenate([looked for _, looked in lookups])
+    assert sorted(got.tolist()) == sorted(want)
+
+
+@st.composite
+def edge_batches(draw):
+    """(vertex count, edge batches): up to 300 vertices and a few batches
+    of edges, self-loops and repeats among them."""
+    n = draw(st.integers(1, 300))
+    vertex = st.integers(0, n - 1)
+    batches = draw(st.lists(st.lists(st.tuples(vertex, vertex), max_size=60),
+                            max_size=6))
+    return n, batches
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(edge_batches())
+@example((5, [[(4, 3), (3, 2), (2, 1), (1, 0)]]))
+@example((4, [[(1, 1), (2, 3), (3, 2), (2, 3)], [(0, 0)]]))
+def test_union_find_matches_breadth_first_components(case):
+    # _join batch by batch against a plain breadth-first search over the
+    # adjacency of every edge so far
+    n, batches = case
+    lab = np.arange(n, dtype=np.int64)
+    adj = {x: set() for x in range(n)}
+    every = np.arange(n, dtype=np.int64)
+    for batch in batches:
+        u = np.array([a for a, _ in batch], dtype=np.int64)
+        v = np.array([b for _, b in batch], dtype=np.int64)
+        fastorbits._join(lab, u, v)
+        assert (lab <= every).all()
+        for a, b in batch:
+            adj[a].add(b)
+            adj[b].add(a)
+        component = {}
+        for x in range(n):
+            if x not in component:
+                component[x], todo = x, [x]
+                while todo:
+                    for y in adj[todo.pop()]:
+                        if y not in component:
+                            component[y] = x
+                            todo.append(y)
+        # searches start at each unreached x in ascending order, so
+        # component[y] is the least vertex of y's component
+        root = fastorbits._roots(lab, every)
+        assert (lab <= every).all()
+        assert root.tolist() == [component[x] for x in range(n)]
+
+
+def _pinned_levels():
+    """(group name, genus, branch counts) of the pinned family: every test
+    group closed at g = 1-3, and at g = 0-2 with one or two punctures of
+    one nontrivial class or a pair of opposite signs."""
+    for name in GROUP_SPECS:
+        for g in (1, 2, 3):
+            yield name, g, {}
+        for g in (0, 1, 2):
+            for c in range(1, len(get_group(name).class_reps)):
+                yield from ((name, g, spec) for spec in (
+                    {(c, 1): 1}, {(c, 1): 2}, {(c, 1): 1, (c, -1): 1}))
+
+
+PINNED_PARTITIONS = ("c8641029f81c71c4934ebea1da4f7c84"
+                     "c3dd08295840836ede0b3ffa241d3673")
+PINNED_TABLES = ("57ae9e5ff5fd5856db1bb844d9037ee5"
+                 "e1a1d1da3b6e84b2cc133bbf6c8dc80d")
+
+
+def test_sweep_partitions_are_pinned(monkeypatch):
+    # the SHA-256 of the sweep's (seeds, sizes, ids) and of each orbit
+    # table's JSON and tuple count over the family, levels over the
+    # budget named as such; any change to a partition, its order or its
+    # numbering changes a digest
+    swept, sweep = [], fastorbits._sweep
+    monkeypatch.setattr(fastorbits, "_sweep",
+                        lambda *args: swept.append(sweep(*args)) or swept[-1])
+    partitions, tables = hashlib.sha256(), hashlib.sha256()
+    for name, g, spec in _pinned_levels():
+        key = repr((name, g, sorted(spec.items()))).encode()
+        partitions.update(key)
+        tables.update(key)
+        try:
+            table, count = level_orbits(get_group(name), g,
+                                        BranchData.from_dict(spec), 300_000)
+        except BudgetError:
+            tables.update(b"budget")
+            continue
+        for seeds, sizes, ids in swept:
+            partitions.update(repr((seeds, sizes)).encode() + ids.tobytes())
+        swept.clear()
+        tables.update(json.dumps(table.to_json(), sort_keys=True).encode()
+                      + str(count).encode())
+    assert partitions.hexdigest() == PINNED_PARTITIONS
+    assert tables.hexdigest() == PINNED_TABLES
